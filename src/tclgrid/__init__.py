@@ -36,17 +36,17 @@ from .stats import (
     time_variance,
 )
 from .tcl import (
+    Population,
     PopulationSpec,
     Scheme,
     TclParams,
-    TclState,
     check_period_distinctness,
     duty_cycle,
+    jump_target,
     next_thermostat_event,
     on_off_durations,
-    randomized_rates,
     sample_initial_states,
     sample_population,
-    switch_decision,
+    switching_rate,
     temp_flow,
 )

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .design import DesignError, verify_design_condition
+from .design import AllocationResult, DesignError, DesignReport, verify_design_condition
 from .grid_model import GridModelError, is_hurwitz, one_norm
 from .hybrid_sim import (
     Scenario,
@@ -32,7 +32,7 @@ from .stats import (
     theoretical_variance,
     time_variance,
 )
-from .tcl import TclError, duty_cycle
+from .tcl import TclError, TclParams, duty_cycle
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,14 +118,27 @@ def _load(path: str, overrides: argparse.Namespace) -> ScenarioFile:
     return dataclasses.replace(sf, **changes) if changes else sf
 
 
+def design_report(
+    sf: ScenarioFile,
+    pop: list[TclParams],
+    allocation: AllocationResult | None,
+    l_hat: float | None = None,
+) -> DesignReport:
+    """The allocator's report if thresholds were allocated, else a fresh check."""
+    if allocation is not None:
+        return allocation.report
+    if l_hat is None:
+        l_hat = one_norm(sf.build_grid()).value
+    return verify_design_condition(pop, l_hat, sf.design.delta)
+
+
 def cmd_run(args) -> int:
     sf = _load(args.scenario, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sc, allocation = sf.build_scenario()
     if sc.scheme.kind == "deterministic":
-        l_hat = one_norm(sc.grid).value
-        report = verify_design_condition(sc.population, l_hat, sf.design.delta)
+        report = design_report(sf, sc.population, allocation)
         if not report.satisfied:
             print(
                 "warning: thresholds violate the design condition; "
@@ -174,10 +187,7 @@ def cmd_certify(args) -> int:
         return EXIT_NUMERIC
     l_hat = one_norm(grid).value
     pop, allocation = sf.build_population()
-    if allocation is not None:
-        report = allocation.report
-    else:
-        report = verify_design_condition(pop, l_hat, sf.design.delta)
+    report = design_report(sf, pop, allocation, l_hat)
     print(f"l_hat: {l_hat:.6g} Hz/pu")
     print(report.to_text())
     return EXIT_OK if report.satisfied else EXIT_CERTIFICATION
@@ -185,6 +195,12 @@ def cmd_certify(args) -> int:
 
 def cmd_stats(args) -> int:
     sf = _load(args.scenario, args)
+    n_pairs = args.pairs
+    if n_pairs < 0 or (n_pairs > 0 and sf.population.n_loads < 2):
+        raise ScenarioError(
+            f"--pairs {n_pairs}: need 0, or a positive count and at least two loads "
+            f"(the population has {sf.population.n_loads})"
+        )
     pop, _ = sf.build_population()
     from .tcl import sample_initial_states
 
@@ -199,7 +215,6 @@ def cmd_stats(args) -> int:
     print(f"bound_gamma2_over_n: {bound:.8g}")
     print(f"bound_satisfied: {measured < bound}")
     rng = np.random.default_rng(sf.seed)
-    n_pairs = args.pairs
     print("pair_i,pair_j,measured_cross,closed_form")
     for _ in range(n_pairs):
         i, j = rng.choice(len(pop), size=2, replace=False)

@@ -13,17 +13,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tcl import TclParams, duty_cycle, with_threshold
+from .tcl import Population, TclParams, with_threshold, zeta  # zeta is part of this API
 
 
 class DesignError(ValueError):
     pass
-
-
-def zeta(p: TclParams) -> float:
-    """Worst-case responsive fraction max(alpha, 1 - alpha) of a load."""
-    alpha = duty_cycle(p)
-    return max(alpha, 1.0 - alpha)
 
 
 @dataclass(frozen=True)
@@ -53,11 +47,11 @@ class DesignReport:
         return "\n".join(lines)
 
 
-def _breakpoints(pop: list[TclParams]) -> tuple[np.ndarray, np.ndarray]:
+def _breakpoints(pop: Population) -> tuple[np.ndarray, np.ndarray]:
     """Distinct sorted thresholds and the cumulative zeta*d_bar at each
     (loads sharing a threshold all count at that breakpoint)."""
-    thresholds = np.array([p.omega1 for p in pop])
-    weights = np.array([zeta(p) * p.d_bar for p in pop])
+    thresholds = pop.omega1
+    weights = pop.zeta * pop.d_bar
     order = np.argsort(thresholds, kind="stable")
     thr_sorted = thresholds[order]
     cum = np.cumsum(weights[order])
@@ -80,7 +74,7 @@ def verify_design_condition(
             satisfied=True, delta=delta, margin_used=0.0, worst_point=None,
             violations=[], note="empty population: trivially satisfied",
         )
-    bps, lhs = _breakpoints(pop)
+    bps, lhs = _breakpoints(Population.of(pop))
     rhs = np.maximum((bps - delta) / l_hat, 0.0)
     gap = lhs - rhs
     worst = int(np.argmax(gap))
@@ -136,17 +130,10 @@ def allocate_thresholds(
         )
     if l_hat <= 0:
         raise DesignError(f"l_hat must be positive, got {l_hat}")
-    scale = l_hat / (1.0 - margin)
-    cum = 0.0
-    out = []
-    inactive = []
-    for i, p in enumerate(pop):
-        cum += zeta(p) * p.d_bar
-        needed = delta + cum * scale
-        if needed > hi:
-            out.append(with_threshold(p, hi))
-            inactive.append(i)
-        else:
-            out.append(with_threshold(p, max(lo, needed)))
+    soa = Population.of(pop)
+    needed = delta + np.cumsum(soa.zeta * soa.d_bar) * (l_hat / (1.0 - margin))
+    inactive = np.flatnonzero(needed > hi).tolist()
+    thresholds = np.where(needed > hi, hi, np.maximum(lo, needed))
+    out = [with_threshold(p, float(w)) for p, w in zip(pop, thresholds)]
     report = replace(verify_design_condition(out, l_hat, delta), margin_used=margin)
     return AllocationResult(population=out, inactive=inactive, report=report)

@@ -19,7 +19,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid_model import StateSpace, TransitionCache, is_hurwitz
-from .tcl import Scheme, TclParams, duty_cycle, on_off_durations
+from .tcl import (
+    Population,
+    Scheme,
+    TclParams,
+    jump_target,
+    next_thermostat_event,
+    switching_rate,
+    temp_flow,
+)
 
 _SNAP_REL = 1e-12  # loads with threshold time within this of the step land exactly
 
@@ -86,48 +94,17 @@ class Trace:
     meta: dict = field(default_factory=dict)
 
 
-def _jump_targets(
-    temps: np.ndarray,
-    sigmas: np.ndarray,
-    omega: float,
-    t_lo: np.ndarray,
-    t_hi: np.ndarray,
-    eps: np.ndarray,
-    omega1: np.ndarray,
-    freq_active: bool,
-) -> np.ndarray:
-    """Vectorized discrete update; thermostat hard limits dominate."""
-    target = sigmas.copy()
-    if freq_active:
-        target = np.where((omega >= omega1) & (temps >= t_lo + eps), 1, target)
-        target = np.where((omega <= -omega1) & (temps <= t_hi - eps), 0, target)
-    target = np.where(temps >= t_hi, 1, target)
-    target = np.where(temps <= t_lo, 0, target)
-    return target.astype(np.int8)
-
-
 def simulate(sc: Scenario) -> Trace:
-    pop = sc.population
-    n_loads = len(pop)
+    n_loads = len(sc.population)
     if n_loads == 0:
         raise SimulationError("population is empty")
     if not is_hurwitz(sc.grid):
         raise SimulationError("grid model is not Hurwitz-certified")
 
-    d_bar = np.array([p.d_bar for p in pop])
-    k = np.array([p.k for p in pop])
-    t_lo = np.array([p.t_lo for p in pop])
-    t_hi = np.array([p.t_hi for p in pop])
-    eps = np.array([p.eps for p in pop])
-    omega1 = np.array([p.omega1 for p in pop])
-    tgt_on = np.array([p.target_on for p in pop])
-    tgt_off = np.array([p.target_off for p in pop])
-    alpha = np.array([duty_cycle(p) for p in pop])
-    pi_on = np.array([on_off_durations(p)[0] for p in pop])
-    pi_off = np.array([on_off_durations(p)[1] for p in pop])
-
-    freq_active = sc.scheme.kind == "deterministic"
-    randomized = sc.scheme.kind == "randomized"
+    pop = Population.of(sc.population)
+    scheme = sc.scheme
+    freq_active = scheme.kind == "deterministic"
+    randomized = scheme.kind == "randomized"
     zeno_max = sc.zeno_max if sc.zeno_max is not None else 10 * n_loads
 
     if sc.initial_temperatures is not None and sc.initial_sigmas is not None:
@@ -137,12 +114,9 @@ def simulate(sc: Scenario) -> Trace:
         from .tcl import sample_initial_states
 
         temps, sigmas = sample_initial_states(pop, sc.seed)
-        temps = temps.copy()
-        sigmas = sigmas.astype(np.int8)
 
-    d_star = float(np.sum(alpha * d_bar)) if sc.offset_demand else 0.0
+    d_star = float(np.sum(pop.alpha * pop.d_bar)) if sc.offset_demand else 0.0
     cache = TransitionCache(sc.grid)
-    decay_cache: dict[float, np.ndarray] = {}
 
     # counter-based per-load streams keyed by (seed, load index); scheduling
     # cannot reorder draws because each load consumes only its own stream
@@ -155,37 +129,14 @@ def simulate(sc: Scenario) -> Trace:
             for j in range(n_loads)
         ]
 
-    def flow(temps_arr, sig, dt):
-        tgt = np.where(sig == 1, tgt_on, tgt_off)
-        decay = decay_cache.get(dt)
-        if decay is None:
-            decay = np.exp(-k * dt)
-            if len(decay_cache) < 64:
-                decay_cache[dt] = decay
-        return tgt + (temps_arr - tgt) * decay
-
-    def thermostat_times(temps_arr, sig):
-        tgt = np.where(sig == 1, tgt_on, tgt_off)
-        thr = np.where(sig == 1, t_lo, t_hi)
-        ratio = (temps_arr - tgt) / (thr - tgt)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            tt = np.log(ratio) / k
-        return np.where(ratio <= 1.0, 0.0, tt)
-
     def load_omega(omega_value: float) -> float:
         return 0.0 if sc.clamp_omega else omega_value
 
-    def switching_rate(omega_value: float, sig) -> np.ndarray:
-        """Active transition rate per load: ON-rate for OFF loads, OFF-rate
-        for ON loads, clamped to [0, 1] per second."""
-        w = load_omega(omega_value)
-        r_on = (sc.scheme.v_des / pi_off) * np.maximum(
-            0.0, 1.0 + sc.scheme.k_pi * w / omega1
-        )
-        r_off = (sc.scheme.v_des / pi_on) * np.maximum(
-            0.0, 1.0 - sc.scheme.k_pi * w / omega1
-        )
-        return np.minimum(np.where(sig == 1, r_off, r_on), 1.0)
+    def rates_at(omega_value: float) -> np.ndarray:
+        return switching_rate(pop, sigmas, load_omega(omega_value), scheme)
+
+    def targets_at(temps_arr, omega_value: float, fired=None) -> np.ndarray:
+        return jump_target(pop, temps_arr, sigmas, load_omega(omega_value), scheme, fired)
 
     def draw_clock(j: int, rate: float, now: float) -> float:
         if rate <= 0:
@@ -223,7 +174,7 @@ def simulate(sc: Scenario) -> Trace:
         s_j.append(jumps)
         s_w.append(x[0])
         s_xh.append(x[1:].copy())
-        s_ds.append(float(np.dot(d_bar, sigmas)))
+        s_ds.append(float(np.dot(pop.d_bar, sigmas)))
         s_on.append(float(np.mean(sigmas)))
 
     def apply_jumps(omega_now: float, clock_fired: np.ndarray | None) -> int:
@@ -232,14 +183,7 @@ def simulate(sc: Scenario) -> Trace:
         nonlocal jumps
         instants = 0
         for _ in range(zeno_max + 1):
-            target = _jump_targets(
-                temps, sigmas, load_omega(omega_now),
-                t_lo, t_hi, eps, omega1, freq_active,
-            )
-            if clock_fired is not None:
-                target = np.where(
-                    clock_fired & (target == sigmas), 1 - sigmas, target
-                ).astype(np.int8)
+            target = targets_at(temps, omega_now, clock_fired)
             changed = np.flatnonzero(target != sigmas)
             if changed.size == 0:
                 meta["max_jump_instants"] = max(meta["max_jump_instants"], instants)
@@ -247,13 +191,13 @@ def simulate(sc: Scenario) -> Trace:
             for j in changed:  # ascending load index within the jump instant
                 new_sig = int(target[j])
                 if clock_fired is not None and clock_fired[j] and (
-                    t_lo[j] < temps[j] < t_hi[j]
+                    pop.t_lo[j] < temps[j] < pop.t_hi[j]
                 ):
                     cause = CAUSE_RANDOM
                 elif new_sig == 1:
-                    cause = CAUSE_THERMO_HI if temps[j] >= t_hi[j] else CAUSE_FREQ_ON
+                    cause = CAUSE_THERMO_HI if temps[j] >= pop.t_hi[j] else CAUSE_FREQ_ON
                 else:
-                    cause = CAUSE_THERMO_LO if temps[j] <= t_lo[j] else CAUSE_FREQ_OFF
+                    cause = CAUSE_THERMO_LO if temps[j] <= pop.t_lo[j] else CAUSE_FREQ_OFF
                 sw_t.append(t)
                 sw_load.append(int(j))
                 sw_sig.append(new_sig)
@@ -262,7 +206,7 @@ def simulate(sc: Scenario) -> Trace:
             jumps += 1
             instants += 1
             if randomized:
-                rates = switching_rate(omega_now, sigmas)
+                rates = rates_at(omega_now)
                 mask = np.zeros(n_loads, dtype=bool)
                 mask[changed] = True
                 if clock_fired is not None:
@@ -275,14 +219,14 @@ def simulate(sc: Scenario) -> Trace:
 
     # corrective jump pass so z(0,0) starts consistent with the flow set
     if randomized:
-        reset_clocks(np.ones(n_loads, dtype=bool), switching_rate(x[0], sigmas), 0.0)
+        reset_clocks(np.ones(n_loads, dtype=bool), rates_at(x[0]), 0.0)
     apply_jumps(x[0], None)
     record_sample()
 
     tiny = 1e-12
     while t < sc.horizon - tiny:
-        u = current_level() + float(np.dot(d_bar, sigmas)) - d_star
-        tt = thermostat_times(temps, sigmas)
+        u = current_level() + float(np.dot(pop.d_bar, sigmas)) - d_star
+        tt = next_thermostat_event(pop, temps, sigmas)
         tt_min = float(np.min(tt))
         bound = min(sc.horizon, next_dist_time(), t + sc.max_step)
         clock_bound = float(np.min(clocks)) if randomized else np.inf
@@ -296,19 +240,13 @@ def simulate(sc: Scenario) -> Trace:
         def state_at(tau: float):
             p, q = cache.get(tau) if tau != dt else (phi, psi)
             x_tau = p @ x + q * u
-            return x_tau, flow(temps, sigmas, tau)
+            return x_tau, temp_flow(pop, temps, sigmas, tau)
 
         x_end, temps_end = state_at(dt)
         if not np.all(np.isfinite(x_end)):
             raise SimulationError(f"non-finite grid state at t={t + dt}")
         clock_fired = (clocks <= t + dt + tiny) if randomized else None
-        target_end = _jump_targets(
-            temps_end, sigmas, load_omega(x_end[0]),
-            t_lo, t_hi, eps, omega1, freq_active,
-        )
-        event_at_end = bool(np.any(target_end != sigmas)) or (
-            clock_fired is not None and bool(np.any(clock_fired))
-        )
+        event_at_end = bool(np.any(targets_at(temps_end, x_end[0], clock_fired) != sigmas))
 
         dt_event = dt
         if event_at_end and freq_active and dt > sc.event_tol:
@@ -317,11 +255,7 @@ def simulate(sc: Scenario) -> Trace:
             while hi_t - lo_t > sc.event_tol:
                 mid = 0.5 * (lo_t + hi_t)
                 x_mid, temps_mid = state_at(mid)
-                tgt_mid = _jump_targets(
-                    temps_mid, sigmas, load_omega(x_mid[0]),
-                    t_lo, t_hi, eps, omega1, freq_active,
-                )
-                if np.any(tgt_mid != sigmas):
+                if np.any(targets_at(temps_mid, x_mid[0]) != sigmas):
                     hi_t = mid
                 else:
                     lo_t = mid
@@ -340,8 +274,8 @@ def simulate(sc: Scenario) -> Trace:
             # snap loads that hit their thermostat threshold exactly
             at_thr = tt <= dt * (1.0 + _SNAP_REL)
             if np.any(at_thr):
-                temps[at_thr & (sigmas == 1)] = t_lo[at_thr & (sigmas == 1)]
-                temps[at_thr & (sigmas == 0)] = t_hi[at_thr & (sigmas == 0)]
+                temps[at_thr & (sigmas == 1)] = pop.t_lo[at_thr & (sigmas == 1)]
+                temps[at_thr & (sigmas == 0)] = pop.t_hi[at_thr & (sigmas == 0)]
         t += dt_event
         if dist_idx + 1 < len(dist_times) and t >= dist_times[dist_idx + 1] - tiny:
             dist_idx += 1
@@ -351,7 +285,7 @@ def simulate(sc: Scenario) -> Trace:
         apply_jumps(x[0], clock_fired)
 
         if randomized:
-            rates = switching_rate(x[0], sigmas)
+            rates = rates_at(x[0])
             drift = np.abs(rates - rate_ref) > 0.01 * np.maximum(rate_ref, 1e-300)
             drift |= (rate_ref == 0) & (rates > 0)
             if np.any(drift):
@@ -361,8 +295,8 @@ def simulate(sc: Scenario) -> Trace:
         record_sample()
 
     meta["jump_count"] = jumps
-    meta["scheme"] = sc.scheme.kind
-    meta["k_pi"] = sc.scheme.k_pi
+    meta["scheme"] = scheme.kind
+    meta["k_pi"] = scheme.k_pi
     return Trace(
         times=np.array(s_t),
         jumps=np.array(s_j),
@@ -408,20 +342,6 @@ def _flow_set(p: TclParams, temp: float, omega: float, freq_active: bool) -> set
     return allowed
 
 
-def _jump_enabled(
-    p: TclParams, temp: float, sigma: int, omega: float, freq_active: bool
-) -> bool:
-    if not freq_active:
-        return (sigma == 0 and temp >= p.t_hi) or (sigma == 1 and temp <= p.t_lo)
-    if sigma == 0:
-        if temp >= p.t_hi:
-            return True
-        return omega >= p.omega1 and p.t_lo + p.eps <= temp <= p.t_hi
-    if temp <= p.t_lo:
-        return True
-    return omega <= -p.omega1 and p.t_lo <= temp <= p.t_hi - p.eps
-
-
 def classify_region(
     temps: np.ndarray,
     sigmas: np.ndarray,
@@ -429,12 +349,13 @@ def classify_region(
     pop: list[TclParams],
     scheme: Scheme,
 ) -> RegionReport:
-    """Membership of each load's (T, omega, sigma) in the flow/jump sets."""
+    """Membership of each load's (T, omega, sigma) in the flow/jump sets; a
+    load is in the jump set where the discrete update would change it."""
     freq_active = scheme.kind == "deterministic"
+    jump_set = jump_target(Population.of(pop), temps, sigmas, omega, scheme) != sigmas
     labels = []
-    for p, temp, sig in zip(pop, temps, sigmas):
+    for p, temp, sig, in_jump in zip(pop, temps, sigmas, jump_set):
         in_flow = int(sig) in _flow_set(p, float(temp), omega, freq_active)
-        in_jump = _jump_enabled(p, float(temp), int(sig), omega, freq_active)
         if in_flow and in_jump:
             labels.append("both")
         elif in_jump or not in_flow:
@@ -443,14 +364,10 @@ def classify_region(
             labels.append("flow")
     if all(lbl == "flow" for lbl in labels):
         overall = "flow"
-    elif any(lbl == "jump" for lbl in labels) and not any(
-        lbl == "both" for lbl in labels
-    ):
-        overall = "jump"
-    elif any(lbl in ("jump", "both") for lbl in labels):
+    elif "both" in labels:
         overall = "both"
     else:
-        overall = "flow"
+        overall = "jump"
     return RegionReport(per_load=labels, overall=overall)
 
 

@@ -9,6 +9,7 @@ allocation and certification.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +57,12 @@ class ScenarioFile:
     offset_demand: bool = True
     clamp_omega: bool = False
     design: DesignSettings = DesignSettings()
+
+    def __post_init__(self):
+        for name in ("horizon", "max_step", "event_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ScenarioError(f"{name} must be positive and finite, got {value}")
 
     def build_grid(self) -> StateSpace:
         return build_combined_system(self.gen, self.grid_m, self.grid_d)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tcl import TclParams, duty_cycle, next_thermostat_event, on_off_durations
+from .tcl import TclParams, duty_cycle, next_thermostat_event, on_off_durations, period
 
 
 class StatsError(ValueError):
@@ -85,18 +85,17 @@ def free_run_switch_times(
 
     The load alternates states starting from (temperature, sigma); the first
     crossing is solved from the flow, later ones advance by the closed-form
-    stroke durations.
+    stroke durations. The running sum adds one stroke at a time, in order.
     """
     pi_on, pi_off = on_off_durations(p)
-    first = next_thermostat_event(p, temperature, sigma)
-    times = []
-    t = first
-    state = sigma
-    while t <= horizon:
-        times.append(t)
-        state = 1 - state
-        t += pi_on if state else pi_off
-    return np.array(times)
+    first = float(next_thermostat_event(p, temperature, sigma))
+    n_cycles = max(int((horizon - first) // (pi_on + pi_off)), 0) + 2
+    steps = np.empty(2 * n_cycles + 1)
+    steps[0] = first
+    # each switch is followed by the stroke of the state it switched to
+    steps[1::2], steps[2::2] = (pi_off, pi_on) if sigma else (pi_on, pi_off)
+    times = np.cumsum(steps)
+    return times[: np.searchsorted(times, horizon, side="right")]
 
 
 def demand_series(
@@ -174,8 +173,8 @@ def star_discrepancy(points: np.ndarray) -> float:
 def switch_offset_sequence(p_i: TclParams, p_j: TclParams, n_terms: int) -> np.ndarray:
     """Normalized offsets ((k * c) mod pi_j) / pi_j of consecutive ON-switches
     of the slower load against the faster one's cycle, k = 1..n_terms."""
-    pi_i = sum(on_off_durations(p_i))
-    pi_j = sum(on_off_durations(p_j))
+    pi_i = period(p_i)
+    pi_j = period(p_j)
     if pi_i < pi_j:
         pi_i, pi_j = pi_j, pi_i
     c = (-pi_i) % pi_j

@@ -1,6 +1,11 @@
 """Per-load TCL physics: parameters, closed-form temperature flows, switching
 logic, natural periods and duty cycles.
 
+Every per-load law is written once, over attribute access and NumPy
+operations. It takes either one `TclParams` with scalar state or a
+structure-of-arrays `Population` (same field names) with array state, and the
+simulator, design and statistics code all call it.
+
 Cooling devices only: the ON target temperature t_amb - cop * d_bar lies below
 the lower threshold and the ambient lies above the upper threshold, so the
 hysteresis loop has no equilibrium and both strokes complete in finite time.
@@ -8,11 +13,9 @@ hysteresis loop has no equilibrium and both strokes complete in finite time.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -57,10 +60,10 @@ class TclParams:
             raise TclError(
                 f"cooling device needs t_amb > t_hi, got t_amb={self.t_amb}, t_hi={self.t_hi}"
             )
-        if self.t_amb - self.cop * self.d_bar >= self.t_lo:
+        if self.target_on >= self.t_lo:
             raise TclError(
                 "cooling device needs t_amb - cop*d_bar < t_lo, got "
-                f"{self.t_amb - self.cop * self.d_bar} >= {self.t_lo}"
+                f"{self.target_on} >= {self.t_lo}"
             )
         if self.omega1 <= 0:
             raise TclError(f"omega1 must be positive, got {self.omega1}")
@@ -71,21 +74,52 @@ class TclParams:
 
     @property
     def target_on(self) -> float:
-        return self.t_amb - self.cop * self.d_bar
+        return _flow_target(self, 1)
 
     @property
-    def target_off(self) -> float:
-        return self.t_amb
+    def pi_on(self) -> float:
+        """Closed-form ON stroke duration of the free-running load."""
+        target = self.target_on
+        return math.log((self.t_hi - target) / (self.t_lo - target)) / self.k
+
+    @property
+    def pi_off(self) -> float:
+        """Closed-form OFF stroke duration of the free-running load."""
+        return math.log((self.t_amb - self.t_lo) / (self.t_amb - self.t_hi)) / self.k
 
 
-@dataclass(frozen=True)
-class TclState:
-    temperature: float
-    sigma: int  # 0 = OFF, 1 = ON
+@dataclass(frozen=True, eq=False)
+class Population:
+    """Structure-of-arrays population: one array per TclParams field, plus the
+    strokes, duty cycles and worst-case responsive fractions, built once."""
+
+    d_bar: np.ndarray
+    t_lo: np.ndarray
+    t_hi: np.ndarray
+    k: np.ndarray
+    cop: np.ndarray
+    t_amb: np.ndarray
+    omega1: np.ndarray
+    eps: np.ndarray
+    pi_on: np.ndarray
+    pi_off: np.ndarray
+    alpha: np.ndarray = field(init=False)
+    zeta: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.sigma not in (0, 1):
-            raise TclError(f"sigma must be 0 or 1, got {self.sigma}")
+        object.__setattr__(self, "alpha", duty_cycle(self))
+        object.__setattr__(self, "zeta", zeta(self))
+
+    @classmethod
+    def of(cls, pop: list[TclParams] | Population) -> Population:
+        """The structure-of-arrays form of pop (pop itself if it already is one)."""
+        if isinstance(pop, Population):
+            return pop
+        names = [f.name for f in fields(cls) if f.init]
+        return cls(**{name: np.array([getattr(p, name) for p in pop]) for name in names})
+
+    def __len__(self) -> int:
+        return self.d_bar.size
 
 
 @dataclass(frozen=True)
@@ -139,127 +173,89 @@ class Scheme:
         return Scheme("randomized", k_pi=k_pi, v_des=v_des)
 
 
-def on_off_durations(p: TclParams) -> tuple[float, float]:
+def on_off_durations(p: TclParams | Population) -> tuple[float, float]:
     """Closed-form ON and OFF stroke durations of the free-running load."""
-    pi_on = math.log((p.t_hi - p.target_on) / (p.t_lo - p.target_on)) / p.k
-    pi_off = math.log((p.t_amb - p.t_lo) / (p.t_amb - p.t_hi)) / p.k
-    return pi_on, pi_off
+    return p.pi_on, p.pi_off
 
 
-def period(p: TclParams) -> float:
-    pi_on, pi_off = on_off_durations(p)
-    return pi_on + pi_off
+def period(p: TclParams | Population) -> float:
+    return p.pi_on + p.pi_off
 
 
-def duty_cycle(p: TclParams) -> float:
-    pi_on, pi_off = on_off_durations(p)
-    return pi_on / (pi_on + pi_off)
+def duty_cycle(p: TclParams | Population) -> float:
+    return p.pi_on / (p.pi_on + p.pi_off)
 
 
-def temp_flow(p: TclParams, temperature: float, sigma: int, dt: float) -> float:
+def zeta(p: TclParams | Population) -> float:
+    """Worst-case responsive fraction max(alpha, 1 - alpha) of a load."""
+    alpha = duty_cycle(p)
+    return np.maximum(alpha, 1.0 - alpha)
+
+
+def _flow_target(p: TclParams | Population, sigma):
+    """Temperature the held flow approaches: target_on when ON, t_amb when OFF."""
+    return p.t_amb - sigma * p.cop * p.d_bar
+
+
+def temp_flow(p: TclParams | Population, temperature, sigma, dt: float):
     """Exact temperature after flowing dt seconds with the switch held."""
     if dt < 0:
         raise TclError(f"dt must be nonnegative, got {dt}")
-    target = p.target_on if sigma else p.target_off
-    return target + (temperature - target) * math.exp(-p.k * dt)
+    target = _flow_target(p, sigma)
+    return target + (temperature - target) * np.exp(-p.k * dt)
 
 
-def next_thermostat_event(p: TclParams, temperature: float, sigma: int) -> float:
+def next_thermostat_event(p: TclParams | Population, temperature, sigma):
     """Time until the held flow reaches the active thermostat threshold
     (t_lo when ON, t_hi when OFF). Zero when already at or past it."""
-    target = p.target_on if sigma else p.target_off
-    threshold = p.t_lo if sigma else p.t_hi
-    num = temperature - target
-    den = threshold - target
-    if sigma:
-        if temperature <= threshold:
-            return 0.0
-    else:
-        if temperature >= threshold:
-            return 0.0
-    return math.log(num / den) / p.k
+    target = _flow_target(p, sigma)
+    threshold = np.where(sigma == 1, p.t_lo, p.t_hi)
+    ratio = (temperature - target) / (threshold - target)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tt = np.log(ratio) / p.k
+    return np.where(ratio <= 1.0, 0.0, tt)[()]
 
 
-def deterministic_jump_target(
-    p: TclParams, temperature: float, sigma: int, omega: float
-) -> int:
-    """Discrete update of the frequency-responsive scheme.
-
-    Thermostat hard limits dominate; the frequency branches carry an eps
-    temperature guard so a frequency-triggered switch never lands at a
-    thermostat boundary. Returns the post-jump switch state (possibly equal
-    to sigma, meaning no jump is enabled).
-    """
-    if temperature >= p.t_hi:
-        return 1
-    if temperature <= p.t_lo:
-        return 0
-    if omega >= p.omega1 and temperature >= p.t_lo + p.eps:
-        return 1
-    if omega <= -p.omega1 and temperature <= p.t_hi - p.eps:
-        return 0
-    return sigma
-
-
-def conventional_jump_target(p: TclParams, temperature: float, sigma: int) -> int:
-    if temperature >= p.t_hi:
-        return 1
-    if temperature <= p.t_lo:
-        return 0
-    return sigma
-
-
-def randomized_rates(
-    p: TclParams,
-    omega: float,
-    k_pi: float,
-    v_des: float,
-    r_max: float = 1.0,
-) -> tuple[float, float]:
-    """ON/OFF switching rates of the randomized scheme.
+def switching_rate(p: TclParams | Population, sigma, omega: float, scheme: Scheme):
+    """Active rate of the randomized scheme: the ON-rate for OFF loads, the
+    OFF-rate for ON loads.
 
     Baseline rates v_des/pi_off and v_des/pi_on reproduce the natural duty
     cycle in expectation at omega = 0; frequency feedback scales them
-    linearly in omega/omega1. Rates are clamped to [0, r_max] to prevent
-    chatter at extreme gains.
+    linearly in omega/omega1. Rates are clamped to [0, 1] per second to
+    prevent chatter at extreme gains.
     """
-    if k_pi < 0:
-        raise TclError(f"k_pi must be nonnegative, got {k_pi}")
-    if v_des <= 0:
-        raise TclError(f"v_des must be positive, got {v_des}")
-    pi_on, pi_off = on_off_durations(p)
-    r_on = (v_des / pi_off) * max(0.0, 1.0 + k_pi * omega / p.omega1)
-    r_off = (v_des / pi_on) * max(0.0, 1.0 - k_pi * omega / p.omega1)
-    return min(r_on, r_max), min(r_off, r_max)
+    bias = scheme.k_pi * omega / p.omega1
+    r_on = (scheme.v_des / p.pi_off) * np.maximum(0.0, 1.0 + bias)
+    r_off = (scheme.v_des / p.pi_on) * np.maximum(0.0, 1.0 - bias)
+    return np.minimum(np.where(sigma == 1, r_off, r_on), 1.0)[()]
 
 
-def switch_decision(
-    p: TclParams,
-    state: TclState,
+def jump_target(
+    p: TclParams | Population,
+    temperature,
+    sigma,
     omega: float,
     scheme: Scheme,
-    rng: np.random.Generator | None = None,
-    dt: float = 0.0,
-) -> int:
-    """Next switch state under the given scheme.
+    fired=None,
+):
+    """Post-jump switch state under the given scheme; equal to sigma where no
+    jump is enabled.
 
-    Randomized variants keep the thermostat hard limits and toggle inside dt
-    with probability 1 - exp(-rate * dt); rng is required for them.
+    Thermostat hard limits dominate. The deterministic scheme adds frequency
+    branches with an eps temperature guard, so a frequency-triggered switch
+    never lands at a thermostat boundary. A fired randomized clock toggles a
+    load unless a thermostat limit already decides it.
     """
-    if scheme.kind == "conventional":
-        return conventional_jump_target(p, state.temperature, state.sigma)
+    target = sigma
     if scheme.kind == "deterministic":
-        return deterministic_jump_target(p, state.temperature, state.sigma, omega)
-    hard = conventional_jump_target(p, state.temperature, state.sigma)
-    if hard != state.sigma:
-        return hard
-    if rng is None:
-        raise TclError("randomized scheme needs an rng stream")
-    r_on, r_off = randomized_rates(p, omega, scheme.k_pi, scheme.v_des)
-    rate = r_off if state.sigma else r_on
-    if rng.random() < -math.expm1(-rate * dt):
-        return 1 - state.sigma
-    return state.sigma
+        target = np.where((omega >= p.omega1) & (temperature >= p.t_lo + p.eps), 1, target)
+        target = np.where((omega <= -p.omega1) & (temperature <= p.t_hi - p.eps), 0, target)
+    target = np.where(temperature >= p.t_hi, 1, target)
+    target = np.where(temperature <= p.t_lo, 0, target)
+    if fired is not None:
+        target = np.where(fired & (target == sigma), 1 - sigma, target)
+    return target.astype(np.int8)[()]
 
 
 def sample_population(spec: PopulationSpec) -> list[TclParams]:
@@ -325,15 +321,13 @@ def _check_range_box(ranges: dict[str, tuple[float, float]]) -> None:
 
 
 def sample_initial_states(
-    pop: list[TclParams], seed: int
+    pop: list[TclParams] | Population, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Temperatures uniform in [t_lo, t_hi], switch states Bernoulli(alpha)."""
+    pop = Population.of(pop)
     rng = np.random.default_rng(seed)
-    t_lo = np.array([p.t_lo for p in pop])
-    t_hi = np.array([p.t_hi for p in pop])
-    alpha = np.array([duty_cycle(p) for p in pop])
-    temps = rng.uniform(t_lo, t_hi)
-    sigmas = (rng.random(len(pop)) < alpha).astype(np.int8)
+    temps = rng.uniform(pop.t_lo, pop.t_hi)
+    sigmas = (rng.random(len(pop)) < pop.alpha).astype(np.int8)
     return temps, sigmas
 
 
@@ -376,26 +370,6 @@ def _nearby_low_rational(rho: float, rel_tol: float, max_den: int) -> Fraction |
             if best is None or frac.denominator < best.denominator:
                 best = frac
     return best
-
-
-def write_population_csv(pop: list[TclParams], path: str | Path) -> None:
-    """One record per load, all parameters plus derived strokes and duty cycle."""
-    fields = [
-        "index", "d_bar", "t_lo", "t_hi", "k", "cop", "t_amb", "omega1", "eps",
-        "pi_on", "pi_off", "alpha",
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for i, p in enumerate(pop):
-            pi_on, pi_off = on_off_durations(p)
-            writer.writerow(
-                [i]
-                + [f"{v:.17g}" for v in (
-                    p.d_bar, p.t_lo, p.t_hi, p.k, p.cop, p.t_amb, p.omega1, p.eps,
-                    pi_on, pi_off, pi_on / (pi_on + pi_off),
-                )]
-            )
 
 
 def with_threshold(p: TclParams, omega1: float) -> TclParams:

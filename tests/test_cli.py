@@ -61,6 +61,22 @@ class TestRun:
         ).read_bytes()
 
 
+    def test_allocated_run_computes_one_norm_once(self, small_scenario, tmp_path, monkeypatch):
+        from tclgrid import cli, grid_model
+
+        calls = []
+        real = grid_model.one_norm
+
+        def counted(grid):
+            calls.append(grid)
+            return real(grid)
+
+        monkeypatch.setattr(grid_model, "one_norm", counted)
+        monkeypatch.setattr(cli, "one_norm", counted)
+        assert main(["run", "--scenario", str(small_scenario), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
+
 class TestCompare:
     def test_compare_writes_all_cases(self, small_scenario, tmp_path):
         out = tmp_path / "cmp"
@@ -112,6 +128,23 @@ class TestStats:
         assert "measured_variance" in out
 
 
+    @pytest.mark.parametrize("pairs", ["-3", "1"])
+    def test_bad_pair_count_is_config_error(self, tmp_path, capsys, pairs):
+        doc = dict(SMALL_DOC, population={"n_loads": 1, "gamma": 0.01, "seed": 1})
+        path = tmp_path / "one.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code = main(["stats", "--scenario", str(path), "--horizon", "100", "--pairs", pairs])
+        assert code == 2
+        assert "--pairs" in capsys.readouterr().err
+
+    def test_single_load_without_pairs_runs(self, tmp_path, capsys):
+        doc = dict(SMALL_DOC, population={"n_loads": 1, "gamma": 0.01, "seed": 1})
+        path = tmp_path / "one.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code = main(["stats", "--scenario", str(path), "--horizon", "100", "--pairs", "0"])
+        assert code == 0
+
+
 class TestErrors:
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])
@@ -123,3 +156,12 @@ class TestErrors:
         code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
+    @pytest.mark.parametrize("horizon", ["nan", "0", "-5"])
+    def test_bad_horizon_is_config_error(self, small_scenario, tmp_path, capsys, command, horizon):
+        argv = [command, "--scenario", str(small_scenario), "--horizon", horizon]
+        if command in ("run", "compare"):
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "horizon" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import yaml
@@ -70,6 +72,14 @@ class TestParsing:
         assert parse_scheme("deterministic").kind == "deterministic"
         assert parse_scheme({"kind": "randomized", "k_pi": 7.0}).k_pi == 7.0
         assert parse_scheme("randomized-high-gain").k_pi == 50.0
+
+    @pytest.mark.parametrize("field", ["horizon", "max_step", "event_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_times_rejected(self, field, value):
+        with pytest.raises(ScenarioError, match=field):
+            from_dict(dict(MINIMAL, **{field: value}))
+        with pytest.raises(ScenarioError, match=field):
+            dataclasses.replace(from_dict(MINIMAL), **{field: value})
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ScenarioError):

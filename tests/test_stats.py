@@ -21,6 +21,7 @@ from tclgrid.tcl import (
     PopulationSpec,
     TclParams,
     duty_cycle,
+    next_thermostat_event,
     on_off_durations,
     sample_initial_states,
     sample_population,
@@ -69,6 +70,23 @@ class TestFreeRun:
         assert times[0] == pytest.approx(pi_on)
         assert times[1] - times[0] == pytest.approx(pi_off)
         assert times[2] - times[1] == pytest.approx(pi_on)
+
+    @pytest.mark.parametrize("horizon", [0.0, 50.0, 5e3, 2e5])
+    def test_switch_times_match_sequential_loop(self, horizon):
+        """The running sum equals adding one stroke at a time, bit for bit."""
+        pop = sample_population(PopulationSpec(60, 0.3, seed=8))
+        temps, sigmas = sample_initial_states(pop, seed=8)
+        for p, temp, sigma in zip(pop, temps, sigmas):
+            for sig in (int(sigma), 1 - int(sigma)):
+                pi_on, pi_off = on_off_durations(p)
+                expected, state = [], sig
+                t = float(next_thermostat_event(p, float(temp), sig))
+                while t <= horizon:
+                    expected.append(t)
+                    state = 1 - state
+                    t += pi_on if state else pi_off
+                got = free_run_switch_times(p, float(temp), sig, horizon)
+                assert got.tolist() == expected
 
     def test_demand_series_level_alternates(self):
         series = demand_series(REFERENCE, REFERENCE.t_hi, 1, horizon=3000.0)

@@ -6,24 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tclgrid.tcl import (
+    Population,
     PopulationSpec,
     Scheme,
     TclError,
     TclParams,
-    TclState,
     check_period_distinctness,
-    conventional_jump_target,
-    deterministic_jump_target,
     duty_cycle,
+    jump_target,
     next_thermostat_event,
     on_off_durations,
     period,
-    randomized_rates,
     sample_initial_states,
     sample_population,
-    switch_decision,
+    switching_rate,
     temp_flow,
     with_threshold,
+    zeta,
 )
 
 REFERENCE = TclParams(
@@ -121,74 +120,131 @@ class TestValidation:
                 omega1=0.1, eps=1.6,
             )
 
-    def test_state_sigma_validated(self):
-        with pytest.raises(TclError):
-            TclState(temperature=4.0, sigma=2)
-
     def test_scheme_kind_validated(self):
         with pytest.raises(TclError):
             Scheme("thermostatic")
+
+
+DETERMINISTIC = Scheme.deterministic()
+CONVENTIONAL = Scheme.conventional()
+RANDOMIZED = Scheme.randomized()
 
 
 class TestSwitchingLogic:
     def test_thermostat_limits_dominate_frequency(self):
         p = REFERENCE
         # at the upper threshold the load turns ON even under high frequency
-        assert deterministic_jump_target(p, p.t_hi, 0, omega=-0.5) == 1
+        assert jump_target(p, p.t_hi, 0, -0.5, DETERMINISTIC) == 1
         # at the lower threshold it turns OFF even under low frequency
-        assert deterministic_jump_target(p, p.t_lo, 1, omega=0.5) == 0
+        assert jump_target(p, p.t_lo, 1, 0.5, DETERMINISTIC) == 0
 
     def test_frequency_branches(self):
         p = REFERENCE
         mid = 4.5
-        assert deterministic_jump_target(p, mid, 0, omega=p.omega1) == 1
-        assert deterministic_jump_target(p, mid, 1, omega=-p.omega1) == 0
+        assert jump_target(p, mid, 0, p.omega1, DETERMINISTIC) == 1
+        assert jump_target(p, mid, 1, -p.omega1, DETERMINISTIC) == 0
         # below-threshold deviation leaves the state alone
-        assert deterministic_jump_target(p, mid, 0, omega=p.omega1 / 2) == 0
-        assert deterministic_jump_target(p, mid, 1, omega=-p.omega1 / 2) == 1
+        assert jump_target(p, mid, 0, p.omega1 / 2, DETERMINISTIC) == 0
+        assert jump_target(p, mid, 1, -p.omega1 / 2, DETERMINISTIC) == 1
 
     def test_eps_guard_blocks_frequency_switch_near_thresholds(self):
         p = REFERENCE
         just_above_lo = p.t_lo + p.eps / 2
         just_below_hi = p.t_hi - p.eps / 2
-        assert deterministic_jump_target(p, just_above_lo, 0, omega=0.5) == 0
-        assert deterministic_jump_target(p, just_below_hi, 1, omega=-0.5) == 1
+        assert jump_target(p, just_above_lo, 0, 0.5, DETERMINISTIC) == 0
+        assert jump_target(p, just_below_hi, 1, -0.5, DETERMINISTIC) == 1
 
     def test_reduces_to_conventional_at_zero_frequency(self):
         p = REFERENCE
         for temp in np.linspace(2.5, 6.5, 41):
             for sigma in (0, 1):
-                assert deterministic_jump_target(p, temp, sigma, 0.0) == (
-                    conventional_jump_target(p, temp, sigma)
+                assert jump_target(p, temp, sigma, 0.0, DETERMINISTIC) == (
+                    jump_target(p, temp, sigma, 0.0, CONVENTIONAL)
                 )
 
     def test_randomized_rates_baseline_and_feedback(self):
         p = REFERENCE
+        scheme = Scheme.randomized(k_pi=5.0, v_des=1.0)
         pi_on, pi_off = on_off_durations(p)
-        r_on, r_off = randomized_rates(p, omega=0.0, k_pi=5.0, v_des=1.0)
+        # an OFF load runs at the ON-rate, an ON load at the OFF-rate
+        r_on, r_off = switching_rate(p, 0, 0.0, scheme), switching_rate(p, 1, 0.0, scheme)
         assert r_on == pytest.approx(1.0 / pi_off)
         assert r_off == pytest.approx(1.0 / pi_on)
         # under-frequency shuts the ON-rate down and boosts the OFF-rate
-        r_on2, r_off2 = randomized_rates(p, omega=-p.omega1, k_pi=5.0, v_des=1.0)
+        r_on2 = switching_rate(p, 0, -p.omega1, scheme)
+        r_off2 = switching_rate(p, 1, -p.omega1, scheme)
         assert r_on2 == 0.0 or r_on2 < r_on
         assert r_off2 > r_off
 
     def test_randomized_rates_clamped(self):
-        r_on, r_off = randomized_rates(REFERENCE, omega=10.0, k_pi=50.0, v_des=1.0)
+        scheme = Scheme.randomized(k_pi=50.0, v_des=1.0)
+        r_on = switching_rate(REFERENCE, 0, 10.0, scheme)
+        r_off = switching_rate(REFERENCE, 1, 10.0, scheme)
         assert 0.0 <= r_on <= 1.0 and 0.0 <= r_off <= 1.0
 
-    def test_switch_decision_randomized_needs_rng(self):
-        with pytest.raises(TclError):
-            switch_decision(
-                REFERENCE, TclState(4.5, 0), 0.0, Scheme.randomized(), rng=None, dt=1.0
-            )
-
     def test_switch_decision_randomized_hard_limits(self):
-        rng = np.random.default_rng(0)
-        out = switch_decision(
-            REFERENCE, TclState(REFERENCE.t_hi, 0), 0.0, Scheme.randomized(), rng, dt=1.0
-        )
+        # a clock fired at t_hi: the thermostat limit decides, the OFF load
+        # turns ON rather than being toggled by the clock
+        fired = np.array(True)
+        out = jump_target(REFERENCE, REFERENCE.t_hi, 0, 0.0, RANDOMIZED, fired)
         assert out == 1
+
+    def test_fired_clock_toggles_mid_band(self):
+        fired = np.array(True)
+        assert jump_target(REFERENCE, 4.5, 0, 0.0, RANDOMIZED, fired) == 1
+        assert jump_target(REFERENCE, 4.5, 1, 0.0, RANDOMIZED, fired) == 0
+        assert jump_target(REFERENCE, 4.5, 1, 0.0, RANDOMIZED) == 1
+
+
+@st.composite
+def population_states(draw):
+    """A sampled population with states around and beyond each thermostat band."""
+    n = draw(st.integers(1, 40))
+    pop = sample_population(PopulationSpec(n, gamma=0.2, seed=draw(st.integers(0, 2**31))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    soa = Population.of(pop)
+    band = soa.t_hi - soa.t_lo
+    temps = rng.uniform(soa.t_lo - 0.1 * band, soa.t_hi + 0.1 * band)
+    # put some loads exactly on a threshold or an eps guard
+    edges = np.stack([soa.t_lo, soa.t_hi, soa.t_lo + soa.eps, soa.t_hi - soa.eps])
+    on_edge = rng.random(n) < 0.3
+    temps[on_edge] = edges[rng.integers(0, 4, n), np.arange(n)][on_edge]
+    sigmas = rng.integers(0, 2, n).astype(np.int8)
+    fired = rng.random(n) < 0.5
+    omega = draw(st.one_of(
+        st.floats(-0.4, 0.4),
+        st.sampled_from([float(w) for w in soa.omega1] + [float(-w) for w in soa.omega1]),
+    ))
+    return pop, soa, temps, sigmas, fired, omega
+
+
+class TestKernelScalarArrayAgreement:
+    """Each kernel called on one TclParams returns exactly element j of the
+    same kernel called on the whole Population."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=population_states(), dt=st.floats(0.0, 5000.0))
+    def test_kernels_agree_elementwise(self, case, dt):
+        pop, soa, temps, sigmas, fired, omega = case
+        schemes = [CONVENTIONAL, DETERMINISTIC, RANDOMIZED, Scheme.randomized_high_gain()]
+        targets = {
+            (s, f is None): jump_target(soa, temps, sigmas, omega, s, f)
+            for s in schemes for f in (None, fired)
+        }
+        rates = {s: switching_rate(soa, sigmas, omega, s) for s in schemes}
+        flows = temp_flow(soa, temps, sigmas, dt)
+        events = next_thermostat_event(soa, temps, sigmas)
+        for j, p in enumerate(pop):
+            temp, sig = float(temps[j]), int(sigmas[j])
+            for (s, no_clock), arr in targets.items():
+                f = None if no_clock else np.bool_(fired[j])
+                assert jump_target(p, temp, sig, omega, s, f) == arr[j]
+            for s, arr in rates.items():
+                assert switching_rate(p, sig, omega, s) == arr[j]
+            assert temp_flow(p, temp, sig, dt) == flows[j]
+            assert next_thermostat_event(p, temp, sig) == events[j]
+            assert (duty_cycle(p), zeta(p)) == (soa.alpha[j], soa.zeta[j])
+            assert (p.pi_on, p.pi_off) == (soa.pi_on[j], soa.pi_off[j])
 
 
 class TestPopulationSampling:
