@@ -3,8 +3,12 @@
 Between events the linear grid state advances by an exact matrix-exponential
 step and each load temperature by its closed-form flow. Thermostat crossings
 are solved analytically; frequency-threshold crossings are bracketed on the
-max_step grid and bisected to event_tol. At an event every enabled load
-switches within a single jump instant, continuous state unchanged.
+max_step grid and bisected to event_tol. The loads' frequency trigger levels
+are settled once per step (StepTriggers), so a bisection probe propagates the
+grid, compares omega with two scalars and runs the jump kernel only on the
+few loads whose guard or thermostat limit changes within the step. At an
+event every enabled load switches within a single jump instant, continuous
+state unchanged.
 
 The solution selected is the jump-priority one (jump whenever the discrete
 update would change a switch state) with ascending load-index ordering, which
@@ -27,6 +31,7 @@ from .tcl import (
     next_thermostat_event,
     switching_rate,
     temp_flow,
+    trigger_levels,
 )
 
 _SNAP_REL = 1e-12  # loads with threshold time within this of the step land exactly
@@ -53,12 +58,10 @@ class Scenario:
     initial_sigmas: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise SimulationError(f"horizon must be positive, got {self.horizon}")
-        if self.max_step <= 0:
-            raise SimulationError(f"max_step must be positive, got {self.max_step}")
-        if self.event_tol <= 0:
-            raise SimulationError(f"event_tol must be positive, got {self.event_tol}")
+        for name in ("horizon", "max_step", "event_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise SimulationError(f"{name} must be positive and finite, got {value}")
         times = [t for t, _ in self.disturbance]
         if not times or times[0] != 0.0 or any(
             b <= a for a, b in zip(times, times[1:])
@@ -66,6 +69,57 @@ class Scenario:
             raise SimulationError(
                 "disturbance must start at t=0 with strictly increasing times"
             )
+
+
+@dataclass(frozen=True)
+class StepTriggers:
+    """Frequency-jump test of one step with the switch states held, at O(1)
+    cost in the population size per probe.
+
+    Within the step every temperature moves monotonically, so a load whose
+    trigger levels and thermostat-limit status agree at both ends of the step
+    keeps them throughout. Those loads reduce to two scalars: on_min (the
+    lowest ON level of the OFF loads) and off_max (the highest OFF level of
+    the ON loads). The rest, the flippers, are run through the kernel.
+    """
+
+    on_min: float
+    off_max: float
+    flippers: Population
+    temps: np.ndarray   # flipper temperatures at the step start
+    sigmas: np.ndarray  # flipper switch states
+    scheme: Scheme
+
+    @classmethod
+    def of(cls, pop: Population, temps, temps_end, sigmas, scheme: Scheme) -> StepTriggers:
+        """Summary of the step from temps to temps_end. The start must be
+        settled: no thermostat limit switches a load at temps."""
+        on_at, off_at = trigger_levels(pop, temps, scheme)
+        on_end, off_end = trigger_levels(pop, temps_end, scheme)
+        flip = (on_at != on_end) | (off_at != off_end)
+        flip |= (temps >= pop.t_hi) != (temps_end >= pop.t_hi)
+        flip |= (temps <= pop.t_lo) != (temps_end <= pop.t_lo)
+        idx = np.flatnonzero(flip)
+        off = sigmas == 0
+        return cls(
+            on_min=float(np.min(np.where(~flip & off, on_at, np.inf))),
+            off_max=float(np.max(np.where(~flip & ~off, off_at, -np.inf))),
+            flippers=pop.take(idx),
+            temps=temps[idx],
+            sigmas=sigmas[idx],
+            scheme=scheme,
+        )
+
+    def any_jump(self, tau: float, omega: float) -> bool:
+        """Whether some load's jump is enabled tau into the step, with the
+        loads observing omega."""
+        if omega >= self.on_min or omega <= self.off_max:
+            return True
+        if not len(self.flippers):
+            return False
+        temps = temp_flow(self.flippers, self.temps, self.sigmas, tau)
+        target = jump_target(self.flippers, temps, self.sigmas, omega, self.scheme)
+        return bool(np.any(target != self.sigmas))
 
 
 CAUSE_THERMO_HI = "thermostat-hi"
@@ -251,11 +305,13 @@ def simulate(sc: Scenario) -> Trace:
         dt_event = dt
         if event_at_end and freq_active and dt > sc.event_tol:
             # locate the earliest interior enabling time of a frequency jump
+            triggers = StepTriggers.of(pop, temps, temps_end, sigmas, scheme)
             lo_t, hi_t = 0.0, dt
             while hi_t - lo_t > sc.event_tol:
                 mid = 0.5 * (lo_t + hi_t)
-                x_mid, temps_mid = state_at(mid)
-                if np.any(targets_at(temps_mid, x_mid[0]) != sigmas):
+                p, q = cache.get(mid)
+                omega_mid = (p @ x + q * u)[0]
+                if triggers.any_jump(mid, load_omega(omega_mid)):
                     hi_t = mid
                 else:
                     lo_t = mid

@@ -115,11 +115,17 @@ class Population:
         """The structure-of-arrays form of pop (pop itself if it already is one)."""
         if isinstance(pop, Population):
             return pop
-        names = [f.name for f in fields(cls) if f.init]
-        return cls(**{name: np.array([getattr(p, name) for p in pop]) for name in names})
+        return cls(**{name: np.array([getattr(p, name) for p in pop]) for name in _SOA_FIELDS})
+
+    def take(self, index) -> Population:
+        """The sub-population of the loads selected by an index array."""
+        return Population(**{name: getattr(self, name)[index] for name in _SOA_FIELDS})
 
     def __len__(self) -> int:
         return self.d_bar.size
+
+
+_SOA_FIELDS = [f.name for f in fields(Population) if f.init]
 
 
 @dataclass(frozen=True)
@@ -231,6 +237,24 @@ def switching_rate(p: TclParams | Population, sigma, omega: float, scheme: Schem
     return np.minimum(np.where(sigma == 1, r_off, r_on), 1.0)[()]
 
 
+def trigger_levels(p: TclParams | Population, temperature, scheme: Scheme):
+    """Frequency levels (on_at, off_at) of the frequency branches at a
+    temperature: the branch switches a load ON when omega >= on_at and OFF
+    when omega <= off_at.
+
+    The deterministic scheme triggers at +-omega1 behind an eps temperature
+    guard, so a frequency-triggered switch never lands at a thermostat
+    boundary. A level is +-inf where the guard blocks the branch, and both are
+    the scalars +-inf when the scheme has no frequency branch; no finite
+    omega reaches them.
+    """
+    if scheme.kind != "deterministic":
+        return np.inf, -np.inf
+    on_at = np.where(temperature >= p.t_lo + p.eps, p.omega1, np.inf)
+    off_at = np.where(temperature <= p.t_hi - p.eps, -p.omega1, -np.inf)
+    return on_at[()], off_at[()]
+
+
 def jump_target(
     p: TclParams | Population,
     temperature,
@@ -242,15 +266,13 @@ def jump_target(
     """Post-jump switch state under the given scheme; equal to sigma where no
     jump is enabled.
 
-    Thermostat hard limits dominate. The deterministic scheme adds frequency
-    branches with an eps temperature guard, so a frequency-triggered switch
-    never lands at a thermostat boundary. A fired randomized clock toggles a
-    load unless a thermostat limit already decides it.
+    Thermostat hard limits dominate the frequency branches (trigger_levels).
+    A fired randomized clock toggles a load unless a thermostat limit already
+    decides it.
     """
-    target = sigma
-    if scheme.kind == "deterministic":
-        target = np.where((omega >= p.omega1) & (temperature >= p.t_lo + p.eps), 1, target)
-        target = np.where((omega <= -p.omega1) & (temperature <= p.t_hi - p.eps), 0, target)
+    on_at, off_at = trigger_levels(p, temperature, scheme)
+    target = np.where(omega >= on_at, 1, sigma)
+    target = np.where(omega <= off_at, 0, target)
     target = np.where(temperature >= p.t_hi, 1, target)
     target = np.where(temperature <= p.t_lo, 0, target)
     if fired is not None:

@@ -1,12 +1,17 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tclgrid import hybrid_sim
 from tclgrid.grid_model import default_grid
 from tclgrid.hybrid_sim import (
     Scenario,
     SimulationError,
+    StepTriggers,
     classify_region,
     compare_schemes,
     dwell_time_report,
@@ -14,11 +19,14 @@ from tclgrid.hybrid_sim import (
     simulate,
 )
 from tclgrid.tcl import (
+    Population,
     PopulationSpec,
     Scheme,
     TclParams,
+    jump_target,
     on_off_durations,
     sample_population,
+    temp_flow,
 )
 
 REFERENCE = TclParams(
@@ -150,6 +158,12 @@ class TestPopulationRuns:
         with pytest.raises(SimulationError):
             simulate(single_load_scenario(grid=bad))
 
+    @pytest.mark.parametrize("name", ["horizon", "max_step", "event_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_times_rejected(self, name, value):
+        with pytest.raises(SimulationError):
+            single_load_scenario(**{name: value})
+
     def test_bad_disturbance_rejected(self):
         with pytest.raises(SimulationError):
             single_load_scenario(disturbance=[(5.0, 1.0)])
@@ -187,6 +201,74 @@ class TestFrequencyResponsiveScheme:
         )
         m = dwell_time_report(simulate(base))
         assert m.min_interswitch_gap > 0
+
+
+@st.composite
+def held_steps(draw):
+    """A population with settled switch states (no thermostat limit switches
+    any load at the start), many of them just short of a guard or a
+    thermostat threshold their flow reaches within the step."""
+    n = draw(st.integers(1, 30))
+    pop = Population.of(
+        sample_population(PopulationSpec(n, gamma=0.2, seed=draw(st.integers(0, 2**31))))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    sigmas = rng.integers(0, 2, n).astype(np.int8)
+    temps = rng.uniform(pop.t_lo, pop.t_hi)
+    # a flowing load moves at most k (t_amb - target_on) < 0.04 C/s
+    gap = rng.uniform(0.0, 0.05, n)
+    edge = np.where(sigmas == 1, pop.t_hi - pop.eps + gap, pop.t_lo + pop.eps - gap)
+    edge = np.where(rng.random(n) < 0.3, np.where(sigmas == 1, pop.t_lo + gap, pop.t_hi - gap), edge)
+    near = rng.random(n) < 0.6
+    temps[near] = edge[near]
+    # the start is settled: OFF loads below t_hi, ON loads above t_lo
+    temps = np.where(sigmas == 1, np.maximum(temps, pop.t_lo + 1e-9), np.minimum(temps, pop.t_hi - 1e-9))
+    dt = draw(st.floats(1e-6, 2.0))
+    tau = dt * draw(st.floats(0.0, 1.0, exclude_min=True))
+    omega = draw(st.one_of(
+        st.floats(-0.3, 0.3),
+        st.sampled_from([float(w) for w in pop.omega1] + [float(-w) for w in pop.omega1]),
+    ))
+    return pop, temps, sigmas, dt, tau, omega
+
+
+class TestStepTriggers:
+    @settings(max_examples=200, deadline=None)
+    @given(case=held_steps())
+    def test_summary_matches_kernel(self, case):
+        pop, temps, sigmas, dt, tau, omega = case
+        scheme = Scheme.deterministic()
+        triggers = StepTriggers.of(pop, temps, temp_flow(pop, temps, sigmas, dt), sigmas, scheme)
+        temps_tau = temp_flow(pop, temps, sigmas, tau)
+        expected = bool(np.any(jump_target(pop, temps_tau, sigmas, omega, scheme) != sigmas))
+        assert triggers.any_jump(tau, omega) == expected
+
+    def test_probes_do_no_per_load_work(self, shipped_file, monkeypatch):
+        # 2000 loads over the 1 s step: the event loop evaluates the whole
+        # population a bounded number of times per step, however many
+        # bisection probes locate the frequency events
+        sf = dataclasses.replace(
+            shipped_file,
+            horizon=1.25,
+            population=dataclasses.replace(shipped_file.population, n_loads=2000),
+        )
+        sc, _ = sf.build_scenario()
+        full_calls = 0
+
+        def counted(fn):
+            def wrapped(p, temperature, *args):
+                nonlocal full_calls
+                full_calls += np.size(temperature) == len(sc.population)
+                return fn(p, temperature, *args)
+            return wrapped
+
+        for name in ("jump_target", "temp_flow"):
+            monkeypatch.setattr(hybrid_sim, name, counted(getattr(hybrid_sim, name)))
+        tr = simulate(sc)
+        steps = tr.times.size - 1
+        assert full_calls <= 6 * steps
+        # fewer whole-population evaluations than bisection probes
+        assert full_calls < tr.meta["freq_bisections"]
 
 
 class TestClassifyRegion:

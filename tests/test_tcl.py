@@ -21,6 +21,7 @@ from tclgrid.tcl import (
     sample_population,
     switching_rate,
     temp_flow,
+    trigger_levels,
     with_threshold,
     zeta,
 )
@@ -232,6 +233,7 @@ class TestKernelScalarArrayAgreement:
             for s in schemes for f in (None, fired)
         }
         rates = {s: switching_rate(soa, sigmas, omega, s) for s in schemes}
+        levels = {s: trigger_levels(soa, temps, s) for s in schemes}
         flows = temp_flow(soa, temps, sigmas, dt)
         events = next_thermostat_event(soa, temps, sigmas)
         for j, p in enumerate(pop):
@@ -241,6 +243,9 @@ class TestKernelScalarArrayAgreement:
                 assert jump_target(p, temp, sig, omega, s, f) == arr[j]
             for s, arr in rates.items():
                 assert switching_rate(p, sig, omega, s) == arr[j]
+            for s, arr in levels.items():
+                on_at, off_at = np.broadcast_arrays(*arr, temps)[:2]
+                assert trigger_levels(p, temp, s) == (on_at[j], off_at[j])
             assert temp_flow(p, temp, sig, dt) == flows[j]
             assert next_thermostat_event(p, temp, sig) == events[j]
             assert (duty_cycle(p), zeta(p)) == (soa.alpha[j], soa.zeta[j])
