@@ -7,7 +7,8 @@ scenario-declared base; M and D carry matching units (pu*s/Hz and pu/Hz).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +18,11 @@ from scipy.linalg import expm
 
 class GridModelError(ValueError):
     pass
+
+
+# Largest cond(V) for which the modal forms are used; above it the rounding
+# error of V^-1, amplified by cond(V), is no longer negligible.
+_MODAL_COND_MAX = 1e8
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -90,6 +96,32 @@ class StateSpace:
     @property
     def dim(self) -> int:
         return self.n + 1
+
+    @cached_property
+    def modes(self) -> Modes | None:
+        """Modal decomposition of a, computed once. None where the modal forms
+        do not apply: a is defective, its eigenvectors are too ill-conditioned,
+        or it has a zero eigenvalue (transition divides by each one)."""
+        try:
+            lam, v = np.linalg.eig(self.a)
+            if not np.linalg.cond(v) < _MODAL_COND_MAX or np.any(lam == 0):
+                return None
+            v_inv = np.linalg.inv(v)
+        except np.linalg.LinAlgError:
+            return None
+        modes = Modes(lam=lam, v=v, v_inv=v_inv, v_inv_b=v_inv @ self.b)
+        for arr in modes:
+            arr.setflags(write=False)
+        return modes
+
+
+class Modes(NamedTuple):
+    """a = v @ diag(lam) @ v_inv, so expm(a t) = v @ diag(exp(lam t)) @ v_inv."""
+
+    lam: np.ndarray      # eigenvalues
+    v: np.ndarray        # eigenvectors, one per column
+    v_inv: np.ndarray
+    v_inv_b: np.ndarray  # input vector b in modal coordinates
 
 
 def build_combined_system(gen: GenDynamics, m: float, d: float) -> StateSpace:
@@ -175,22 +207,17 @@ class OneNormResult(NamedTuple):
 
 
 def _impulse_response(ss: StateSpace):
-    """Return g(t) = c @ expm(a t) @ b, via eigendecomposition when a is
-    diagonalizable (the generic case), falling back to expm."""
-    a = ss.a
-    try:
-        lam, v = np.linalg.eig(a)
-        vinv_b = np.linalg.solve(v, ss.b.astype(complex))
-        cv = ss.c.astype(complex) @ v
-        cond = np.linalg.cond(v)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if np.isfinite(cond) and cond < 1e8:
+    """Return g(t) = c @ expm(a t) @ b, in modal form when ss.modes exists,
+    else through expm."""
+    modes = ss.modes
+    if modes is None:
         def g(t: float) -> float:
-            return float(np.real(np.sum(cv * np.exp(lam * t) * vinv_b)))
+            return float(ss.c @ expm(ss.a * t) @ ss.b)
     else:
+        c_v = ss.c @ modes.v
+
         def g(t: float) -> float:
-            return float(ss.c @ expm(a * t) @ ss.b)
+            return float(np.real(np.sum(c_v * np.exp(modes.lam * t) * modes.v_inv_b)))
     return g
 
 
@@ -231,17 +258,28 @@ def one_norm(ss: StateSpace, t_max: float | None = None, tol: float = 1e-8) -> O
 def transition(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact discretization: x(t+dt) = phi @ x(t) + psi * u for constant u.
 
-    phi = expm(a dt); psi = (integral of expm(a s) ds) @ b, computed with the
-    augmented-matrix exponential so no invertibility assumption is needed.
+    phi = expm(a dt) and psi = (integral of expm(a s) ds over [0, dt]) @ b.
+    In modal form phi = V diag(exp(lam dt)) V^-1 and
+    psi = V diag(expm1(lam dt) / lam) V^-1 b. Where ss.modes is None, both
+    come from the augmented-matrix exponential, which needs no invertibility
+    assumption.
     """
     if dt < 0:
         raise GridModelError(f"dt must be nonnegative, got {dt}")
-    dim = ss.dim
-    aug = np.zeros((dim + 1, dim + 1))
-    aug[:dim, :dim] = ss.a
-    aug[:dim, dim] = ss.b
-    e = expm(aug * dt)
-    return e[:dim, :dim], e[:dim, dim]
+    if dt == 0:
+        return np.eye(ss.dim), np.zeros(ss.dim)
+    modes = ss.modes
+    if modes is None:
+        dim = ss.dim
+        aug = np.zeros((dim + 1, dim + 1))
+        aug[:dim, :dim] = ss.a
+        aug[:dim, dim] = ss.b
+        e = expm(aug * dt)
+        return e[:dim, :dim], e[:dim, dim]
+    z = modes.lam * dt
+    phi = (modes.v * np.exp(z)) @ modes.v_inv
+    psi = modes.v @ (np.expm1(z) / modes.lam * modes.v_inv_b)
+    return phi.real, psi.real
 
 
 def propagate(ss: StateSpace, x: np.ndarray, u_const: float, dt: float) -> np.ndarray:

@@ -1,14 +1,14 @@
 """Event-driven simulator of the coupled grid/TCL hybrid system.
 
 Between events the linear grid state advances by an exact matrix-exponential
-step and each load temperature by its closed-form flow. Thermostat crossings
-are solved analytically; frequency-threshold crossings are bracketed on the
-max_step grid and bisected to event_tol. The loads' frequency trigger levels
-are settled once per step (StepTriggers), so a bisection probe propagates the
-grid, compares omega with two scalars and runs the jump kernel only on the
-few loads whose guard or thermostat limit changes within the step. At an
-event every enabled load switches within a single jump instant, continuous
-state unchanged.
+step (grid_model.transition, in modal form) and each load temperature by its
+closed-form flow. Thermostat crossings are solved analytically;
+frequency-threshold crossings are bracketed on the max_step grid and bisected
+to event_tol. The loads' frequency trigger levels are settled once per step
+(StepTriggers), so a bisection probe propagates the grid, compares omega with
+two scalars and runs the jump kernel only on the few loads whose guard or
+thermostat limit changes within the step. At an event every enabled load
+switches within a single jump instant, continuous state unchanged.
 
 The solution selected is the jump-priority one (jump whenever the discrete
 update would change a switch state) with ascending load-index ordering, which

@@ -127,6 +127,50 @@ class TestTransition:
         psi_ref = np.linalg.solve(ss.a, (phi - np.eye(ss.dim)) @ ss.b)
         np.testing.assert_allclose(psi, psi_ref, rtol=1e-9)
 
+    @pytest.mark.parametrize("dt", np.geomspace(1e-7, 5.0, 25))
+    def test_modal_matches_expm(self, dt):
+        ss = default_grid()
+        assert ss.modes is not None
+        phi, psi = transition(ss, dt)
+        dim = ss.dim
+        aug = np.zeros((dim + 1, dim + 1))
+        aug[:dim, :dim] = ss.a
+        aug[:dim, dim] = ss.b
+        ref = expm(aug * dt)
+        # entries of phi near zero at small dt carry no relative precision,
+        # so the relative error is measured in norm
+        assert np.linalg.norm(phi - ref[:dim, :dim]) <= 1e-12 * np.linalg.norm(ref[:dim, :dim])
+        assert np.max(np.abs(psi - ref[:dim, dim])) <= 1e-13
+
+    def test_defective_a_falls_back_to_expm(self):
+        # Jordan block: a has one eigenvector, so there is no modal form
+        ss = StateSpace(
+            a=np.array([[-1.0, 1.0], [0.0, -1.0]]), b=np.array([0.0, 1.0]),
+            c=np.array([1.0, 0.0]), m=1.0, d=1.0, n=1,
+        )
+        assert ss.modes is None
+        dt = 0.8
+        phi, psi = transition(ss, dt)
+        decay = math.exp(-dt)
+        np.testing.assert_allclose(phi, decay * np.array([[1.0, dt], [0.0, 1.0]]), rtol=1e-13)
+        np.testing.assert_allclose(psi, [1.0 - decay * (1.0 + dt), 1.0 - decay], rtol=1e-13)
+
+    def test_one_decomposition_per_state_space(self, monkeypatch):
+        calls = 0
+        eig = np.linalg.eig
+
+        def counted(a):
+            nonlocal calls
+            calls += 1
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        ss = default_grid()
+        one_norm(ss)
+        transition(ss, 0.3)
+        transition(ss, 1.7)
+        assert calls == 1
+
     def test_zero_step_is_identity(self):
         ss = default_grid()
         phi, psi = transition(ss, 0.0)
