@@ -10,6 +10,11 @@ two scalars and runs the jump kernel only on the few loads whose guard or
 thermostat limit changes within the step. At an event every enabled load
 switches within a single jump instant, continuous state unchanged.
 
+Randomized clocks come from counter-based per-load Philox streams keyed by
+(seed, load index). ClockStreams draws each load's unit exponentials in
+blocks and hands them out in stream order, so clock resets are vectorized and
+every clock is bitwise the value a per-draw call on that load's stream gives.
+
 The solution selected is the jump-priority one (jump whenever the discrete
 update would change a switch state) with ascending load-index ordering, which
 makes runs deterministic and reproducible.
@@ -18,6 +23,7 @@ makes runs deterministic and reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +41,7 @@ from .tcl import (
 )
 
 _SNAP_REL = 1e-12  # loads with threshold time within this of the step land exactly
+CLOCK_BLOCK = 64  # unit exponentials drawn per refill of one load's buffer
 
 
 class SimulationError(RuntimeError):
@@ -58,6 +65,8 @@ class Scenario:
     initial_sigmas: np.ndarray | None = None
 
     def __post_init__(self):
+        if not valid_seed(self.seed):
+            raise SimulationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         for name in ("horizon", "max_step", "event_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -69,6 +78,55 @@ class Scenario:
             raise SimulationError(
                 "disturbance must start at t=0 with strictly increasing times"
             )
+
+
+def valid_seed(value) -> bool:
+    """Whether value can key a Philox stream: an integer (not a bool) in
+    [0, 2**64)."""
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and 0 <= value < 2**64
+    )
+
+
+class ClockStreams:
+    """Unit exponentials of the per-load streams Generator(Philox(key=[seed, j])),
+    drawn CLOCK_BLOCK at a time.
+
+    Each load keeps a buffer of standard_exponential draws and a read
+    position, so a load's values come out in its stream order and equal what
+    per-draw calls on the same stream return. Only exhausted buffers are
+    refilled, one generator call per CLOCK_BLOCK draws of a load.
+    """
+
+    def __init__(self, seed: int, n_loads: int):
+        # an explicit uint64 key: a plain list holding a seed >= 2**63 would
+        # pass through float64 and round to another seed's key
+        self._rngs = [
+            np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+            for j in range(n_loads)
+        ]
+        self._buf = np.empty((n_loads, CLOCK_BLOCK))
+        self._pos = np.full(n_loads, CLOCK_BLOCK)  # every buffer starts used up
+
+    def draw(self, idx: np.ndarray) -> np.ndarray:
+        """The next unit exponential of each load in idx (distinct indices)."""
+        for j in idx[self._pos[idx] == CLOCK_BLOCK]:
+            self._rngs[j].standard_exponential(out=self._buf[j])
+            self._pos[j] = 0
+        pos = self._pos[idx]
+        self._pos[idx] = pos + 1
+        return self._buf[idx, pos]
+
+    def reset(self, clocks: np.ndarray, mask: np.ndarray, rates: np.ndarray, now: float) -> int:
+        """Redraw the masked clocks at time now as now + E / rate, E the
+        load's next unit exponential. A load with rate <= 0 never fires and
+        consumes no draw. Returns the number of draws."""
+        idx = np.flatnonzero(mask & (rates > 0))
+        clocks[mask] = np.inf
+        clocks[idx] = now + self.draw(idx) * (1.0 / rates[idx])
+        return idx.size
 
 
 @dataclass(frozen=True)
@@ -172,16 +230,11 @@ def simulate(sc: Scenario) -> Trace:
     d_star = float(np.sum(pop.alpha * pop.d_bar)) if sc.offset_demand else 0.0
     cache = TransitionCache(sc.grid)
 
-    # counter-based per-load streams keyed by (seed, load index); scheduling
-    # cannot reorder draws because each load consumes only its own stream
-    rngs = None
+    # scheduling cannot reorder draws because each load consumes only its
+    # own stream
+    streams = ClockStreams(sc.seed, n_loads) if randomized else None
     clocks = np.full(n_loads, np.inf)
     rate_ref = np.zeros(n_loads)
-    if randomized:
-        rngs = [
-            np.random.Generator(np.random.Philox(key=[sc.seed, j]))
-            for j in range(n_loads)
-        ]
 
     def load_omega(omega_value: float) -> float:
         return 0.0 if sc.clamp_omega else omega_value
@@ -192,14 +245,8 @@ def simulate(sc: Scenario) -> Trace:
     def targets_at(temps_arr, omega_value: float, fired=None) -> np.ndarray:
         return jump_target(pop, temps_arr, sigmas, load_omega(omega_value), scheme, fired)
 
-    def draw_clock(j: int, rate: float, now: float) -> float:
-        if rate <= 0:
-            return np.inf
-        return now + rngs[j].exponential(1.0 / rate)
-
     def reset_clocks(mask: np.ndarray, rates: np.ndarray, now: float) -> None:
-        for j in np.flatnonzero(mask):
-            clocks[j] = draw_clock(j, float(rates[j]), now)
+        meta["clock_draws"] += streams.reset(clocks, mask, rates, now)
         rate_ref[mask] = rates[mask]
 
     # trace accumulators
@@ -207,7 +254,12 @@ def simulate(sc: Scenario) -> Trace:
     sw_t, sw_load, sw_sig, sw_cause = [], [], [], []
     temp_min = temps.copy()
     temp_max = temps.copy()
-    meta = {"rate_resamples": 0, "freq_bisections": 0, "max_jump_instants": 0}
+    meta = {
+        "rate_resamples": 0,
+        "freq_bisections": 0,
+        "max_jump_instants": 0,
+        "clock_draws": 0,
+    }
 
     dist_times = [t for t, _ in sc.disturbance]
     dist_levels = [v for _, v in sc.disturbance]
@@ -300,10 +352,13 @@ def simulate(sc: Scenario) -> Trace:
         if not np.all(np.isfinite(x_end)):
             raise SimulationError(f"non-finite grid state at t={t + dt}")
         clock_fired = (clocks <= t + dt + tiny) if randomized else None
-        event_at_end = bool(np.any(targets_at(temps_end, x_end[0], clock_fired) != sigmas))
 
         dt_event = dt
-        if event_at_end and freq_active and dt > sc.event_tol:
+        if (
+            freq_active
+            and dt > sc.event_tol
+            and np.any(targets_at(temps_end, x_end[0]) != sigmas)
+        ):
             # locate the earliest interior enabling time of a frequency jump
             triggers = StepTriggers.of(pop, temps, temps_end, sigmas, scheme)
             lo_t, hi_t = 0.0, dt

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .grid_model import (
     build_combined_system,
     default_gen_dynamics,
 )
-from .hybrid_sim import Scenario
+from .hybrid_sim import Scenario, valid_seed
 from .tcl import PopulationSpec, Scheme, TclParams, sample_population
 
 
@@ -63,6 +64,12 @@ class ScenarioFile:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ScenarioError(f"{name} must be positive and finite, got {value}")
+        for name, value in (("seed", self.seed), ("population.seed", self.population.seed)):
+            if not valid_seed(value):
+                raise ScenarioError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+        n_loads = self.population.n_loads
+        if not isinstance(n_loads, numbers.Integral) or isinstance(n_loads, bool):
+            raise ScenarioError(f"population.n_loads must be an integer, got {n_loads!r}")
 
     def build_grid(self) -> StateSpace:
         return build_combined_system(self.gen, self.grid_m, self.grid_d)
@@ -165,9 +172,9 @@ def from_dict(doc: dict) -> ScenarioFile:
             grid_d=float(_require(grid, "d", "grid")),
             gen=_parse_gen(grid),
             population=PopulationSpec(
-                n_loads=int(_require(popdoc, "n_loads", "population")),
+                n_loads=_require(popdoc, "n_loads", "population"),
                 gamma=float(_require(popdoc, "gamma", "population")),
-                seed=int(_require(popdoc, "seed", "population")),
+                seed=_require(popdoc, "seed", "population"),
                 param_ranges=ranges,
             ),
             scheme=parse_scheme(_require(doc, "scheme", "<root>")),
@@ -175,7 +182,7 @@ def from_dict(doc: dict) -> ScenarioFile:
                 (float(t), float(v)) for t, v in _require(doc, "disturbance", "<root>")
             ],
             horizon=float(_require(doc, "horizon", "<root>")),
-            seed=int(_require(doc, "seed", "<root>")),
+            seed=_require(doc, "seed", "<root>"),
             max_step=float(doc.get("max_step", 0.01)),
             event_tol=float(doc.get("event_tol", 1e-6)),
             offset_demand=bool(doc.get("offset_demand", True)),

@@ -165,3 +165,31 @@ class TestErrors:
             argv += ["--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert "horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
+    def test_negative_seed_is_config_error(self, small_scenario, tmp_path, capsys, command):
+        argv = [command, "--scenario", str(small_scenario), "--seed=-1"]
+        if command in ("run", "compare"):
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "population, root",
+        [
+            ({"n_loads": 20, "gamma": 0.1, "seed": -1}, {}),
+            ({"n_loads": 20, "gamma": 0.1, "seed": 1}, {"seed": 17.9}),
+            ({"n_loads": 2.5, "gamma": 0.1, "seed": 1}, {}),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_bad_seed_or_load_count_in_file_is_config_error(
+        self, tmp_path, capsys, population, root, command
+    ):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_DOC, population=population, **root)))
+        argv = [command, "--scenario", str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from tclgrid import hybrid_sim
 from tclgrid.grid_model import default_grid
 from tclgrid.hybrid_sim import (
+    CLOCK_BLOCK,
+    ClockStreams,
     Scenario,
     SimulationError,
     StepTriggers,
@@ -164,6 +166,11 @@ class TestPopulationRuns:
         with pytest.raises(SimulationError):
             single_load_scenario(**{name: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 17.0, True, "17"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(SimulationError, match="seed"):
+            single_load_scenario(seed=seed)
+
     def test_bad_disturbance_rejected(self):
         with pytest.raises(SimulationError):
             single_load_scenario(disturbance=[(5.0, 1.0)])
@@ -269,6 +276,93 @@ class TestStepTriggers:
         assert full_calls <= 6 * steps
         # fewer whole-population evaluations than bisection probes
         assert full_calls < tr.meta["freq_bisections"]
+
+
+def scalar_stream(seed: int, j: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+
+
+class TestClockStreams:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(1, 8),
+        draws_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_clocks_match_scalar_streams(self, seed, n, draws_seed):
+        # random subsets and rates over enough calls that every load crosses
+        # several block refills; each clock must be bitwise the per-draw
+        # value of its load's stream, and rate <= 0 must consume no draw
+        rng = np.random.default_rng(draws_seed)
+        streams = ClockStreams(seed, n)
+        reference = [scalar_stream(seed, j) for j in range(n)]
+        clocks = np.zeros(n)
+        expected = np.zeros(n)
+        total = 0
+        now = 0.0
+        for _ in range(5 * CLOCK_BLOCK):
+            now += float(rng.exponential(1.0))
+            mask = rng.random(n) < 0.9
+            rates = 10.0 ** rng.uniform(-6.0, 0.0, n)
+            rates[rng.random(n) < 0.15] = 0.0
+            rates[rng.random(n) < 0.05] = -0.5
+            for j in np.flatnonzero(mask):
+                rate = float(rates[j])
+                expected[j] = np.inf if rate <= 0 else now + reference[j].exponential(1.0 / rate)
+                total += rate > 0
+            assert streams.reset(clocks, mask, rates, now) == np.count_nonzero(mask & (rates > 0))
+            np.testing.assert_array_equal(clocks, expected)
+        assert total > 3 * CLOCK_BLOCK * n
+
+    def test_seeds_near_two_to_the_64_stay_distinct(self):
+        idx = np.arange(3)
+        first = ClockStreams(2**64 - 1, 3).draw(idx)
+        assert not np.array_equal(first, ClockStreams(0, 3).draw(idx))
+        assert not np.array_equal(first, ClockStreams(2**64 - 2, 3).draw(idx))
+
+    def test_clock_draws_come_in_blocks(self, monkeypatch):
+        # a randomized run draws its clocks through ClockStreams, counts them
+        # in meta, and calls a load's generator once per block, not per draw
+        sc = small_population_scenario(
+            population=sample_population(PopulationSpec(200, 0.2, seed=5)),
+            scheme=Scheme.randomized(),
+            horizon=60.0,
+        )
+        drawn = []
+        real_draw = ClockStreams.draw
+
+        def counted_draw(self, idx):
+            out = real_draw(self, idx)
+            drawn.append(out.size)
+            return out
+
+        generator_calls = []
+        real_generator = np.random.Generator
+
+        class CountingGenerator:
+            def __init__(self, bit_generator):
+                self._gen = real_generator(bit_generator)
+
+            def __getattr__(self, name):
+                method = getattr(self._gen, name)
+
+                def counted(*args, **kwargs):
+                    generator_calls.append(name)
+                    return method(*args, **kwargs)
+
+                return counted
+
+        monkeypatch.setattr(ClockStreams, "draw", counted_draw)
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+        tr = simulate(sc)
+        draws = tr.meta["clock_draws"]
+        assert draws == sum(drawn)
+        assert draws > 2 * len(sc.population)
+        assert len(generator_calls) <= len(sc.population) + draws / CLOCK_BLOCK
+
+    def test_non_randomized_runs_draw_nothing(self):
+        tr = simulate(small_population_scenario(scheme=Scheme.deterministic(), horizon=10.0))
+        assert tr.meta["clock_draws"] == 0
 
 
 class TestClassifyRegion:

@@ -81,6 +81,34 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=field):
             dataclasses.replace(from_dict(MINIMAL), **{field: value})
 
+    @pytest.mark.parametrize("value", [-1, 2**64, 17.9, 17.0, True, "17"])
+    @pytest.mark.parametrize("field", ["seed", "population.seed"])
+    def test_bad_seed_rejected(self, field, value):
+        doc = dict(MINIMAL, population=dict(MINIMAL["population"]))
+        section = doc["population"] if field == "population.seed" else doc
+        section["seed"] = value
+        with pytest.raises(ScenarioError, match=field):
+            from_dict(doc)
+
+    def test_seed_override_checked(self):
+        sf = from_dict(MINIMAL)
+        with pytest.raises(ScenarioError, match="seed"):
+            dataclasses.replace(sf, seed=-1)
+        with pytest.raises(ScenarioError, match="population.seed"):
+            dataclasses.replace(sf, population=dataclasses.replace(sf.population, seed=-1))
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (0, 2**64 - 1):
+            sf = from_dict(dict(MINIMAL, seed=seed))
+            assert sf.seed == seed
+            assert sf.build_scenario()[0].seed == seed
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", True])
+    def test_non_integer_load_count_rejected(self, value):
+        doc = dict(MINIMAL, population=dict(MINIMAL["population"], n_loads=value))
+        with pytest.raises(ScenarioError, match="n_loads"):
+            from_dict(doc)
+
     def test_non_mapping_rejected(self):
         with pytest.raises(ScenarioError):
             from_dict(["not", "a", "mapping"])
