@@ -55,10 +55,11 @@ def _breakpoints(pop: Population) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(thresholds, kind="stable")
     thr_sorted = thresholds[order]
     cum = np.cumsum(weights[order])
-    distinct = np.unique(thr_sorted)
-    # cumulative including every load tied at the breakpoint
-    last = np.searchsorted(thr_sorted, distinct, side="right") - 1
-    return distinct, cum[last]
+    # the last load of each run of tied thresholds closes its breakpoint, so
+    # the cumulative there includes every tied load (np.unique would import
+    # numpy.ma, about 15 ms of start-up)
+    last = np.flatnonzero(np.append(thr_sorted[1:] != thr_sorted[:-1], True))
+    return thr_sorted[last], cum[last]
 
 
 def verify_design_condition(

@@ -12,8 +12,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import expm
 
 
 class GridModelError(ValueError):
@@ -206,27 +204,29 @@ class OneNormResult(NamedTuple):
         return self.value
 
 
-def _impulse_response(ss: StateSpace):
-    """Return g(t) = c @ expm(a t) @ b, in modal form when ss.modes exists,
-    else through expm."""
-    modes = ss.modes
-    if modes is None:
-        def g(t: float) -> float:
-            return float(ss.c @ expm(ss.a * t) @ ss.b)
-    else:
-        c_v = ss.c @ modes.v
-
-        def g(t: float) -> float:
-            return float(np.real(np.sum(c_v * np.exp(modes.lam * t) * modes.v_inv_b)))
-    return g
+# Bisection steps per sign-change bracket, enough to reach the last bit.
+_BISECTIONS = 60
+# Intervals are halved at most this many times when certifying where the
+# impulse response changes sign; only a tangency (a double zero) gets there.
+_MAX_HALVINGS = 48
 
 
 def one_norm(ss: StateSpace, t_max: float | None = None, tol: float = 1e-8) -> OneNormResult:
-    """Integral of |c expm(a t) b| over [0, inf).
+    """Integral of |g(t)| = |c expm(a t) b| over [0, inf).
 
-    Adaptive quadrature on [0, t_max] plus an exponential-decay tail bound
-    norm(c) * norm(expm(a t_max)) * norm(b) / |max Re eigenvalue|; t_max is
-    doubled until the tail bound is at most tol/2.
+    With a modal form (ss.modes), g(t) = Re sum_k r_k exp(lam_k t) with
+    r = (c V) * (V^-1 b), so g integrates exactly: over [s, s + w],
+    Re sum_k r_k exp(lam_k s) expm1(lam_k w) / lam_k. The value on
+    [0, t_max] is the sum of the absolute integrals between consecutive sign
+    changes of g, which _sign_changes brackets with a certificate and
+    bisects. The tail beyond t_max is bounded by
+    sum_k |r_k| exp(Re lam_k t_max) / |Re lam_k|.
+
+    Without a modal form, adaptive quadrature with the tail bound
+    norm(c) * norm(expm(a t_max)) * norm(b) / |max Re eigenvalue|.
+
+    Either way t_max (default 10 / |max Re eigenvalue|) is doubled until the
+    tail bound is at most tol/2.
     """
     if tol <= 0:
         raise GridModelError(f"tol must be positive, got {tol}")
@@ -237,22 +237,87 @@ def one_norm(ss: StateSpace, t_max: float | None = None, tol: float = 1e-8) -> O
             "integral may diverge"
         )
     decay = -alpha
-    norm_c = float(np.linalg.norm(ss.c))
-    norm_b = float(np.linalg.norm(ss.b))
+    modes = ss.modes
+    if modes is None:
+        from scipy.integrate import quad
+        from scipy.linalg import expm
+
+        scale = float(np.linalg.norm(ss.c)) * float(np.linalg.norm(ss.b)) / decay
+
+        def tail_at(t: float) -> float:
+            return scale * float(np.linalg.norm(expm(ss.a * t), 2))
+    else:
+        lam = modes.lam
+        r = (ss.c @ modes.v) * modes.v_inv_b
+        weight = np.abs(r) / -lam.real  # 1-norm of mode k from 0 on
+
+        def tail_at(t: float) -> float:
+            return float(np.sum(weight * np.exp(lam.real * t)))
+
     if t_max is None:
         t_max = 10.0 / decay
-    tail = np.inf
     for _ in range(80):
-        phi_norm = float(np.linalg.norm(expm(ss.a * t_max), 2))
-        tail = norm_c * phi_norm * norm_b / decay
+        tail = tail_at(t_max)
         if tail <= tol / 2:
             break
         t_max *= 2.0
     else:
         raise GridModelError("tail bound did not reach tol/2; system too weakly damped")
-    g = _impulse_response(ss)
-    value, _ = quad(lambda t: abs(g(t)), 0.0, t_max, epsabs=tol / 2, limit=2000)
+    if modes is None:
+        value, _ = quad(
+            lambda t: abs(float(ss.c @ expm(ss.a * t) @ ss.b)),
+            0.0, t_max, epsabs=tol / 2, limit=2000,
+        )
+    else:
+        zeros = _sign_changes(lam, r, t_max)
+        edges = np.concatenate(([0.0], zeros, [t_max]))
+        pieces = np.exp(np.outer(edges[:-1], lam)) * np.expm1(np.outer(np.diff(edges), lam))
+        value = float(np.sum(np.abs((pieces @ (r / lam)).real)))
     return OneNormResult(value=float(value), tail_bound=float(tail), t_max=float(t_max))
+
+
+def _modal_response(lam: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """g(t) = Re sum_k r_k exp(lam_k t) at each time in t."""
+    return (np.exp(np.outer(t, lam)) @ r).real
+
+
+def _sign_changes(lam: np.ndarray, r: np.ndarray, t_end: float) -> np.ndarray:
+    """Sorted times in [0, t_end] where g(t) = Re sum_k r_k exp(lam_k t)
+    changes sign.
+
+    [0, t_end] is halved until each interval [t, t + w] is certified by
+    Taylor's theorem with |g''| <= m2 = sum_k |r_k lam_k^2| exp(Re lam_k t)
+    on it: zero-free if |g(t)| > |g'(t)| w + m2 w^2 / 2, or monotone if
+    |g'(t)| >= m2 w, so that its one possible sign change shows at its ends
+    and is bisected. A zero at either end counts as a sign change.
+    """
+    curvature = np.abs(r * lam**2)
+    start, width = np.zeros(1), t_end
+    lo, hi, lo_sign = [], [], []
+    for halvings in range(_MAX_HALVINGS + 1):
+        if not start.size:
+            break
+        e = np.exp(np.outer(start, lam))
+        g = (e @ r).real
+        slope = np.abs((e @ (r * lam)).real)
+        bound = np.abs(e) @ curvature
+        free = np.abs(g) > (slope + bound * width / 2) * width
+        ends = ~free & ((slope >= bound * width) | (halvings == _MAX_HALVINGS))
+        left, sign = start[ends], np.sign(g[ends])
+        cross = sign * np.sign(_modal_response(lam, r, left + width)) <= 0
+        lo.append(left[cross])
+        hi.append(left[cross] + width)
+        lo_sign.append(sign[cross])
+        split = start[~(free | ends)]
+        width /= 2
+        start = np.concatenate((split, split + width))
+    lo, hi, lo_sign = (np.concatenate(parts) for parts in (lo, hi, lo_sign))
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        same = np.sign(_modal_response(lam, r, mid)) == lo_sign
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return np.sort(0.5 * (lo + hi))
 
 
 def transition(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -270,6 +335,8 @@ def transition(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
         return np.eye(ss.dim), np.zeros(ss.dim)
     modes = ss.modes
     if modes is None:
+        from scipy.linalg import expm
+
         dim = ss.dim
         aug = np.zeros((dim + 1, dim + 1))
         aug[:dim, :dim] = ss.a

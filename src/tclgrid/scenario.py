@@ -114,6 +114,14 @@ def _require(doc: dict, key: str, section: str):
     return doc[key]
 
 
+def _flag(value, name: str) -> bool:
+    """A YAML boolean; a string such as "false" or a number is rejected
+    rather than coerced, since bool("false") is True."""
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{name} must be a boolean (true or false), got {value!r}")
+    return value
+
+
 def _parse_gen(doc: dict) -> GenDynamics:
     if "preset" in doc.get("gen", {}) or "gen" not in doc:
         preset = doc.get("gen", {}).get("preset", "governor-integral")
@@ -185,12 +193,12 @@ def from_dict(doc: dict) -> ScenarioFile:
             seed=_require(doc, "seed", "<root>"),
             max_step=float(doc.get("max_step", 0.01)),
             event_tol=float(doc.get("event_tol", 1e-6)),
-            offset_demand=bool(doc.get("offset_demand", True)),
-            clamp_omega=bool(doc.get("clamp_omega", False)),
+            offset_demand=_flag(doc.get("offset_demand", True), "offset_demand"),
+            clamp_omega=_flag(doc.get("clamp_omega", False), "clamp_omega"),
             design=DesignSettings(
                 delta=float(design_doc.get("delta", 0.001)),
                 margin=float(design_doc.get("margin", 0.2)),
-                allocate=bool(design_doc.get("allocate", False)),
+                allocate=_flag(design_doc.get("allocate", False), "design.allocate"),
                 threshold_range=(float(thr_range[0]), float(thr_range[1])),
             ),
         )

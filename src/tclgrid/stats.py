@@ -153,7 +153,8 @@ def cross_term_oracle(
         init_j = ((p_j.t_lo + p_j.t_hi) / 2, 0)
     s_i = demand_series(p_i, *init_i, horizon)
     s_j = demand_series(p_j, *init_j, horizon)
-    times = np.union1d(s_i.times, s_j.times)
+    times = np.sort(np.concatenate((s_i.times, s_j.times)))
+    times = times[np.append(True, times[1:] != times[:-1])]  # np.union1d imports numpy.ma
     v_i = s_i.values[np.searchsorted(s_i.times, times, side="right") - 1]
     v_j = s_j.values[np.searchsorted(s_j.times, times, side="right") - 1]
     product = TimeSeries(times=times, values=v_i * v_j)

@@ -1,5 +1,10 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 import yaml
 
@@ -193,3 +198,73 @@ class TestErrors:
             argv += ["--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["false", "no", 1])
+    @pytest.mark.parametrize("field", ["offset_demand", "clamp_omega", "allocate"])
+    @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
+    def test_non_boolean_flag_is_config_error(self, tmp_path, capsys, command, field, value):
+        doc = dict(SMALL_DOC, design=dict(SMALL_DOC["design"]))
+        section = doc["design"] if field == "allocate" else doc
+        section[field] = value
+        path = tmp_path / "flag.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        argv = [command, "--scenario", str(path)]
+        if command in ("run", "compare"):
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and field in err
+
+
+SCIPY_FREE_SCRIPT = """
+import json, sys
+import numpy as np
+from tclgrid import cli
+from tclgrid.grid_model import StateSpace, one_norm, transition
+
+scenario, out = sys.argv[1:]
+codes = [
+    cli.main(["run", "--scenario", scenario, "--out", out, "--horizon", "2"]),
+    cli.main(["certify", "--scenario", scenario]),
+    cli.main(["stats", "--scenario", scenario, "--pairs", "1"]),
+]
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+jordan = StateSpace(
+    a=np.array([[-1.0, 1.0], [0.0, -1.0]]), b=np.array([0.0, 1.0]),
+    c=np.array([1.0, 0.0]), m=1.0, d=1.0, n=1,
+)
+result = one_norm(jordan)
+phi, psi = transition(jordan, 0.8)
+print(json.dumps({
+    "codes": codes,
+    "scipy_after_commands": loaded,
+    "scipy_after_fallback": "scipy" in sys.modules,
+    "jordan_modes": jordan.modes is not None,
+    "one_norm": [result.value, result.tail_bound],
+    "phi": phi.tolist(),
+    "psi": psi.tolist(),
+}))
+"""
+
+
+def test_commands_import_no_scipy(tmp_path):
+    """`run`, `certify` and `stats` on a modal grid never import scipy; a
+    defective grid still gets `one_norm` and `transition` from the lazily
+    imported scipy fallback."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SHIPPED_SCENARIO.parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(SHIPPED_SCENARIO), str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0]
+    assert report["scipy_after_commands"] == []
+    assert report["scipy_after_fallback"] and not report["jordan_modes"]
+    # g(t) = t e^-t integrates to 1
+    value, tail = report["one_norm"]
+    assert value == pytest.approx(1.0, abs=1e-12) and tail <= 0.5e-8
+    dt, decay = 0.8, math.exp(-0.8)
+    np.testing.assert_allclose(report["phi"], [[decay, dt * decay], [0.0, decay]], rtol=1e-13)
+    np.testing.assert_allclose(report["psi"], [1.0 - decay * (1.0 + dt), 1.0 - decay], rtol=1e-13)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from tclgrid.grid_model import (
     GenDynamics,
@@ -27,6 +28,50 @@ def pure_damping(m: float, d: float) -> StateSpace:
     """Swing equation with no generation states (n = 0)."""
     gen = GenDynamics(a_hat=np.zeros((0, 0)), b_hat=np.zeros(0), c_hat=np.zeros(0))
     return build_combined_system(gen, m, d)
+
+
+def dense_one_norm(ss: StateSpace, t_end: float) -> float:
+    """Reference integral of |c expm(a t) b| over [0, t_end], independent of
+    the closed form: the sign changes of the response are found by sampling
+    128 times per period of the fastest mode over the whole range and brentq,
+    then |g| is integrated by 16-point Gauss-Legendre on panels of at most
+    1/8 of that period, split at the sign changes."""
+    lam, v = np.linalg.eig(ss.a)
+    coeff = (ss.c @ v) * np.linalg.solve(v, ss.b.astype(complex))
+
+    def g(t):
+        return (np.exp(np.multiply.outer(t, lam)) @ coeff).real
+
+    periods = t_end * np.max(np.abs(lam)) / (2 * np.pi)
+    samples = np.linspace(0.0, t_end, int(np.ceil(periods * 128)) + 1)
+    roots = []
+    for first in range(0, samples.size - 1, 1 << 16):
+        ts = samples[first:first + (1 << 16) + 1]
+        values = g(ts)
+        roots += [
+            brentq(lambda t: float(g(t)), ts[i], ts[i + 1], xtol=1e-15, rtol=1e-15)
+            for i in np.flatnonzero(values[:-1] * values[1:] < 0)
+        ]
+    edges = np.union1d(np.linspace(0.0, t_end, int(np.ceil(periods * 8)) + 1), roots)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    total = 0.0
+    for first in range(0, edges.size - 1, 1 << 12):
+        panel = edges[first:first + (1 << 12) + 1]
+        half = np.diff(panel) / 2
+        points = (panel[:-1] + half)[:, None] + half[:, None] * nodes
+        total += float(np.sum(np.abs(g(points)) @ weights * half))
+    return total
+
+
+def governor_grids():
+    return st.builds(
+        default_grid,
+        m=st.floats(2.0, 20.0),
+        d=st.floats(0.2, 3.0),
+        t_g=st.floats(0.5, 10.0),
+        k_p=st.floats(1.0, 40.0),
+        k_i=st.floats(0.05, 3.0),
+    )
 
 
 class TestConstruction:
@@ -104,6 +149,62 @@ class TestOneNorm:
         g = np.abs(np.real(np.exp(np.outer(ts, lam)) @ coeff))
         brute = np.trapezoid(g, ts)
         assert one_norm(ss).value == pytest.approx(brute, rel=1e-4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ss=governor_grids())
+    def test_modal_matches_dense_reference(self, ss):
+        assume(is_hurwitz(ss) and ss.modes is not None)
+        result = one_norm(ss)
+        assert abs(result.value - dense_one_norm(ss, result.t_max)) <= 1e-9
+        assert result.tail_bound <= 0.5e-8
+
+    def test_lightly_damped_example(self):
+        # the old adaptive quadrature returned 2.6387105 here, 3.6e-5 low
+        # against its own epsabs of 5e-9
+        ss = default_grid(m=13.5, d=0.955, t_g=0.889, k_p=1.64, k_i=2.45)
+        result = one_norm(ss)
+        assert result.value == pytest.approx(2.6387460326, abs=1e-9)
+        assert abs(result.value - dense_one_norm(ss, result.t_max)) <= 1e-9
+
+    def test_shipped_grid(self, shipped_file):
+        # the old adaptive quadrature returned 0.52606869229
+        ss = shipped_file.build_grid()
+        result = one_norm(ss)
+        assert result.value == pytest.approx(0.52606870553, abs=1e-11)
+        assert abs(result.value - dense_one_norm(ss, result.t_max)) <= 1e-9
+
+    def test_real_spectrum_with_sign_change(self):
+        # g(t) = e^-t - 2 e^-3t: negative until t = ln(2)/2, positive after
+        ss = StateSpace(
+            a=np.diag([-1.0, -3.0]), b=np.array([1.0, 1.0]), c=np.array([1.0, -2.0]),
+            m=1.0, d=1.0, n=1,
+        )
+        result = one_norm(ss)
+
+        def antiderivative(t):
+            return -math.exp(-t) + 2 * math.exp(-3 * t) / 3
+
+        root = math.log(2.0) / 2
+        exact = (
+            antiderivative(result.t_max) - 2 * antiderivative(root) + antiderivative(0.0)
+        )
+        assert result.value == pytest.approx(exact, abs=1e-14)
+        full = exact - antiderivative(result.t_max)  # over [0, inf)
+        assert result.value <= full <= result.value + result.tail_bound
+
+    def test_governor_grid_with_real_spectrum(self):
+        ss = default_grid(m=2.0, d=3.0, t_g=10.0, k_p=1.0, k_i=0.05)
+        assert np.all(ss.modes.lam.imag == 0)
+        result = one_norm(ss)
+        assert abs(result.value - dense_one_norm(ss, result.t_max)) <= 1e-9
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+    def test_tail_bound_holds(self, tol):
+        ss = default_grid(m=13.5, d=0.955, t_g=0.889, k_p=1.64, k_i=2.45)
+        result = one_norm(ss, tol=tol)
+        assert result.tail_bound <= tol / 2
+        beyond = one_norm(ss, t_max=4 * result.t_max, tol=tol).value - result.value
+        assert -1e-14 <= beyond <= result.tail_bound + 1e-14  # rounding of the sums
 
     def test_unstable_system_rejected(self):
         ss = StateSpace(

@@ -109,6 +109,22 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="n_loads"):
             from_dict(doc)
 
+    @pytest.mark.parametrize("value", ["false", "no", 1])
+    @pytest.mark.parametrize("field", ["offset_demand", "clamp_omega", "design.allocate"])
+    def test_non_boolean_flag_rejected(self, field, value):
+        doc = dict(MINIMAL, design={})
+        section = doc["design"] if field == "design.allocate" else doc
+        section[field.rsplit(".", 1)[-1]] = value
+        with pytest.raises(ScenarioError, match=field):
+            from_dict(doc)
+
+    def test_yaml_boolean_flags_parsed(self):
+        text = yaml.safe_dump(MINIMAL) + "clamp_omega: yes\noffset_demand: no\n"
+        sf = from_dict(yaml.safe_load(text + "design: {allocate: false}\n"))
+        assert sf.clamp_omega is True
+        assert sf.offset_demand is False
+        assert sf.design.allocate is False
+
     def test_non_mapping_rejected(self):
         with pytest.raises(ScenarioError):
             from_dict(["not", "a", "mapping"])
