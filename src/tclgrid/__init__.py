@@ -20,7 +20,6 @@ from .hybrid_sim import (
     FrequencyMetrics,
     Scenario,
     Trace,
-    classify_region,
     compare_schemes,
     dwell_time_report,
     ripple_envelope,

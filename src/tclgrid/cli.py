@@ -32,7 +32,7 @@ from .stats import (
     theoretical_variance,
     time_variance,
 )
-from .tcl import TclError, TclParams, duty_cycle
+from .tcl import TclError, TclParams, duty_cycle, sample_initial_states
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -202,8 +202,6 @@ def cmd_stats(args) -> int:
             f"(the population has {sf.population.n_loads})"
         )
     pop, _ = sf.build_population()
-    from .tcl import sample_initial_states
-
     temps, sigmas = sample_initial_states(pop, sf.seed)
     series = aggregate_demand_series(pop, temps, sigmas, sf.horizon)
     measured = time_variance(series, (0.0, sf.horizon))

@@ -428,61 +428,6 @@ def simulate(sc: Scenario) -> Trace:
 
 
 # ---------------------------------------------------------------------------
-# flow/jump set classification (exposed for testing the set definitions)
-
-@dataclass(frozen=True)
-class RegionReport:
-    per_load: list[str]  # each 'flow', 'jump' or 'both'
-    overall: str
-
-
-def _flow_set(p: TclParams, temp: float, omega: float, freq_active: bool) -> set[int]:
-    """Admissible switch states of the flow set at (temp, omega)."""
-    allowed: set[int] = set()
-    if temp > p.t_hi or (freq_active and omega > p.omega1 and temp > p.t_lo + p.eps):
-        allowed.add(1)
-    if temp < p.t_lo or (freq_active and omega < -p.omega1 and temp < p.t_hi - p.eps):
-        allowed.add(0)
-    in_band = p.t_lo <= temp <= p.t_hi
-    if in_band and (not freq_active or abs(omega) <= p.omega1):
-        allowed.update((0, 1))
-    if freq_active and omega <= -p.omega1 and p.t_hi - p.eps <= temp <= p.t_hi:
-        allowed.update((0, 1))
-    if freq_active and omega >= p.omega1 and p.t_lo <= temp <= p.t_lo + p.eps:
-        allowed.update((0, 1))
-    return allowed
-
-
-def classify_region(
-    temps: np.ndarray,
-    sigmas: np.ndarray,
-    omega: float,
-    pop: list[TclParams],
-    scheme: Scheme,
-) -> RegionReport:
-    """Membership of each load's (T, omega, sigma) in the flow/jump sets; a
-    load is in the jump set where the discrete update would change it."""
-    freq_active = scheme.kind == "deterministic"
-    jump_set = jump_target(Population.of(pop), temps, sigmas, omega, scheme) != sigmas
-    labels = []
-    for p, temp, sig, in_jump in zip(pop, temps, sigmas, jump_set):
-        in_flow = int(sig) in _flow_set(p, float(temp), omega, freq_active)
-        if in_flow and in_jump:
-            labels.append("both")
-        elif in_jump or not in_flow:
-            labels.append("jump")
-        else:
-            labels.append("flow")
-    if all(lbl == "flow" for lbl in labels):
-        overall = "flow"
-    elif "both" in labels:
-        overall = "both"
-    else:
-        overall = "jump"
-    return RegionReport(per_load=labels, overall=overall)
-
-
-# ---------------------------------------------------------------------------
 # trace metrics
 
 @dataclass

@@ -164,16 +164,34 @@ def parse_scheme(doc) -> Scheme:
     return aliases[kind]()
 
 
+def _mapping(value, section: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"section {section!r} must be a mapping, got {value!r}")
+    return value
+
+
+def _pair(value, name: str) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ScenarioError(f"{name} must be a [low, high] pair, got {value!r}")
+    try:
+        return float(value[0]), float(value[1])
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name} must be a pair of numbers, got {value!r}") from exc
+
+
 def from_dict(doc: dict) -> ScenarioFile:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
-    grid = _require(doc, "grid", "<root>")
-    popdoc = _require(doc, "population", "<root>")
+    grid = _mapping(_require(doc, "grid", "<root>"), "grid")
+    popdoc = _mapping(_require(doc, "population", "<root>"), "population")
     ranges = popdoc.get("ranges")
     if ranges is not None:
-        ranges = {k: (float(v[0]), float(v[1])) for k, v in ranges.items()}
-    design_doc = doc.get("design", {})
-    thr_range = design_doc.get("threshold_range", [0.01, 0.26])
+        ranges = {
+            k: _pair(v, f"population.ranges.{k}")
+            for k, v in _mapping(ranges, "population.ranges").items()
+        }
+    design_doc = _mapping(doc.get("design", {}), "design")
+    thr_range = _pair(design_doc.get("threshold_range", [0.01, 0.26]), "design.threshold_range")
     try:
         return ScenarioFile(
             grid_m=float(_require(grid, "m", "grid")),
@@ -199,7 +217,7 @@ def from_dict(doc: dict) -> ScenarioFile:
                 delta=float(design_doc.get("delta", 0.001)),
                 margin=float(design_doc.get("margin", 0.2)),
                 allocate=_flag(design_doc.get("allocate", False), "design.allocate"),
-                threshold_range=(float(thr_range[0]), float(thr_range[1])),
+                threshold_range=thr_range,
             ),
         )
     except (TypeError, ValueError) as exc:

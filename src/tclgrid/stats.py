@@ -7,12 +7,11 @@ here is computed by exact piecewise integration, never by grid sampling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tcl import TclParams, duty_cycle, next_thermostat_event, on_off_durations, period
+from .tcl import Population, TclParams, next_thermostat_event, period
 
 
 class StatsError(ValueError):
@@ -41,17 +40,23 @@ class TimeSeries:
         times.setflags(write=False)
         values.setflags(write=False)
 
-    def integral(self, t0: float, t1: float, power: int = 1) -> float:
-        """Exact integral of values**power over [t0, t1]."""
+    def pieces(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
+        """The constant pieces covering [t0, t1]: their values and widths."""
         if t1 <= t0:
             raise StatsError(f"empty window [{t0}, {t1}]")
         if t0 < self.times[0]:
             raise StatsError(f"window start {t0} precedes series support {self.times[0]}")
-        edges = np.concatenate([[t0], self.times[(self.times > t0) & (self.times < t1)], [t1]])
-        # value on [edges[i], edges[i+1]) is the last series value at or before edges[i]
-        idx = np.searchsorted(self.times, edges[:-1], side="right") - 1
-        vals = self.values[idx] ** power
-        return float(np.sum(vals * np.diff(edges)))
+        # times[lo:hi] are the interior times; the piece starting at t0 takes
+        # the last value at or before it, values[lo - 1]
+        lo = np.searchsorted(self.times, t0, side="right")
+        hi = np.searchsorted(self.times, t1, side="left")
+        edges = np.concatenate([[t0], self.times[lo:hi], [t1]])
+        return self.values[lo - 1 : hi], np.diff(edges)
+
+    def integral(self, t0: float, t1: float, power: int = 1) -> float:
+        """Exact integral of values**power over [t0, t1]."""
+        vals, widths = self.pieces(t0, t1)
+        return float(np.sum(vals**power * widths))
 
 
 def time_average(ts: TimeSeries, window: tuple[float, float]) -> float:
@@ -61,72 +66,78 @@ def time_average(ts: TimeSeries, window: tuple[float, float]) -> float:
 
 def time_variance(ts: TimeSeries, window: tuple[float, float]) -> float:
     t0, t1 = window
-    mean = ts.integral(t0, t1) / (t1 - t0)
-    mean_sq = ts.integral(t0, t1, power=2) / (t1 - t0)
+    vals, widths = ts.pieces(t0, t1)
+    mean = float(np.sum(vals * widths)) / (t1 - t0)
+    mean_sq = float(np.sum(vals**2 * widths)) / (t1 - t0)
     return mean_sq - mean * mean
 
 
-def theoretical_variance(pop: list[TclParams], warn=None) -> float:
+def theoretical_variance(pop: list[TclParams] | Population, warn=None) -> float:
     """Closed-form long-run variance sum alpha_j (1 - alpha_j) d_bar_j^2.
 
     Exact for equal-magnitude populations; for unequal magnitudes the same
     per-load Bernoulli form is used and a warning is emitted via `warn`.
     """
-    d_bars = [p.d_bar for p in pop]
-    if warn is not None and len(set(d_bars)) > 1:
+    pop = Population.of(pop)
+    if warn is not None and np.any(pop.d_bar != pop.d_bar[0]):
         warn("population magnitudes are unequal; using per-load Bernoulli terms")
-    return sum(duty_cycle(p) * (1.0 - duty_cycle(p)) * p.d_bar**2 for p in pop)
+    return float(np.sum(pop.alpha * (1.0 - pop.alpha) * pop.d_bar**2))
 
 
-def free_run_switch_times(
-    p: TclParams, temperature: float, sigma: int, horizon: float
-) -> np.ndarray:
-    """Switch instants of an isolated thermostat load on [0, horizon].
+# Loads per row-wise cumsum in free_run_events; bounds the padded block.
+SWITCH_BLOCK = 256
 
-    The load alternates states starting from (temperature, sigma); the first
-    crossing is solved from the flow, later ones advance by the closed-form
-    stroke durations. The running sum adds one stroke at a time, in order.
+
+def free_run_events(
+    pop: list[TclParams] | Population, temperatures, sigmas, horizon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Demand events of isolated loads on [0, horizon]: for load 0, then load
+    1 and so on, its level at t = 0, then its switch instants with steps
+    +-d_bar. The first switch is solved from the flow (at t = 0 it sets the
+    level instead), and each later one adds the stroke of the state switched
+    to, one at a time: a row-wise cumsum over blocks of SWITCH_BLOCK loads.
     """
-    pi_on, pi_off = on_off_durations(p)
-    first = float(next_thermostat_event(p, temperature, sigma))
-    n_cycles = max(int((horizon - first) // (pi_on + pi_off)), 0) + 2
-    steps = np.empty(2 * n_cycles + 1)
-    steps[0] = first
+    pop = Population.of(pop)
+    sigmas = np.asarray(sigmas)
+    first = next_thermostat_event(pop, np.asarray(temperatures, dtype=float), sigmas)
     # each switch is followed by the stroke of the state it switched to
-    steps[1::2], steps[2::2] = (pi_off, pi_on) if sigma else (pi_on, pi_off)
-    times = np.cumsum(steps)
-    return times[: np.searchsorted(times, horizon, side="right")]
+    after_odd = np.where(sigmas == 1, pop.pi_off, pop.pi_on)
+    after_even = np.where(sigmas == 1, pop.pi_on, pop.pi_off)
+    n_cycles = np.maximum((horizon - first) // period(pop), 0).astype(int) + 2
+    level0 = np.where(first == 0.0, 1 - sigmas, sigmas) * pop.d_bar
+    times, deltas = [np.empty(0)], [np.empty(0)]
+    for start in range(0, len(pop), SWITCH_BLOCK):
+        rows = slice(start, start + SWITCH_BLOCK)
+        # column 0 is t = 0, column c >= 1 the c-th switch
+        steps = np.zeros((first[rows].size, 2 * int(n_cycles[rows].max()) + 2))
+        steps[:, 1] = first[rows]
+        steps[:, 2::2] = after_odd[rows, None]
+        steps[:, 3::2] = after_even[rows, None]
+        block_times = np.cumsum(steps, axis=1)
+        kept = block_times <= horizon
+        kept[:, 1] &= first[rows] != 0.0
+        # the c-th switch leads to state sigma ^ (c & 1)
+        switched_on = (sigmas[rows, None] == 1) == (np.arange(steps.shape[1]) % 2 == 0)
+        block_deltas = np.where(switched_on, pop.d_bar[rows, None], -pop.d_bar[rows, None])
+        block_deltas[:, 0] = level0[rows]
+        times.append(block_times[kept])
+        deltas.append(block_deltas[kept])
+    return np.concatenate(times), np.concatenate(deltas)
 
 
-def demand_series(
-    p: TclParams, temperature: float, sigma: int, horizon: float
-) -> TimeSeries:
+def demand_series(p: TclParams, temperature: float, sigma: int, horizon: float) -> TimeSeries:
     """Free-running demand of a single load as an exact piecewise signal."""
-    switches = free_run_switch_times(p, temperature, sigma, horizon)
-    if switches.size and switches[0] == 0.0:
-        sigma = 1 - sigma  # already at the active threshold: switch immediately
-        switches = switches[1:]
-    times = np.concatenate([[0.0], switches])
-    states = sigma ^ (np.arange(times.size) & 1)
-    return TimeSeries(times=times, values=states * p.d_bar)
+    return aggregate_demand_series([p], [temperature], [sigma], horizon)
 
 
 def aggregate_demand_series(
-    pop: list[TclParams],
-    temperatures: np.ndarray,
-    sigmas: np.ndarray,
-    horizon: float,
+    pop: list[TclParams] | Population, temperatures, sigmas, horizon: float
 ) -> TimeSeries:
     """Aggregate free-running demand of the whole population, built by merging
     every load's analytic switch instants."""
-    event_times = [np.array([0.0])]
-    event_deltas = [np.array([0.0])]
-    for p, temp, sig in zip(pop, temperatures, sigmas):
-        series = demand_series(p, float(temp), int(sig), horizon)
-        event_times.append(series.times)
-        event_deltas.append(np.diff(series.values, prepend=0.0))
-    times = np.concatenate(event_times)
-    deltas = np.concatenate(event_deltas)
+    times, deltas = free_run_events(pop, temperatures, sigmas, horizon)
+    times = np.concatenate([[0.0], times])
+    deltas = np.concatenate([[0.0], deltas])
     order = np.argsort(times, kind="stable")
     times = times[order]
     levels = np.cumsum(deltas[order])

@@ -363,20 +363,37 @@ class DistinctnessReport:
 
 
 def check_period_distinctness(
-    pop: list[TclParams], rel_tol: float = 1e-6, max_den: int = 10
+    pop: list[TclParams] | Population, rel_tol: float = 1e-6, max_den: int = 10
 ) -> DistinctnessReport:
     """Proxy for the irrational-period-ratio assumption: flag pairs whose
-    period ratio sits within rel_tol of a rational p/q with p, q <= max_den."""
+    period ratio sits within rel_tol of a rational p/q with p, q <= max_den.
+    Searchsorted on the sorted periods finds the pairs near each p/q; only
+    those candidates get the exact test, in (i, j) order."""
     if len(pop) < 2:
         raise TclError("need at least two loads")
-    periods = [period(p) for p in pop]
+    periods = period(Population.of(pop))
+    order = np.argsort(periods, kind="stable")
+    ranked = periods[order]
+    band = 1.01 * rel_tol + 1e-12  # covers the rounding of the exact test
+    ratios = {Fraction(p, q) for p in range(1, max_den + 1) for q in range(1, max_den + 1)}
+    pairs = [np.empty((0, 2), dtype=int)]
+    for ratio in ratios:
+        # loads a with periods[a] / periods[b] near ratio, for every load b
+        target = float(ratio) * periods
+        lo = np.searchsorted(ranked, target * (1.0 - band), side="left")
+        hi = np.searchsorted(ranked, target * (1.0 + band), side="right")
+        counts = np.maximum(hi - lo, 0)
+        b = np.repeat(np.arange(periods.size), counts)
+        a = order[np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
+        pairs.append(np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)[a != b])
+    candidates = np.unique(np.concatenate(pairs), axis=0).tolist()
+    periods = periods.tolist()
     flagged = []
-    for i in range(len(pop)):
-        for j in range(i + 1, len(pop)):
-            rho = periods[i] / periods[j]
-            frac = _nearby_low_rational(rho, rel_tol, max_den)
-            if frac is not None:
-                flagged.append((i, j, rho, frac))
+    for i, j in candidates:
+        rho = periods[i] / periods[j]
+        frac = _nearby_low_rational(rho, rel_tol, max_den)
+        if frac is not None:
+            flagged.append((i, j, rho, frac))
     return DistinctnessReport(flagged=flagged)
 
 

@@ -9,7 +9,9 @@ import pytest
 import yaml
 
 from tclgrid.cli import main
-from tests.conftest import SHIPPED_SCENARIO
+from tests.conftest import REPO_ROOT, SHIPPED_SCENARIO
+
+DATA = REPO_ROOT / "tests" / "data"
 
 SMALL_DOC = {
     "grid": {"m": 10.0, "d": 1.0},
@@ -214,6 +216,38 @@ class TestErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and field in err
+
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (["population"], [1, 2]),
+            (["design"], [1]),
+            (["population", "ranges"], {"t_amb": ["x", 3]}),
+            (["design", "threshold_range"], [0.01]),
+        ],
+        ids=["population-list", "design-list", "range-not-numeric", "threshold-range-short"],
+    )
+    def test_malformed_section_is_config_error(self, tmp_path, capsys, path, value):
+        doc = yaml.safe_load(SHIPPED_SCENARIO.read_text())
+        *parents, key = path
+        section = doc
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        scenario = tmp_path / "malformed.yaml"
+        scenario.write_text(yaml.safe_dump(doc))
+        assert main(["certify", "--scenario", str(scenario)]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify", "stats"])
+def test_shipped_scenario_output_is_pinned(capsys, command):
+    """`certify` and `stats` print exactly the recorded output of the shipped
+    scenario at a 2e4 s horizon with the default pair count."""
+    expected = (DATA / f"{command}_desk_h2e4.txt").read_text()
+    assert main([command, "--scenario", str(SHIPPED_SCENARIO), "--horizon", "2e4"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 SCIPY_FREE_SCRIPT = """

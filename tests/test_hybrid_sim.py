@@ -14,7 +14,6 @@ from tclgrid.hybrid_sim import (
     Scenario,
     SimulationError,
     StepTriggers,
-    classify_region,
     compare_schemes,
     dwell_time_report,
     ripple_envelope,
@@ -29,6 +28,7 @@ from tclgrid.tcl import (
     on_off_durations,
     sample_population,
     temp_flow,
+    trigger_levels,
 )
 
 REFERENCE = TclParams(
@@ -366,44 +366,42 @@ class TestClockStreams:
 
 
 class TestClassifyRegion:
+    """Which region of (T, omega, sigma) a load is in: it jumps where
+    jump_target differs from sigma and flows elsewhere. Frequency enters only
+    through trigger_levels."""
+
     def test_interior_point_flows(self):
-        report = classify_region(
-            np.array([4.5]), np.array([1]), 0.0, [REFERENCE], Scheme.deterministic()
-        )
-        assert report.per_load == ["flow"]
-        assert report.overall == "flow"
+        on_at, off_at = trigger_levels(REFERENCE, 4.5, Scheme.deterministic())
+        assert off_at < 0.0 < on_at
+        assert jump_target(REFERENCE, 4.5, 1, 0.0, Scheme.deterministic()) == 1
 
     def test_thermostat_boundary_is_overlap(self):
-        # both sets are closed, so the threshold itself lies in their overlap;
-        # jump priority resolves it in favour of switching
-        report = classify_region(
-            np.array([REFERENCE.t_hi]), np.array([0]), 0.0,
-            [REFERENCE], Scheme.conventional(),
-        )
-        assert report.per_load == ["both"]
+        # the threshold itself is in the jump set: at t_hi an OFF load jumps,
+        # while just below it the load still flows
+        below = math.nextafter(REFERENCE.t_hi, 0.0)
+        assert jump_target(REFERENCE, REFERENCE.t_hi, 0, 0.0, Scheme.conventional()) == 1
+        assert jump_target(REFERENCE, below, 0, 0.0, Scheme.conventional()) == 0
 
     def test_under_frequency_mid_band_must_jump(self):
-        # deep under-frequency with an ON load mid-band: flowing ON is no
-        # longer admissible, only the jump set contains the point
-        report = classify_region(
-            np.array([4.5]), np.array([1]), -0.5, [REFERENCE], Scheme.deterministic()
-        )
-        assert report.per_load == ["jump"]
-        assert report.overall == "jump"
+        # deep under-frequency with an ON load mid-band: the OFF branch
+        # triggers, so the load cannot keep flowing ON
+        _, off_at = trigger_levels(REFERENCE, 4.5, Scheme.deterministic())
+        assert off_at == -REFERENCE.omega1 and -0.5 <= off_at
+        assert jump_target(REFERENCE, 4.5, 1, -0.5, Scheme.deterministic()) == 0
 
     def test_eps_guard_band_is_overlap_boundary(self):
-        # at exactly t_hi - eps the ON load may keep flowing or jump OFF
-        report = classify_region(
-            np.array([REFERENCE.t_hi - REFERENCE.eps]), np.array([1]), -0.5,
-            [REFERENCE], Scheme.deterministic(),
-        )
-        assert report.per_load == ["both"]
+        # at exactly t_hi - eps under-frequency an ON load jumps OFF; just
+        # above it the eps guard blocks the OFF branch
+        edge = REFERENCE.t_hi - REFERENCE.eps
+        above = math.nextafter(edge, REFERENCE.t_hi)
+        assert trigger_levels(REFERENCE, edge, Scheme.deterministic())[1] == -REFERENCE.omega1
+        assert trigger_levels(REFERENCE, above, Scheme.deterministic())[1] == -np.inf
+        assert jump_target(REFERENCE, edge, 1, -0.5, Scheme.deterministic()) == 0
+        assert jump_target(REFERENCE, above, 1, -0.5, Scheme.deterministic()) == 1
 
     def test_conventional_ignores_frequency(self):
-        report = classify_region(
-            np.array([4.5]), np.array([1]), -0.5, [REFERENCE], Scheme.conventional()
-        )
-        assert report.per_load == ["flow"]
+        assert trigger_levels(REFERENCE, 4.5, Scheme.conventional()) == (np.inf, -np.inf)
+        assert jump_target(REFERENCE, 4.5, 1, -0.5, Scheme.conventional()) == 1
 
 
 class TestMetrics:

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tclgrid import stats
 from tclgrid.stats import (
     StatsError,
     TimeSeries,
     aggregate_demand_series,
     cross_term_oracle,
     demand_series,
-    free_run_switch_times,
+    free_run_events,
     phase_uniformity,
     star_discrepancy,
     switch_offset_sequence,
@@ -18,6 +21,7 @@ from tclgrid.stats import (
     time_variance,
 )
 from tclgrid.tcl import (
+    Population,
     PopulationSpec,
     TclParams,
     duty_cycle,
@@ -62,31 +66,129 @@ class TestTimeSeries:
             ts.integral(-1.0, 2.0)
 
 
+def reference_switch_times(p, temperature, sigma, horizon):
+    """Reference for the kernel: one load's switch instants by a 1-D running sum."""
+    pi_on, pi_off = on_off_durations(p)
+    first = float(next_thermostat_event(p, temperature, sigma))
+    n_cycles = max(int((horizon - first) // (pi_on + pi_off)), 0) + 2
+    steps = np.empty(2 * n_cycles + 1)
+    steps[0] = first
+    steps[1::2], steps[2::2] = (pi_off, pi_on) if sigma else (pi_on, pi_off)
+    times = np.cumsum(steps)
+    return times[: np.searchsorted(times, horizon, side="right")]
+
+
+def reference_demand_series(p, temperature, sigma, horizon):
+    switches = reference_switch_times(p, temperature, sigma, horizon)
+    if switches.size and switches[0] == 0.0:
+        sigma = 1 - sigma
+        switches = switches[1:]
+    times = np.concatenate([[0.0], switches])
+    states = sigma ^ (np.arange(times.size) & 1)
+    return TimeSeries(times=times, values=states * p.d_bar)
+
+
+def reference_aggregate(pop, temperatures, sigmas, horizon):
+    event_times = [np.array([0.0])]
+    event_deltas = [np.array([0.0])]
+    for p, temp, sig in zip(pop, temperatures, sigmas):
+        series = reference_demand_series(p, float(temp), int(sig), horizon)
+        event_times.append(series.times)
+        event_deltas.append(np.diff(series.values, prepend=0.0))
+    times = np.concatenate(event_times)
+    deltas = np.concatenate(event_deltas)
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    levels = np.cumsum(deltas[order])
+    keep = np.concatenate([times[1:] != times[:-1], [True]])
+    return TimeSeries(times=times[keep], values=levels[keep])
+
+
+@st.composite
+def free_run_cases(draw):
+    """A sampled population, with each load starting mid-band, exactly on a
+    threshold (so it may switch at t = 0) or anywhere in its band, and a
+    horizon of zero, short or long."""
+    n = draw(st.integers(1, 12))
+    pop = sample_population(PopulationSpec(n, 0.05, seed=draw(st.integers(0, 2**32 - 1))))
+    temps, sigmas = [], []
+    for p in pop:
+        start = draw(st.sampled_from(["t_lo", "t_hi", "mid", "any"]))
+        if start == "any":
+            temps.append(draw(st.floats(p.t_lo, p.t_hi)))
+        else:
+            temps.append((p.t_lo + p.t_hi) / 2 if start == "mid" else getattr(p, start))
+        sigmas.append(draw(st.integers(0, 1)))
+    horizon = draw(st.one_of(st.sampled_from([0.0, 50.0, 2e5]), st.floats(0.0, 3e4)))
+    return pop, np.array(temps), np.array(sigmas, dtype=np.int8), horizon
+
+
 class TestFreeRun:
     def test_switch_cadence_matches_strokes(self):
         pi_on, pi_off = on_off_durations(REFERENCE)
-        times = free_run_switch_times(REFERENCE, REFERENCE.t_hi, 1, horizon=5000.0)
+        times, deltas = free_run_events([REFERENCE], [REFERENCE.t_hi], [1], horizon=5000.0)
         # starting ON at the top: first switch after a full ON stroke
-        assert times[0] == pytest.approx(pi_on)
-        assert times[1] - times[0] == pytest.approx(pi_off)
-        assert times[2] - times[1] == pytest.approx(pi_on)
+        assert times[0] == 0.0 and deltas[0] == REFERENCE.d_bar
+        assert times[1] == pytest.approx(pi_on)
+        assert times[2] - times[1] == pytest.approx(pi_off)
+        assert times[3] - times[2] == pytest.approx(pi_on)
+        assert deltas[1:4].tolist() == [-REFERENCE.d_bar, REFERENCE.d_bar, -REFERENCE.d_bar]
 
     @pytest.mark.parametrize("horizon", [0.0, 50.0, 5e3, 2e5])
-    def test_switch_times_match_sequential_loop(self, horizon):
-        """The running sum equals adding one stroke at a time, bit for bit."""
+    def test_switch_times_match_sequential_loop(self, horizon, monkeypatch):
+        """The kernel's switch instants equal adding one stroke at a time, bit
+        for bit, for every load of the population in one call, whether the
+        loads fit one block or span several."""
         pop = sample_population(PopulationSpec(60, 0.3, seed=8))
         temps, sigmas = sample_initial_states(pop, seed=8)
-        for p, temp, sigma in zip(pop, temps, sigmas):
-            for sig in (int(sigma), 1 - int(sigma)):
-                pi_on, pi_off = on_off_durations(p)
-                expected, state = [], sig
-                t = float(next_thermostat_event(p, float(temp), sig))
-                while t <= horizon:
-                    expected.append(t)
-                    state = 1 - state
-                    t += pi_on if state else pi_off
-                got = free_run_switch_times(p, float(temp), sig, horizon)
-                assert got.tolist() == expected
+        # every load twice, once per initial state, plus two starting on a threshold
+        pop = pop + pop + [REFERENCE, REFERENCE]
+        temps = np.concatenate([temps, temps, [REFERENCE.t_hi, REFERENCE.t_lo]])
+        sigmas = np.concatenate([sigmas, 1 - sigmas, [0, 1]]).astype(np.int8)
+        times, deltas = free_run_events(pop, temps, sigmas, horizon)
+        monkeypatch.setattr(stats, "SWITCH_BLOCK", 7)
+        blocked = free_run_events(pop, temps, sigmas, horizon)
+        assert np.array_equal(times, blocked[0]) and np.array_equal(deltas, blocked[1])
+        # each load's events open with its level at t = 0; its switches follow
+        starts = np.flatnonzero(times == 0.0)
+        assert starts.size == len(pop)
+        for p, temp, sig, t, d in zip(
+            pop, temps, sigmas, np.split(times, starts[1:]), np.split(deltas, starts[1:])
+        ):
+            pi_on, pi_off = on_off_durations(p)
+            expected, state = [], int(sig)
+            s = float(next_thermostat_event(p, float(temp), state))
+            while s <= horizon:
+                expected.append(s)
+                state = 1 - state
+                s += pi_on if state else pi_off
+            level = int(sig)
+            if expected and expected[0] == 0.0:
+                level = 1 - level  # already at the active threshold
+                expected = expected[1:]
+            assert t[1:].tolist() == expected
+            assert d[0] == level * p.d_bar
+            # steps alternate in sign, starting from the level at t = 0
+            signs = np.where(np.arange(len(expected)) % 2 == 0, 1 - 2 * level, 2 * level - 1)
+            assert d[1:].tolist() == (signs * p.d_bar).tolist()
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=free_run_cases())
+    def test_series_bit_exact_against_per_load_loop(self, case):
+        pop, temps, sigmas, horizon = case
+        got = aggregate_demand_series(pop, temps, sigmas, horizon)
+        want = reference_aggregate(pop, temps, sigmas, horizon)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(
+            aggregate_demand_series(Population.of(pop), temps, sigmas, horizon).values,
+            want.values,
+        )
+        for p, temp, sig in zip(pop, temps, sigmas):
+            got = demand_series(p, float(temp), int(sig), horizon)
+            want = reference_demand_series(p, float(temp), int(sig), horizon)
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.values, want.values)
 
     def test_demand_series_level_alternates(self):
         series = demand_series(REFERENCE, REFERENCE.t_hi, 1, horizon=3000.0)
@@ -124,7 +226,8 @@ class TestVarianceTheory:
     def test_theoretical_variance_formula(self):
         pop = sample_population(PopulationSpec(10, 0.1, seed=2))
         expected = sum(duty_cycle(p) * (1 - duty_cycle(p)) * p.d_bar**2 for p in pop)
-        assert theoretical_variance(pop) == pytest.approx(expected)
+        # a sum of 10 terms in another order: a few ulps apart at most
+        assert theoretical_variance(pop) == pytest.approx(expected, rel=1e-14)
 
     def test_warns_on_unequal_magnitudes(self):
         import dataclasses
