@@ -32,7 +32,7 @@ from .stats import (
     theoretical_variance,
     time_variance,
 )
-from .tcl import TclError, TclParams, duty_cycle, sample_initial_states
+from .tcl import Population, TclError, duty_cycle, sample_initial_states
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,7 +120,7 @@ def _load(path: str, overrides: argparse.Namespace) -> ScenarioFile:
 
 def design_report(
     sf: ScenarioFile,
-    pop: list[TclParams],
+    pop: Population,
     allocation: AllocationResult | None,
     l_hat: float | None = None,
 ) -> DesignReport:
@@ -206,7 +206,7 @@ def cmd_stats(args) -> int:
     series = aggregate_demand_series(pop, temps, sigmas, sf.horizon)
     measured = time_variance(series, (0.0, sf.horizon))
     theory = theoretical_variance(pop)
-    gamma = sum(p.d_bar for p in pop)
+    gamma = sum(pop.d_bar.tolist())
     bound = gamma**2 / len(pop)
     print(f"measured_variance: {measured:.8g}")
     print(f"theoretical_variance: {theory:.8g}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tcl import Population, TclParams, with_threshold, zeta  # zeta is part of this API
+from .tcl import Population, zeta  # zeta is part of this API
 
 
 class DesignError(ValueError):
@@ -62,20 +62,18 @@ def _breakpoints(pop: Population) -> tuple[np.ndarray, np.ndarray]:
     return thr_sorted[last], cum[last]
 
 
-def verify_design_condition(
-    pop: list[TclParams], l_hat: float, delta: float
-) -> DesignReport:
+def verify_design_condition(pop: Population, l_hat: float, delta: float) -> DesignReport:
     """Check the threshold-design inequality at every breakpoint."""
-    if l_hat <= 0:
+    if not (l_hat > 0):
         raise DesignError(f"l_hat must be positive, got {l_hat}")
-    if delta <= 0:
+    if not (delta > 0):
         raise DesignError(f"delta must be positive, got {delta}")
-    if not pop:
+    if not len(pop):
         return DesignReport(
             satisfied=True, delta=delta, margin_used=0.0, worst_point=None,
             violations=[], note="empty population: trivially satisfied",
         )
-    bps, lhs = _breakpoints(Population.of(pop))
+    bps, lhs = _breakpoints(pop)
     rhs = np.maximum((bps - delta) / l_hat, 0.0)
     gap = lhs - rhs
     worst = int(np.argmax(gap))
@@ -101,13 +99,13 @@ def verify_design_condition(
 
 @dataclass(frozen=True)
 class AllocationResult:
-    population: list[TclParams]
+    population: Population
     inactive: list[int]  # loads pinned at the range top, feedback-inactive below it
     report: DesignReport
 
 
 def allocate_thresholds(
-    pop: list[TclParams],
+    pop: Population,
     l_hat: float,
     delta: float,
     margin: float = 0.2,
@@ -125,16 +123,14 @@ def allocate_thresholds(
     lo, hi = threshold_range
     if not (0 < lo < hi):
         raise DesignError(f"invalid threshold range ({lo}, {hi})")
-    if delta >= hi:
+    if not (delta < hi):
         raise DesignError(
             f"delta={delta} leaves no feasible thresholds below the range top {hi}"
         )
-    if l_hat <= 0:
+    if not (l_hat > 0):
         raise DesignError(f"l_hat must be positive, got {l_hat}")
-    soa = Population.of(pop)
-    needed = delta + np.cumsum(soa.zeta * soa.d_bar) * (l_hat / (1.0 - margin))
+    needed = delta + np.cumsum(pop.zeta * pop.d_bar) * (l_hat / (1.0 - margin))
     inactive = np.flatnonzero(needed > hi).tolist()
-    thresholds = np.where(needed > hi, hi, np.maximum(lo, needed))
-    out = [with_threshold(p, float(w)) for p, w in zip(pop, thresholds)]
+    out = replace(pop, omega1=np.where(needed > hi, hi, np.maximum(lo, needed)))
     report = replace(verify_design_condition(out, l_hat, delta), margin_used=margin)
     return AllocationResult(population=out, inactive=inactive, report=report)

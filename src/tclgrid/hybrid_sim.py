@@ -32,7 +32,6 @@ from .grid_model import StateSpace, TransitionCache, is_hurwitz
 from .tcl import (
     Population,
     Scheme,
-    TclParams,
     jump_target,
     next_thermostat_event,
     switching_rate,
@@ -51,7 +50,7 @@ class SimulationError(RuntimeError):
 @dataclass(frozen=True)
 class Scenario:
     grid: StateSpace
-    population: list[TclParams]
+    population: Population
     scheme: Scheme
     disturbance: list[tuple[float, float]]  # piecewise-constant (time, level)
     horizon: float
@@ -207,13 +206,13 @@ class Trace:
 
 
 def simulate(sc: Scenario) -> Trace:
-    n_loads = len(sc.population)
+    pop = sc.population
+    n_loads = len(pop)
     if n_loads == 0:
         raise SimulationError("population is empty")
     if not is_hurwitz(sc.grid):
         raise SimulationError("grid model is not Hurwitz-certified")
 
-    pop = Population.of(sc.population)
     scheme = sc.scheme
     freq_active = scheme.kind == "deterministic"
     randomized = scheme.kind == "randomized"

@@ -25,7 +25,7 @@ from .grid_model import (
     default_gen_dynamics,
 )
 from .hybrid_sim import Scenario, valid_seed
-from .tcl import PopulationSpec, Scheme, TclParams, sample_population
+from .tcl import Population, PopulationSpec, Scheme, sample_population
 
 
 class ScenarioError(ValueError):
@@ -70,11 +70,32 @@ class ScenarioFile:
         n_loads = self.population.n_loads
         if not isinstance(n_loads, numbers.Integral) or isinstance(n_loads, bool):
             raise ScenarioError(f"population.n_loads must be an integer, got {n_loads!r}")
+        gen, ranges = self.gen, self.population.param_ranges or {}
+        values = {
+            "grid.m": self.grid_m,
+            "grid.d": self.grid_d,
+            "grid.gen.a_hat": gen.a_hat,
+            "grid.gen.b_hat": gen.b_hat,
+            "grid.gen.c_hat": gen.c_hat,
+            "grid.gen.d_hat": gen.d_hat,
+            "population.gamma": self.population.gamma,
+            **{f"population.ranges.{name}": pair for name, pair in ranges.items()},
+            "scheme.k_pi": self.scheme.k_pi,
+            "scheme.v_des": self.scheme.v_des,
+            "disturbance": self.disturbance,
+            "design.delta": self.design.delta,
+            "design.margin": self.design.margin,
+            "design.threshold_range": self.design.threshold_range,
+        }
+        for name, value in values.items():
+            value = np.asarray(value, dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise ScenarioError(f"{name} must hold finite numbers, got {value.tolist()}")
 
     def build_grid(self) -> StateSpace:
         return build_combined_system(self.gen, self.grid_m, self.grid_d)
 
-    def build_population(self) -> tuple[list[TclParams], AllocationResult | None]:
+    def build_population(self) -> tuple[Population, AllocationResult | None]:
         from .grid_model import one_norm
 
         pop = sample_population(self.population)
@@ -127,12 +148,12 @@ def _parse_gen(doc: dict) -> GenDynamics:
         preset = doc.get("gen", {}).get("preset", "governor-integral")
         if preset != "governor-integral":
             raise ScenarioError(f"unknown gen preset {preset!r}")
-        params = doc.get("gen", {})
-        return default_gen_dynamics(
-            t_g=float(params.get("t_g", 5.0)),
-            k_p=float(params.get("k_p", 20.0)),
-            k_i=float(params.get("k_i", 1.0)),
-        )
+        given = doc.get("gen", {})
+        params = {name: float(given[name]) for name in ("t_g", "k_p", "k_i") if name in given}
+        for name, value in params.items():
+            if not (math.isfinite(value) and (name != "t_g" or value > 0)):
+                raise ScenarioError(f"grid.gen.{name} must be finite (t_g positive), got {value}")
+        return default_gen_dynamics(**params)
     gen = doc["gen"]
     try:
         return GenDynamics(

@@ -72,13 +72,12 @@ def time_variance(ts: TimeSeries, window: tuple[float, float]) -> float:
     return mean_sq - mean * mean
 
 
-def theoretical_variance(pop: list[TclParams] | Population, warn=None) -> float:
+def theoretical_variance(pop: Population, warn=None) -> float:
     """Closed-form long-run variance sum alpha_j (1 - alpha_j) d_bar_j^2.
 
     Exact for equal-magnitude populations; for unequal magnitudes the same
     per-load Bernoulli form is used and a warning is emitted via `warn`.
     """
-    pop = Population.of(pop)
     if warn is not None and np.any(pop.d_bar != pop.d_bar[0]):
         warn("population magnitudes are unequal; using per-load Bernoulli terms")
     return float(np.sum(pop.alpha * (1.0 - pop.alpha) * pop.d_bar**2))
@@ -89,7 +88,7 @@ SWITCH_BLOCK = 256
 
 
 def free_run_events(
-    pop: list[TclParams] | Population, temperatures, sigmas, horizon: float
+    pop: Population, temperatures, sigmas, horizon: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Demand events of isolated loads on [0, horizon]: for load 0, then load
     1 and so on, its level at t = 0, then its switch instants with steps
@@ -97,7 +96,6 @@ def free_run_events(
     level instead), and each later one adds the stroke of the state switched
     to, one at a time: a row-wise cumsum over blocks of SWITCH_BLOCK loads.
     """
-    pop = Population.of(pop)
     sigmas = np.asarray(sigmas)
     first = next_thermostat_event(pop, np.asarray(temperatures, dtype=float), sigmas)
     # each switch is followed by the stroke of the state it switched to
@@ -127,11 +125,11 @@ def free_run_events(
 
 def demand_series(p: TclParams, temperature: float, sigma: int, horizon: float) -> TimeSeries:
     """Free-running demand of a single load as an exact piecewise signal."""
-    return aggregate_demand_series([p], [temperature], [sigma], horizon)
+    return aggregate_demand_series(Population.of([p]), [temperature], [sigma], horizon)
 
 
 def aggregate_demand_series(
-    pop: list[TclParams] | Population, temperatures, sigmas, horizon: float
+    pop: Population, temperatures, sigmas, horizon: float
 ) -> TimeSeries:
     """Aggregate free-running demand of the whole population, built by merging
     every load's analytic switch instants."""

@@ -1,10 +1,12 @@
 """Per-load TCL physics: parameters, closed-form temperature flows, switching
 logic, natural periods and duty cycles.
 
-Every per-load law is written once, over attribute access and NumPy
-operations. It takes either one `TclParams` with scalar state or a
-structure-of-arrays `Population` (same field names) with array state, and the
-simulator, design and statistics code all call it.
+`Population` is the population type: sampling draws straight into it, and
+the design, simulator and statistics code take and return it. `TclParams` is
+one load, as `Population[j]` returns it. Every per-load law, the validity
+checks and the stroke formulas included, is written once over attribute
+access and NumPy operations, so it takes either one `TclParams` with scalar
+state or a `Population` (same field names) with array state.
 
 Cooling devices only: the ON target temperature t_amb - cop * d_bar lies below
 the lower threshold and the ambient lies above the upper threshold, so the
@@ -14,7 +16,7 @@ hysteresis loop has no equilibrium and both strokes complete in finite time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +40,8 @@ DEFAULT_RANGES: dict[str, tuple[float, float]] = {
 
 @dataclass(frozen=True)
 class TclParams:
+    """One load: the record that `Population[j]` returns."""
+
     d_bar: float    # load magnitude, pu
     t_lo: float     # lower temperature threshold, C
     t_hi: float     # upper temperature threshold, C
@@ -48,29 +52,7 @@ class TclParams:
     eps: float      # temperature deadband guarding frequency switches, C
 
     def __post_init__(self):
-        if self.d_bar <= 0:
-            raise TclError(f"d_bar must be positive, got {self.d_bar}")
-        if not (self.t_hi > self.t_lo > 0):
-            raise TclError(f"need t_hi > t_lo > 0, got t_hi={self.t_hi}, t_lo={self.t_lo}")
-        if self.k <= 0:
-            raise TclError(f"k must be positive, got {self.k}")
-        if self.cop <= 0:
-            raise TclError(f"cop must be positive, got {self.cop}")
-        if self.t_amb <= self.t_hi:
-            raise TclError(
-                f"cooling device needs t_amb > t_hi, got t_amb={self.t_amb}, t_hi={self.t_hi}"
-            )
-        if self.target_on >= self.t_lo:
-            raise TclError(
-                "cooling device needs t_amb - cop*d_bar < t_lo, got "
-                f"{self.target_on} >= {self.t_lo}"
-            )
-        if self.omega1 <= 0:
-            raise TclError(f"omega1 must be positive, got {self.omega1}")
-        if not (0 < self.eps < (self.t_hi - self.t_lo) / 2):
-            raise TclError(
-                f"eps must lie in (0, {(self.t_hi - self.t_lo) / 2}), got {self.eps}"
-            )
+        check_loads(self)
 
     @property
     def target_on(self) -> float:
@@ -78,20 +60,21 @@ class TclParams:
 
     @property
     def pi_on(self) -> float:
-        """Closed-form ON stroke duration of the free-running load."""
-        target = self.target_on
-        return math.log((self.t_hi - target) / (self.t_lo - target)) / self.k
+        return on_off_durations(self)[0]
 
     @property
     def pi_off(self) -> float:
-        """Closed-form OFF stroke duration of the free-running load."""
-        return math.log((self.t_amb - self.t_lo) / (self.t_amb - self.t_hi)) / self.k
+        return on_off_durations(self)[1]
+
+
+LOAD_FIELDS = [f.name for f in fields(TclParams)]
 
 
 @dataclass(frozen=True, eq=False)
 class Population:
-    """Structure-of-arrays population: one array per TclParams field, plus the
-    strokes, duty cycles and worst-case responsive fractions, built once."""
+    """The population type: one array per TclParams field, plus the strokes,
+    duty cycles and worst-case responsive fractions, derived once. `pop[j]`
+    is load j as a TclParams."""
 
     d_bar: np.ndarray
     t_lo: np.ndarray
@@ -101,31 +84,64 @@ class Population:
     t_amb: np.ndarray
     omega1: np.ndarray
     eps: np.ndarray
-    pi_on: np.ndarray
-    pi_off: np.ndarray
+    pi_on: np.ndarray = field(init=False)
+    pi_off: np.ndarray = field(init=False)
     alpha: np.ndarray = field(init=False)
     zeta: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        check_loads(self)
+        for name, value in zip(("pi_on", "pi_off"), on_off_durations(self)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "alpha", duty_cycle(self))
         object.__setattr__(self, "zeta", zeta(self))
 
     @classmethod
-    def of(cls, pop: list[TclParams] | Population) -> Population:
-        """The structure-of-arrays form of pop (pop itself if it already is one)."""
-        if isinstance(pop, Population):
-            return pop
-        return cls(**{name: np.array([getattr(p, name) for p in pop]) for name in _SOA_FIELDS})
+    def of(cls, loads: list[TclParams]) -> Population:
+        """The population of a list of single loads."""
+        return cls(**{name: np.array([getattr(p, name) for p in loads]) for name in LOAD_FIELDS})
 
     def take(self, index) -> Population:
-        """The sub-population of the loads selected by an index array."""
-        return Population(**{name: getattr(self, name)[index] for name in _SOA_FIELDS})
+        """The sub-population of the loads selected by an index array; its
+        loads are already checked and their derived fields are sliced."""
+        sub = object.__new__(Population)
+        for f in fields(self):
+            object.__setattr__(sub, f.name, getattr(self, f.name)[index])
+        return sub
+
+    def __getitem__(self, j: int) -> TclParams:
+        return TclParams(**{name: float(getattr(self, name)[j]) for name in LOAD_FIELDS})
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
 
     def __len__(self) -> int:
         return self.d_bar.size
 
 
-_SOA_FIELDS = [f.name for f in fields(Population) if f.init]
+def check_loads(p: TclParams | Population) -> None:
+    """Raise TclError unless every load is a cooling device with positive
+    parameters. Each rule states what must hold, so a NaN breaks it."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        half_band = (p.t_hi - p.t_lo) / 2
+        rules = [
+            (p.d_bar > 0, "d_bar must be positive"),
+            ((p.t_hi > p.t_lo) & (p.t_lo > 0), "need t_hi > t_lo > 0"),
+            (p.k > 0, "k must be positive"),
+            (p.cop > 0, "cop must be positive"),
+            (p.t_amb > p.t_hi, "cooling device needs t_amb > t_hi"),
+            (_flow_target(p, 1) < p.t_lo, "cooling device needs t_amb - cop*d_bar < t_lo"),
+            (p.omega1 > 0, "omega1 must be positive"),
+            ((p.eps > 0) & (p.eps < half_band), "eps must lie in (0, (t_hi - t_lo)/2)"),
+        ]
+    if np.all([holds for holds, _ in rules]):
+        return
+    for holds, message in rules:
+        bad = np.flatnonzero(np.logical_not(holds))
+        if bad.size:
+            j = bad[0]
+            load = ", ".join(f"{n}={float(np.ravel(getattr(p, n))[j])}" for n in LOAD_FIELDS)
+            raise TclError(f"{f'load {j}: ' if np.ndim(p.d_bar) else ''}{message} ({load})")
 
 
 @dataclass(frozen=True)
@@ -157,9 +173,9 @@ class Scheme:
     def __post_init__(self):
         if self.kind not in ("conventional", "deterministic", "randomized"):
             raise TclError(f"unknown scheme kind {self.kind!r}")
-        if self.k_pi < 0:
+        if not (self.k_pi >= 0):
             raise TclError(f"k_pi must be nonnegative, got {self.k_pi}")
-        if self.v_des <= 0:
+        if not (self.v_des > 0):
             raise TclError(f"v_des must be positive, got {self.v_des}")
 
     @staticmethod
@@ -180,8 +196,14 @@ class Scheme:
 
 
 def on_off_durations(p: TclParams | Population) -> tuple[float, float]:
-    """Closed-form ON and OFF stroke durations of the free-running load."""
-    return p.pi_on, p.pi_off
+    """Closed-form ON and OFF stroke durations of the free-running load. The
+    logarithm is math.log, elementwise on arrays: np.log differs from it in
+    the last bit on some inputs."""
+    target = _flow_target(p, 1)
+    ratios = ((p.t_hi - target) / (p.t_lo - target), (p.t_amb - p.t_lo) / (p.t_amb - p.t_hi))
+    if np.ndim(p.k) == 0:
+        return tuple(math.log(r) / p.k for r in ratios)
+    return tuple(np.array([math.log(v) for v in r.tolist()]) / p.k for r in ratios)
 
 
 def period(p: TclParams | Population) -> float:
@@ -280,43 +302,23 @@ def jump_target(
     return target.astype(np.int8)[()]
 
 
-def sample_population(spec: PopulationSpec) -> list[TclParams]:
+def sample_population(spec: PopulationSpec) -> Population:
     """Draw a population with equal magnitudes gamma/n_loads and the other
     fields i.i.d. uniform over the range box. Deterministic in the seed."""
     if spec.n_loads < 1:
         raise TclError(f"n_loads must be positive, got {spec.n_loads}")
-    if spec.gamma <= 0:
+    if not (spec.gamma > 0):
         raise TclError(f"gamma must be positive, got {spec.gamma}")
     ranges = spec.ranges()
     _check_range_box(ranges)
     d_bar = spec.gamma / spec.n_loads
     rng = np.random.default_rng(spec.seed)
-    n = spec.n_loads
-
-    def draw(name: str) -> np.ndarray:
-        lo, hi = ranges[name]
-        return rng.uniform(lo, hi, size=n)
-
-    t_amb = draw("t_amb")
-    t_hi = draw("t_hi")
-    t_lo = draw("t_lo")
-    k = draw("k")
-    cop_scale = draw("cop_scale")
-    omega1 = draw("omega1")
-    eps = draw("eps")
-    return [
-        TclParams(
-            d_bar=d_bar,
-            t_lo=float(t_lo[i]),
-            t_hi=float(t_hi[i]),
-            k=float(k[i]),
-            cop=float(cop_scale[i]) / d_bar,
-            t_amb=float(t_amb[i]),
-            omega1=float(omega1[i]),
-            eps=float(eps[i]),
-        )
-        for i in range(n)
-    ]
+    draws = {
+        name: rng.uniform(*ranges[name], size=spec.n_loads)
+        for name in ("t_amb", "t_hi", "t_lo", "k", "cop_scale", "omega1", "eps")
+    }
+    cop = draws.pop("cop_scale") / d_bar
+    return Population(d_bar=np.full(spec.n_loads, d_bar), cop=cop, **draws)
 
 
 def _check_range_box(ranges: dict[str, tuple[float, float]]) -> None:
@@ -342,11 +344,8 @@ def _check_range_box(ranges: dict[str, tuple[float, float]]) -> None:
         raise TclError(f"eps range must lie in (0, {half_band})")
 
 
-def sample_initial_states(
-    pop: list[TclParams] | Population, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_initial_states(pop: Population, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Temperatures uniform in [t_lo, t_hi], switch states Bernoulli(alpha)."""
-    pop = Population.of(pop)
     rng = np.random.default_rng(seed)
     temps = rng.uniform(pop.t_lo, pop.t_hi)
     sigmas = (rng.random(len(pop)) < pop.alpha).astype(np.int8)
@@ -363,7 +362,7 @@ class DistinctnessReport:
 
 
 def check_period_distinctness(
-    pop: list[TclParams] | Population, rel_tol: float = 1e-6, max_den: int = 10
+    pop: Population, rel_tol: float = 1e-6, max_den: int = 10
 ) -> DistinctnessReport:
     """Proxy for the irrational-period-ratio assumption: flag pairs whose
     period ratio sits within rel_tol of a rational p/q with p, q <= max_den.
@@ -371,7 +370,7 @@ def check_period_distinctness(
     those candidates get the exact test, in (i, j) order."""
     if len(pop) < 2:
         raise TclError("need at least two loads")
-    periods = period(Population.of(pop))
+    periods = period(pop)
     order = np.argsort(periods, kind="stable")
     ranked = periods[order]
     band = 1.01 * rel_tol + 1e-12  # covers the rounding of the exact test
@@ -409,7 +408,3 @@ def _nearby_low_rational(rho: float, rel_tol: float, max_den: int) -> Fraction |
             if best is None or frac.denominator < best.denominator:
                 best = frac
     return best
-
-
-def with_threshold(p: TclParams, omega1: float) -> TclParams:
-    return replace(p, omega1=omega1)

@@ -240,6 +240,66 @@ class TestErrors:
         assert main(["certify", "--scenario", str(scenario)]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value, options, field",
+        [
+            (["design", "delta"], math.nan, [], "design.delta"),
+            (["population", "gamma"], math.nan, [], "population.gamma"),
+            (["grid", "m"], math.nan, [], "grid.m"),
+            (["grid", "gen", "t_g"], math.nan, [], "grid.gen.t_g"),
+            (["grid", "gen", "t_g"], math.inf, [], "grid.gen.t_g"),
+            (["scheme"], {"kind": "randomized", "k_pi": math.nan}, [], "k_pi"),
+            (["disturbance"], [[0.0, 0.0], [1.0, math.inf]], [], "disturbance"),
+            ([], None, ["--delta", "nan"], "design.delta"),
+            ([], None, ["--margin", "nan"], "design.margin"),
+        ],
+        ids=["delta", "gamma", "m", "t_g", "t_g-inf", "k_pi", "disturbance", "delta-option", "margin-option"],
+    )
+    @pytest.mark.parametrize("command", ["run", "certify", "stats"])
+    def test_non_finite_number_is_config_error(
+        self, tmp_path, capsys, command, path, value, options, field
+    ):
+        doc = yaml.safe_load(SHIPPED_SCENARIO.read_text())
+        if path:
+            *parents, key = path
+            section = doc
+            for name in parents:
+                section = section[name]
+            section[key] = value
+        scenario = tmp_path / "non_finite.yaml"
+        scenario.write_text(yaml.safe_dump(doc))
+        argv = [command, "--scenario", str(scenario), "--horizon", "2", *options]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and field in err
+
+
+def test_commands_build_no_per_load_list(tmp_path, monkeypatch):
+    """`certify`, `stats` and `run` carry one Population from sampling to
+    output: only the cross-term pairs of `stats` build single-load records,
+    at most two per pair."""
+    from tclgrid.tcl import TclParams
+
+    built = 0
+    check = TclParams.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        check(self)
+
+    monkeypatch.setattr(TclParams, "__post_init__", counted)
+    for argv, allowed in (
+        (["certify"], 0),
+        (["stats", "--pairs", "5"], 2 * 5),
+        (["run", "--horizon", "2", "--out", str(tmp_path / "o")], 0),
+    ):
+        built = 0
+        assert main([argv[0], "--scenario", str(SHIPPED_SCENARIO), *argv[1:]]) == 0
+        assert built <= allowed, argv[0]
+
 
 @pytest.mark.parametrize("command", ["certify", "stats"])
 def test_shipped_scenario_output_is_pinned(capsys, command):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from tclgrid.design import (
     verify_design_condition,
     zeta,
 )
-from tclgrid.tcl import PopulationSpec, duty_cycle, sample_population, with_threshold
+from tclgrid.tcl import Population, PopulationSpec, duty_cycle, sample_population
 
 
 def dense_grid_verdict(pop, l_hat, delta, n_points=10_000):
@@ -31,25 +34,25 @@ def dense_grid_verdict(pop, l_hat, delta, n_points=10_000):
 class TestVerifier:
     def test_single_load_threshold_cases(self):
         pop = sample_population(PopulationSpec(1, 0.01, seed=1))
-        p = with_threshold(pop[0], 0.1)
+        p = dataclasses.replace(pop, omega1=np.array([0.1]))
         l_hat = 0.5
         # responsive magnitude zeta*d_bar ~ 0.005-ish, bound (0.1-delta)/0.5
-        report = verify_design_condition([p], l_hat, delta=0.001)
+        report = verify_design_condition(p, l_hat, delta=0.001)
         assert report.satisfied
         # push the bound below the load by shrinking the threshold
-        tight = with_threshold(p, 0.0011)
-        report2 = verify_design_condition([tight], l_hat, delta=0.001)
+        tight = dataclasses.replace(p, omega1=np.array([0.0011]))
+        report2 = verify_design_condition(tight, l_hat, delta=0.001)
         assert not report2.satisfied
         assert len(report2.violations) == 1
 
     def test_delta_at_or_above_min_threshold_cannot_hold(self):
-        pop = [with_threshold(p, 0.05) for p in sample_population(PopulationSpec(3, 0.03, seed=2))]
+        pop = dataclasses.replace(sample_population(PopulationSpec(3, 0.03, seed=2)), omega1=np.full(3, 0.05))
         report = verify_design_condition(pop, 0.5, delta=0.05)
         assert not report.satisfied
         assert "cannot hold" in report.note
 
     def test_empty_population_trivially_satisfied(self):
-        report = verify_design_condition([], 0.5, 0.001)
+        report = verify_design_condition(Population.of([]), 0.5, 0.001)
         assert report.satisfied
         assert report.worst_point is None
 
@@ -59,6 +62,14 @@ class TestVerifier:
             verify_design_condition(pop, -1.0, 0.001)
         with pytest.raises(DesignError):
             verify_design_condition(pop, 0.5, 0.0)
+
+    @pytest.mark.parametrize("l_hat, delta", [(math.nan, 0.001), (0.5, math.nan)])
+    def test_nan_inputs_rejected(self, l_hat, delta):
+        pop = sample_population(PopulationSpec(2, 0.01, seed=3))
+        with pytest.raises(DesignError):
+            verify_design_condition(pop, l_hat, delta)
+        with pytest.raises(DesignError):
+            allocate_thresholds(pop, l_hat, delta)
 
     def test_agrees_with_dense_grid(self, default_l_hat):
         rng = np.random.default_rng(12345)

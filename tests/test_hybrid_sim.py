@@ -40,7 +40,7 @@ REFERENCE = TclParams(
 def single_load_scenario(**overrides) -> Scenario:
     base = dict(
         grid=default_grid(),
-        population=[REFERENCE],
+        population=Population.of([REFERENCE]),
         scheme=Scheme.conventional(),
         disturbance=[(0.0, 0.0)],
         horizon=1000.0,
@@ -148,7 +148,7 @@ class TestPopulationRuns:
 
     def test_empty_population_rejected(self):
         with pytest.raises(SimulationError):
-            simulate(single_load_scenario(population=[]))
+            simulate(single_load_scenario(population=Population.of([])))
 
     def test_non_hurwitz_grid_rejected(self):
         from tclgrid.grid_model import StateSpace
@@ -216,9 +216,7 @@ def held_steps(draw):
     any load at the start), many of them just short of a guard or a
     thermostat threshold their flow reaches within the step."""
     n = draw(st.integers(1, 30))
-    pop = Population.of(
-        sample_population(PopulationSpec(n, gamma=0.2, seed=draw(st.integers(0, 2**31))))
-    )
+    pop = sample_population(PopulationSpec(n, gamma=0.2, seed=draw(st.integers(0, 2**31))))
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     sigmas = rng.integers(0, 2, n).astype(np.int8)
     temps = rng.uniform(pop.t_lo, pop.t_hi)

@@ -36,6 +36,13 @@ class TestParsing:
         grid = sf.build_grid()
         assert grid.n == 2
 
+    @pytest.mark.parametrize("t_g", [0.0, -5.0])
+    def test_non_positive_governor_time_constant_rejected(self, t_g):
+        gen = {"preset": "governor-integral", "t_g": t_g}
+        doc = dict(MINIMAL, grid={"m": 10.0, "d": 1.0, "gen": gen})
+        with pytest.raises(ScenarioError, match="grid.gen.t_g"):
+            from_dict(doc)
+
     def test_explicit_matrices(self):
         doc = dict(MINIMAL)
         doc["grid"] = {

@@ -126,7 +126,9 @@ def free_run_cases(draw):
 class TestFreeRun:
     def test_switch_cadence_matches_strokes(self):
         pi_on, pi_off = on_off_durations(REFERENCE)
-        times, deltas = free_run_events([REFERENCE], [REFERENCE.t_hi], [1], horizon=5000.0)
+        times, deltas = free_run_events(
+            Population.of([REFERENCE]), [REFERENCE.t_hi], [1], horizon=5000.0
+        )
         # starting ON at the top: first switch after a full ON stroke
         assert times[0] == 0.0 and deltas[0] == REFERENCE.d_bar
         assert times[1] == pytest.approx(pi_on)
@@ -142,7 +144,7 @@ class TestFreeRun:
         pop = sample_population(PopulationSpec(60, 0.3, seed=8))
         temps, sigmas = sample_initial_states(pop, seed=8)
         # every load twice, once per initial state, plus two starting on a threshold
-        pop = pop + pop + [REFERENCE, REFERENCE]
+        pop = Population.of([*pop, *pop, REFERENCE, REFERENCE])
         temps = np.concatenate([temps, temps, [REFERENCE.t_hi, REFERENCE.t_lo]])
         sigmas = np.concatenate([sigmas, 1 - sigmas, [0, 1]]).astype(np.int8)
         times, deltas = free_run_events(pop, temps, sigmas, horizon)
@@ -180,8 +182,9 @@ class TestFreeRun:
         want = reference_aggregate(pop, temps, sigmas, horizon)
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.values, want.values)
+        # the same loads rebuilt from their per-load records give the same series
         assert np.array_equal(
-            aggregate_demand_series(Population.of(pop), temps, sigmas, horizon).values,
+            aggregate_demand_series(Population.of(list(pop)), temps, sigmas, horizon).values,
             want.values,
         )
         for p, temp, sig in zip(pop, temps, sigmas):
@@ -233,7 +236,7 @@ class TestVarianceTheory:
         import dataclasses
 
         pop = sample_population(PopulationSpec(2, 0.02, seed=2))
-        uneven = [pop[0], dataclasses.replace(pop[1], d_bar=pop[1].d_bar * 2)]
+        uneven = Population.of([pop[0], dataclasses.replace(pop[1], d_bar=pop[1].d_bar * 2)])
         messages = []
         theoretical_variance(uneven, warn=messages.append)
         assert messages

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tclgrid.tcl import (
+    LOAD_FIELDS,
     Population,
     PopulationSpec,
     Scheme,
@@ -24,7 +25,6 @@ from tclgrid.tcl import (
     switching_rate,
     temp_flow,
     trigger_levels,
-    with_threshold,
     zeta,
 )
 
@@ -59,9 +59,9 @@ def planted_periods(draw):
     rel_tol band."""
     rel_tol = draw(st.sampled_from([1e-6, 1e-3]))
     max_den = draw(st.sampled_from([3, 10]))
-    pop = sample_population(
+    pop = list(sample_population(
         PopulationSpec(draw(st.integers(2, 8)), 0.1, seed=draw(st.integers(0, 2**32 - 1)))
-    )
+    ))
     offsets = st.one_of(
         st.sampled_from([0.0, 1.0, -1.0, 1 - 1e-9, -1 + 1e-9, 1 + 1e-9, -1 - 1e-9]),
         st.floats(-2.0, 2.0),
@@ -168,6 +168,22 @@ class TestValidation:
         with pytest.raises(TclError):
             Scheme("thermostatic")
 
+    @pytest.mark.parametrize("name", LOAD_FIELDS)
+    def test_nan_field_rejected(self, name):
+        # the error reports the offending load's fields
+        with pytest.raises(TclError, match=f"{name}=nan"):
+            dataclasses.replace(REFERENCE, **{name: math.nan})
+        pop = sample_population(PopulationSpec(5, 0.05, seed=1))
+        bad = getattr(pop, name).copy()
+        bad[3] = math.nan
+        with pytest.raises(TclError, match=f"^load 3: .*{name}=nan"):
+            dataclasses.replace(pop, **{name: bad})
+
+    @pytest.mark.parametrize("field", ["k_pi", "v_des"])
+    def test_nan_scheme_gain_rejected(self, field):
+        with pytest.raises(TclError, match=field):
+            Scheme("randomized", **{field: math.nan})
+
 
 DETERMINISTIC = Scheme.deterministic()
 CONVENTIONAL = Scheme.conventional()
@@ -244,9 +260,8 @@ class TestSwitchingLogic:
 def population_states(draw):
     """A sampled population with states around and beyond each thermostat band."""
     n = draw(st.integers(1, 40))
-    pop = sample_population(PopulationSpec(n, gamma=0.2, seed=draw(st.integers(0, 2**31))))
+    soa = sample_population(PopulationSpec(n, gamma=0.2, seed=draw(st.integers(0, 2**31))))
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
-    soa = Population.of(pop)
     band = soa.t_hi - soa.t_lo
     temps = rng.uniform(soa.t_lo - 0.1 * band, soa.t_hi + 0.1 * band)
     # put some loads exactly on a threshold or an eps guard
@@ -259,7 +274,7 @@ def population_states(draw):
         st.floats(-0.4, 0.4),
         st.sampled_from([float(w) for w in soa.omega1] + [float(-w) for w in soa.omega1]),
     ))
-    return pop, soa, temps, sigmas, fired, omega
+    return list(soa), soa, temps, sigmas, fired, omega
 
 
 class TestKernelScalarArrayAgreement:
@@ -298,7 +313,9 @@ class TestKernelScalarArrayAgreement:
 class TestPopulationSampling:
     def test_deterministic_in_seed(self):
         spec = PopulationSpec(n_loads=20, gamma=0.1, seed=42)
-        assert sample_population(spec) == sample_population(spec)
+        a, b = sample_population(spec), sample_population(spec)
+        for f in dataclasses.fields(Population):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
     def test_equal_magnitudes_and_valid_params(self):
         spec = PopulationSpec(n_loads=50, gamma=0.25, seed=3)
@@ -311,7 +328,9 @@ class TestPopulationSampling:
     def test_different_seeds_differ(self):
         a = sample_population(PopulationSpec(5, 0.1, seed=1))
         b = sample_population(PopulationSpec(5, 0.1, seed=2))
-        assert a != b
+        # every drawn field differs; d_bar is gamma/n_loads for both
+        for name in ("t_lo", "t_hi", "k", "cop", "t_amb", "omega1", "eps"):
+            assert not np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_infeasible_range_box_rejected(self):
         spec = PopulationSpec(
@@ -335,7 +354,7 @@ class TestPopulationSampling:
 
     def test_distinctness_flags_identical_periods(self):
         p = REFERENCE
-        report = check_period_distinctness([p, p])
+        report = check_period_distinctness(Population.of([p, p]))
         assert not report.ok
         (i, j, rho, frac) = report.flagged[0]
         assert (i, j) == (0, 1)
@@ -347,11 +366,65 @@ class TestPopulationSampling:
     def test_distinctness_matches_brute_force_pair_loop(self, case):
         pop, rel_tol, max_den = case
         expected = brute_force_distinctness(pop, rel_tol, max_den)
-        assert check_period_distinctness(pop, rel_tol, max_den).flagged == expected
         assert check_period_distinctness(Population.of(pop), rel_tol, max_den).flagged == expected
 
-    def test_with_threshold(self):
-        q = with_threshold(REFERENCE, 0.2)
-        assert q.omega1 == 0.2
-        assert q.t_lo == REFERENCE.t_lo
-        assert period(q) == period(REFERENCE)
+    def test_replaced_threshold_keeps_the_load(self):
+        q = dataclasses.replace(Population.of([REFERENCE]), omega1=np.array([0.2]))
+        assert q[0] == dataclasses.replace(REFERENCE, omega1=0.2)
+        assert period(q)[0] == period(REFERENCE)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 2000),
+        gamma=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**64 - 1),
+        omega1=st.sampled_from([None, (0.05, 0.06), (0.2, 0.2)]),
+    )
+    def test_matches_per_load_reference(self, n, gamma, seed, omega1):
+        spec = PopulationSpec(n, gamma, seed, None if omega1 is None else {"omega1": omega1})
+        got = sample_population(spec)
+        loads, want = reference_population(spec)
+        for f in dataclasses.fields(Population):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+        # the strokes are the per-load math.log values, not np.log ones
+        assert got.pi_on.tolist() == [math_log_strokes(p)[0] for p in loads]
+        assert got.pi_off.tolist() == [math_log_strokes(p)[1] for p in loads]
+        assert list(got) == loads
+
+
+def reference_population(spec: PopulationSpec) -> tuple[list[TclParams], Population]:
+    """The per-load construction: one TclParams per load from the same draws
+    in the same order, then the population of that list."""
+    ranges = spec.ranges()
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_loads
+    t_amb = rng.uniform(*ranges["t_amb"], size=n)
+    t_hi = rng.uniform(*ranges["t_hi"], size=n)
+    t_lo = rng.uniform(*ranges["t_lo"], size=n)
+    k = rng.uniform(*ranges["k"], size=n)
+    cop_scale = rng.uniform(*ranges["cop_scale"], size=n)
+    omega1 = rng.uniform(*ranges["omega1"], size=n)
+    eps = rng.uniform(*ranges["eps"], size=n)
+    d_bar = spec.gamma / n
+    loads = [
+        TclParams(
+            d_bar=d_bar,
+            t_lo=float(t_lo[i]),
+            t_hi=float(t_hi[i]),
+            k=float(k[i]),
+            cop=float(cop_scale[i]) / d_bar,
+            t_amb=float(t_amb[i]),
+            omega1=float(omega1[i]),
+            eps=float(eps[i]),
+        )
+        for i in range(n)
+    ]
+    return loads, Population.of(loads)
+
+
+def math_log_strokes(p: TclParams) -> tuple[float, float]:
+    target = p.t_amb - p.cop * p.d_bar
+    return (
+        math.log((p.t_hi - target) / (p.t_lo - target)) / p.k,
+        math.log((p.t_amb - p.t_lo) / (p.t_amb - p.t_hi)) / p.k,
+    )
