@@ -310,6 +310,33 @@ def test_shipped_scenario_output_is_pinned(capsys, command):
     assert capsys.readouterr().out == expected
 
 
+def read_pinned_switches(path):
+    """The recorded switch log and the header line's sample count and peak
+    |omega| of a pinned run."""
+    lines = path.read_text().splitlines()
+    fields = dict(part.split(": ") for part in lines[0].lstrip("# ").split("; ")[1:])
+    rows = [line.split(",") for line in lines[2:]]
+    return rows, int(fields["samples"]), float(fields["peak_abs_omega_hz"])
+
+
+@pytest.mark.parametrize("scheme", ["deterministic", "randomized"])
+def test_shipped_switch_sequence_is_pinned(tmp_path, scheme):
+    """`run` on the shipped scenario at a 60 s horizon makes the recorded
+    switches in the recorded order. Times may move by rounding of the flow
+    and the event search, never by more than 1e-5 s."""
+    rows, samples, peak = read_pinned_switches(DATA / f"switches_desk_h60_{scheme}.csv")
+    out = tmp_path / scheme
+    argv = ["run", "--scenario", str(SHIPPED_SCENARIO), "--out", str(out)]
+    assert main([*argv, "--horizon", "60", "--scheme", scheme]) == 0
+    got = [line.split(",") for line in (out / "switch_events.csv").read_text().splitlines()[1:]]
+    assert [r[1:] for r in got] == [r[1:] for r in rows]
+    times = np.array([float(r[0]) for r in got])
+    np.testing.assert_allclose(times, [float(r[0]) for r in rows], rtol=0, atol=1e-5)
+    assert len((out / "trace.csv").read_text().splitlines()) - 1 == samples
+    metrics = dict(line.split(": ") for line in (out / "metrics.txt").read_text().splitlines())
+    assert float(metrics["peak_abs_omega_hz"]) == pytest.approx(peak, rel=1e-9, abs=0)
+
+
 SCIPY_FREE_SCRIPT = """
 import json, sys
 import numpy as np
