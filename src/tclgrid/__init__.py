@@ -48,4 +48,5 @@ from .tcl import (
     sample_population,
     switching_rate,
     temp_flow,
+    time_to_level,
 )

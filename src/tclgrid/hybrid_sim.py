@@ -1,14 +1,17 @@
 """Event-driven simulator of the coupled grid/TCL hybrid system.
 
 Between events the linear grid state advances by an exact matrix-exponential
-step (grid_model.transition, in modal form) and each load temperature by its
-closed-form flow. Thermostat crossings are solved analytically;
-frequency-threshold crossings are bracketed on the max_step grid and bisected
-to event_tol. The loads' frequency trigger levels are settled once per step
-(StepTriggers), so a bisection probe propagates the grid, compares omega with
-two scalars and runs the jump kernel only on the few loads whose guard or
-thermostat limit changes within the step. At an event every enabled load
-switches within a single jump instant, continuous state unchanged.
+step (grid_model.transition, in modal form). Each load's temperature is the
+closed-form held flow from its anchor, the temperature and time of its last
+switch (LoadAnchors), so its absolute thermostat time and the time its
+frequency branch opens stay fixed until that load switches. Steps end at the
+earliest thermostat time, the sample cadence, a disturbance change or a
+randomized clock. A step whose end enables a frequency jump is bisected to
+event_tol; a probe compares omega with two cached levels and the few loads
+whose branch opens within the step. Only the loads that switch are touched:
+a quiet step costs O(grid dimension) in the deterministic and conventional
+schemes. At an event every enabled load switches within a single jump
+instant, continuous state unchanged.
 
 Randomized clocks come from counter-based per-load Philox streams keyed by
 (seed, load index). ClockStreams draws each load's unit exponentials in
@@ -32,11 +35,13 @@ from .grid_model import StateSpace, TransitionCache, is_hurwitz
 from .tcl import (
     Population,
     Scheme,
+    frequency_branch,
     jump_target,
     next_thermostat_event,
     switching_rate,
     temp_flow,
-    trigger_levels,
+    thermostat_threshold,
+    time_to_level,
 )
 
 _SNAP_REL = 1e-12  # loads with threshold time within this of the step land exactly
@@ -70,13 +75,18 @@ class Scenario:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise SimulationError(f"{name} must be positive and finite, got {value}")
-        times = [t for t, _ in self.disturbance]
-        if not times or times[0] != 0.0 or any(
-            b <= a for a, b in zip(times, times[1:])
-        ):
-            raise SimulationError(
-                "disturbance must start at t=0 with strictly increasing times"
-            )
+        if not valid_disturbance(self.disturbance):
+            raise SimulationError(f"{DISTURBANCE_RULE}, got {self.disturbance}")
+
+
+DISTURBANCE_RULE = "disturbance must start at t=0 with strictly increasing times"
+
+
+def valid_disturbance(schedule) -> bool:
+    """Whether a piecewise-constant (time, level) schedule follows
+    DISTURBANCE_RULE."""
+    times = [t for t, _ in schedule]
+    return bool(times) and times[0] == 0.0 and all(b > a for a, b in zip(times, times[1:]))
 
 
 def valid_seed(value) -> bool:
@@ -128,55 +138,126 @@ class ClockStreams:
         return idx.size
 
 
-@dataclass(frozen=True)
-class StepTriggers:
-    """Frequency-jump test of one step with the switch states held, at O(1)
-    cost in the population size per probe.
+class LoadAnchors:
+    """Per-load state of the event loop, changed only at that load's own
+    switch or branch opening.
 
-    Within the step every temperature moves monotonically, so a load whose
-    trigger levels and thermostat-limit status agree at both ends of the step
-    keeps them throughout. Those loads reduce to two scalars: on_min (the
-    lowest ON level of the OFF loads) and off_max (the highest OFF level of
-    the ON loads). The rest, the flippers, are run through the kernel.
+    A load's temperature is the held flow from its anchor: temp0 at time t0
+    in switch state sigma. theta is its absolute thermostat time and guard the
+    time its frequency branch opens (tcl.frequency_branch), +inf once open;
+    branch is the branch's frequency level. lvl_on holds that level for OFF
+    loads with an open branch and +inf elsewhere, lvl_off for open ON loads
+    and -inf elsewhere. The scalars below are recomputed by refresh, after a
+    jump instant or a branch opening only.
     """
 
-    on_min: float
-    off_max: float
-    flippers: Population
-    temps: np.ndarray   # flipper temperatures at the step start
-    sigmas: np.ndarray  # flipper switch states
-    scheme: Scheme
+    def __init__(self, pop: Population, scheme: Scheme, temps, sigmas):
+        n = len(pop)
+        self.pop = pop
+        self.freq_active = scheme.kind == "deterministic"
+        self.temp0 = np.array(temps, dtype=float)
+        self.t0 = np.zeros(n)
+        self.sigma = np.array(sigmas, dtype=np.int8)
+        self.theta = np.empty(n)
+        self.guard = np.full(n, np.inf)
+        self.branch = np.empty(n)
+        self.lvl_on = np.full(n, np.inf)
+        self.lvl_off = np.full(n, -np.inf)
+        self.reanchor(np.arange(n), self.temp0, 0.0)
+        self.refresh()
 
-    @classmethod
-    def of(cls, pop: Population, temps, temps_end, sigmas, scheme: Scheme) -> StepTriggers:
-        """Summary of the step from temps to temps_end. The start must be
-        settled: no thermostat limit switches a load at temps."""
-        on_at, off_at = trigger_levels(pop, temps, scheme)
-        on_end, off_end = trigger_levels(pop, temps_end, scheme)
-        flip = (on_at != on_end) | (off_at != off_end)
-        flip |= (temps >= pop.t_hi) != (temps_end >= pop.t_hi)
-        flip |= (temps <= pop.t_lo) != (temps_end <= pop.t_lo)
-        idx = np.flatnonzero(flip)
-        off = sigmas == 0
-        return cls(
-            on_min=float(np.min(np.where(~flip & off, on_at, np.inf))),
-            off_max=float(np.max(np.where(~flip & ~off, off_at, -np.inf))),
-            flippers=pop.take(idx),
-            temps=temps[idx],
-            sigmas=sigmas[idx],
-            scheme=scheme,
-        )
+    def refresh(self) -> None:
+        self.theta_min = float(np.min(self.theta))
+        self.guard_min = float(np.min(self.guard))
+        self.on_min = float(np.min(self.lvl_on))
+        self.off_max = float(np.max(self.lvl_off))
+        self.d_s = float(np.dot(self.pop.d_bar, self.sigma))
+        # the mean of the 0/1 states, exactly
+        self.on_fraction = np.count_nonzero(self.sigma) / self.sigma.size
 
-    def any_jump(self, tau: float, omega: float) -> bool:
-        """Whether some load's jump is enabled tau into the step, with the
-        loads observing omega."""
+    def reanchor(self, idx: np.ndarray, temps: np.ndarray, now: float) -> None:
+        """Anchor loads idx at temps at time now, in their current states."""
+        sub = self.pop.take(idx)
+        sigma = self.sigma[idx]
+        self.temp0[idx] = temps
+        self.t0[idx] = now
+        self.theta[idx] = now + next_thermostat_event(sub, temps, sigma)
+        if not self.freq_active:
+            return
+        guard, level = frequency_branch(sub, sigma)
+        wait = time_to_level(sub, temps, sigma, guard)
+        is_open, off = wait == 0, sigma == 0
+        self.branch[idx] = level
+        self.guard[idx] = np.where(is_open, np.inf, now + wait)
+        self.lvl_on[idx] = np.where(is_open & off, level, np.inf)
+        self.lvl_off[idx] = np.where(is_open & ~off, level, -np.inf)
+
+    def temps_at(self, sub: Population, idx: np.ndarray, now: float) -> np.ndarray:
+        """Temperatures at now of the loads idx (sub = pop.take(idx)); now
+        must not lie past their thermostat times."""
+        t0, temp0 = self.t0[idx], self.temp0[idx]
+        return np.where(t0 == now, temp0, temp_flow(sub, temp0, self.sigma[idx], now - t0))
+
+    def snap_thermostats(self, start: float, dt: float) -> None:
+        """Land the loads whose thermostat time lies within the step from
+        start (to the snap tolerance) exactly on their threshold at its end."""
+        reach = dt * (1.0 + _SNAP_REL)
+        if self.theta_min - start > reach:
+            return
+        idx = np.flatnonzero(self.theta - start <= reach)
+        now = start + dt
+        self.temp0[idx] = thermostat_threshold(self.pop.take(idx), self.sigma[idx])
+        self.t0[idx] = now
+        self.theta[idx] = now
+        self.theta_min = min(self.theta_min, now)
+
+    def open_branches(self, now: float) -> None:
+        """Open the frequency branches whose guard time has come by now."""
+        if self.guard_min > now:
+            return
+        idx = np.flatnonzero(self.guard <= now)
+        on, off = self._open_levels(idx)
+        self.lvl_on[idx], self.lvl_off[idx] = on, off
+        self.guard[idx] = np.inf
+        self.guard_min = float(np.min(self.guard))
+        self.on_min = min(self.on_min, float(np.min(on)))
+        self.off_max = max(self.off_max, float(np.max(off)))
+
+    def flippers(self, until: float):
+        """(guard, lvl_on, lvl_off) of the loads whose branch opens by until,
+        levels as once open; None when there are none."""
+        if self.guard_min > until:
+            return None
+        idx = np.flatnonzero(self.guard <= until)
+        return self.guard[idx], *self._open_levels(idx)
+
+    def _open_levels(self, idx: np.ndarray):
+        off = self.sigma[idx] == 0
+        level = self.branch[idx]
+        return np.where(off, level, np.inf), np.where(off, -np.inf, level)
+
+    def freq_jump(self, omega: float, now: float, flippers) -> bool:
+        """Whether a frequency jump is enabled at time now with the loads
+        observing omega. now lies within the step that flippers was taken for,
+        and no load switches before it."""
         if omega >= self.on_min or omega <= self.off_max:
             return True
-        if not len(self.flippers):
+        if flippers is None:
             return False
-        temps = temp_flow(self.flippers, self.temps, self.sigmas, tau)
-        target = jump_target(self.flippers, temps, self.sigmas, omega, self.scheme)
-        return bool(np.any(target != self.sigmas))
+        guard, on, off = flippers
+        return bool(np.any((guard <= now) & ((omega >= on) | (omega <= off))))
+
+    def candidates(self, omega: float, now: float, fired: np.ndarray | None) -> np.ndarray:
+        """Ascending indices of the loads whose jump may be enabled at now:
+        thermostat-due, beyond their frequency level or with a fired clock."""
+        parts = []
+        if self.theta_min <= now:
+            parts.append(np.flatnonzero(self.theta <= now))
+        if omega >= self.on_min or omega <= self.off_max:
+            parts.append(np.flatnonzero((self.lvl_on <= omega) | (self.lvl_off >= omega)))
+        if fired is not None:
+            parts.append(np.flatnonzero(fired))
+        return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.intp)
 
 
 CAUSE_THERMO_HI = "thermostat-hi"
@@ -219,12 +300,12 @@ def simulate(sc: Scenario) -> Trace:
     zeno_max = sc.zeno_max if sc.zeno_max is not None else 10 * n_loads
 
     if sc.initial_temperatures is not None and sc.initial_sigmas is not None:
-        temps = np.array(sc.initial_temperatures, dtype=float)
-        sigmas = np.array(sc.initial_sigmas, dtype=np.int8)
+        temps, sigmas = sc.initial_temperatures, sc.initial_sigmas
     else:
         from .tcl import sample_initial_states
 
         temps, sigmas = sample_initial_states(pop, sc.seed)
+    loads = LoadAnchors(pop, scheme, temps, sigmas)
 
     d_star = float(np.sum(pop.alpha * pop.d_bar)) if sc.offset_demand else 0.0
     cache = TransitionCache(sc.grid)
@@ -239,10 +320,7 @@ def simulate(sc: Scenario) -> Trace:
         return 0.0 if sc.clamp_omega else omega_value
 
     def rates_at(omega_value: float) -> np.ndarray:
-        return switching_rate(pop, sigmas, load_omega(omega_value), scheme)
-
-    def targets_at(temps_arr, omega_value: float, fired=None) -> np.ndarray:
-        return jump_target(pop, temps_arr, sigmas, load_omega(omega_value), scheme, fired)
+        return switching_rate(pop, loads.sigma, load_omega(omega_value), scheme)
 
     def reset_clocks(mask: np.ndarray, rates: np.ndarray, now: float) -> None:
         meta["clock_draws"] += streams.reset(clocks, mask, rates, now)
@@ -251,8 +329,8 @@ def simulate(sc: Scenario) -> Trace:
     # trace accumulators
     s_t, s_j, s_w, s_xh, s_ds, s_on = [], [], [], [], [], []
     sw_t, sw_load, sw_sig, sw_cause = [], [], [], []
-    temp_min = temps.copy()
-    temp_max = temps.copy()
+    temp_min = loads.temp0.copy()
+    temp_max = loads.temp0.copy()
     meta = {
         "rate_resamples": 0,
         "freq_bisections": 0,
@@ -279,45 +357,56 @@ def simulate(sc: Scenario) -> Trace:
         s_j.append(jumps)
         s_w.append(x[0])
         s_xh.append(x[1:].copy())
-        s_ds.append(float(np.dot(pop.d_bar, sigmas)))
-        s_on.append(float(np.mean(sigmas)))
+        s_ds.append(loads.d_s)
+        s_on.append(loads.on_fraction)
 
-    def apply_jumps(omega_now: float, clock_fired: np.ndarray | None) -> int:
-        """Settle all enabled jumps at the current instant. Returns the number
-        of jump instants applied (0 when nothing was enabled)."""
+    def apply_jumps(omega_now: float, clock_fired: np.ndarray | None) -> None:
+        """Settle all enabled jumps at the current instant. Only the candidate
+        loads are evaluated; every other load's jump is disabled."""
         nonlocal jumps
-        instants = 0
-        for _ in range(zeno_max + 1):
-            target = targets_at(temps, omega_now, clock_fired)
-            changed = np.flatnonzero(target != sigmas)
-            if changed.size == 0:
+        omega_obs = load_omega(omega_now)
+        for instants in range(zeno_max + 1):
+            idx = loads.candidates(omega_obs, t, clock_fired)
+            hit = idx[:0]
+            if idx.size:
+                sub = pop.take(idx)
+                temps_c = loads.temps_at(sub, idx, t)
+                sig_c = loads.sigma[idx]
+                fired_c = None if clock_fired is None else clock_fired[idx]
+                target = jump_target(sub, temps_c, sig_c, omega_obs, scheme, fired_c)
+                hit = np.flatnonzero(target != sig_c)
+            if not hit.size:
                 meta["max_jump_instants"] = max(meta["max_jump_instants"], instants)
-                return instants
-            for j in changed:  # ascending load index within the jump instant
-                new_sig = int(target[j])
-                if clock_fired is not None and clock_fired[j] and (
-                    pop.t_lo[j] < temps[j] < pop.t_hi[j]
-                ):
+                return
+            for k in hit:  # ascending load index within the jump instant
+                j, temp, new_sig = int(idx[k]), temps_c[k], int(target[k])
+                if fired_c is not None and fired_c[k] and pop.t_lo[j] < temp < pop.t_hi[j]:
                     cause = CAUSE_RANDOM
                 elif new_sig == 1:
-                    cause = CAUSE_THERMO_HI if temps[j] >= pop.t_hi[j] else CAUSE_FREQ_ON
+                    cause = CAUSE_THERMO_HI if temp >= pop.t_hi[j] else CAUSE_FREQ_ON
                 else:
-                    cause = CAUSE_THERMO_LO if temps[j] <= pop.t_lo[j] else CAUSE_FREQ_OFF
+                    cause = CAUSE_THERMO_LO if temp <= pop.t_lo[j] else CAUSE_FREQ_OFF
                 sw_t.append(t)
-                sw_load.append(int(j))
+                sw_load.append(j)
                 sw_sig.append(new_sig)
                 sw_cause.append(cause)
-            sigmas[changed] = target[changed]
+            # the held flow is monotone, so a load's extremes are its
+            # temperatures at its switches and at the end of the run
+            changed, temps_c = idx[hit], temps_c[hit]
+            temp_min[changed] = np.minimum(temp_min[changed], temps_c)
+            temp_max[changed] = np.maximum(temp_max[changed], temps_c)
+            loads.sigma[changed] = target[hit]
+            loads.reanchor(changed, temps_c, t)
+            loads.refresh()
             jumps += 1
-            instants += 1
             if randomized:
                 rates = rates_at(omega_now)
                 mask = np.zeros(n_loads, dtype=bool)
                 mask[changed] = True
                 if clock_fired is not None:
                     mask |= clock_fired
-                    clock_fired = None
                 reset_clocks(mask, rates, t)
+            clock_fired = None
         raise SimulationError(
             f"Zeno guard tripped: more than {zeno_max} jump instants at t={t}"
         )
@@ -330,67 +419,48 @@ def simulate(sc: Scenario) -> Trace:
 
     tiny = 1e-12
     while t < sc.horizon - tiny:
-        u = current_level() + float(np.dot(pop.d_bar, sigmas)) - d_star
-        tt = next_thermostat_event(pop, temps, sigmas)
-        tt_min = float(np.min(tt))
+        u = current_level() + loads.d_s - d_star
         bound = min(sc.horizon, next_dist_time(), t + sc.max_step)
-        clock_bound = float(np.min(clocks)) if randomized else np.inf
-        bound = min(bound, clock_bound)
-        dt = min(tt_min, bound - t)
+        if randomized:
+            bound = min(bound, float(np.min(clocks)))
+        dt = min(loads.theta_min - t, bound - t)
         if dt <= 0:
             raise SimulationError(f"non-positive step {dt} at t={t}")
 
         phi, psi = cache.get(dt)
-
-        def state_at(tau: float):
-            p, q = cache.get(tau) if tau != dt else (phi, psi)
-            x_tau = p @ x + q * u
-            return x_tau, temp_flow(pop, temps, sigmas, tau)
-
-        x_end, temps_end = state_at(dt)
+        x_end = phi @ x + psi * u
         if not np.all(np.isfinite(x_end)):
             raise SimulationError(f"non-finite grid state at t={t + dt}")
         clock_fired = (clocks <= t + dt + tiny) if randomized else None
 
         dt_event = dt
-        if (
-            freq_active
-            and dt > sc.event_tol
-            and np.any(targets_at(temps_end, x_end[0]) != sigmas)
-        ):
-            # locate the earliest interior enabling time of a frequency jump
-            triggers = StepTriggers.of(pop, temps, temps_end, sigmas, scheme)
-            lo_t, hi_t = 0.0, dt
-            while hi_t - lo_t > sc.event_tol:
-                mid = 0.5 * (lo_t + hi_t)
-                p, q = cache.get(mid)
-                omega_mid = (p @ x + q * u)[0]
-                if triggers.any_jump(mid, load_omega(omega_mid)):
-                    hi_t = mid
-                else:
-                    lo_t = mid
-                meta["freq_bisections"] += 1
-            if hi_t < dt:
-                dt_event = hi_t
-
-        if dt_event != dt:
-            x_end, temps_end = state_at(dt_event)
-            clock_fired = None  # clocks at/after dt have not fired yet
+        if freq_active and dt > sc.event_tol:
+            flippers = loads.flippers(t + dt)
+            if loads.freq_jump(load_omega(x_end[0]), t + dt, flippers):
+                # locate the earliest interior enabling time of a frequency jump
+                lo_t, hi_t = 0.0, dt
+                while hi_t - lo_t > sc.event_tol:
+                    mid = 0.5 * (lo_t + hi_t)
+                    p, q = cache.get(mid)
+                    omega_mid = (p @ x + q * u)[0]
+                    if loads.freq_jump(load_omega(omega_mid), t + mid, flippers):
+                        hi_t = mid
+                    else:
+                        lo_t = mid
+                    meta["freq_bisections"] += 1
+                if hi_t < dt:
+                    dt_event = hi_t
+                    p, q = cache.get(dt_event)
+                    x_end = p @ x + q * u
 
         # commit the flow
         x = x_end
-        temps = temps_end
         if dt_event == dt:
-            # snap loads that hit their thermostat threshold exactly
-            at_thr = tt <= dt * (1.0 + _SNAP_REL)
-            if np.any(at_thr):
-                temps[at_thr & (sigmas == 1)] = pop.t_lo[at_thr & (sigmas == 1)]
-                temps[at_thr & (sigmas == 0)] = pop.t_hi[at_thr & (sigmas == 0)]
+            loads.snap_thermostats(t, dt)
         t += dt_event
         if dist_idx + 1 < len(dist_times) and t >= dist_times[dist_idx + 1] - tiny:
             dist_idx += 1
-        np.minimum(temp_min, temps, out=temp_min)
-        np.maximum(temp_max, temps, out=temp_max)
+        loads.open_branches(t)
 
         apply_jumps(x[0], clock_fired)
 
@@ -404,6 +474,9 @@ def simulate(sc: Scenario) -> Trace:
 
         record_sample()
 
+    final = loads.temps_at(pop, np.arange(n_loads), t)
+    np.minimum(temp_min, final, out=temp_min)
+    np.maximum(temp_max, final, out=temp_max)
     meta["jump_count"] = jumps
     meta["scheme"] = scheme.kind
     meta["k_pi"] = scheme.k_pi
@@ -420,8 +493,8 @@ def simulate(sc: Scenario) -> Trace:
         switch_causes=sw_cause,
         temp_min=temp_min,
         temp_max=temp_max,
-        final_temperatures=temps.copy(),
-        final_sigmas=sigmas.copy(),
+        final_temperatures=final,
+        final_sigmas=loads.sigma.copy(),
         meta=meta,
     )
 

@@ -24,7 +24,7 @@ from .grid_model import (
     build_combined_system,
     default_gen_dynamics,
 )
-from .hybrid_sim import Scenario, valid_seed
+from .hybrid_sim import DISTURBANCE_RULE, Scenario, valid_disturbance, valid_seed
 from .tcl import Population, PopulationSpec, Scheme, sample_population
 
 
@@ -91,6 +91,8 @@ class ScenarioFile:
             value = np.asarray(value, dtype=float)
             if not np.all(np.isfinite(value)):
                 raise ScenarioError(f"{name} must hold finite numbers, got {value.tolist()}")
+        if not valid_disturbance(self.disturbance):
+            raise ScenarioError(f"{DISTURBANCE_RULE}, got {[list(p) for p in self.disturbance]}")
 
     def build_grid(self) -> StateSpace:
         return build_combined_system(self.gen, self.grid_m, self.grid_d)

@@ -225,23 +225,35 @@ def _flow_target(p: TclParams | Population, sigma):
     return p.t_amb - sigma * p.cop * p.d_bar
 
 
-def temp_flow(p: TclParams | Population, temperature, sigma, dt: float):
-    """Exact temperature after flowing dt seconds with the switch held."""
-    if dt < 0:
+def temp_flow(p: TclParams | Population, temperature, sigma, dt):
+    """Exact temperature after flowing dt seconds with the switch held; dt
+    may be one duration per load."""
+    if np.any(np.less(dt, 0)):
         raise TclError(f"dt must be nonnegative, got {dt}")
     target = _flow_target(p, sigma)
     return target + (temperature - target) * np.exp(-p.k * dt)
 
 
-def next_thermostat_event(p: TclParams | Population, temperature, sigma):
-    """Time until the held flow reaches the active thermostat threshold
-    (t_lo when ON, t_hi when OFF). Zero when already at or past it."""
+def time_to_level(p: TclParams | Population, temperature, sigma, level):
+    """Time until the held flow reaches a temperature level that lies between
+    the temperature and the flow target. Zero when the load is already at or
+    past the level in the direction of its flow."""
     target = _flow_target(p, sigma)
-    threshold = np.where(sigma == 1, p.t_lo, p.t_hi)
-    ratio = (temperature - target) / (threshold - target)
+    ratio = (temperature - target) / (level - target)
     with np.errstate(invalid="ignore", divide="ignore"):
         tt = np.log(ratio) / p.k
     return np.where(ratio <= 1.0, 0.0, tt)[()]
+
+
+def next_thermostat_event(p: TclParams | Population, temperature, sigma):
+    """Time until the held flow reaches the active thermostat threshold
+    (t_lo when ON, t_hi when OFF). Zero when already at or past it."""
+    return time_to_level(p, temperature, sigma, thermostat_threshold(p, sigma))
+
+
+def thermostat_threshold(p: TclParams | Population, sigma):
+    """The active thermostat threshold: t_lo when ON, t_hi when OFF."""
+    return np.where(sigma == 1, p.t_lo, p.t_hi)[()]
 
 
 def switching_rate(p: TclParams | Population, sigma, omega: float, scheme: Scheme):
@@ -272,9 +284,22 @@ def trigger_levels(p: TclParams | Population, temperature, scheme: Scheme):
     """
     if scheme.kind != "deterministic":
         return np.inf, -np.inf
-    on_at = np.where(temperature >= p.t_lo + p.eps, p.omega1, np.inf)
-    off_at = np.where(temperature <= p.t_hi - p.eps, -p.omega1, -np.inf)
+    guard_on, level_on = frequency_branch(p, 0)
+    guard_off, level_off = frequency_branch(p, 1)
+    on_at = np.where(temperature >= guard_on, level_on, np.inf)
+    off_at = np.where(temperature <= guard_off, level_off, -np.inf)
     return on_at[()], off_at[()]
+
+
+def frequency_branch(p: TclParams | Population, sigma):
+    """(guard, level) of the deterministic scheme's frequency branch that can
+    switch a load in state sigma. An OFF load's branch opens once its rising
+    temperature reaches t_lo + eps and then switches it ON when omega >=
+    omega1; an ON load's opens once its falling temperature reaches
+    t_hi - eps and then switches it OFF when omega <= -omega1."""
+    off = sigma == 0
+    guard = np.where(off, p.t_lo + p.eps, p.t_hi - p.eps)
+    return guard[()], np.where(off, p.omega1, -p.omega1)[()]
 
 
 def jump_target(

@@ -219,6 +219,24 @@ class TestErrors:
 
 
     @pytest.mark.parametrize(
+        "schedule",
+        [[], [[1.0, 0.0], [2.0, 1.0]], [[0.0, 0.0], [1.0, 2.0], [0.5, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
+        ids=["empty", "late-start", "decreasing", "repeated"],
+    )
+    @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
+    def test_bad_disturbance_schedule_is_config_error(
+        self, tmp_path, capsys, command, schedule
+    ):
+        path = tmp_path / "schedule.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_DOC, disturbance=schedule)))
+        argv = [command, "--scenario", str(path)]
+        if command in ("run", "compare"):
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "disturbance" in err
+
+    @pytest.mark.parametrize(
         "path, value",
         [
             (["population"], [1, 2]),

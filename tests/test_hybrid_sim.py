@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tclgrid import hybrid_sim
@@ -11,9 +11,9 @@ from tclgrid.grid_model import default_grid
 from tclgrid.hybrid_sim import (
     CLOCK_BLOCK,
     ClockStreams,
+    LoadAnchors,
     Scenario,
     SimulationError,
-    StepTriggers,
     compare_schemes,
     dwell_time_report,
     ripple_envelope,
@@ -86,6 +86,12 @@ class TestSingleLoad:
         tr = simulate(single_load_scenario())
         assert tr.temp_min[0] >= REFERENCE.t_lo - 1e-9
         assert tr.temp_max[0] <= REFERENCE.t_hi + 1e-9
+
+    def test_extremes_are_the_thresholds_reached(self):
+        # the load switches at t_lo and at t_hi and ends the run in between
+        tr = simulate(single_load_scenario())
+        assert (tr.temp_min[0], tr.temp_max[0]) == (REFERENCE.t_lo, REFERENCE.t_hi)
+        assert REFERENCE.t_lo < tr.final_temperatures[0] < REFERENCE.t_hi
 
     def test_trace_monotone_and_consistent(self):
         tr = simulate(single_load_scenario())
@@ -229,51 +235,107 @@ def held_steps(draw):
     # the start is settled: OFF loads below t_hi, ON loads above t_lo
     temps = np.where(sigmas == 1, np.maximum(temps, pop.t_lo + 1e-9), np.minimum(temps, pop.t_hi - 1e-9))
     dt = draw(st.floats(1e-6, 2.0))
-    tau = dt * draw(st.floats(0.0, 1.0, exclude_min=True))
+    frac = draw(st.floats(0.0, 1.0, exclude_min=True))
     omega = draw(st.one_of(
         st.floats(-0.3, 0.3),
         st.sampled_from([float(w) for w in pop.omega1] + [float(-w) for w in pop.omega1]),
     ))
-    return pop, temps, sigmas, dt, tau, omega
+    return pop, temps, sigmas, dt, frac, omega
 
 
-class TestStepTriggers:
+class TestLoadAnchors:
     @settings(max_examples=200, deadline=None)
     @given(case=held_steps())
-    def test_summary_matches_kernel(self, case):
-        pop, temps, sigmas, dt, tau, omega = case
+    def test_in_step_test_matches_kernel(self, case):
+        # the frequency test of a bisection probe, from the two cached levels
+        # and the step's flippers, agrees with jump_target on the temp_flow
+        # temperatures at the probe
+        pop, temps, sigmas, dt, frac, omega = case
         scheme = Scheme.deterministic()
-        triggers = StepTriggers.of(pop, temps, temp_flow(pop, temps, sigmas, dt), sigmas, scheme)
+        loads = LoadAnchors(pop, scheme, temps, sigmas)
+        dt = min(dt, loads.theta_min)  # a step ends by the first thermostat time
+        tau = dt * frac
         temps_tau = temp_flow(pop, temps, sigmas, tau)
+        # the step holds no thermostat limit before its end, and a guard is
+        # opened by its time, equal to the temperature rule up to rounding
+        assume(np.all(jump_target(pop, temps_tau, sigmas, 0.0, Scheme.conventional()) == sigmas))
+        assume(np.all(np.abs(loads.guard - tau) > 1e-9 * dt))
         expected = bool(np.any(jump_target(pop, temps_tau, sigmas, omega, scheme) != sigmas))
-        assert triggers.any_jump(tau, omega) == expected
+        assert loads.freq_jump(omega, tau, loads.flippers(dt)) == expected
 
-    def test_probes_do_no_per_load_work(self, shipped_file, monkeypatch):
-        # 2000 loads over the 1 s step: the event loop evaluates the whole
-        # population a bounded number of times per step, however many
-        # bisection probes locate the frequency events
+    @settings(max_examples=100, deadline=None)
+    @given(case=held_steps())
+    def test_opened_levels_match_kernel(self, case):
+        # after the branches due by the step's end are opened, the cached
+        # levels are trigger_levels at the end temperatures
+        pop, temps, sigmas, dt, _, _ = case
+        scheme = Scheme.deterministic()
+        loads = LoadAnchors(pop, scheme, temps, sigmas)
+        dt = min(dt, loads.theta_min)
+        assume(np.all(np.abs(loads.guard - dt) > 1e-9 * dt))
+        loads.open_branches(dt)
+        on_at, off_at = trigger_levels(pop, temp_flow(pop, temps, sigmas, dt), scheme)
+        np.testing.assert_array_equal(loads.lvl_on, np.where(sigmas == 0, on_at, np.inf))
+        np.testing.assert_array_equal(loads.lvl_off, np.where(sigmas == 1, off_at, -np.inf))
+        assert (loads.on_min, loads.off_max) == (np.min(loads.lvl_on), np.max(loads.lvl_off))
+
+    def test_flipper_enables_from_its_guard_time(self):
+        # an OFF load just below its guard: omega at its level enables its
+        # jump from the time its branch opens, not before
+        start = REFERENCE.t_lo + REFERENCE.eps - 1e-3
+        loads = LoadAnchors(Population.of([REFERENCE]), Scheme.deterministic(), [start], [0])
+        guard = loads.guard[0]
+        assert 0 < guard < loads.theta_min
+        flippers = loads.flippers(2 * guard)
+        omega = REFERENCE.omega1
+        assert not loads.freq_jump(omega, 0.99 * guard, flippers)
+        assert loads.freq_jump(omega, guard, flippers)
+        assert not loads.freq_jump(0.99 * omega, 2 * guard, flippers)
+        loads.open_branches(guard)
+        assert loads.on_min == omega and loads.freq_jump(omega, guard, loads.flippers(2 * guard))
+        # omega at the level is beyond it, as in jump_target
+        assert loads.candidates(omega, guard, None).tolist() == [0]
+        assert loads.candidates(0.99 * omega, guard, None).tolist() == []
+
+    def test_event_loop_touches_only_switching_loads(self, shipped_file, monkeypatch):
+        # 2000 loads over the 1 s step and 0.25 s of response: the per-load
+        # kernels see every load a few times to set it up and read it out,
+        # and after that only the loads that switch, however many steps and
+        # bisection probes the run takes
         sf = dataclasses.replace(
             shipped_file,
             horizon=1.25,
             population=dataclasses.replace(shipped_file.population, n_loads=2000),
         )
         sc, _ = sf.build_scenario()
-        full_calls = 0
+        elements = 0
 
         def counted(fn):
-            def wrapped(p, temperature, *args):
-                nonlocal full_calls
-                full_calls += np.size(temperature) == len(sc.population)
-                return fn(p, temperature, *args)
+            def wrapped(p, *args, **kwargs):
+                nonlocal elements
+                elements += len(p)
+                return fn(p, *args, **kwargs)
             return wrapped
 
-        for name in ("jump_target", "temp_flow"):
-            monkeypatch.setattr(hybrid_sim, name, counted(getattr(hybrid_sim, name)))
+        for name in PER_LOAD_KERNELS:
+            if hasattr(hybrid_sim, name):
+                monkeypatch.setattr(hybrid_sim, name, counted(getattr(hybrid_sim, name)))
         tr = simulate(sc)
-        steps = tr.times.size - 1
-        assert full_calls <= 6 * steps
-        # fewer whole-population evaluations than bisection probes
-        assert full_calls < tr.meta["freq_bisections"]
+        n, switches = len(sc.population), tr.switch_times.size
+        assert switches > 0 and tr.meta["freq_bisections"] > 0
+        assert elements <= 4 * n + 20 * switches
+
+
+PER_LOAD_KERNELS = (
+    "frequency_branch",
+    "jump_target",
+    "next_thermostat_event",
+    "switching_rate",
+    "temp_flow",
+    "thermostat_threshold",
+    "time_to_level",
+    "trigger_levels",
+)
 
 
 def scalar_stream(seed: int, j: int) -> np.random.Generator:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tclgrid.tcl import (
@@ -24,6 +24,7 @@ from tclgrid.tcl import (
     sample_population,
     switching_rate,
     temp_flow,
+    time_to_level,
     trigger_levels,
     zeta,
 )
@@ -428,3 +429,60 @@ def math_log_strokes(p: TclParams) -> tuple[float, float]:
         math.log((p.t_hi - target) / (p.t_lo - target)) / p.k,
         math.log((p.t_amb - p.t_lo) / (p.t_amb - p.t_hi)) / p.k,
     )
+
+
+@st.composite
+def loads_and_levels(draw):
+    """One sampled load, a switch state, a temperature in its band and a level
+    strictly between that temperature and the flow target."""
+    p = sample_population(PopulationSpec(1, 0.01, seed=draw(st.integers(0, 2**32 - 1))))[0]
+    sigma = draw(st.sampled_from([0, 1]))
+    temp = p.t_lo + (p.t_hi - p.t_lo) * draw(st.floats(0.0, 1.0))
+    target = p.t_amb - sigma * p.cop * p.d_bar
+    level = temp + (target - temp) * draw(st.floats(1e-6, 0.999))
+    return p, sigma, temp, level
+
+
+class TestTimeToLevel:
+    @settings(max_examples=200, deadline=None)
+    @given(case=loads_and_levels())
+    def test_flow_lands_on_level(self, case):
+        p, sigma, temp, level = case
+        landed = temp_flow(p, temp, sigma, time_to_level(p, temp, sigma, level))
+        assert landed == pytest.approx(level, rel=1e-9, abs=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=loads_and_levels(), back=st.floats(0.0, 5.0))
+    def test_zero_at_or_past_level(self, case, back):
+        # a level the flow has already reached lies on the side of the
+        # temperature away from the target (or at the temperature itself)
+        p, sigma, temp, _ = case
+        direction = -1.0 if sigma else 1.0
+        assert time_to_level(p, temp, sigma, temp) == 0.0
+        assert time_to_level(p, temp, sigma, temp - direction * back) == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=population_states())
+    def test_thermostat_time_is_the_threshold_case(self, case):
+        _, soa, temps, sigmas, _, _ = case
+        threshold = np.where(sigmas == 1, soa.t_lo, soa.t_hi)
+        np.testing.assert_array_equal(
+            next_thermostat_event(soa, temps, sigmas), time_to_level(soa, temps, sigmas, threshold)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=loads_and_levels())
+    def test_trigger_levels_change_at_guard_time(self, case):
+        # a load whose frequency branch is still guarded gets its trigger
+        # level just after the time to its guard, not just before
+        p, sigma, temp, _ = case
+        guard = p.t_lo + p.eps if sigma == 0 else p.t_hi - p.eps
+        wait = time_to_level(p, temp, sigma, guard)
+        assume(wait > 0.01)  # 1e-9 of it moves the temperature by many ulps
+        # on_at for an OFF load, off_at for an ON load
+        closed = np.inf if sigma == 0 else -np.inf
+        level = p.omega1 if sigma == 0 else -p.omega1
+        before = trigger_levels(p, temp_flow(p, temp, sigma, wait * (1 - 1e-9)), DETERMINISTIC)
+        after = trigger_levels(p, temp_flow(p, temp, sigma, wait * (1 + 1e-9)), DETERMINISTIC)
+        assert before[sigma] == closed
+        assert after[sigma] == level
