@@ -13,10 +13,13 @@ a quiet step costs O(grid dimension) in the deterministic and conventional
 schemes. At an event every enabled load switches within a single jump
 instant, continuous state unchanged.
 
-Randomized clocks come from counter-based per-load Philox streams keyed by
-(seed, load index). ClockStreams draws each load's unit exponentials in
-blocks and hands them out in stream order, so clock resets are vectorized and
-every clock is bitwise the value a per-draw call on that load's stream gives.
+Randomized clocks follow the modified next reaction method: each load holds
+one unit exponential, drawn from its counter-based Philox stream keyed by
+(seed, load index) at t = 0 and after each of its switches, minus the hazard
+it has accumulated since. A step evaluates the switching rates once, at its
+start, holds them over the step and ends no later than the first load whose
+remaining exponential the held rate uses up; that load fires. So a run draws
+one exponential per load plus one per switch.
 
 The solution selected is the jump-priority one (jump whenever the discrete
 update would change a switch state) with ascending load-index ordering, which
@@ -45,7 +48,7 @@ from .tcl import (
 )
 
 _SNAP_REL = 1e-12  # loads with threshold time within this of the step land exactly
-CLOCK_BLOCK = 64  # unit exponentials drawn per refill of one load's buffer
+ZENO_PER_LOAD = 10  # jump instants allowed at one time, per load
 
 
 class SimulationError(RuntimeError):
@@ -64,9 +67,8 @@ class Scenario:
     event_tol: float = 1e-6
     offset_demand: bool = True
     clamp_omega: bool = False  # loads observe omega = 0 (open-loop channel)
-    zeno_max: int | None = None
-    initial_temperatures: np.ndarray | None = None
-    initial_sigmas: np.ndarray | None = None
+    # (temperatures, switch states) at t = 0; None samples them from the seed
+    initial_state: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if not valid_seed(self.seed):
@@ -77,6 +79,26 @@ class Scenario:
                 raise SimulationError(f"{name} must be positive and finite, got {value}")
         if not valid_disturbance(self.disturbance):
             raise SimulationError(f"{DISTURBANCE_RULE}, got {self.disturbance}")
+        if self.initial_state is not None:
+            check_initial_state(self.initial_state, len(self.population))
+
+
+def check_initial_state(state, n_loads: int) -> None:
+    """Raise SimulationError unless state is a pair of length-n_loads arrays:
+    finite temperatures and switch states 0 or 1."""
+    try:
+        temps, sigmas = (np.asarray(a, dtype=float) for a in state)
+    except (TypeError, ValueError) as exc:
+        raise SimulationError(f"initial_state must be (temperatures, sigmas): {exc}") from None
+    if temps.shape != (n_loads,) or sigmas.shape != (n_loads,):
+        raise SimulationError(
+            f"initial_state arrays must have shape ({n_loads},), "
+            f"got {temps.shape} and {sigmas.shape}"
+        )
+    if not np.all(np.isfinite(temps)):
+        raise SimulationError("initial temperatures must be finite")
+    if not np.all((sigmas == 0) | (sigmas == 1)):
+        raise SimulationError("initial switch states must be 0 or 1")
 
 
 DISTURBANCE_RULE = "disturbance must start at t=0 with strictly increasing times"
@@ -100,14 +122,7 @@ def valid_seed(value) -> bool:
 
 
 class ClockStreams:
-    """Unit exponentials of the per-load streams Generator(Philox(key=[seed, j])),
-    drawn CLOCK_BLOCK at a time.
-
-    Each load keeps a buffer of standard_exponential draws and a read
-    position, so a load's values come out in its stream order and equal what
-    per-draw calls on the same stream return. Only exhausted buffers are
-    refilled, one generator call per CLOCK_BLOCK draws of a load.
-    """
+    """Unit exponentials of the per-load streams Generator(Philox(key=[seed, j]))."""
 
     def __init__(self, seed: int, n_loads: int):
         # an explicit uint64 key: a plain list holding a seed >= 2**63 would
@@ -116,26 +131,10 @@ class ClockStreams:
             np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
             for j in range(n_loads)
         ]
-        self._buf = np.empty((n_loads, CLOCK_BLOCK))
-        self._pos = np.full(n_loads, CLOCK_BLOCK)  # every buffer starts used up
 
     def draw(self, idx: np.ndarray) -> np.ndarray:
-        """The next unit exponential of each load in idx (distinct indices)."""
-        for j in idx[self._pos[idx] == CLOCK_BLOCK]:
-            self._rngs[j].standard_exponential(out=self._buf[j])
-            self._pos[j] = 0
-        pos = self._pos[idx]
-        self._pos[idx] = pos + 1
-        return self._buf[idx, pos]
-
-    def reset(self, clocks: np.ndarray, mask: np.ndarray, rates: np.ndarray, now: float) -> int:
-        """Redraw the masked clocks at time now as now + E / rate, E the
-        load's next unit exponential. A load with rate <= 0 never fires and
-        consumes no draw. Returns the number of draws."""
-        idx = np.flatnonzero(mask & (rates > 0))
-        clocks[mask] = np.inf
-        clocks[idx] = now + self.draw(idx) * (1.0 / rates[idx])
-        return idx.size
+        """The next unit exponential of each load in idx."""
+        return np.array([self._rngs[j].standard_exponential() for j in idx], dtype=float)
 
 
 class LoadAnchors:
@@ -297,10 +296,10 @@ def simulate(sc: Scenario) -> Trace:
     scheme = sc.scheme
     freq_active = scheme.kind == "deterministic"
     randomized = scheme.kind == "randomized"
-    zeno_max = sc.zeno_max if sc.zeno_max is not None else 10 * n_loads
+    zeno_max = ZENO_PER_LOAD * n_loads
 
-    if sc.initial_temperatures is not None and sc.initial_sigmas is not None:
-        temps, sigmas = sc.initial_temperatures, sc.initial_sigmas
+    if sc.initial_state is not None:
+        temps, sigmas = sc.initial_state
     else:
         from .tcl import sample_initial_states
 
@@ -313,18 +312,15 @@ def simulate(sc: Scenario) -> Trace:
     # scheduling cannot reorder draws because each load consumes only its
     # own stream
     streams = ClockStreams(sc.seed, n_loads) if randomized else None
-    clocks = np.full(n_loads, np.inf)
-    rate_ref = np.zeros(n_loads)
+    # each load's unit exponential minus the hazard accumulated since its draw
+    left = np.full(n_loads, np.inf)
 
     def load_omega(omega_value: float) -> float:
         return 0.0 if sc.clamp_omega else omega_value
 
-    def rates_at(omega_value: float) -> np.ndarray:
-        return switching_rate(pop, loads.sigma, load_omega(omega_value), scheme)
-
-    def reset_clocks(mask: np.ndarray, rates: np.ndarray, now: float) -> None:
-        meta["clock_draws"] += streams.reset(clocks, mask, rates, now)
-        rate_ref[mask] = rates[mask]
+    def redraw(idx: np.ndarray) -> None:
+        left[idx] = streams.draw(idx)
+        meta["clock_draws"] += idx.size
 
     # trace accumulators
     s_t, s_j, s_w, s_xh, s_ds, s_on = [], [], [], [], [], []
@@ -400,12 +396,8 @@ def simulate(sc: Scenario) -> Trace:
             loads.refresh()
             jumps += 1
             if randomized:
-                rates = rates_at(omega_now)
-                mask = np.zeros(n_loads, dtype=bool)
-                mask[changed] = True
-                if clock_fired is not None:
-                    mask |= clock_fired
-                reset_clocks(mask, rates, t)
+                # a fired load always switches, so changed holds it
+                redraw(changed)
             clock_fired = None
         raise SimulationError(
             f"Zeno guard tripped: more than {zeno_max} jump instants at t={t}"
@@ -413,7 +405,7 @@ def simulate(sc: Scenario) -> Trace:
 
     # corrective jump pass so z(0,0) starts consistent with the flow set
     if randomized:
-        reset_clocks(np.ones(n_loads, dtype=bool), rates_at(x[0]), 0.0)
+        redraw(np.arange(n_loads))
     apply_jumps(x[0], None)
     record_sample()
 
@@ -422,6 +414,10 @@ def simulate(sc: Scenario) -> Trace:
         u = current_level() + loads.d_s - d_star
         bound = min(sc.horizon, next_dist_time(), t + sc.max_step)
         if randomized:
+            # rates held over the step; a load at rate 0 never fires
+            rates = switching_rate(pop, loads.sigma, load_omega(x[0]), scheme)
+            wait = np.divide(left, rates, out=np.full(n_loads, np.inf), where=rates > 0)
+            clocks = t + wait
             bound = min(bound, float(np.min(clocks)))
         dt = min(loads.theta_min - t, bound - t)
         if dt <= 0:
@@ -431,7 +427,10 @@ def simulate(sc: Scenario) -> Trace:
         x_end = phi @ x + psi * u
         if not np.all(np.isfinite(x_end)):
             raise SimulationError(f"non-finite grid state at t={t + dt}")
-        clock_fired = (clocks <= t + dt + tiny) if randomized else None
+        clock_fired = None
+        if randomized:
+            clock_fired = clocks <= t + dt + tiny
+            left -= rates * dt
 
         dt_event = dt
         if freq_active and dt > sc.event_tol:
@@ -463,15 +462,6 @@ def simulate(sc: Scenario) -> Trace:
         loads.open_branches(t)
 
         apply_jumps(x[0], clock_fired)
-
-        if randomized:
-            rates = rates_at(x[0])
-            drift = np.abs(rates - rate_ref) > 0.01 * np.maximum(rate_ref, 1e-300)
-            drift |= (rate_ref == 0) & (rates > 0)
-            if np.any(drift):
-                meta["rate_resamples"] += int(np.count_nonzero(drift))
-                reset_clocks(drift, rates, t)
-
         record_sample()
 
     final = loads.temps_at(pop, np.arange(n_loads), t)

@@ -105,8 +105,8 @@ class Population:
         """The sub-population of the loads selected by an index array; its
         loads are already checked and their derived fields are sliced."""
         sub = object.__new__(Population)
-        for f in fields(self):
-            object.__setattr__(sub, f.name, getattr(self, f.name)[index])
+        for name in POPULATION_FIELDS:
+            object.__setattr__(sub, name, getattr(self, name)[index])
         return sub
 
     def __getitem__(self, j: int) -> TclParams:
@@ -117,6 +117,9 @@ class Population:
 
     def __len__(self) -> int:
         return self.d_bar.size
+
+
+POPULATION_FIELDS = tuple(f.name for f in fields(Population))
 
 
 def check_loads(p: TclParams | Population) -> None:

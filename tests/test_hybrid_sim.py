@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from tclgrid import hybrid_sim
 from tclgrid.grid_model import default_grid
 from tclgrid.hybrid_sim import (
-    CLOCK_BLOCK,
     ClockStreams,
     LoadAnchors,
     Scenario,
@@ -45,8 +45,7 @@ def single_load_scenario(**overrides) -> Scenario:
         disturbance=[(0.0, 0.0)],
         horizon=1000.0,
         seed=1,
-        initial_temperatures=np.array([6.0]),
-        initial_sigmas=np.array([1]),
+        initial_state=(np.array([6.0]), np.array([1])),
         clamp_omega=True,
         max_step=0.5,
     )
@@ -183,10 +182,24 @@ class TestPopulationRuns:
         with pytest.raises(SimulationError):
             single_load_scenario(disturbance=[(0.0, 0.0), (3.0, 1.0), (2.0, 2.0)])
 
-    def test_zeno_guard_configurable(self):
-        sc = small_population_scenario(zeno_max=0)
-        with pytest.raises(SimulationError):
-            simulate(sc)
+    @pytest.mark.parametrize(
+        "state",
+        [
+            (np.full(3, 5.0), None),  # temperatures without switch states
+            (np.array([5.0]), np.array([1])),  # one load's state for three
+            (np.full(3, 5.0), np.array([0, 1, 2])),
+            (np.array([5.0, math.nan, 5.0]), np.array([0, 1, 0])),
+            (np.full(3, 5.0),),  # not a pair
+        ],
+    )
+    def test_bad_initial_state_rejected(self, state):
+        with pytest.raises(SimulationError, match="initial"):
+            single_load_scenario(population=Population.of([REFERENCE] * 3), initial_state=state)
+
+    def test_zeno_guard_configurable(self, monkeypatch):
+        monkeypatch.setattr(hybrid_sim, "ZENO_PER_LOAD", 0)
+        with pytest.raises(SimulationError, match="Zeno"):
+            simulate(small_population_scenario())
 
 
 class TestFrequencyResponsiveScheme:
@@ -350,29 +363,15 @@ class TestClockStreams:
         draws_seed=st.integers(0, 2**32 - 1),
     )
     def test_clocks_match_scalar_streams(self, seed, n, draws_seed):
-        # random subsets and rates over enough calls that every load crosses
-        # several block refills; each clock must be bitwise the per-draw
-        # value of its load's stream, and rate <= 0 must consume no draw
+        # draws over random subsets, in random order, return each load's
+        # per-draw values of its own stream, in stream order
         rng = np.random.default_rng(draws_seed)
         streams = ClockStreams(seed, n)
         reference = [scalar_stream(seed, j) for j in range(n)]
-        clocks = np.zeros(n)
-        expected = np.zeros(n)
-        total = 0
-        now = 0.0
-        for _ in range(5 * CLOCK_BLOCK):
-            now += float(rng.exponential(1.0))
-            mask = rng.random(n) < 0.9
-            rates = 10.0 ** rng.uniform(-6.0, 0.0, n)
-            rates[rng.random(n) < 0.15] = 0.0
-            rates[rng.random(n) < 0.05] = -0.5
-            for j in np.flatnonzero(mask):
-                rate = float(rates[j])
-                expected[j] = np.inf if rate <= 0 else now + reference[j].exponential(1.0 / rate)
-                total += rate > 0
-            assert streams.reset(clocks, mask, rates, now) == np.count_nonzero(mask & (rates > 0))
-            np.testing.assert_array_equal(clocks, expected)
-        assert total > 3 * CLOCK_BLOCK * n
+        for _ in range(40):
+            idx = rng.permutation(n)[: rng.integers(0, n + 1)]
+            expected = [reference[j].exponential(1.0) for j in idx]
+            np.testing.assert_array_equal(streams.draw(idx), expected)
 
     def test_seeds_near_two_to_the_64_stay_distinct(self):
         idx = np.arange(3)
@@ -380,9 +379,9 @@ class TestClockStreams:
         assert not np.array_equal(first, ClockStreams(0, 3).draw(idx))
         assert not np.array_equal(first, ClockStreams(2**64 - 2, 3).draw(idx))
 
-    def test_clock_draws_come_in_blocks(self, monkeypatch):
+    def test_clock_draws_are_one_per_load_and_switch(self, monkeypatch):
         # a randomized run draws its clocks through ClockStreams, counts them
-        # in meta, and calls a load's generator once per block, not per draw
+        # in meta, and draws one per load at t = 0 and one per switch
         sc = small_population_scenario(
             population=sample_population(PopulationSpec(200, 0.2, seed=5)),
             scheme=Scheme.randomized(),
@@ -396,29 +395,31 @@ class TestClockStreams:
             drawn.append(out.size)
             return out
 
-        generator_calls = []
-        real_generator = np.random.Generator
-
-        class CountingGenerator:
-            def __init__(self, bit_generator):
-                self._gen = real_generator(bit_generator)
-
-            def __getattr__(self, name):
-                method = getattr(self._gen, name)
-
-                def counted(*args, **kwargs):
-                    generator_calls.append(name)
-                    return method(*args, **kwargs)
-
-                return counted
-
         monkeypatch.setattr(ClockStreams, "draw", counted_draw)
-        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
         tr = simulate(sc)
-        draws = tr.meta["clock_draws"]
-        assert draws == sum(drawn)
-        assert draws > 2 * len(sc.population)
-        assert len(generator_calls) <= len(sc.population) + draws / CLOCK_BLOCK
+        switches = tr.switch_times.size
+        assert switches > 0
+        assert tr.meta["clock_draws"] == sum(drawn) == len(sc.population) + switches
+        assert tr.meta["rate_resamples"] == 0
+
+    def test_randomized_gaps_are_unit_exponential(self):
+        # every rate capped at 1/s and held (open-loop channel): a load's
+        # gaps that end in a randomized switch are Exp(1); thermostat
+        # censoring is negligible against strokes of hundreds of seconds
+        sc = small_population_scenario(
+            population=sample_population(PopulationSpec(50, 0.2, seed=5)),
+            scheme=Scheme.randomized(v_des=1e4),
+            clamp_omega=True,
+            horizon=60.0,
+        )
+        tr = simulate(sc)
+        order = np.lexsort((tr.switch_times, tr.switch_loads))
+        loads, times = tr.switch_loads[order], tr.switch_times[order]
+        causes = np.array(tr.switch_causes)[order]
+        same = (loads[1:] == loads[:-1]) & (causes[1:] == "randomized")
+        gaps = np.diff(times)[same]
+        assert gaps.size > 2000
+        assert stats.kstest(gaps, "expon").pvalue >= 1e-3
 
     def test_non_randomized_runs_draw_nothing(self):
         tr = simulate(small_population_scenario(scheme=Scheme.deterministic(), horizon=10.0))
