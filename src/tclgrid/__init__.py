@@ -11,10 +11,8 @@ from .grid_model import (
     build_combined_system,
     default_gen_dynamics,
     default_grid,
-    equilibrium_frequency,
     is_hurwitz,
     one_norm,
-    propagate,
 )
 from .hybrid_sim import (
     FrequencyMetrics,

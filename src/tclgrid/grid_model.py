@@ -182,19 +182,6 @@ def is_hurwitz(ss: StateSpace, tol: float = 1e-9) -> bool:
     return spectral_abscissa(ss) < -tol
 
 
-def equilibrium_frequency(ss: StateSpace, u_const: float) -> float:
-    """Steady-state frequency deviation for constant input u_const.
-
-    Solves 0 = a x* + b u_const and returns omega* = x*[0]. A value away
-    from zero flags that the model lacks secondary (integral) control.
-    """
-    try:
-        x_star = np.linalg.solve(ss.a, -ss.b * u_const)
-    except np.linalg.LinAlgError as exc:
-        raise GridModelError("a is singular; equilibrium is not unique") from exc
-    return float(x_star[0])
-
-
 class OneNormResult(NamedTuple):
     value: float
     tail_bound: float
@@ -347,18 +334,6 @@ def transition(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
     phi = (modes.v * np.exp(z)) @ modes.v_inv
     psi = modes.v @ (np.expm1(z) / modes.lam * modes.v_inv_b)
     return phi.real, psi.real
-
-
-def propagate(ss: StateSpace, x: np.ndarray, u_const: float, dt: float) -> np.ndarray:
-    """Advance the grid state exactly over dt with input held at u_const."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (ss.dim,):
-        raise GridModelError(f"state must have length {ss.dim}, got {x.shape[0]}")
-    phi, psi = transition(ss, dt)
-    out = phi @ x + psi * u_const
-    if not np.all(np.isfinite(out)):
-        raise GridModelError("propagation produced a non-finite state")
-    return out
 
 
 class TransitionCache:

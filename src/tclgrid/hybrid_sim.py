@@ -3,13 +3,14 @@
 Between events the linear grid state advances by an exact matrix-exponential
 step (grid_model.transition, in modal form). Each load's temperature is the
 closed-form held flow from its anchor, the temperature and time of its last
-switch (LoadAnchors), so its absolute thermostat time and the time its
-frequency branch opens stay fixed until that load switches. Steps end at the
-earliest thermostat time, the sample cadence, a disturbance change or a
-randomized clock. A step whose end enables a frequency jump is bisected to
-event_tol; a probe compares omega with two cached levels and the few loads
-whose branch opens within the step. Only the loads that switch are touched:
-a quiet step costs O(grid dimension) in the deterministic and conventional
+switch or branch opening (LoadAnchors), so its absolute thermostat time and
+the time its frequency branch opens stay fixed until then. Steps end at the
+earliest thermostat time, branch opening (guard), the sample cadence, a
+disturbance change or a randomized clock, so the open frequency levels are
+constant over a step. A step whose end enables a frequency jump is cut at the
+crossing, found by modified regula falsi on the exact held-input flow
+(locate_crossing). Only the loads that switch or open a branch are touched: a
+quiet step costs O(grid dimension) in the deterministic and conventional
 schemes. At an event every enabled load switches within a single jump
 instant, continuous state unchanged.
 
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import grid_model
 from .grid_model import StateSpace, TransitionCache, is_hurwitz
 from .tcl import (
     Population,
@@ -48,6 +50,9 @@ from .tcl import (
 )
 
 _SNAP_REL = 1e-12  # loads with threshold time within this of the step land exactly
+# Hz: an enabled probe this close to its frequency level, the rounding level of
+# omega, ends the event search
+_OVERSHOOT = 1e-15
 ZENO_PER_LOAD = 10  # jump instants allowed at one time, per load
 
 
@@ -64,7 +69,6 @@ class Scenario:
     horizon: float
     seed: int
     max_step: float = 0.01
-    event_tol: float = 1e-6
     offset_demand: bool = True
     clamp_omega: bool = False  # loads observe omega = 0 (open-loop channel)
     # (temperatures, switch states) at t = 0; None samples them from the seed
@@ -73,7 +77,7 @@ class Scenario:
     def __post_init__(self):
         if not valid_seed(self.seed):
             raise SimulationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        for name in ("horizon", "max_step", "event_tol"):
+        for name in ("horizon", "max_step"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise SimulationError(f"{name} must be positive and finite, got {value}")
@@ -143,23 +147,22 @@ class LoadAnchors:
 
     A load's temperature is the held flow from its anchor: temp0 at time t0
     in switch state sigma. theta is its absolute thermostat time and guard the
-    time its frequency branch opens (tcl.frequency_branch), +inf once open;
-    branch is the branch's frequency level. lvl_on holds that level for OFF
-    loads with an open branch and +inf elsewhere, lvl_off for open ON loads
-    and -inf elsewhere. The scalars below are recomputed by refresh, after a
-    jump instant or a branch opening only.
+    time its frequency branch opens (tcl.frequency_branch), +inf once open or
+    when the loads do not observe frequency (freq_active false). lvl_on holds
+    the branch's frequency level for OFF loads with an open branch and +inf
+    elsewhere, lvl_off for open ON loads and -inf elsewhere. The scalars below
+    are recomputed by refresh, after a jump instant or a branch opening only.
     """
 
-    def __init__(self, pop: Population, scheme: Scheme, temps, sigmas):
+    def __init__(self, pop: Population, freq_active: bool, temps, sigmas):
         n = len(pop)
         self.pop = pop
-        self.freq_active = scheme.kind == "deterministic"
+        self.freq_active = freq_active
         self.temp0 = np.array(temps, dtype=float)
         self.t0 = np.zeros(n)
         self.sigma = np.array(sigmas, dtype=np.int8)
         self.theta = np.empty(n)
         self.guard = np.full(n, np.inf)
-        self.branch = np.empty(n)
         self.lvl_on = np.full(n, np.inf)
         self.lvl_off = np.full(n, -np.inf)
         self.reanchor(np.arange(n), self.temp0, 0.0)
@@ -186,7 +189,6 @@ class LoadAnchors:
         guard, level = frequency_branch(sub, sigma)
         wait = time_to_level(sub, temps, sigma, guard)
         is_open, off = wait == 0, sigma == 0
-        self.branch[idx] = level
         self.guard[idx] = np.where(is_open, np.inf, now + wait)
         self.lvl_on[idx] = np.where(is_open & off, level, np.inf)
         self.lvl_off[idx] = np.where(is_open & ~off, level, -np.inf)
@@ -197,54 +199,30 @@ class LoadAnchors:
         t0, temp0 = self.t0[idx], self.temp0[idx]
         return np.where(t0 == now, temp0, temp_flow(sub, temp0, self.sigma[idx], now - t0))
 
-    def snap_thermostats(self, start: float, dt: float) -> None:
-        """Land the loads whose thermostat time lies within the step from
-        start (to the snap tolerance) exactly on their threshold at its end."""
+    def snap(self, start: float, dt: float) -> None:
+        """Land the loads whose guard or thermostat time lies within the step
+        from start (to the snap tolerance) exactly on that temperature at its
+        end. A load landed on its guard is re-anchored there, which opens its
+        frequency branch."""
         reach = dt * (1.0 + _SNAP_REL)
-        if self.theta_min - start > reach:
-            return
-        idx = np.flatnonzero(self.theta - start <= reach)
         now = start + dt
-        self.temp0[idx] = thermostat_threshold(self.pop.take(idx), self.sigma[idx])
-        self.t0[idx] = now
-        self.theta[idx] = now
-        self.theta_min = min(self.theta_min, now)
+        if self.guard_min - start <= reach:
+            idx = np.flatnonzero(self.guard - start <= reach)
+            guard, _ = frequency_branch(self.pop.take(idx), self.sigma[idx])
+            self.reanchor(idx, guard, now)
+            self.refresh()
+        if self.theta_min - start <= reach:
+            idx = np.flatnonzero(self.theta - start <= reach)
+            self.temp0[idx] = thermostat_threshold(self.pop.take(idx), self.sigma[idx])
+            self.t0[idx] = now
+            self.theta[idx] = now
+            self.theta_min = min(self.theta_min, now)
 
-    def open_branches(self, now: float) -> None:
-        """Open the frequency branches whose guard time has come by now."""
-        if self.guard_min > now:
-            return
-        idx = np.flatnonzero(self.guard <= now)
-        on, off = self._open_levels(idx)
-        self.lvl_on[idx], self.lvl_off[idx] = on, off
-        self.guard[idx] = np.inf
-        self.guard_min = float(np.min(self.guard))
-        self.on_min = min(self.on_min, float(np.min(on)))
-        self.off_max = max(self.off_max, float(np.max(off)))
-
-    def flippers(self, until: float):
-        """(guard, lvl_on, lvl_off) of the loads whose branch opens by until,
-        levels as once open; None when there are none."""
-        if self.guard_min > until:
-            return None
-        idx = np.flatnonzero(self.guard <= until)
-        return self.guard[idx], *self._open_levels(idx)
-
-    def _open_levels(self, idx: np.ndarray):
-        off = self.sigma[idx] == 0
-        level = self.branch[idx]
-        return np.where(off, level, np.inf), np.where(off, -np.inf, level)
-
-    def freq_jump(self, omega: float, now: float, flippers) -> bool:
-        """Whether a frequency jump is enabled at time now with the loads
-        observing omega. now lies within the step that flippers was taken for,
-        and no load switches before it."""
-        if omega >= self.on_min or omega <= self.off_max:
-            return True
-        if flippers is None:
-            return False
-        guard, on, off = flippers
-        return bool(np.any((guard <= now) & ((omega >= on) | (omega <= off))))
+    def excess(self, omega: float) -> float:
+        """How far omega lies beyond the nearest open frequency level: a
+        frequency jump is enabled iff this is >= 0; -inf with no open
+        branch."""
+        return max(omega - self.on_min, self.off_max - omega)
 
     def candidates(self, omega: float, now: float, fired: np.ndarray | None) -> np.ndarray:
         """Ascending indices of the loads whose jump may be enabled at now:
@@ -252,11 +230,57 @@ class LoadAnchors:
         parts = []
         if self.theta_min <= now:
             parts.append(np.flatnonzero(self.theta <= now))
-        if omega >= self.on_min or omega <= self.off_max:
+        if self.excess(omega) >= 0:
             parts.append(np.flatnonzero((self.lvl_on <= omega) | (self.lvl_off >= omega)))
         if fired is not None:
             parts.append(np.flatnonzero(fired))
         return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.intp)
+
+
+def locate_crossing(ss: StateSpace, x: np.ndarray, u: float, dt: float, x_end: np.ndarray, excess):
+    """(tau, state at tau, probes) for a step of dt from x with input held at
+    u, given that excess(omega) is < 0 at its start and >= 0 at its end
+    state x_end: at tau in (0, dt] the jump is enabled, with omega at most
+    _OVERSHOOT past its level, or tau is the first double at which it is.
+
+    Modified regula falsi on the bracket [0, dt], aimed at the middle of the
+    accepted window: the Illinois method (Dowell & Jarratt, BIT 11, 168,
+    1971) with the Anderson-Bjorck scaling of the kept end (BIT 13, 253,
+    1973). Each probe is the exact flow transition(ss, tau) from x.
+    """
+    g_end = excess(x_end[0])
+    if g_end <= _OVERSHOOT:
+        return dt, x_end, 0
+    aim = 0.5 * _OVERSHOOT
+    lo, g_lo = 0.0, excess(x[0]) - aim
+    hi, g_hi, x_hi = dt, g_end - aim, x_end
+    side = probes = 0
+    while True:
+        tau = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        if not lo < tau < hi:
+            tau = 0.5 * (lo + hi)
+            if not lo < tau < hi:
+                return hi, x_hi, probes
+        # looked up on the module, so that patching grid_model.transition
+        # reaches every probe
+        phi, psi = grid_model.transition(ss, tau)
+        x_tau = phi @ x + psi * u
+        g_tau = excess(x_tau[0])
+        probes += 1
+        if 0 <= g_tau <= _OVERSHOOT:
+            return tau, x_tau, probes
+        g = g_tau - aim
+        # when the same end moves twice running, the kept end's value shrinks
+        if g > 0:
+            if side > 0:
+                scale = 1.0 - g / g_hi
+                g_lo *= scale if scale > 0 else 0.5
+            hi, g_hi, x_hi, side = tau, g, x_tau, 1
+        else:
+            if side < 0:
+                scale = 1.0 - g / g_lo
+                g_hi *= scale if scale > 0 else 0.5
+            lo, g_lo, side = tau, g, -1
 
 
 CAUSE_THERMO_HI = "thermostat-hi"
@@ -294,7 +318,8 @@ def simulate(sc: Scenario) -> Trace:
         raise SimulationError("grid model is not Hurwitz-certified")
 
     scheme = sc.scheme
-    freq_active = scheme.kind == "deterministic"
+    # the frequency branches act only when the loads observe omega
+    freq_active = scheme.kind == "deterministic" and not sc.clamp_omega
     randomized = scheme.kind == "randomized"
     zeno_max = ZENO_PER_LOAD * n_loads
 
@@ -304,7 +329,7 @@ def simulate(sc: Scenario) -> Trace:
         from .tcl import sample_initial_states
 
         temps, sigmas = sample_initial_states(pop, sc.seed)
-    loads = LoadAnchors(pop, scheme, temps, sigmas)
+    loads = LoadAnchors(pop, freq_active, temps, sigmas)
 
     d_star = float(np.sum(pop.alpha * pop.d_bar)) if sc.offset_demand else 0.0
     cache = TransitionCache(sc.grid)
@@ -329,7 +354,7 @@ def simulate(sc: Scenario) -> Trace:
     temp_max = loads.temp0.copy()
     meta = {
         "rate_resamples": 0,
-        "freq_bisections": 0,
+        "freq_bisections": 0,  # transitions probed by locate_crossing
         "max_jump_instants": 0,
         "clock_draws": 0,
     }
@@ -412,14 +437,18 @@ def simulate(sc: Scenario) -> Trace:
     tiny = 1e-12
     while t < sc.horizon - tiny:
         u = current_level() + loads.d_s - d_star
-        bound = min(sc.horizon, next_dist_time(), t + sc.max_step)
+        dt = min(
+            loads.theta_min - t,
+            loads.guard_min - t,
+            next_dist_time() - t,
+            sc.horizon - t,
+            sc.max_step,
+        )
         if randomized:
             # rates held over the step; a load at rate 0 never fires
             rates = switching_rate(pop, loads.sigma, load_omega(x[0]), scheme)
             wait = np.divide(left, rates, out=np.full(n_loads, np.inf), where=rates > 0)
-            clocks = t + wait
-            bound = min(bound, float(np.min(clocks)))
-        dt = min(loads.theta_min - t, bound - t)
+            dt = min(dt, float(np.min(wait)))
         if dt <= 0:
             raise SimulationError(f"non-positive step {dt} at t={t}")
 
@@ -429,37 +458,24 @@ def simulate(sc: Scenario) -> Trace:
             raise SimulationError(f"non-finite grid state at t={t + dt}")
         clock_fired = None
         if randomized:
-            clock_fired = clocks <= t + dt + tiny
+            fired = wait <= dt + tiny
+            clock_fired = fired if fired.any() else None
             left -= rates * dt
 
         dt_event = dt
-        if freq_active and dt > sc.event_tol:
-            flippers = loads.flippers(t + dt)
-            if loads.freq_jump(load_omega(x_end[0]), t + dt, flippers):
-                # locate the earliest interior enabling time of a frequency jump
-                lo_t, hi_t = 0.0, dt
-                while hi_t - lo_t > sc.event_tol:
-                    mid = 0.5 * (lo_t + hi_t)
-                    p, q = cache.get(mid)
-                    omega_mid = (p @ x + q * u)[0]
-                    if loads.freq_jump(load_omega(omega_mid), t + mid, flippers):
-                        hi_t = mid
-                    else:
-                        lo_t = mid
-                    meta["freq_bisections"] += 1
-                if hi_t < dt:
-                    dt_event = hi_t
-                    p, q = cache.get(dt_event)
-                    x_end = p @ x + q * u
+        # [0, dt] brackets a crossing only if the start is disabled, as a
+        # jump instant leaves it
+        if freq_active and loads.excess(x_end[0]) >= 0 > loads.excess(x[0]):
+            dt_event, x_end, probes = locate_crossing(sc.grid, x, u, dt, x_end, loads.excess)
+            meta["freq_bisections"] += probes
 
         # commit the flow
         x = x_end
         if dt_event == dt:
-            loads.snap_thermostats(t, dt)
+            loads.snap(t, dt)
         t += dt_event
         if dist_idx + 1 < len(dist_times) and t >= dist_times[dist_idx + 1] - tiny:
             dist_idx += 1
-        loads.open_branches(t)
 
         apply_jumps(x[0], clock_fired)
         record_sample()
@@ -499,16 +515,6 @@ class FrequencyMetrics:
     switch_counts: np.ndarray   # per-load switch totals
     times: np.ndarray
     omega: np.ndarray
-
-    def settle_time_into(self, eps: float) -> float:
-        """First time after which |omega| stays within eps; inf if never."""
-        outside = np.abs(self.omega) > eps
-        if not np.any(outside):
-            return float(self.times[0])
-        last = int(np.flatnonzero(outside)[-1])
-        if last + 1 >= len(self.times):
-            return math.inf
-        return float(self.times[last + 1])
 
     def longest_window_within(self, eps: float) -> float:
         """Length of the longest contiguous span with |omega| <= eps."""

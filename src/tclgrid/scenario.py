@@ -2,7 +2,7 @@
 simulator inputs.
 
 A scenario document has sections: grid, population, scheme, disturbance,
-horizon/seed/tolerances, and an optional design section controlling threshold
+horizon/seed/max_step, and an optional design section controlling threshold
 allocation and certification.
 """
 
@@ -25,7 +25,7 @@ from .grid_model import (
     default_gen_dynamics,
 )
 from .hybrid_sim import DISTURBANCE_RULE, Scenario, valid_disturbance, valid_seed
-from .tcl import Population, PopulationSpec, Scheme, sample_population
+from .tcl import DEFAULT_RANGES, Population, PopulationSpec, Scheme, sample_population
 
 
 class ScenarioError(ValueError):
@@ -54,13 +54,12 @@ class ScenarioFile:
     horizon: float
     seed: int
     max_step: float = 0.01
-    event_tol: float = 1e-6
     offset_demand: bool = True
     clamp_omega: bool = False
     design: DesignSettings = DesignSettings()
 
     def __post_init__(self):
-        for name in ("horizon", "max_step", "event_tol"):
+        for name in ("horizon", "max_step"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ScenarioError(f"{name} must be positive and finite, got {value}")
@@ -124,7 +123,6 @@ class ScenarioFile:
             horizon=self.horizon,
             seed=self.seed,
             max_step=self.max_step,
-            event_tol=self.event_tol,
             offset_demand=self.offset_demand,
             clamp_omega=self.clamp_omega,
         )
@@ -146,17 +144,17 @@ def _flag(value, name: str) -> bool:
 
 
 def _parse_gen(doc: dict) -> GenDynamics:
-    if "preset" in doc.get("gen", {}) or "gen" not in doc:
-        preset = doc.get("gen", {}).get("preset", "governor-integral")
+    if "gen" not in doc or "preset" in doc["gen"]:
+        given = _fields(doc.get("gen", {}), "grid.gen", ("preset", "t_g", "k_p", "k_i"))
+        preset = given.get("preset", "governor-integral")
         if preset != "governor-integral":
             raise ScenarioError(f"unknown gen preset {preset!r}")
-        given = doc.get("gen", {})
         params = {name: float(given[name]) for name in ("t_g", "k_p", "k_i") if name in given}
         for name, value in params.items():
             if not (math.isfinite(value) and (name != "t_g" or value > 0)):
                 raise ScenarioError(f"grid.gen.{name} must be finite (t_g positive), got {value}")
         return default_gen_dynamics(**params)
-    gen = doc["gen"]
+    gen = _fields(doc["gen"], "grid.gen", ("a_hat", "b_hat", "c_hat", "d_hat"))
     try:
         return GenDynamics(
             a_hat=np.array(_require(gen, "a_hat", "grid.gen"), dtype=float),
@@ -171,7 +169,7 @@ def _parse_gen(doc: dict) -> GenDynamics:
 def parse_scheme(doc) -> Scheme:
     if isinstance(doc, str):
         doc = {"kind": doc}
-    kind = _require(doc, "kind", "scheme")
+    kind = _require(_fields(doc, "scheme", ("kind", "k_pi", "v_des")), "kind", "scheme")
     aliases = {
         "conventional": Scheme.conventional,
         "deterministic": Scheme.deterministic,
@@ -187,9 +185,14 @@ def parse_scheme(doc) -> Scheme:
     return aliases[kind]()
 
 
-def _mapping(value, section: str) -> dict:
+def _fields(value, section: str, known) -> dict:
+    """A mapping holding no key outside known, so a misspelled or retired
+    field fails instead of being ignored."""
     if not isinstance(value, dict):
         raise ScenarioError(f"section {section!r} must be a mapping, got {value!r}")
+    unknown = [key for key in value if key not in known]
+    if unknown:
+        raise ScenarioError(f"unknown field {unknown[0]!r} in section {section!r}")
     return value
 
 
@@ -202,18 +205,29 @@ def _pair(value, name: str) -> tuple[float, float]:
         raise ScenarioError(f"{name} must be a pair of numbers, got {value!r}") from exc
 
 
+ROOT_FIELDS = (
+    "grid", "population", "scheme", "disturbance", "horizon", "seed",
+    "max_step", "offset_demand", "clamp_omega", "design",
+)
+
+
 def from_dict(doc: dict) -> ScenarioFile:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
-    grid = _mapping(_require(doc, "grid", "<root>"), "grid")
-    popdoc = _mapping(_require(doc, "population", "<root>"), "population")
+    _fields(doc, "<root>", ROOT_FIELDS)
+    grid = _fields(_require(doc, "grid", "<root>"), "grid", ("m", "d", "gen"))
+    popdoc = _fields(
+        _require(doc, "population", "<root>"), "population", ("n_loads", "gamma", "seed", "ranges")
+    )
     ranges = popdoc.get("ranges")
     if ranges is not None:
         ranges = {
             k: _pair(v, f"population.ranges.{k}")
-            for k, v in _mapping(ranges, "population.ranges").items()
+            for k, v in _fields(ranges, "population.ranges", DEFAULT_RANGES).items()
         }
-    design_doc = _mapping(doc.get("design", {}), "design")
+    design_doc = _fields(
+        doc.get("design", {}), "design", ("delta", "margin", "allocate", "threshold_range")
+    )
     thr_range = _pair(design_doc.get("threshold_range", [0.01, 0.26]), "design.threshold_range")
     try:
         return ScenarioFile(
@@ -233,7 +247,6 @@ def from_dict(doc: dict) -> ScenarioFile:
             horizon=float(_require(doc, "horizon", "<root>")),
             seed=_require(doc, "seed", "<root>"),
             max_step=float(doc.get("max_step", 0.01)),
-            event_tol=float(doc.get("event_tol", 1e-6)),
             offset_demand=_flag(doc.get("offset_demand", True), "offset_demand"),
             clamp_omega=_flag(doc.get("clamp_omega", False), "clamp_omega"),
             design=DesignSettings(
@@ -272,7 +285,6 @@ def to_dict(sf: ScenarioFile) -> dict:
         "horizon": sf.horizon,
         "seed": sf.seed,
         "max_step": sf.max_step,
-        "event_tol": sf.event_tol,
         "offset_demand": sf.offset_demand,
         "clamp_omega": sf.clamp_omega,
         "design": {

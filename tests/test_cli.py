@@ -218,6 +218,17 @@ class TestErrors:
         assert "configuration error" in err and field in err
 
 
+    @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
+    def test_unknown_field_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "typo.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_DOC, max_stepp=0.5)))
+        argv = [command, "--scenario", str(path)]
+        if command in ("run", "compare"):
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'max_stepp'" in err
+
     @pytest.mark.parametrize(
         "schedule",
         [[], [[1.0, 0.0], [2.0, 1.0]], [[0.0, 0.0], [1.0, 2.0], [0.5, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],

@@ -80,7 +80,7 @@ class TestParsing:
         assert parse_scheme({"kind": "randomized", "k_pi": 7.0}).k_pi == 7.0
         assert parse_scheme("randomized-high-gain").k_pi == 50.0
 
-    @pytest.mark.parametrize("field", ["horizon", "max_step", "event_tol"])
+    @pytest.mark.parametrize("field", ["horizon", "max_step"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     def test_non_finite_or_non_positive_times_rejected(self, field, value):
         with pytest.raises(ScenarioError, match=field):
@@ -135,6 +135,46 @@ class TestParsing:
     def test_non_mapping_rejected(self):
         with pytest.raises(ScenarioError):
             from_dict(["not", "a", "mapping"])
+
+    @pytest.mark.parametrize(
+        "path, key",
+        [
+            ([], "max_stepp"),
+            ([], "event_tol"),
+            (["grid"], "inertia"),
+            (["grid", "gen"], "t_gov"),
+            (["population"], "n_load"),
+            (["population", "ranges"], "t_ambient"),
+            (["scheme"], "kpi"),
+            (["design"], "deltas"),
+        ],
+        ids=[
+            "root", "root-retired", "grid", "grid.gen", "population", "ranges", "scheme", "design",
+        ],
+    )
+    def test_unknown_field_rejected(self, path, key):
+        # a misspelled or retired field fails by name instead of leaving
+        # its default in force
+        doc = dict(
+            MINIMAL,
+            grid={"m": 10.0, "d": 1.0, "gen": {"preset": "governor-integral"}},
+            population=dict(MINIMAL["population"], ranges={"k": [2e-4, 1e-3]}),
+            scheme={"kind": "randomized"},
+            design={},
+        )
+        doc = yaml.safe_load(yaml.safe_dump(doc))
+        section = doc
+        for name in path:
+            section = section[name]
+        section[key] = 0.5
+        section_name = ".".join(path) or "<root>"
+        with pytest.raises(ScenarioError, match=f"unknown field '{key}' in section '{section_name}'"):
+            from_dict(doc)
+
+    def test_unknown_matrix_field_rejected(self):
+        gen = {"a_hat": [[-1.0]], "b_hat": [1.0], "c_hat": [1.0], "preset_name": "x"}
+        with pytest.raises(ScenarioError, match="'preset_name' in section 'grid.gen'"):
+            from_dict(dict(MINIMAL, grid={"m": 10.0, "d": 1.0, "gen": gen}))
 
 
 class TestRoundTrip:
