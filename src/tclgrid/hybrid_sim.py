@@ -17,8 +17,10 @@ instant, continuous state unchanged.
 Randomized clocks follow the modified next reaction method: each load holds
 one unit exponential, drawn from its counter-based Philox stream keyed by
 (seed, load index) at t = 0 and after each of its switches, minus the hazard
-it has accumulated since. A step evaluates the switching rates once, at its
-start, holds them over the step and ends no later than the first load whose
+it has accumulated since. Each load also holds the coefficients of its active
+stroke's rate (tcl.rate_coefficients), set at its own switches only. A step
+evaluates the rate law (tcl.rate_law) over them once, at its start, in place,
+holds the rates over the step and ends no later than the first load whose
 remaining exponential the held rate uses up; that load fires. So a run draws
 one exponential per load plus one per switch.
 
@@ -43,7 +45,8 @@ from .tcl import (
     frequency_branch,
     jump_target,
     next_thermostat_event,
-    switching_rate,
+    rate_coefficients,
+    rate_law,
     temp_flow,
     thermostat_threshold,
     time_to_level,
@@ -150,14 +153,19 @@ class LoadAnchors:
     time its frequency branch opens (tcl.frequency_branch), +inf once open or
     when the loads do not observe frequency (freq_active false). lvl_on holds
     the branch's frequency level for OFF loads with an open branch and +inf
-    elsewhere, lvl_off for open ON loads and -inf elsewhere. The scalars below
+    elsewhere, lvl_off for open ON loads and -inf elsewhere. Given the
+    randomized scheme (rate_scheme), base and level hold the coefficients of
+    each load's active stroke rate (tcl.rate_coefficients). The scalars below
     are recomputed by refresh, after a jump instant or a branch opening only.
     """
 
-    def __init__(self, pop: Population, freq_active: bool, temps, sigmas):
+    def __init__(
+        self, pop: Population, freq_active: bool, temps, sigmas, rate_scheme: Scheme | None = None
+    ):
         n = len(pop)
         self.pop = pop
         self.freq_active = freq_active
+        self.rate_scheme = rate_scheme
         self.temp0 = np.array(temps, dtype=float)
         self.t0 = np.zeros(n)
         self.sigma = np.array(sigmas, dtype=np.int8)
@@ -165,6 +173,8 @@ class LoadAnchors:
         self.guard = np.full(n, np.inf)
         self.lvl_on = np.full(n, np.inf)
         self.lvl_off = np.full(n, -np.inf)
+        self.base = np.empty(n)
+        self.level = np.empty(n)
         self.reanchor(np.arange(n), self.temp0, 0.0)
         self.refresh()
 
@@ -184,6 +194,8 @@ class LoadAnchors:
         self.temp0[idx] = temps
         self.t0[idx] = now
         self.theta[idx] = now + next_thermostat_event(sub, temps, sigma)
+        if self.rate_scheme is not None:
+            self.base[idx], self.level[idx] = rate_coefficients(sub, sigma, self.rate_scheme)
         if not self.freq_active:
             return
         guard, level = frequency_branch(sub, sigma)
@@ -329,7 +341,7 @@ def simulate(sc: Scenario) -> Trace:
         from .tcl import sample_initial_states
 
         temps, sigmas = sample_initial_states(pop, sc.seed)
-    loads = LoadAnchors(pop, freq_active, temps, sigmas)
+    loads = LoadAnchors(pop, freq_active, temps, sigmas, scheme if randomized else None)
 
     d_star = float(np.sum(pop.alpha * pop.d_bar)) if sc.offset_demand else 0.0
     cache = TransitionCache(sc.grid)
@@ -339,6 +351,8 @@ def simulate(sc: Scenario) -> Trace:
     streams = ClockStreams(sc.seed, n_loads) if randomized else None
     # each load's unit exponential minus the hazard accumulated since its draw
     left = np.full(n_loads, np.inf)
+    rates = np.empty(n_loads)
+    wait = np.empty(n_loads)
 
     def load_omega(omega_value: float) -> float:
         return 0.0 if sc.clamp_omega else omega_value
@@ -445,10 +459,13 @@ def simulate(sc: Scenario) -> Trace:
             sc.max_step,
         )
         if randomized:
-            # rates held over the step; a load at rate 0 never fires
-            rates = switching_rate(pop, loads.sigma, load_omega(x[0]), scheme)
-            wait = np.divide(left, rates, out=np.full(n_loads, np.inf), where=rates > 0)
-            dt = min(dt, float(np.min(wait)))
+            # rates held over the step; left is positive (a used-up clock
+            # fired and was redrawn), so a load at rate 0 waits forever
+            rate_law(loads.base, loads.level, scheme.k_pi, load_omega(x[0]), out=rates)
+            with np.errstate(divide="ignore"):
+                np.divide(left, rates, out=wait)
+            wait_min = float(wait.min())
+            dt = min(dt, wait_min)
         if dt <= 0:
             raise SimulationError(f"non-positive step {dt} at t={t}")
 
@@ -458,8 +475,8 @@ def simulate(sc: Scenario) -> Trace:
             raise SimulationError(f"non-finite grid state at t={t + dt}")
         clock_fired = None
         if randomized:
-            fired = wait <= dt + tiny
-            clock_fired = fired if fired.any() else None
+            if wait_min <= dt + tiny:
+                clock_fired = wait <= dt + tiny
             left -= rates * dt
 
         dt_event = dt

@@ -170,19 +170,18 @@ def parse_scheme(doc) -> Scheme:
     if isinstance(doc, str):
         doc = {"kind": doc}
     kind = _require(_fields(doc, "scheme", ("kind", "k_pi", "v_des")), "kind", "scheme")
+    # kind -> (Scheme kind, default k_pi); given k_pi and v_des pass through
+    # for every kind, so Scheme rejects the ones a kind would ignore
     aliases = {
-        "conventional": Scheme.conventional,
-        "deterministic": Scheme.deterministic,
-        "randomized": lambda: Scheme.randomized(
-            k_pi=float(doc.get("k_pi", 5.0)), v_des=float(doc.get("v_des", 1.0))
-        ),
-        "randomized-high-gain": lambda: Scheme.randomized_high_gain(
-            k_pi=float(doc.get("k_pi", 50.0)), v_des=float(doc.get("v_des", 1.0))
-        ),
+        "conventional": ("conventional", 0.0),
+        "deterministic": ("deterministic", 0.0),
+        "randomized": ("randomized", 5.0),
+        "randomized-high-gain": ("randomized", 50.0),
     }
     if kind not in aliases:
         raise ScenarioError(f"unknown scheme kind {kind!r}")
-    return aliases[kind]()
+    name, k_pi = aliases[kind]
+    return Scheme(name, k_pi=float(doc.get("k_pi", k_pi)), v_des=float(doc.get("v_des", 1.0)))
 
 
 def _fields(value, section: str, known) -> dict:

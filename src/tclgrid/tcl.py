@@ -166,7 +166,9 @@ class Scheme:
     """Load-side control variant.
 
     kind is one of 'conventional', 'deterministic', 'randomized'. The two
-    randomized comparison cases differ only in the feedback gain k_pi.
+    randomized comparison cases differ only in the feedback gain k_pi. The
+    rate fields k_pi and v_des act only in the randomized scheme; the other
+    kinds keep their defaults.
     """
 
     kind: str
@@ -180,6 +182,14 @@ class Scheme:
             raise TclError(f"k_pi must be nonnegative, got {self.k_pi}")
         if not (self.v_des > 0):
             raise TclError(f"v_des must be positive, got {self.v_des}")
+        if self.kind != "randomized":
+            # a rate field the kind would ignore fails instead
+            for name, unused in (("k_pi", 0.0), ("v_des", 1.0)):
+                if getattr(self, name) != unused:
+                    raise TclError(
+                        f"{name} applies only to the randomized scheme, "
+                        f"got {name}={getattr(self, name)} for kind {self.kind!r}"
+                    )
 
     @staticmethod
     def conventional() -> "Scheme":
@@ -268,10 +278,27 @@ def switching_rate(p: TclParams | Population, sigma, omega: float, scheme: Schem
     linearly in omega/omega1. Rates are clamped to [0, 1] per second to
     prevent chatter at extreme gains.
     """
-    bias = scheme.k_pi * omega / p.omega1
-    r_on = (scheme.v_des / p.pi_off) * np.maximum(0.0, 1.0 + bias)
-    r_off = (scheme.v_des / p.pi_on) * np.maximum(0.0, 1.0 - bias)
-    return np.minimum(np.where(sigma == 1, r_off, r_on), 1.0)[()]
+    return rate_law(*rate_coefficients(p, sigma, scheme), scheme.k_pi, omega)
+
+
+def rate_coefficients(p: TclParams | Population, sigma, scheme: Scheme):
+    """(base, level) of the active stroke's rate: base = v_des/pi_off and
+    level = +omega1 for OFF loads, base = v_des/pi_on and level = -omega1
+    for ON loads. They change only when the load switches."""
+    on = sigma == 1
+    base = scheme.v_des / np.where(on, p.pi_on, p.pi_off)
+    return base[()], np.where(on, -p.omega1, p.omega1)[()]
+
+
+def rate_law(base, level, k_pi: float, omega: float, out=None):
+    """The randomized rate min(1, base * max(0, 1 + k_pi * omega / level))
+    over rate_coefficients; written into out when given. For ON loads
+    1 + k_pi * omega / -omega1 is exactly 1 - k_pi * omega / omega1."""
+    rate = np.divide(k_pi * omega, level, out=out)
+    rate = np.add(rate, 1.0, out=out)
+    rate = np.maximum(rate, 0.0, out=out)
+    rate = np.multiply(base, rate, out=out)
+    return np.minimum(rate, 1.0, out=out)[()]
 
 
 def trigger_levels(p: TclParams | Population, temperature, scheme: Scheme):

@@ -229,6 +229,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "configuration error" in err and "'max_stepp'" in err
 
+    @pytest.mark.parametrize("field, value", [("k_pi", 7.0), ("v_des", 3.0)])
+    def test_rate_field_of_deterministic_scheme_is_config_error(
+        self, tmp_path, capsys, field, value
+    ):
+        path = tmp_path / "rate.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_DOC, scheme={"kind": "deterministic", field: value})))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and field in err
+
     @pytest.mark.parametrize(
         "schedule",
         [[], [[1.0, 0.0], [2.0, 1.0]], [[0.0, 0.0], [1.0, 2.0], [0.5, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],

@@ -27,7 +27,10 @@ from tclgrid.tcl import (
     TclParams,
     jump_target,
     on_off_durations,
+    rate_coefficients,
+    rate_law,
     sample_population,
+    switching_rate,
     trigger_levels,
 )
 
@@ -251,6 +254,29 @@ def held_steps(draw):
     return pop, temps, sigmas, draw(st.floats(1e-6, 2.0))
 
 
+@st.composite
+def switch_sequences(draw):
+    """A population, its temperatures and switch states, a sequence of load
+    subsets that switch, a randomized scheme (a large v_des makes the 1/s cap
+    bind) and an omega that often drives one stroke's rate to 0 or the cap."""
+    n = draw(st.integers(1, 30))
+    pop = sample_population(PopulationSpec(n, gamma=0.2, seed=draw(st.integers(0, 2**31))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    sigmas = rng.integers(0, 2, n).astype(np.int8)
+    temps = rng.uniform(pop.t_lo, pop.t_hi)
+    switches = [
+        rng.permutation(n)[: rng.integers(0, n + 1)] for _ in range(draw(st.integers(0, 8)))
+    ]
+    scheme = Scheme.randomized(
+        k_pi=draw(st.sampled_from([0.0, 5.0, 50.0])), v_des=draw(st.sampled_from([1.0, 1e4]))
+    )
+    omega = draw(st.one_of(
+        st.floats(-1.0, 1.0),
+        st.sampled_from([float(s * w / max(scheme.k_pi, 1.0)) for w in pop.omega1 for s in (-1, 1)]),
+    ))
+    return pop, temps, sigmas, switches, scheme, omega
+
+
 class TestLoadAnchors:
     @settings(max_examples=100, deadline=None)
     @given(case=held_steps())
@@ -300,28 +326,65 @@ class TestLoadAnchors:
         # kernels see every load a few times to set it up and read it out,
         # and after that only the loads that switch, however many steps and
         # bisection probes the run takes
-        sf = dataclasses.replace(
-            shipped_file,
-            horizon=1.25,
-            population=dataclasses.replace(shipped_file.population, n_loads=2000),
-        )
-        sc, _ = sf.build_scenario()
-        elements = 0
-
-        def counted(fn):
-            def wrapped(p, *args, **kwargs):
-                nonlocal elements
-                elements += len(p)
-                return fn(p, *args, **kwargs)
-            return wrapped
-
-        for name in PER_LOAD_KERNELS:
-            if hasattr(hybrid_sim, name):
-                monkeypatch.setattr(hybrid_sim, name, counted(getattr(hybrid_sim, name)))
-        tr = simulate(sc)
-        n, switches = len(sc.population), tr.switch_times.size
+        tr, n, elements = run_counting_kernels(shipped_file, monkeypatch, 1.25)
+        switches = tr.switch_times.size
         assert switches > 0 and tr.meta["freq_bisections"] > 0
         assert elements <= 4 * n + 20 * switches
+
+    def test_randomized_loop_touches_only_switching_loads(self, shipped_file, monkeypatch):
+        # the same bound for hazard clocks over 5 s: a step evaluates the
+        # rate law over the coefficients each load holds, and only a load
+        # that switches gets new ones
+        tr, n, elements = run_counting_kernels(
+            shipped_file, monkeypatch, 5.0, scheme=Scheme.randomized()
+        )
+        switches = tr.switch_times.size
+        assert switches > 0 and tr.times.size > 400
+        assert elements <= 4 * n + 20 * switches
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=switch_sequences())
+    def test_held_rate_coefficients_match_kernel(self, case):
+        # after any sequence of switches the held coefficients are those of
+        # the current states, and the rates evaluated from them are
+        # switching_rate's, clips and the 1/s cap included
+        pop, temps, sigmas, switches, scheme, omega = case
+        loads = LoadAnchors(pop, False, temps, sigmas, scheme)
+        for now, idx in enumerate(switches, start=1):
+            loads.sigma[idx] = 1 - loads.sigma[idx]
+            loads.reanchor(idx, temps[idx], float(now))
+        base, level = rate_coefficients(pop, loads.sigma, scheme)
+        np.testing.assert_array_equal(loads.base, base)
+        np.testing.assert_array_equal(loads.level, level)
+        rates = rate_law(loads.base, loads.level, scheme.k_pi, omega, out=np.empty(len(pop)))
+        expected = switching_rate(pop, loads.sigma, omega, scheme)
+        assert np.array_equal(rates, expected)
+
+
+def run_counting_kernels(shipped_file, monkeypatch, horizon, **changes):
+    """(trace, load count, elements seen by the per-load kernels) of the
+    shipped scenario with 2000 loads over horizon."""
+    sf = dataclasses.replace(
+        shipped_file,
+        horizon=horizon,
+        population=dataclasses.replace(shipped_file.population, n_loads=2000),
+        **changes,
+    )
+    sc, _ = sf.build_scenario()
+    elements = 0
+
+    def counted(fn):
+        def wrapped(p, *args, **kwargs):
+            nonlocal elements
+            elements += len(p)
+            return fn(p, *args, **kwargs)
+        return wrapped
+
+    for name in PER_LOAD_KERNELS:
+        if hasattr(hybrid_sim, name):
+            monkeypatch.setattr(hybrid_sim, name, counted(getattr(hybrid_sim, name)))
+    tr = simulate(sc)
+    return tr, len(sc.population), elements
 
 
 @st.composite
@@ -401,6 +464,7 @@ PER_LOAD_KERNELS = (
     "frequency_branch",
     "jump_target",
     "next_thermostat_event",
+    "rate_coefficients",
     "switching_rate",
     "temp_flow",
     "thermostat_threshold",

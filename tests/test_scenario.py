@@ -12,6 +12,7 @@ from tclgrid.scenario import (
     scenario_hash,
     to_dict,
 )
+from tclgrid.tcl import Scheme, TclError
 
 MINIMAL = {
     "grid": {"m": 10.0, "d": 1.0},
@@ -79,6 +80,19 @@ class TestParsing:
         assert parse_scheme("deterministic").kind == "deterministic"
         assert parse_scheme({"kind": "randomized", "k_pi": 7.0}).k_pi == 7.0
         assert parse_scheme("randomized-high-gain").k_pi == 50.0
+
+    @pytest.mark.parametrize("field, value", [("k_pi", 7.0), ("v_des", 3.0)])
+    @pytest.mark.parametrize("kind", ["conventional", "deterministic"])
+    def test_rate_field_of_non_randomized_scheme_rejected(self, kind, field, value):
+        # a rate field the kind would ignore fails by name instead of
+        # loading as its default
+        with pytest.raises(ScenarioError, match=f"{field} applies only to the randomized scheme"):
+            from_dict(dict(MINIMAL, scheme={"kind": kind, field: value}))
+        with pytest.raises(TclError, match=field):
+            Scheme(kind, **{field: value})
+        # the values to_dict writes for these kinds still load
+        sf = from_dict(dict(MINIMAL, scheme={"kind": kind, "k_pi": 0.0, "v_des": 1.0}))
+        assert sf.scheme == Scheme(kind)
 
     @pytest.mark.parametrize("field", ["horizon", "max_step"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])

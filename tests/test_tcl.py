@@ -311,6 +311,20 @@ class TestKernelScalarArrayAgreement:
             assert (p.pi_on, p.pi_off) == (soa.pi_on[j], soa.pi_off[j])
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=population_states(), k_pi=st.sampled_from([0.0, 5.0, 50.0]))
+    def test_rate_law_is_the_two_stroke_form(self, case, k_pi):
+        # an ON load's 1 + k_pi*omega/-omega1 is exactly 1 - k_pi*omega/omega1,
+        # so the one-level law gives the two-stroke rates bit for bit
+        _, soa, _, sigmas, _, omega = case
+        scheme = Scheme.randomized(k_pi=k_pi)
+        bias = k_pi * omega / soa.omega1
+        r_on = (1.0 / soa.pi_off) * np.maximum(0.0, 1.0 + bias)
+        r_off = (1.0 / soa.pi_on) * np.maximum(0.0, 1.0 - bias)
+        expected = np.minimum(np.where(sigmas == 1, r_off, r_on), 1.0)
+        assert np.array_equal(switching_rate(soa, sigmas, omega, scheme), expected)
+
+
 class TestPopulationSampling:
     def test_deterministic_in_seed(self):
         spec = PopulationSpec(n_loads=20, gamma=0.1, seed=42)
