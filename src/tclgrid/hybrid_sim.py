@@ -6,23 +6,29 @@ closed-form held flow from its anchor, the temperature and time of its last
 switch or branch opening (LoadAnchors), so its absolute thermostat time and
 the time its frequency branch opens stay fixed until then. Steps end at the
 earliest thermostat time, branch opening (guard), the sample cadence, a
-disturbance change or a randomized clock, so the open frequency levels are
-constant over a step. A step whose end enables a frequency jump is cut at the
-crossing, found by modified regula falsi on the exact held-input flow
-(locate_crossing). Only the loads that switch or open a branch are touched: a
-quiet step costs O(grid dimension) in the deterministic and conventional
-schemes. At an event every enabled load switches within a single jump
+disturbance change or an accepted randomized candidate, so the open frequency
+levels are constant over a step. A step whose end enables a frequency jump is
+cut at the crossing, found by modified regula falsi on the exact held-input
+flow (locate_crossing). Only the loads that switch or open a branch are
+touched. At an event every enabled load switches within a single jump
 instant, continuous state unchanged.
 
-Randomized clocks follow the modified next reaction method: each load holds
-one unit exponential, drawn from its counter-based Philox stream keyed by
-(seed, load index) at t = 0 and after each of its switches, minus the hazard
-it has accumulated since. Each load also holds the coefficients of its active
-stroke's rate (tcl.rate_coefficients), set at its own switches only. A step
-evaluates the rate law (tcl.rate_law) over them once, at its start, in place,
-holds the rates over the step and ends no later than the first load whose
-remaining exponential the held rate uses up; that load fires. So a run draws
-one exponential per load plus one per switch.
+Between events the trace is sampled every max_step from the last event. A
+cadence step that ends more than one max_step before the next thermostat,
+guard, disturbance, candidate or horizon time cannot snap a load or enable a
+jump unless omega reaches an open frequency level, so these quiet steps run
+in a tight inner loop of one cached propagation each; the loop body proper
+runs about twice per event (meta["loop_iterations"]). Runs are bit-identical
+to stepping every cadence point through the loop body.
+
+The randomized scheme is simulated by Lewis-Shedler thinning (ThinnedClocks).
+At each jump instant and disturbance change a segment of held input starts:
+omega's modal envelope bounds every load's rate law (tcl.rate_law over the
+per-stroke coefficients tcl.rate_coefficients that each load holds), and
+candidates drawn at the summed bound from one Philox stream keyed by the seed
+are accepted with probability rate / bound, with omega at the candidate
+evaluated exactly. So the simulated rate law holds at every instant and does
+not depend on max_step, and a rejected candidate costs no step.
 
 The solution selected is the jump-priority one (jump whenever the discrete
 update would change a switch state) with ascending load-index ordering, which
@@ -128,22 +134,6 @@ def valid_seed(value) -> bool:
     )
 
 
-class ClockStreams:
-    """Unit exponentials of the per-load streams Generator(Philox(key=[seed, j]))."""
-
-    def __init__(self, seed: int, n_loads: int):
-        # an explicit uint64 key: a plain list holding a seed >= 2**63 would
-        # pass through float64 and round to another seed's key
-        self._rngs = [
-            np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
-            for j in range(n_loads)
-        ]
-
-    def draw(self, idx: np.ndarray) -> np.ndarray:
-        """The next unit exponential of each load in idx."""
-        return np.array([self._rngs[j].standard_exponential() for j in idx], dtype=float)
-
-
 class LoadAnchors:
     """Per-load state of the event loop, changed only at that load's own
     switch or branch opening.
@@ -236,17 +226,89 @@ class LoadAnchors:
         branch."""
         return max(omega - self.on_min, self.off_max - omega)
 
-    def candidates(self, omega: float, now: float, fired: np.ndarray | None) -> np.ndarray:
+    def candidates(self, omega: float, now: float, fired: int | None) -> np.ndarray:
         """Ascending indices of the loads whose jump may be enabled at now:
-        thermostat-due, beyond their frequency level or with a fired clock."""
+        thermostat-due, beyond their frequency level or the load whose clock
+        fired."""
         parts = []
         if self.theta_min <= now:
             parts.append(np.flatnonzero(self.theta <= now))
         if self.excess(omega) >= 0:
             parts.append(np.flatnonzero((self.lvl_on <= omega) | (self.lvl_off >= omega)))
         if fired is not None:
-            parts.append(np.flatnonzero(fired))
+            parts.append(np.array([fired]))
         return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.intp)
+
+
+class ThinnedClocks:
+    """The randomized scheme's switching clocks, by Lewis-Shedler thinning
+    (Naval Res. Logist. Q. 26, 403, 1979).
+
+    Over a segment of held input the loads keep their states, and with a
+    Hurwitz grid |omega| stays within env = |omega_inf| + sum_k |w_k|, where
+    omega(start + tau) = omega_inf + Re sum_k w_k exp(lam_k tau). Each load's
+    rate is monotone in omega, so the rate law at omega = +-env toward
+    faster switching bounds it over the whole segment. Candidates arrive as a
+    Poisson process at the summed bound, each is given to a load in
+    proportion to its bound and accepted with probability rate / bound, with
+    omega at the candidate from the segment's modal weights in O(dim). A new
+    segment draws afresh, which is valid because exponential waits are
+    memoryless. One Philox stream keyed by the seed supplies every draw.
+    """
+
+    def __init__(self, ss: StateSpace, scheme: Scheme, seed: int, clamp_omega: bool):
+        self.ss = ss
+        self.k_pi = scheme.k_pi
+        # the loads observe omega; otherwise every rate is its value at 0
+        self.coupled = scheme.k_pi != 0 and not clamp_omega
+        self.rng = np.random.Generator(np.random.Philox(key=int(seed)))
+        self.draws = 0  # candidate times drawn
+
+    def first_accepted(
+        self, loads: LoadAnchors, x: np.ndarray, u: float, start: float, end: float
+    ) -> tuple[float, int]:
+        """(time, load) of the first accepted candidate in [start, end) from
+        state x at start with the input held at u, or (inf, -1) if none."""
+        omega_at, env = self._omega_flow(x, u)
+        # |level| is omega1: the rate law at omega = +-env toward faster switching
+        bound = rate_law(loads.base, loads.pop.omega1, self.k_pi, env)
+        cum = np.cumsum(bound)
+        total = float(cum[-1])
+        rng = self.rng
+        t = start
+        while True:
+            t += rng.standard_exponential() / total
+            self.draws += 1
+            if t >= end:
+                return math.inf, -1
+            j = min(int(np.searchsorted(cum, rng.random() * total, side="right")), cum.size - 1)
+            omega = omega_at(t - start)
+            if rng.random() * bound[j] < rate_law(loads.base[j], loads.level[j], self.k_pi, omega):
+                return t, j
+
+    def _omega_flow(self, x: np.ndarray, u: float):
+        """(the omega the rate law sees at start + tau, as a function of
+        tau, and env) for the flow from x with the input held at u. Without
+        a modal form env is inf, which caps every bound at the rate law's
+        1/s."""
+        ss, modes = self.ss, self.ss.modes
+        if not self.coupled:
+            return (lambda tau: 0.0), 0.0
+        if modes is None:
+            def omega_at(tau: float) -> float:
+                phi, psi = grid_model.transition(ss, tau)
+                return float(phi[0] @ x + psi[0] * u)
+
+            return omega_at, math.inf
+        # x_inf = -a^-1 b u, the equilibrium the held flow decays to
+        x_inf = -(modes.v @ (modes.v_inv_b / modes.lam)).real * u
+        w = modes.v[0] * (modes.v_inv @ (x - x_inf))
+        omega_inf = float(x_inf[0])
+
+        def omega_at(tau: float) -> float:
+            return omega_inf + float((np.exp(modes.lam * tau) @ w).real)
+
+        return omega_at, abs(omega_inf) + float(np.sum(np.abs(w)))
 
 
 def locate_crossing(ss: StateSpace, x: np.ndarray, u: float, dt: float, x_end: np.ndarray, excess):
@@ -345,24 +407,13 @@ def simulate(sc: Scenario) -> Trace:
 
     d_star = float(np.sum(pop.alpha * pop.d_bar)) if sc.offset_demand else 0.0
     cache = TransitionCache(sc.grid)
-
-    # scheduling cannot reorder draws because each load consumes only its
-    # own stream
-    streams = ClockStreams(sc.seed, n_loads) if randomized else None
-    # each load's unit exponential minus the hazard accumulated since its draw
-    left = np.full(n_loads, np.inf)
-    rates = np.empty(n_loads)
-    wait = np.empty(n_loads)
+    clocks = ThinnedClocks(sc.grid, scheme, sc.seed, sc.clamp_omega) if randomized else None
 
     def load_omega(omega_value: float) -> float:
         return 0.0 if sc.clamp_omega else omega_value
 
-    def redraw(idx: np.ndarray) -> None:
-        left[idx] = streams.draw(idx)
-        meta["clock_draws"] += idx.size
-
-    # trace accumulators
-    s_t, s_j, s_w, s_xh, s_ds, s_on = [], [], [], [], [], []
+    # trace accumulators; a sample's state is the whole grid state x
+    s_t, s_j, s_x, s_ds, s_on = [], [], [], [], []
     sw_t, sw_load, sw_sig, sw_cause = [], [], [], []
     temp_min = loads.temp0.copy()
     temp_max = loads.temp0.copy()
@@ -370,7 +421,7 @@ def simulate(sc: Scenario) -> Trace:
         "rate_resamples": 0,
         "freq_bisections": 0,  # transitions probed by locate_crossing
         "max_jump_instants": 0,
-        "clock_draws": 0,
+        "loop_iterations": 0,  # steps outside the quiet cadence run
     }
 
     dist_times = [t for t, _ in sc.disturbance]
@@ -390,12 +441,11 @@ def simulate(sc: Scenario) -> Trace:
     def record_sample():
         s_t.append(t)
         s_j.append(jumps)
-        s_w.append(x[0])
-        s_xh.append(x[1:].copy())
+        s_x.append(x)
         s_ds.append(loads.d_s)
         s_on.append(loads.on_fraction)
 
-    def apply_jumps(omega_now: float, clock_fired: np.ndarray | None) -> None:
+    def apply_jumps(omega_now: float, clock_fired: int | None) -> None:
         """Settle all enabled jumps at the current instant. Only the candidate
         loads are evaluated; every other load's jump is disabled."""
         nonlocal jumps
@@ -407,7 +457,7 @@ def simulate(sc: Scenario) -> Trace:
                 sub = pop.take(idx)
                 temps_c = loads.temps_at(sub, idx, t)
                 sig_c = loads.sigma[idx]
-                fired_c = None if clock_fired is None else clock_fired[idx]
+                fired_c = None if clock_fired is None else idx == clock_fired
                 target = jump_target(sub, temps_c, sig_c, omega_obs, scheme, fired_c)
                 hit = np.flatnonzero(target != sig_c)
             if not hit.size:
@@ -434,50 +484,65 @@ def simulate(sc: Scenario) -> Trace:
             loads.reanchor(changed, temps_c, t)
             loads.refresh()
             jumps += 1
-            if randomized:
-                # a fired load always switches, so changed holds it
-                redraw(changed)
+            # the fired clock acts in the first round only
             clock_fired = None
         raise SimulationError(
             f"Zeno guard tripped: more than {zeno_max} jump instants at t={t}"
         )
 
     # corrective jump pass so z(0,0) starts consistent with the flow set
-    if randomized:
-        redraw(np.arange(n_loads))
     apply_jumps(x[0], None)
     record_sample()
 
     tiny = 1e-12
+    max_step = sc.max_step
+    # the next accepted candidate, drawn for the segment of held input and
+    # load states keyed by (jumps, dist_idx)
+    t_fire, fire, segment = math.inf, -1, None
     while t < sc.horizon - tiny:
         u = current_level() + loads.d_s - d_star
+        if randomized and segment != (jumps, dist_idx):
+            segment = (jumps, dist_idx)
+            seg_end = min(loads.theta_min, next_dist_time(), sc.horizon)
+            t_fire, fire = clocks.first_accepted(loads, x, u, t, seg_end)
+
+        # quiet cadence steps: each ends more than one max_step before the
+        # next thermostat, guard, disturbance, clock or horizon time, so it
+        # snaps no load and enables no jump unless omega reaches an open
+        # level, and it is taken exactly as the step below would take it
+        quiet_until = (
+            min(loads.theta_min, loads.guard_min, next_dist_time(), sc.horizon, t_fire)
+            - 2 * max_step - tiny
+        )
+        if t < quiet_until:
+            phi, psi = cache.get(max_step)
+            while t < quiet_until:
+                x_end = phi @ x + psi * u
+                if not np.isfinite(x_end).all():
+                    raise SimulationError(f"non-finite grid state at t={t + max_step}")
+                if loads.excess(x_end[0]) >= 0:
+                    break  # the step below locates the crossing
+                x = x_end
+                t += max_step
+                record_sample()
+
+        meta["loop_iterations"] += 1
         dt = min(
             loads.theta_min - t,
             loads.guard_min - t,
             next_dist_time() - t,
             sc.horizon - t,
-            sc.max_step,
+            max_step,
+            t_fire - t,
         )
-        if randomized:
-            # rates held over the step; left is positive (a used-up clock
-            # fired and was redrawn), so a load at rate 0 waits forever
-            rate_law(loads.base, loads.level, scheme.k_pi, load_omega(x[0]), out=rates)
-            with np.errstate(divide="ignore"):
-                np.divide(left, rates, out=wait)
-            wait_min = float(wait.min())
-            dt = min(dt, wait_min)
         if dt <= 0:
             raise SimulationError(f"non-positive step {dt} at t={t}")
 
         phi, psi = cache.get(dt)
         x_end = phi @ x + psi * u
-        if not np.all(np.isfinite(x_end)):
+        if not np.isfinite(x_end).all():
             raise SimulationError(f"non-finite grid state at t={t + dt}")
-        clock_fired = None
-        if randomized:
-            if wait_min <= dt + tiny:
-                clock_fired = wait <= dt + tiny
-            left -= rates * dt
+        clock_fired = fire if t_fire - t <= dt else None
 
         dt_event = dt
         # [0, dt] brackets a crossing only if the start is disabled, as a
@@ -500,14 +565,16 @@ def simulate(sc: Scenario) -> Trace:
     final = loads.temps_at(pop, np.arange(n_loads), t)
     np.minimum(temp_min, final, out=temp_min)
     np.maximum(temp_max, final, out=temp_max)
+    states = np.array(s_x)
+    meta["clock_draws"] = clocks.draws if randomized else 0
     meta["jump_count"] = jumps
     meta["scheme"] = scheme.kind
     meta["k_pi"] = scheme.k_pi
     return Trace(
         times=np.array(s_t),
         jumps=np.array(s_j),
-        omega=np.array(s_w),
-        x_hat=np.array(s_xh),
+        omega=states[:, 0].copy(),
+        x_hat=states[:, 1:].copy(),
         d_s=np.array(s_ds),
         on_fraction=np.array(s_on),
         switch_times=np.array(sw_t),

@@ -290,15 +290,11 @@ def rate_coefficients(p: TclParams | Population, sigma, scheme: Scheme):
     return base[()], np.where(on, -p.omega1, p.omega1)[()]
 
 
-def rate_law(base, level, k_pi: float, omega: float, out=None):
+def rate_law(base, level, k_pi: float, omega):
     """The randomized rate min(1, base * max(0, 1 + k_pi * omega / level))
-    over rate_coefficients; written into out when given. For ON loads
-    1 + k_pi * omega / -omega1 is exactly 1 - k_pi * omega / omega1."""
-    rate = np.divide(k_pi * omega, level, out=out)
-    rate = np.add(rate, 1.0, out=out)
-    rate = np.maximum(rate, 0.0, out=out)
-    rate = np.multiply(base, rate, out=out)
-    return np.minimum(rate, 1.0, out=out)[()]
+    over rate_coefficients. For ON loads 1 + k_pi * omega / -omega1 is
+    exactly 1 - k_pi * omega / omega1."""
+    return np.minimum(base * np.maximum(k_pi * omega / level + 1.0, 0.0), 1.0)[()]
 
 
 def trigger_levels(p: TclParams | Population, temperature, scheme: Scheme):

@@ -297,7 +297,8 @@ def test_scheme_peak_ordering(
 # ---------------------------------------------------------------------------
 # byte-identical reruns, independent of BLAS thread count
 
-def test_cli_runs_byte_identical_across_thread_counts(tmp_path):
+@pytest.mark.parametrize("scheme", ["deterministic", "randomized"])
+def test_cli_runs_byte_identical_across_thread_counts(tmp_path, scheme):
     import os
 
     outs = []
@@ -308,7 +309,7 @@ def test_cli_runs_byte_identical_across_thread_counts(tmp_path):
             [
                 sys.executable, "-m", "tclgrid.cli", "run",
                 "--scenario", str(SHIPPED_SCENARIO),
-                "--out", str(out), "--horizon", "15",
+                "--out", str(out), "--horizon", "15", "--scheme", scheme,
             ],
             env=env,
             capture_output=True,

@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from tclgrid import grid_model, hybrid_sim
-from tclgrid.grid_model import GenDynamics, build_combined_system, default_grid, transition
+from tclgrid.grid_model import (
+    GenDynamics,
+    StateSpace,
+    build_combined_system,
+    default_grid,
+    transition,
+)
 from tclgrid.hybrid_sim import (
-    ClockStreams,
     LoadAnchors,
     Scenario,
     SimulationError,
@@ -29,6 +34,7 @@ from tclgrid.tcl import (
     on_off_durations,
     rate_coefficients,
     rate_law,
+    sample_initial_states,
     sample_population,
     switching_rate,
     trigger_levels,
@@ -159,8 +165,6 @@ class TestPopulationRuns:
             simulate(single_load_scenario(population=Population.of([])))
 
     def test_non_hurwitz_grid_rejected(self):
-        from tclgrid.grid_model import StateSpace
-
         bad = StateSpace(
             a=np.array([[0.1]]), b=np.array([-1.0]), c=np.array([1.0]),
             m=1.0, d=1.0, n=0,
@@ -203,6 +207,17 @@ class TestPopulationRuns:
         monkeypatch.setattr(hybrid_sim, "ZENO_PER_LOAD", 0)
         with pytest.raises(SimulationError, match="Zeno"):
             simulate(small_population_scenario())
+
+    def test_overflow_in_a_quiet_stretch_fails(self):
+        # a huge finite load from t = 10 s overflows the grid state a few
+        # cadence steps later, hundreds of seconds before the load's next
+        # thermostat time, where steps skip the loop body
+        sc = single_load_scenario(disturbance=[(0.0, 0.0), (10.0, 1.7e308)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationError, match="non-finite grid state") as info:
+                simulate(sc)
+        at = float(str(info.value).rsplit("t=", 1)[1])
+        assert 11.0 < at < 100.0
 
 
 class TestFrequencyResponsiveScheme:
@@ -332,7 +347,7 @@ class TestLoadAnchors:
         assert elements <= 4 * n + 20 * switches
 
     def test_randomized_loop_touches_only_switching_loads(self, shipped_file, monkeypatch):
-        # the same bound for hazard clocks over 5 s: a step evaluates the
+        # the same bound for thinned clocks over 5 s: a segment bounds the
         # rate law over the coefficients each load holds, and only a load
         # that switches gets new ones
         tr, n, elements = run_counting_kernels(
@@ -356,7 +371,7 @@ class TestLoadAnchors:
         base, level = rate_coefficients(pop, loads.sigma, scheme)
         np.testing.assert_array_equal(loads.base, base)
         np.testing.assert_array_equal(loads.level, level)
-        rates = rate_law(loads.base, loads.level, scheme.k_pi, omega, out=np.empty(len(pop)))
+        rates = rate_law(loads.base, loads.level, scheme.k_pi, omega)
         expected = switching_rate(pop, loads.sigma, omega, scheme)
         assert np.array_equal(rates, expected)
 
@@ -460,6 +475,121 @@ class TestEventLocation:
         assert calls < iterations / 2
 
 
+@pytest.mark.parametrize("scheme", [Scheme.conventional(), Scheme.randomized()])
+def test_quiet_cadence_steps_skip_the_loop_body(shipped_file, scheme):
+    # on the shipped 30 s run only the steps next to an event go through
+    # the loop body; the rest are cadence samples between events
+    sc, _ = dataclasses.replace(shipped_file, horizon=30.0, scheme=scheme).build_scenario()
+    tr = simulate(sc)
+    assert tr.meta["loop_iterations"] < tr.times.size / 5
+
+
+class TestThinning:
+    def test_switch_log_does_not_depend_on_max_step(self, shipped_file):
+        # the rate law holds at every instant, not over a step: the shipped
+        # 60 s randomized run switches the same loads at the same times with
+        # samples every 0.01 s or every 0.5 s
+        sf = dataclasses.replace(shipped_file, horizon=60.0, scheme=Scheme.randomized())
+        sc, _ = sf.build_scenario()
+        fine, coarse = (simulate(dataclasses.replace(sc, max_step=h)) for h in (0.01, 0.5))
+        assert coarse.times.size < fine.times.size / 10
+        rows = lambda tr: list(zip(tr.switch_loads.tolist(), tr.switch_new_sigma.tolist(),
+                                   tr.switch_causes))
+        assert rows(fine) == rows(coarse)
+        assert "randomized" in fine.switch_causes
+        np.testing.assert_allclose(fine.switch_times, coarse.switch_times, rtol=0, atol=1e-9)
+
+    def test_grid_without_modes_bounds_rates_by_the_cap(self):
+        # a defective grid has no modal envelope, so each load's bound is the
+        # rate law's 1/s cap and omega at a candidate comes from transition:
+        # candidates arrive at about one per load and second, and the switch
+        # log still does not depend on max_step
+        jordan = StateSpace(
+            a=np.array([[-1.0, 1.0], [0.0, -1.0]]), b=np.array([-1.0, 0.0]),
+            c=np.array([1.0, 0.0]), m=1.0, d=1.0, n=1,
+        )
+        assert jordan.modes is None
+        runs = [
+            simulate(small_population_scenario(
+                population=sample_population(PopulationSpec(10, 0.05, seed=5)), grid=jordan,
+                scheme=Scheme.randomized(v_des=50.0), horizon=20.0, max_step=h,
+            ))
+            for h in (0.05, 0.5)
+        ]
+        fine, coarse = runs
+        assert fine.meta["clock_draws"] == coarse.meta["clock_draws"] > 0.8 * 10 * 20.0
+        assert fine.switch_causes == coarse.switch_causes
+        assert "randomized" in fine.switch_causes
+        np.testing.assert_array_equal(fine.switch_loads, coarse.switch_loads)
+        np.testing.assert_allclose(fine.switch_times, coarse.switch_times, rtol=0, atol=1e-9)
+
+    def test_time_rescaled_gaps_are_unit_exponential(self):
+        # time-rescaling (Brown et al., Neural Comput. 14, 325, 2002): with
+        # H_j the integral of load j's rate, its randomized switches are a
+        # unit Poisson process in H_j, so the H_j gaps between them are
+        # Exp(1). Here k_pi = 50 and a 0.2 pu step load drive the rates from
+        # 0 to the 1/s cap, and H_j is built from the trace alone: omega at
+        # Gauss-Legendre nodes of each sample interval by transition from the
+        # recorded state, with the input held, and switching_rate there
+        sc = small_population_scenario(
+            scheme=Scheme.randomized(k_pi=50.0, v_des=50.0),
+            disturbance=[(0.0, 0.0), (20.0, 0.2)],
+            horizon=200.0,
+            max_step=0.5,
+        )
+        tr = simulate(sc)
+        hazard = cumulative_hazard(sc, tr)
+        sample_of = np.searchsorted(tr.times, tr.switch_times)
+        causes = np.array(tr.switch_causes)
+        gaps = []
+        for j in range(len(sc.population)):
+            mine = (tr.switch_loads == j) & (causes == "randomized")
+            h = np.concatenate(([0.0], hazard[sample_of[mine], j]))
+            # a gap that starts within 8 of the end of the run's hazard might
+            # not end inside the run: dropping only those keeps the kept
+            # gaps Exp(1) to within exp(-8) of mass
+            gaps.extend(np.diff(h)[h[:-1] <= hazard[-1, j] - 8.0])
+        assert len(gaps) > 500
+        assert stats.kstest(gaps, "expon").pvalue >= 1e-3
+
+
+def cumulative_hazard(sc: Scenario, tr, nodes: int = 4) -> np.ndarray:
+    """H[i, j]: the integral of load j's switching_rate from 0 to sample i,
+    with omega rebuilt from the recorded states by transition."""
+    pop, times = sc.population, tr.times
+    sample_of = np.searchsorted(times, tr.switch_times)
+    assert np.array_equal(times[sample_of], tr.switch_times)
+    # each load's switch state over every sample interval, set by the jumps
+    # at the interval's start
+    sigma = np.empty((times.size - 1, len(pop)), dtype=np.int8)
+    for j in range(len(pop)):
+        mine = tr.switch_loads == j
+        at, new = sample_of[mine], tr.switch_new_sigma[mine]
+        if not at.size:
+            sigma[:, j] = tr.final_sigmas[j]
+            continue
+        last = np.searchsorted(at, np.arange(times.size - 1), side="right") - 1
+        sigma[:, j] = np.where(last >= 0, new[np.maximum(last, 0)], 1 - new[0])
+    d_star = float(np.sum(pop.alpha * pop.d_bar))
+    dist_times = [t for t, _ in sc.disturbance]
+    level = np.array([v for _, v in sc.disturbance])[
+        np.searchsorted(dist_times, times[:-1], side="right") - 1
+    ]
+    held = level + tr.d_s[:-1] - d_star
+    states = np.column_stack([tr.omega, tr.x_hat])
+    points, weights = np.polynomial.legendre.leggauss(nodes)
+    width = np.diff(times)
+    rate_integral = np.empty((times.size - 1, len(pop)))
+    for i, w in enumerate(width):
+        omega = []
+        for tau in 0.5 * w * (points + 1.0):
+            phi, psi = transition(sc.grid, tau)
+            omega.append((phi @ states[i] + psi * held[i])[0])
+        rates = switching_rate(pop, sigma[i], np.array(omega)[:, None], sc.scheme)
+        rate_integral[i] = 0.5 * w * (weights @ rates)
+    return np.vstack((np.zeros(len(pop)), np.cumsum(rate_integral, axis=0)))
+
+
 PER_LOAD_KERNELS = (
     "frequency_branch",
     "jump_target",
@@ -473,55 +603,51 @@ PER_LOAD_KERNELS = (
 )
 
 
-def scalar_stream(seed: int, j: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
-
-
 class TestClockStreams:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 2**64 - 1),
-        n=st.integers(1, 8),
-        draws_seed=st.integers(0, 2**32 - 1),
-    )
-    def test_clocks_match_scalar_streams(self, seed, n, draws_seed):
-        # draws over random subsets, in random order, return each load's
-        # per-draw values of its own stream, in stream order
-        rng = np.random.default_rng(draws_seed)
-        streams = ClockStreams(seed, n)
-        reference = [scalar_stream(seed, j) for j in range(n)]
-        for _ in range(40):
-            idx = rng.permutation(n)[: rng.integers(0, n + 1)]
-            expected = [reference[j].exponential(1.0) for j in idx]
-            np.testing.assert_array_equal(streams.draw(idx), expected)
-
     def test_seeds_near_two_to_the_64_stay_distinct(self):
-        idx = np.arange(3)
-        first = ClockStreams(2**64 - 1, 3).draw(idx)
-        assert not np.array_equal(first, ClockStreams(0, 3).draw(idx))
-        assert not np.array_equal(first, ClockStreams(2**64 - 2, 3).draw(idx))
+        # the candidate stream is keyed by the whole 64-bit seed: from one
+        # initial state, runs at seeds 2**64 - 1, 0 and 2**64 - 2 differ
+        pop = sample_population(PopulationSpec(50, 0.2, seed=5))
+        state = sample_initial_states(pop, 0)
+        logs = []
+        for seed in (2**64 - 1, 0, 2**64 - 2):
+            sc = small_population_scenario(
+                population=pop, scheme=Scheme.randomized(v_des=20.0), seed=seed,
+                initial_state=state, horizon=20.0,
+            )
+            tr = simulate(sc)
+            logs.append((tr.switch_times.tolist(), tr.switch_loads.tolist()))
+        assert logs[0] != logs[1] and logs[0] != logs[2]
 
     def test_clock_draws_are_one_per_load_and_switch(self, monkeypatch):
-        # a randomized run draws its clocks through ClockStreams, counts them
-        # in meta, and draws one per load at t = 0 and one per switch
+        # one draw per candidate: each candidate inside its segment is
+        # tested against the rate law at one load, and each segment that ends
+        # without an accepted candidate drew one more, past its end; a
+        # segment bounds the rates once, over all loads
         sc = small_population_scenario(
             population=sample_population(PopulationSpec(200, 0.2, seed=5)),
             scheme=Scheme.randomized(),
             horizon=60.0,
         )
-        drawn = []
-        real_draw = ClockStreams.draw
+        tested = segments = 0
+        real_rate_law = hybrid_sim.rate_law
 
-        def counted_draw(self, idx):
-            out = real_draw(self, idx)
-            drawn.append(out.size)
-            return out
+        def counted(base, *args):
+            nonlocal tested, segments
+            if np.ndim(base):
+                segments += 1
+            else:
+                tested += 1
+            return real_rate_law(base, *args)
 
-        monkeypatch.setattr(ClockStreams, "draw", counted_draw)
+        monkeypatch.setattr(hybrid_sim, "rate_law", counted)
         tr = simulate(sc)
-        switches = tr.switch_times.size
-        assert switches > 0
-        assert tr.meta["clock_draws"] == sum(drawn) == len(sc.population) + switches
+        accepted = tr.switch_causes.count("randomized")
+        assert accepted > 0
+        assert tr.meta["clock_draws"] == tested + segments - accepted
+        # per-load clocks drew one exponential per load and per switch, 281
+        # here; candidates come only as fast as the rates' bound
+        assert tr.meta["clock_draws"] < len(sc.population)
         assert tr.meta["rate_resamples"] == 0
 
     def test_randomized_gaps_are_unit_exponential(self):
