@@ -37,7 +37,6 @@ from .tcl import (
     PopulationSpec,
     Scheme,
     TclParams,
-    check_period_distinctness,
     duty_cycle,
     jump_target,
     next_thermostat_event,

@@ -337,17 +337,14 @@ def transition(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TransitionCache:
-    """Caches (phi, psi) per step size for the event loop's repeated steps."""
+    """The event loop's propagator: the cadence step's (phi, psi), computed
+    once, and every other step length's computed fresh. Off-cadence lengths
+    (events, guards, crossings) almost never repeat, so they are not kept."""
 
-    def __init__(self, ss: StateSpace, max_entries: int = 64):
+    def __init__(self, ss: StateSpace, step: float):
         self.ss = ss
-        self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._max_entries = max_entries
+        self.step = step
+        self._cadence = transition(ss, step)
 
     def get(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        hit = self._cache.get(dt)
-        if hit is None:
-            hit = transition(self.ss, dt)
-            if len(self._cache) < self._max_entries:
-                self._cache[dt] = hit
-        return hit
+        return self._cadence if dt == self.step else transition(self.ss, dt)

@@ -13,13 +13,20 @@ flow (locate_crossing). Only the loads that switch or open a branch are
 touched. At an event every enabled load switches within a single jump
 instant, continuous state unchanged.
 
-Between events the trace is sampled every max_step from the last event. A
-cadence step that ends more than one max_step before the next thermostat,
-guard, disturbance, candidate or horizon time cannot snap a load or enable a
-jump unless omega reaches an open frequency level, so these quiet steps run
-in a tight inner loop of one cached propagation each; the loop body proper
-runs about twice per event (meta["loop_iterations"]). Runs are bit-identical
-to stepping every cadence point through the loop body.
+Between events the trace is sampled every max_step from the last event. Each
+pass of the step loop computes its stop, the next thermostat, guard,
+disturbance, candidate or horizon time, once, and one inner loop takes every
+step up to it: a cadence step that ends more than one max_step before the
+stop cannot snap a load or enable a jump unless omega reaches an open
+frequency level, so it is committed there at one propagation by the cached
+cadence transition (TransitionCache). The first step that may do either goes
+on to the event part; it runs about twice per event
+(meta["loop_iterations"]).
+
+A clamped frequency channel (Scenario.clamp_omega: the loads observe omega =
+0) is the same run as another scheme: the deterministic scheme without its
+frequency branches is the conventional one, and the randomized rates at
+omega = 0 are those at k_pi = 0. simulate runs that scheme.
 
 The randomized scheme is simulated by Lewis-Shedler thinning (ThinnedClocks).
 At each jump instant and disturbance change a segment of held input starts:
@@ -141,21 +148,19 @@ class LoadAnchors:
     A load's temperature is the held flow from its anchor: temp0 at time t0
     in switch state sigma. theta is its absolute thermostat time and guard the
     time its frequency branch opens (tcl.frequency_branch), +inf once open or
-    when the loads do not observe frequency (freq_active false). lvl_on holds
-    the branch's frequency level for OFF loads with an open branch and +inf
-    elsewhere, lvl_off for open ON loads and -inf elsewhere. Given the
-    randomized scheme (rate_scheme), base and level hold the coefficients of
-    each load's active stroke rate (tcl.rate_coefficients). The scalars below
-    are recomputed by refresh, after a jump instant or a branch opening only.
+    when the scheme has no frequency branches (any kind but deterministic).
+    lvl_on holds the branch's frequency level for OFF loads with an open
+    branch and +inf elsewhere, lvl_off for open ON loads and -inf elsewhere.
+    Under the randomized scheme, base and level hold the coefficients of each
+    load's active stroke rate (tcl.rate_coefficients). The scalars below are
+    recomputed by refresh, after a jump instant or a branch opening only.
     """
 
-    def __init__(
-        self, pop: Population, freq_active: bool, temps, sigmas, rate_scheme: Scheme | None = None
-    ):
+    def __init__(self, pop: Population, scheme: Scheme, temps, sigmas):
         n = len(pop)
         self.pop = pop
-        self.freq_active = freq_active
-        self.rate_scheme = rate_scheme
+        self.freq_active = scheme.kind == "deterministic"
+        self.rate_scheme = scheme if scheme.kind == "randomized" else None
         self.temp0 = np.array(temps, dtype=float)
         self.t0 = np.zeros(n)
         self.sigma = np.array(sigmas, dtype=np.int8)
@@ -254,13 +259,13 @@ class ThinnedClocks:
     omega at the candidate from the segment's modal weights in O(dim). A new
     segment draws afresh, which is valid because exponential waits are
     memoryless. One Philox stream keyed by the seed supplies every draw.
+    With k_pi = 0 the rates do not depend on omega, so env is 0.
     """
 
-    def __init__(self, ss: StateSpace, scheme: Scheme, seed: int, clamp_omega: bool):
+    def __init__(self, ss: StateSpace, scheme: Scheme, seed: int):
         self.ss = ss
         self.k_pi = scheme.k_pi
-        # the loads observe omega; otherwise every rate is its value at 0
-        self.coupled = scheme.k_pi != 0 and not clamp_omega
+        self.coupled = scheme.k_pi != 0
         self.rng = np.random.Generator(np.random.Philox(key=int(seed)))
         self.draws = 0  # candidate times drawn
 
@@ -392,8 +397,11 @@ def simulate(sc: Scenario) -> Trace:
         raise SimulationError("grid model is not Hurwitz-certified")
 
     scheme = sc.scheme
-    # the frequency branches act only when the loads observe omega
-    freq_active = scheme.kind == "deterministic" and not sc.clamp_omega
+    if sc.clamp_omega:  # the scheme without its frequency channel
+        if scheme.kind == "deterministic":
+            scheme = Scheme.conventional()
+        else:
+            scheme = replace(scheme, k_pi=0.0)
     randomized = scheme.kind == "randomized"
     zeno_max = ZENO_PER_LOAD * n_loads
 
@@ -403,14 +411,12 @@ def simulate(sc: Scenario) -> Trace:
         from .tcl import sample_initial_states
 
         temps, sigmas = sample_initial_states(pop, sc.seed)
-    loads = LoadAnchors(pop, freq_active, temps, sigmas, scheme if randomized else None)
+    loads = LoadAnchors(pop, scheme, temps, sigmas)
 
     d_star = float(np.sum(pop.alpha * pop.d_bar)) if sc.offset_demand else 0.0
-    cache = TransitionCache(sc.grid)
-    clocks = ThinnedClocks(sc.grid, scheme, sc.seed, sc.clamp_omega) if randomized else None
-
-    def load_omega(omega_value: float) -> float:
-        return 0.0 if sc.clamp_omega else omega_value
+    max_step = sc.max_step
+    cache = TransitionCache(sc.grid, max_step)
+    clocks = ThinnedClocks(sc.grid, scheme, sc.seed) if randomized else None
 
     # trace accumulators; a sample's state is the whole grid state x
     s_t, s_j, s_x, s_ds, s_on = [], [], [], [], []
@@ -421,7 +427,7 @@ def simulate(sc: Scenario) -> Trace:
         "rate_resamples": 0,
         "freq_bisections": 0,  # transitions probed by locate_crossing
         "max_jump_instants": 0,
-        "loop_iterations": 0,  # steps outside the quiet cadence run
+        "loop_iterations": 0,  # passes of the event part of the loop
     }
 
     dist_times = [t for t, _ in sc.disturbance]
@@ -445,20 +451,19 @@ def simulate(sc: Scenario) -> Trace:
         s_ds.append(loads.d_s)
         s_on.append(loads.on_fraction)
 
-    def apply_jumps(omega_now: float, clock_fired: int | None) -> None:
+    def apply_jumps(omega: float, clock_fired: int | None) -> None:
         """Settle all enabled jumps at the current instant. Only the candidate
         loads are evaluated; every other load's jump is disabled."""
         nonlocal jumps
-        omega_obs = load_omega(omega_now)
         for instants in range(zeno_max + 1):
-            idx = loads.candidates(omega_obs, t, clock_fired)
+            idx = loads.candidates(omega, t, clock_fired)
             hit = idx[:0]
             if idx.size:
                 sub = pop.take(idx)
                 temps_c = loads.temps_at(sub, idx, t)
                 sig_c = loads.sigma[idx]
                 fired_c = None if clock_fired is None else idx == clock_fired
-                target = jump_target(sub, temps_c, sig_c, omega_obs, scheme, fired_c)
+                target = jump_target(sub, temps_c, sig_c, omega, scheme, fired_c)
                 hit = np.flatnonzero(target != sig_c)
             if not hit.size:
                 meta["max_jump_instants"] = max(meta["max_jump_instants"], instants)
@@ -495,59 +500,44 @@ def simulate(sc: Scenario) -> Trace:
     record_sample()
 
     tiny = 1e-12
-    max_step = sc.max_step
     # the next accepted candidate, drawn for the segment of held input and
     # load states keyed by (jumps, dist_idx)
     t_fire, fire, segment = math.inf, -1, None
     while t < sc.horizon - tiny:
         u = current_level() + loads.d_s - d_star
+        # guard_min is +inf under the randomized scheme, so a segment ends
+        # at the same stop
+        stop = min(loads.theta_min, loads.guard_min, next_dist_time(), sc.horizon)
         if randomized and segment != (jumps, dist_idx):
             segment = (jumps, dist_idx)
-            seg_end = min(loads.theta_min, next_dist_time(), sc.horizon)
-            t_fire, fire = clocks.first_accepted(loads, x, u, t, seg_end)
+            t_fire, fire = clocks.first_accepted(loads, x, u, t, stop)
+        stop = min(stop, t_fire)
+        if stop <= t:
+            raise SimulationError(f"non-positive step {stop - t} at t={t}")
 
-        # quiet cadence steps: each ends more than one max_step before the
-        # next thermostat, guard, disturbance, clock or horizon time, so it
-        # snaps no load and enables no jump unless omega reaches an open
-        # level, and it is taken exactly as the step below would take it
-        quiet_until = (
-            min(loads.theta_min, loads.guard_min, next_dist_time(), sc.horizon, t_fire)
-            - 2 * max_step - tiny
-        )
-        if t < quiet_until:
-            phi, psi = cache.get(max_step)
-            while t < quiet_until:
-                x_end = phi @ x + psi * u
-                if not np.isfinite(x_end).all():
-                    raise SimulationError(f"non-finite grid state at t={t + max_step}")
-                if loads.excess(x_end[0]) >= 0:
-                    break  # the step below locates the crossing
-                x = x_end
-                t += max_step
-                record_sample()
+        # cadence steps that end more than one max_step before stop snap no
+        # load and enable no jump unless omega reaches an open level, so they
+        # are committed here; the first step that may do either goes on to
+        # the event part
+        quiet_until = stop - 2 * max_step - tiny
+        while True:
+            dt = min(stop - t, max_step)
+            phi, psi = cache.get(dt)
+            x_end = phi @ x + psi * u
+            if not np.isfinite(x_end).all():
+                raise SimulationError(f"non-finite grid state at t={t + dt}")
+            if t >= quiet_until or loads.excess(x_end[0]) >= 0:
+                break
+            x = x_end
+            t += dt
+            record_sample()
 
         meta["loop_iterations"] += 1
-        dt = min(
-            loads.theta_min - t,
-            loads.guard_min - t,
-            next_dist_time() - t,
-            sc.horizon - t,
-            max_step,
-            t_fire - t,
-        )
-        if dt <= 0:
-            raise SimulationError(f"non-positive step {dt} at t={t}")
-
-        phi, psi = cache.get(dt)
-        x_end = phi @ x + psi * u
-        if not np.isfinite(x_end).all():
-            raise SimulationError(f"non-finite grid state at t={t + dt}")
         clock_fired = fire if t_fire - t <= dt else None
-
         dt_event = dt
         # [0, dt] brackets a crossing only if the start is disabled, as a
-        # jump instant leaves it
-        if freq_active and loads.excess(x_end[0]) >= 0 > loads.excess(x[0]):
+        # jump instant leaves it; excess is -inf with no open branch
+        if loads.excess(x_end[0]) >= 0 > loads.excess(x[0]):
             dt_event, x_end, probes = locate_crossing(sc.grid, x, u, dt, x_end, loads.excess)
             meta["freq_bisections"] += probes
 
@@ -568,8 +558,8 @@ def simulate(sc: Scenario) -> Trace:
     states = np.array(s_x)
     meta["clock_draws"] = clocks.draws if randomized else 0
     meta["jump_count"] = jumps
-    meta["scheme"] = scheme.kind
-    meta["k_pi"] = scheme.k_pi
+    meta["scheme"] = sc.scheme.kind
+    meta["k_pi"] = sc.scheme.k_pi
     return Trace(
         times=np.array(s_t),
         jumps=np.array(s_j),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -170,18 +170,23 @@ def parse_scheme(doc) -> Scheme:
     if isinstance(doc, str):
         doc = {"kind": doc}
     kind = _require(_fields(doc, "scheme", ("kind", "k_pi", "v_des")), "kind", "scheme")
-    # kind -> (Scheme kind, default k_pi); given k_pi and v_des pass through
-    # for every kind, so Scheme rejects the ones a kind would ignore
+    # each kind names a constructor, whose k_pi and v_des are the defaults;
+    # given ones pass through for every kind, so Scheme rejects the ones a
+    # kind would ignore
     aliases = {
-        "conventional": ("conventional", 0.0),
-        "deterministic": ("deterministic", 0.0),
-        "randomized": ("randomized", 5.0),
-        "randomized-high-gain": ("randomized", 50.0),
+        "conventional": Scheme.conventional,
+        "deterministic": Scheme.deterministic,
+        "randomized": Scheme.randomized,
+        "randomized-high-gain": Scheme.randomized_high_gain,
     }
     if kind not in aliases:
         raise ScenarioError(f"unknown scheme kind {kind!r}")
-    name, k_pi = aliases[kind]
-    return Scheme(name, k_pi=float(doc.get("k_pi", k_pi)), v_des=float(doc.get("v_des", 1.0)))
+    named = aliases[kind]()
+    return replace(
+        named,
+        k_pi=float(doc.get("k_pi", named.k_pi)),
+        v_des=float(doc.get("v_des", named.v_des)),
+    )
 
 
 def _fields(value, section: str, known) -> dict:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 
 import numpy as np
 
@@ -204,8 +203,8 @@ class Scheme:
         return Scheme("randomized", k_pi=k_pi, v_des=v_des)
 
     @staticmethod
-    def randomized_high_gain(k_pi: float = 50.0, v_des: float = 1.0) -> "Scheme":
-        return Scheme("randomized", k_pi=k_pi, v_des=v_des)
+    def randomized_high_gain() -> "Scheme":
+        return Scheme.randomized(k_pi=50.0)
 
 
 def on_off_durations(p: TclParams | Population) -> tuple[float, float]:
@@ -401,61 +400,3 @@ def sample_initial_states(pop: Population, seed: int) -> tuple[np.ndarray, np.nd
     temps = rng.uniform(pop.t_lo, pop.t_hi)
     sigmas = (rng.random(len(pop)) < pop.alpha).astype(np.int8)
     return temps, sigmas
-
-
-@dataclass(frozen=True)
-class DistinctnessReport:
-    flagged: list[tuple[int, int, float, Fraction]]  # (i, j, ratio, nearby p/q)
-
-    @property
-    def ok(self) -> bool:
-        return not self.flagged
-
-
-def check_period_distinctness(
-    pop: Population, rel_tol: float = 1e-6, max_den: int = 10
-) -> DistinctnessReport:
-    """Proxy for the irrational-period-ratio assumption: flag pairs whose
-    period ratio sits within rel_tol of a rational p/q with p, q <= max_den.
-    Searchsorted on the sorted periods finds the pairs near each p/q; only
-    those candidates get the exact test, in (i, j) order."""
-    if len(pop) < 2:
-        raise TclError("need at least two loads")
-    periods = period(pop)
-    order = np.argsort(periods, kind="stable")
-    ranked = periods[order]
-    band = 1.01 * rel_tol + 1e-12  # covers the rounding of the exact test
-    ratios = {Fraction(p, q) for p in range(1, max_den + 1) for q in range(1, max_den + 1)}
-    pairs = [np.empty((0, 2), dtype=int)]
-    for ratio in ratios:
-        # loads a with periods[a] / periods[b] near ratio, for every load b
-        target = float(ratio) * periods
-        lo = np.searchsorted(ranked, target * (1.0 - band), side="left")
-        hi = np.searchsorted(ranked, target * (1.0 + band), side="right")
-        counts = np.maximum(hi - lo, 0)
-        b = np.repeat(np.arange(periods.size), counts)
-        a = order[np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
-        pairs.append(np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)[a != b])
-    candidates = np.unique(np.concatenate(pairs), axis=0).tolist()
-    periods = periods.tolist()
-    flagged = []
-    for i, j in candidates:
-        rho = periods[i] / periods[j]
-        frac = _nearby_low_rational(rho, rel_tol, max_den)
-        if frac is not None:
-            flagged.append((i, j, rho, frac))
-    return DistinctnessReport(flagged=flagged)
-
-
-def _nearby_low_rational(rho: float, rel_tol: float, max_den: int) -> Fraction | None:
-    best = None
-    for q in range(1, max_den + 1):
-        p = round(rho * q)
-        if p < 1 or p > max_den:
-            continue
-        approx = p / q
-        if abs(rho - approx) <= rel_tol * approx:
-            frac = Fraction(p, q)
-            if best is None or frac.denominator < best.denominator:
-                best = frac
-    return best

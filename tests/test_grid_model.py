@@ -317,13 +317,21 @@ class TestTransition:
 
     def test_cache_returns_same_result(self):
         ss = default_grid()
-        cache = TransitionCache(ss)
+        cache = TransitionCache(ss, 0.01)
         phi1, psi1 = cache.get(0.01)
         phi2, psi2 = cache.get(0.01)
         assert phi1 is phi2 and psi1 is psi2
         phi_direct, psi_direct = transition(ss, 0.01)
         np.testing.assert_array_equal(phi1, phi_direct)
         np.testing.assert_array_equal(psi1, psi_direct)
+
+    def test_cache_computes_other_steps_exactly(self):
+        ss = default_grid()
+        cache = TransitionCache(ss, 0.01)
+        phi, psi = cache.get(0.0037)
+        phi_direct, psi_direct = transition(ss, 0.0037)
+        np.testing.assert_array_equal(phi, phi_direct)
+        np.testing.assert_array_equal(psi, psi_direct)
 
     def test_negative_step_rejected(self):
         with pytest.raises(GridModelError):

@@ -232,6 +232,24 @@ class TestFrequencyResponsiveScheme:
         np.testing.assert_array_equal(tr_conv.switch_new_sigma, tr_det.switch_new_sigma)
         np.testing.assert_array_equal(tr_conv.omega, tr_det.omega)
 
+    @pytest.mark.parametrize("k_pi", [5.0, 50.0])
+    def test_clamped_randomized_is_zero_gain(self, k_pi):
+        # loads that observe omega = 0 switch at their rates at omega = 0,
+        # which are the rates of the same scheme with k_pi = 0
+        base = small_population_scenario(disturbance=[(0.0, 0.0), (10.0, 1.5)])
+        clamped = simulate(
+            dataclasses.replace(base, scheme=Scheme.randomized(k_pi=k_pi), clamp_omega=True)
+        )
+        zero_gain = simulate(dataclasses.replace(base, scheme=Scheme.randomized(k_pi=0.0)))
+        assert "randomized" in clamped.switch_causes
+        np.testing.assert_array_equal(clamped.switch_times, zero_gain.switch_times)
+        np.testing.assert_array_equal(clamped.switch_loads, zero_gain.switch_loads)
+        np.testing.assert_array_equal(clamped.switch_new_sigma, zero_gain.switch_new_sigma)
+        assert clamped.switch_causes == zero_gain.switch_causes
+        np.testing.assert_array_equal(clamped.omega, zero_gain.omega)
+        np.testing.assert_array_equal(clamped.x_hat, zero_gain.x_hat)
+        assert clamped.meta["k_pi"] == k_pi
+
     def test_frequency_switches_reduce_dip(self):
         base = small_population_scenario(disturbance=[(0.0, 0.0), (10.0, 1.5)])
         tr_conv = simulate(base)
@@ -301,7 +319,7 @@ class TestLoadAnchors:
         # trigger_levels at the anchored end temperatures
         pop, temps, sigmas, dt = case
         scheme = Scheme.deterministic()
-        loads = LoadAnchors(pop, True, temps, sigmas)
+        loads = LoadAnchors(pop, scheme, temps, sigmas)
         dt = min(dt, loads.theta_min, loads.guard_min)
         loads.snap(0.0, dt)
         # a guard still closed, yet reached by the rounded flow, is no test
@@ -329,7 +347,7 @@ class TestLoadAnchors:
             offset_demand=False,
             initial_state=(np.array([start]), np.array([0])),
         )
-        guard = LoadAnchors(sc.population, True, [start], [0]).guard[0]
+        guard = LoadAnchors(sc.population, sc.scheme, [start], [0]).guard[0]
         assert 0.5 < guard < 1.0
         tr = simulate(sc)
         assert tr.switch_times.tolist() == [guard]
@@ -364,7 +382,7 @@ class TestLoadAnchors:
         # the current states, and the rates evaluated from them are
         # switching_rate's, clips and the 1/s cap included
         pop, temps, sigmas, switches, scheme, omega = case
-        loads = LoadAnchors(pop, False, temps, sigmas, scheme)
+        loads = LoadAnchors(pop, scheme, temps, sigmas)
         for now, idx in enumerate(switches, start=1):
             loads.sigma[idx] = 1 - loads.sigma[idx]
             loads.reanchor(idx, temps[idx], float(now))

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from tclgrid.tcl import (
     Scheme,
     TclError,
     TclParams,
-    check_period_distinctness,
     duty_cycle,
     jump_target,
     next_thermostat_event,
@@ -33,47 +31,6 @@ REFERENCE = TclParams(
     d_bar=0.01, t_lo=3.0, t_hi=6.0, k=5e-4, cop=3000.0, t_amb=20.0,
     omega1=0.1, eps=0.005,
 )
-
-
-def brute_force_distinctness(pop, rel_tol, max_den):
-    """Every pair i < j, with the smallest-denominator p/q near its ratio."""
-    periods = [period(p) for p in pop]
-    flagged = []
-    for i in range(len(pop)):
-        for j in range(i + 1, len(pop)):
-            rho = periods[i] / periods[j]
-            best = None
-            for q in range(1, max_den + 1):
-                p = round(rho * q)
-                if 1 <= p <= max_den and abs(rho - p / q) <= rel_tol * (p / q):
-                    if best is None or Fraction(p, q).denominator < best.denominator:
-                        best = Fraction(p, q)
-            if best is not None:
-                flagged.append((i, j, rho, best))
-    return flagged
-
-
-@st.composite
-def planted_periods(draw):
-    """A sampled population plus copies of some of its loads whose periods sit
-    at a planted rational ratio, on, inside, just inside or just outside the
-    rel_tol band."""
-    rel_tol = draw(st.sampled_from([1e-6, 1e-3]))
-    max_den = draw(st.sampled_from([3, 10]))
-    pop = list(sample_population(
-        PopulationSpec(draw(st.integers(2, 8)), 0.1, seed=draw(st.integers(0, 2**32 - 1)))
-    ))
-    offsets = st.one_of(
-        st.sampled_from([0.0, 1.0, -1.0, 1 - 1e-9, -1 + 1e-9, 1 + 1e-9, -1 - 1e-9]),
-        st.floats(-2.0, 2.0),
-    )
-    for _ in range(draw(st.integers(0, 6))):
-        base = pop[draw(st.integers(0, len(pop) - 1))]
-        ratio = draw(st.integers(1, max_den)) / draw(st.integers(1, max_den))
-        # k scales the period by 1/k, so this period is base's over ratio
-        scale = ratio * (1.0 + draw(offsets) * rel_tol)
-        pop.append(dataclasses.replace(base, k=base.k * scale))
-    return pop, rel_tol, max_den
 
 
 def bisect_stroke(p: TclParams, sigma: int, lo: float, hi: float) -> float:
@@ -361,27 +318,6 @@ class TestPopulationSampling:
         for p, temp, sig in zip(pop, temps, sigmas):
             assert p.t_lo <= temp <= p.t_hi
             assert sig in (0, 1)
-
-    def test_period_distinctness_on_sampled_population(self):
-        pop = sample_population(PopulationSpec(40, 0.2, seed=5))
-        report = check_period_distinctness(pop)
-        assert report.ok
-
-    def test_distinctness_flags_identical_periods(self):
-        p = REFERENCE
-        report = check_period_distinctness(Population.of([p, p]))
-        assert not report.ok
-        (i, j, rho, frac) = report.flagged[0]
-        assert (i, j) == (0, 1)
-        assert rho == pytest.approx(1.0)
-        assert frac == 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(case=planted_periods())
-    def test_distinctness_matches_brute_force_pair_loop(self, case):
-        pop, rel_tol, max_den = case
-        expected = brute_force_distinctness(pop, rel_tol, max_den)
-        assert check_period_distinctness(Population.of(pop), rel_tol, max_den).flagged == expected
 
     def test_replaced_threshold_keeps_the_load(self):
         q = dataclasses.replace(Population.of([REFERENCE]), omega1=np.array([0.2]))
