@@ -7,6 +7,7 @@ scenario-declared base; M and D carry matching units (pu*s/Hz and pu/Hz).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -348,3 +349,102 @@ class TransitionCache:
 
     def get(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         return self._cadence if dt == self.step else transition(self.ss, dt)
+
+
+class ModalFlow:
+    """The grid state over passes of held input, in modal coordinates.
+
+    With the input held at u the state decays to x_inf = u * x_unit, where
+    x_unit = -a^-1 b, and z = V^-1 (x - x_inf) evolves as z * exp(lam t). So
+    a step is one product (the cadence step's factor computed once), a new
+    input shifts z by -du * V^-1 x_unit, omega is x_inf[0] + Re(V[0] z) and
+    the state x_inf + Re(V z) is built only for the recorded samples
+    (states). The held input u is kept here; every other method takes z.
+    """
+
+    def __init__(self, ss: StateSpace, step: float):
+        modes = ss.modes
+        self.lam, self.v = modes.lam, modes.v
+        self.v0 = modes.v[0]
+        self.x_unit = -(modes.v @ (modes.v_inv_b / modes.lam)).real
+        self.z_unit = modes.v_inv @ self.x_unit
+        self.v_inv = modes.v_inv
+        self.step = step
+        self.cadence = np.exp(modes.lam * step)
+        self.abs_v0 = np.abs(self.v0)
+        # |omega''| <= sum_k |w_k| |lam_k|^2 with w = V[0] z, since Re lam < 0
+        self.curvature_weights = self.abs_v0 * np.abs(modes.lam) ** 2
+        self.u = self.omega_inf = 0.0
+
+    def enter(self, x: np.ndarray, u: float) -> np.ndarray:
+        """z of the state x with the input held at u."""
+        self.u, self.omega_inf = u, u * self.x_unit[0]
+        return self.v_inv @ (x - u * self.x_unit)
+
+    def hold(self, z: np.ndarray, u: float) -> np.ndarray:
+        """The same state after the input changes to u."""
+        if u == self.u:
+            return z
+        z = z - (u - self.u) * self.z_unit
+        self.u, self.omega_inf = u, u * self.x_unit[0]
+        return z
+
+    def advance(self, z: np.ndarray, dt: float) -> np.ndarray:
+        return z * (self.cadence if dt == self.step else np.exp(self.lam * dt))
+
+    def omega(self, z: np.ndarray) -> float:
+        return self.omega_inf + float((z @ self.v0).real)
+
+    def envelope(self, z: np.ndarray) -> float:
+        """A bound on |omega| from z on, while the input is held."""
+        return abs(self.omega_inf) + float(np.abs(z) @ self.abs_v0)
+
+    def curvature(self, z: np.ndarray) -> float:
+        """A bound on |omega''| from z on, while the input is held."""
+        return float(np.abs(z) @ self.curvature_weights)
+
+    def states(self, zs: list, us: list) -> np.ndarray:
+        """The (samples, dim) states x of the recorded z and inputs, in one
+        product."""
+        return np.multiply.outer(us, self.x_unit) + (np.array(zs) @ self.v.T).real
+
+
+class MatrixFlow:
+    """ModalFlow's interface for a grid without a modal form: z is the state
+    x itself, a step is phi @ x + psi * u from TransitionCache, and there is
+    no bound on omega or its curvature (envelope inf, curvature 0, so only a
+    step's ends are tested for a crossing)."""
+
+    def __init__(self, ss: StateSpace, step: float):
+        self.cache = TransitionCache(ss, step)
+        self.u = 0.0
+
+    def enter(self, x: np.ndarray, u: float) -> np.ndarray:
+        self.u = u
+        return np.array(x, dtype=float)
+
+    def hold(self, z: np.ndarray, u: float) -> np.ndarray:
+        self.u = u
+        return z
+
+    def advance(self, z: np.ndarray, dt: float) -> np.ndarray:
+        phi, psi = self.cache.get(dt)
+        return phi @ z + psi * self.u
+
+    def omega(self, z: np.ndarray) -> float:
+        return float(z[0])
+
+    def envelope(self, z: np.ndarray) -> float:
+        return math.inf
+
+    def curvature(self, z: np.ndarray) -> float:
+        return 0.0
+
+    def states(self, zs: list, us: list) -> np.ndarray:
+        return np.array(zs)
+
+
+def held_flow(ss: StateSpace, step: float) -> ModalFlow | MatrixFlow:
+    """The event loop's grid propagator, with cadence step length step:
+    ModalFlow where ss has a modal form, MatrixFlow otherwise."""
+    return MatrixFlow(ss, step) if ss.modes is None else ModalFlow(ss, step)

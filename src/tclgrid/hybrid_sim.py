@@ -1,26 +1,38 @@
 """Event-driven simulator of the coupled grid/TCL hybrid system.
 
-Between events the linear grid state advances by an exact matrix-exponential
-step (grid_model.transition, in modal form). Each load's temperature is the
-closed-form held flow from its anchor, the temperature and time of its last
-switch or branch opening (LoadAnchors), so its absolute thermostat time and
-the time its frequency branch opens stay fixed until then. Steps end at the
-earliest thermostat time, branch opening (guard), the sample cadence, a
-disturbance change or an accepted randomized candidate, so the open frequency
-levels are constant over a step. A step whose end enables a frequency jump is
-cut at the crossing, found by modified regula falsi on the exact held-input
-flow (locate_crossing). Only the loads that switch or open a branch are
-touched. At an event every enabled load switches within a single jump
-instant, continuous state unchanged.
+Between events the linear grid state advances exactly. Over a pass of held
+input it is kept in modal coordinates, z = V^-1 (x - x_inf) with x_inf the
+held input's equilibrium (grid_model.ModalFlow): a step is z * exp(lam dt),
+omega is x_inf[0] + Re(V[0] z) in O(dim), and the samples' states are built
+in one product at the end of the run. A grid without a modal form steps by
+(phi, psi) from TransitionCache instead (grid_model.MatrixFlow). Each load's
+temperature is the closed-form held flow from its anchor, the temperature
+and time of its last switch or branch opening (LoadAnchors), so its absolute
+thermostat time and the time its frequency branch opens stay fixed until
+then. What a load's state decides (flow target, thermostat threshold, guard,
+open level, rate coefficients) is tabulated once per state and load from the
+tcl laws. Steps end at the earliest thermostat time, branch opening (guard),
+the sample cadence, a disturbance change or an accepted randomized
+candidate, so the open frequency levels are constant over a step.
+
+A step holds no crossing of an open level if its ends are disabled and
+max(excess at the ends) + M2 h^2 / 8 < 0, with M2 = sum_k |V[0]_k z_k|
+|lam_k|^2 a bound on |omega''| over the pass (Re lam < 0). A step that fails
+this test is halved in time order until each part passes it or ends
+enabled (first_bracket), so a near-tangent crossing inside a step is found
+too; a grid without a modal form has no such bound, and only the ends of its
+steps are tested. A bracketed crossing is cut by modified regula falsi on the exact flow
+(locate_crossing), each probe O(dim). Only the loads that switch or open a
+branch are touched. At an event every enabled load switches within a single
+jump instant, continuous state unchanged.
 
 Between events the trace is sampled every max_step from the last event. Each
 pass of the step loop computes its stop, the next thermostat, guard,
 disturbance, candidate or horizon time, once, and one inner loop takes every
 step up to it: a cadence step that ends more than one max_step before the
-stop cannot snap a load or enable a jump unless omega reaches an open
-frequency level, so it is committed there at one propagation by the cached
-cadence transition (TransitionCache). The first step that may do either goes
-on to the event part; it runs about twice per event
+stop cannot snap a load, and it cannot enable a jump if it passes the
+curvature test, so it is committed there at one product. The first step
+that may do either goes on to the event part; it runs about twice per event
 (meta["loop_iterations"]).
 
 A clamped frequency channel (Scenario.clamp_omega: the loads observe omega =
@@ -51,18 +63,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import grid_model
-from .grid_model import StateSpace, TransitionCache, is_hurwitz
+from .grid_model import StateSpace, is_hurwitz
 from .tcl import (
     Population,
     Scheme,
+    flow_target,
     frequency_branch,
     jump_target,
-    next_thermostat_event,
     rate_coefficients,
     rate_law,
-    temp_flow,
+    stroke_flow,
+    stroke_time,
     thermostat_threshold,
-    time_to_level,
 )
 
 _SNAP_REL = 1e-12  # loads with threshold time within this of the step land exactly
@@ -141,6 +153,11 @@ def valid_seed(value) -> bool:
     )
 
 
+# both switch states, as a column: a per-load law called on it tabulates the
+# law for every (state, load), flat index sigma * N + load
+_STATES = np.array([[0], [1]], dtype=np.int8)
+
+
 class LoadAnchors:
     """Per-load state of the event loop, changed only at that load's own
     switch or branch opening.
@@ -150,10 +167,16 @@ class LoadAnchors:
     time its frequency branch opens (tcl.frequency_branch), +inf once open or
     when the scheme has no frequency branches (any kind but deterministic).
     lvl_on holds the branch's frequency level for OFF loads with an open
-    branch and +inf elsewhere, lvl_off for open ON loads and -inf elsewhere.
-    Under the randomized scheme, base and level hold the coefficients of each
-    load's active stroke rate (tcl.rate_coefficients). The scalars below are
-    recomputed by refresh, after a jump instant or a branch opening only.
+    branch and +inf elsewhere, lvl_off for open ON loads and -inf elsewhere
+    (kept negated, as neg_off). Under the randomized scheme, base and level
+    hold the coefficients of each load's active stroke rate
+    (tcl.rate_coefficients). The scalars below are recomputed by refresh,
+    after a jump instant or a branch opening only.
+
+    What a load's state decides is tabulated once per (state, load) by the
+    tcl laws: the flow target, the thermostat threshold and the guard it
+    flows toward, the open level and the rate coefficients. An event reads
+    the tables at flat index sigma * N + load.
     """
 
     def __init__(self, pop: Population, scheme: Scheme, temps, sigmas):
@@ -164,47 +187,70 @@ class LoadAnchors:
         self.temp0 = np.array(temps, dtype=float)
         self.t0 = np.zeros(n)
         self.sigma = np.array(sigmas, dtype=np.int8)
-        self.theta = np.empty(n)
-        self.guard = np.full(n, np.inf)
-        self.lvl_on = np.full(n, np.inf)
-        self.lvl_off = np.full(n, -np.inf)
-        self.base = np.empty(n)
-        self.level = np.empty(n)
+        self.state_offset = np.array([0, n])
+        self.target = flow_target(pop, _STATES).ravel()
+        # the temperatures whose waits anchor a load: its thermostat
+        # threshold, then its guard
+        levels = [thermostat_threshold(pop, _STATES)]
+        if self.freq_active:
+            guard, level = frequency_branch(pop, _STATES)
+            levels.append(guard)
+            # +omega1 as lvl_on of OFF loads, +omega1 as -lvl_off of ON loads
+            self.branch_level = (level * np.array([[1.0], [-1.0]])).ravel()
+        self.wait_levels = np.reshape(levels, (len(levels), 2 * n))
+        # thermostat times, guard times, lvl_on and -lvl_off, reduced at once
+        self.times = np.full((4, n), np.inf)
+        self.theta, self.guard, self.lvl_on, self.neg_off = self.times
+        # lvl_on then -lvl_off, at the flat index of the state they open in
+        self.open_levels = self.times[2:].reshape(-1)
+        if self.rate_scheme is not None:
+            base, level = rate_coefficients(pop, _STATES, self.rate_scheme)
+            self.rate_table = base.ravel(), level.ravel()
+            self.base = np.empty(n)
+            self.level = np.empty(n)
         self.reanchor(np.arange(n), self.temp0, 0.0)
         self.refresh()
 
+    @property
+    def lvl_off(self) -> np.ndarray:
+        return -self.neg_off
+
     def refresh(self) -> None:
-        self.theta_min = float(np.min(self.theta))
-        self.guard_min = float(np.min(self.guard))
-        self.on_min = float(np.min(self.lvl_on))
-        self.off_max = float(np.max(self.lvl_off))
+        self.theta_min, self.guard_min, self.on_min, neg_off_min = self.times.min(axis=1).tolist()
+        self.off_max = -neg_off_min
         self.d_s = float(np.dot(self.pop.d_bar, self.sigma))
         # the mean of the 0/1 states, exactly
         self.on_fraction = np.count_nonzero(self.sigma) / self.sigma.size
 
+    def flat(self, idx: np.ndarray) -> np.ndarray:
+        """Table index of the loads idx in their current states."""
+        return idx + self.state_offset[self.sigma[idx]]
+
     def reanchor(self, idx: np.ndarray, temps: np.ndarray, now: float) -> None:
         """Anchor loads idx at temps at time now, in their current states."""
-        sub = self.pop.take(idx)
-        sigma = self.sigma[idx]
+        flat = self.flat(idx)
         self.temp0[idx] = temps
         self.t0[idx] = now
-        self.theta[idx] = now + next_thermostat_event(sub, temps, sigma)
         if self.rate_scheme is not None:
-            self.base[idx], self.level[idx] = rate_coefficients(sub, sigma, self.rate_scheme)
-        if not self.freq_active:
-            return
-        guard, level = frequency_branch(sub, sigma)
-        wait = time_to_level(sub, temps, sigma, guard)
-        is_open, off = wait == 0, sigma == 0
-        self.guard[idx] = np.where(is_open, np.inf, now + wait)
-        self.lvl_on[idx] = np.where(is_open & off, level, np.inf)
-        self.lvl_off[idx] = np.where(is_open & ~off, level, -np.inf)
+            base, level = self.rate_table
+            self.base[idx] = base[flat]
+            self.level[idx] = level[flat]
+        # the thermostat wait and (deterministic scheme) the guard wait
+        wait = stroke_time(self.pop.k[idx], self.target[flat], temps, self.wait_levels[:, flat])
+        times = now + wait
+        if self.freq_active:
+            is_open = wait[1] == 0
+            times[1, is_open] = np.inf
+            self.times[2:, idx] = np.inf
+            self.open_levels[flat] = np.where(is_open, self.branch_level[flat], np.inf)
+        self.times[: len(times), idx] = times
 
-    def temps_at(self, sub: Population, idx: np.ndarray, now: float) -> np.ndarray:
-        """Temperatures at now of the loads idx (sub = pop.take(idx)); now
-        must not lie past their thermostat times."""
+    def temps_at(self, idx: np.ndarray, now: float) -> np.ndarray:
+        """Temperatures at now of the loads idx; now must not lie past their
+        thermostat times."""
         t0, temp0 = self.t0[idx], self.temp0[idx]
-        return np.where(t0 == now, temp0, temp_flow(sub, temp0, self.sigma[idx], now - t0))
+        flow = stroke_flow(self.pop.k[idx], self.target[self.flat(idx)], temp0, now - t0)
+        return np.where(t0 == now, temp0, flow)
 
     def snap(self, start: float, dt: float) -> None:
         """Land the loads whose guard or thermostat time lies within the step
@@ -215,12 +261,11 @@ class LoadAnchors:
         now = start + dt
         if self.guard_min - start <= reach:
             idx = np.flatnonzero(self.guard - start <= reach)
-            guard, _ = frequency_branch(self.pop.take(idx), self.sigma[idx])
-            self.reanchor(idx, guard, now)
+            self.reanchor(idx, self.wait_levels[1, self.flat(idx)], now)
             self.refresh()
         if self.theta_min - start <= reach:
             idx = np.flatnonzero(self.theta - start <= reach)
-            self.temp0[idx] = thermostat_threshold(self.pop.take(idx), self.sigma[idx])
+            self.temp0[idx] = self.wait_levels[0, self.flat(idx)]
             self.t0[idx] = now
             self.theta[idx] = now
             self.theta_min = min(self.theta_min, now)
@@ -239,9 +284,13 @@ class LoadAnchors:
         if self.theta_min <= now:
             parts.append(np.flatnonzero(self.theta <= now))
         if self.excess(omega) >= 0:
-            parts.append(np.flatnonzero((self.lvl_on <= omega) | (self.lvl_off >= omega)))
+            # open levels lie at +omega1 > 0 (lvl_on) and -omega1 < 0 (lvl_off)
+            row = self.lvl_on if omega > 0 else self.neg_off
+            parts.append(np.flatnonzero(row <= abs(omega)))
         if fired is not None:
             parts.append(np.array([fired]))
+        if len(parts) == 1:  # flatnonzero is ascending and unique already
+            return parts[0]
         return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.intp)
 
 
@@ -251,30 +300,32 @@ class ThinnedClocks:
 
     Over a segment of held input the loads keep their states, and with a
     Hurwitz grid |omega| stays within env = |omega_inf| + sum_k |w_k|, where
-    omega(start + tau) = omega_inf + Re sum_k w_k exp(lam_k tau). Each load's
-    rate is monotone in omega, so the rate law at omega = +-env toward
-    faster switching bounds it over the whole segment. Candidates arrive as a
-    Poisson process at the summed bound, each is given to a load in
-    proportion to its bound and accepted with probability rate / bound, with
-    omega at the candidate from the segment's modal weights in O(dim). A new
-    segment draws afresh, which is valid because exponential waits are
-    memoryless. One Philox stream keyed by the seed supplies every draw.
-    With k_pi = 0 the rates do not depend on omega, so env is 0.
+    omega(start + tau) = omega_inf + Re sum_k w_k exp(lam_k tau)
+    (grid_model.ModalFlow.envelope). Each load's rate is monotone in omega,
+    so the rate law at omega = +-env toward faster switching bounds it over
+    the whole segment. Candidates arrive as a Poisson process at the summed
+    bound, each is given to a load in proportion to its bound and accepted
+    with probability rate / bound, with omega at the candidate from the
+    segment's modal state in O(dim). A new segment draws afresh, which is
+    valid because exponential waits are memoryless. One Philox stream keyed
+    by the seed supplies every draw. With k_pi = 0 the rates do not depend on
+    omega, so env is 0; without a modal form env is inf, which caps every
+    bound at the rate law's 1/s.
     """
 
-    def __init__(self, ss: StateSpace, scheme: Scheme, seed: int):
-        self.ss = ss
+    def __init__(self, scheme: Scheme, seed: int):
         self.k_pi = scheme.k_pi
         self.coupled = scheme.k_pi != 0
         self.rng = np.random.Generator(np.random.Philox(key=int(seed)))
         self.draws = 0  # candidate times drawn
 
     def first_accepted(
-        self, loads: LoadAnchors, x: np.ndarray, u: float, start: float, end: float
+        self, loads: LoadAnchors, flow, z: np.ndarray, start: float, end: float
     ) -> tuple[float, int]:
         """(time, load) of the first accepted candidate in [start, end) from
-        state x at start with the input held at u, or (inf, -1) if none."""
-        omega_at, env = self._omega_flow(x, u)
+        the grid state z of flow (its input held) at start, or (inf, -1) if
+        none."""
+        env = flow.envelope(z) if self.coupled else 0.0
         # |level| is omega1: the rate law at omega = +-env toward faster switching
         bound = rate_law(loads.base, loads.pop.omega1, self.k_pi, env)
         cum = np.cumsum(bound)
@@ -287,79 +338,91 @@ class ThinnedClocks:
             if t >= end:
                 return math.inf, -1
             j = min(int(np.searchsorted(cum, rng.random() * total, side="right")), cum.size - 1)
-            omega = omega_at(t - start)
+            omega = flow.omega(flow.advance(z, t - start)) if self.coupled else 0.0
             if rng.random() * bound[j] < rate_law(loads.base[j], loads.level[j], self.k_pi, omega):
                 return t, j
 
-    def _omega_flow(self, x: np.ndarray, u: float):
-        """(the omega the rate law sees at start + tau, as a function of
-        tau, and env) for the flow from x with the input held at u. Without
-        a modal form env is inf, which caps every bound at the rate law's
-        1/s."""
-        ss, modes = self.ss, self.ss.modes
-        if not self.coupled:
-            return (lambda tau: 0.0), 0.0
-        if modes is None:
-            def omega_at(tau: float) -> float:
-                phi, psi = grid_model.transition(ss, tau)
-                return float(phi[0] @ x + psi[0] * u)
 
-            return omega_at, math.inf
-        # x_inf = -a^-1 b u, the equilibrium the held flow decays to
-        x_inf = -(modes.v @ (modes.v_inv_b / modes.lam)).real * u
-        w = modes.v[0] * (modes.v_inv @ (x - x_inf))
-        omega_inf = float(x_inf[0])
+def locate_crossing(
+    flow, z: np.ndarray, excess, lo: float, g_lo: float, hi: float, g_hi: float,
+    z_hi: np.ndarray,
+):
+    """(tau, state at tau, probes) for the held-input flow from the grid state
+    z of flow, given a bracket [lo, hi] of tau: excess is g_lo < 0 at lo and
+    g_hi >= 0 at hi, where the state is z_hi. At tau in (lo, hi] the jump is
+    enabled, with omega at most _OVERSHOOT past its level, or tau is the
+    first double at which it is.
 
-        def omega_at(tau: float) -> float:
-            return omega_inf + float((np.exp(modes.lam * tau) @ w).real)
-
-        return omega_at, abs(omega_inf) + float(np.sum(np.abs(w)))
-
-
-def locate_crossing(ss: StateSpace, x: np.ndarray, u: float, dt: float, x_end: np.ndarray, excess):
-    """(tau, state at tau, probes) for a step of dt from x with input held at
-    u, given that excess(omega) is < 0 at its start and >= 0 at its end
-    state x_end: at tau in (0, dt] the jump is enabled, with omega at most
-    _OVERSHOOT past its level, or tau is the first double at which it is.
-
-    Modified regula falsi on the bracket [0, dt], aimed at the middle of the
-    accepted window: the Illinois method (Dowell & Jarratt, BIT 11, 168,
-    1971) with the Anderson-Bjorck scaling of the kept end (BIT 13, 253,
-    1973). Each probe is the exact flow transition(ss, tau) from x.
+    Modified regula falsi on the bracket, aimed at the middle of the accepted
+    window: the Illinois method (Dowell & Jarratt, BIT 11, 168, 1971) with
+    the Anderson-Bjorck scaling of the kept end (BIT 13, 253, 1973). Each
+    probe is the exact flow flow.advance(z, tau), O(dim) in modal form, and
+    its omega is the one the state it returns has.
     """
-    g_end = excess(x_end[0])
-    if g_end <= _OVERSHOOT:
-        return dt, x_end, 0
+    if g_hi <= _OVERSHOOT:
+        return hi, z_hi, 0
     aim = 0.5 * _OVERSHOOT
-    lo, g_lo = 0.0, excess(x[0]) - aim
-    hi, g_hi, x_hi = dt, g_end - aim, x_end
+    g_lo -= aim
+    g_hi -= aim
     side = probes = 0
     while True:
         tau = lo - g_lo * (hi - lo) / (g_hi - g_lo)
         if not lo < tau < hi:
             tau = 0.5 * (lo + hi)
             if not lo < tau < hi:
-                return hi, x_hi, probes
-        # looked up on the module, so that patching grid_model.transition
-        # reaches every probe
-        phi, psi = grid_model.transition(ss, tau)
-        x_tau = phi @ x + psi * u
-        g_tau = excess(x_tau[0])
+                return hi, z_hi, probes
+        z_tau = flow.advance(z, tau)
+        g_tau = excess(flow.omega(z_tau))
         probes += 1
         if 0 <= g_tau <= _OVERSHOOT:
-            return tau, x_tau, probes
+            return tau, z_tau, probes
         g = g_tau - aim
         # when the same end moves twice running, the kept end's value shrinks
         if g > 0:
             if side > 0:
                 scale = 1.0 - g / g_hi
                 g_lo *= scale if scale > 0 else 0.5
-            hi, g_hi, x_hi, side = tau, g, x_tau, 1
+            hi, g_hi, z_hi, side = tau, g, z_tau, 1
         else:
             if side < 0:
                 scale = 1.0 - g / g_lo
                 g_hi *= scale if scale > 0 else 0.5
             lo, g_lo, side = tau, g, -1
+
+
+def first_bracket(
+    flow, z: np.ndarray, excess, dt: float, g_a: float, z_b: np.ndarray, g_b: float,
+    curvature: float,
+):
+    """(bracket, probes) for a step of dt from the grid state z of flow whose
+    start is disabled (excess g_a < 0), to the state z_b with excess g_b:
+    bracket is (lo, g_lo, hi, g_hi, z_hi) for locate_crossing around the
+    first crossing inside the step, or None when the step holds none.
+
+    With |omega''| <= curvature, an interval of width h between disabled ends
+    e_a and e_b is crossing-free if max(e_a, e_b) + curvature h^2 / 8 < 0,
+    since each branch of excess is omega minus a level, or a level minus
+    omega. Intervals that fail are halved in time order until each is
+    certified, ends in an enabled state or has curvature h^2 / 8 at most
+    _OVERSHOOT, the resolution of the crossing search.
+    """
+    lo, g_lo = 0.0, g_a
+    pending = [(dt, g_b, z_b)]  # right ends still to reach, the nearest last
+    probes = 0
+    while pending:
+        hi, g_hi, z_hi = pending[-1]
+        if g_hi >= 0:
+            return (lo, g_lo, hi, g_hi, z_hi), probes
+        slack = curvature * (hi - lo) ** 2 / 8
+        mid = 0.5 * (lo + hi)
+        if max(g_lo, g_hi) + slack < 0 or slack <= _OVERSHOOT or not lo < mid < hi:
+            pending.pop()
+            lo, g_lo = hi, g_hi
+            continue
+        z_mid = flow.advance(z, mid)
+        pending.append((mid, excess(flow.omega(z_mid)), z_mid))
+        probes += 1
+    return None, probes
 
 
 CAUSE_THERMO_HI = "thermostat-hi"
@@ -415,17 +478,17 @@ def simulate(sc: Scenario) -> Trace:
 
     d_star = float(np.sum(pop.alpha * pop.d_bar)) if sc.offset_demand else 0.0
     max_step = sc.max_step
-    cache = TransitionCache(sc.grid, max_step)
-    clocks = ThinnedClocks(sc.grid, scheme, sc.seed) if randomized else None
+    flow = grid_model.held_flow(sc.grid, max_step)
+    clocks = ThinnedClocks(scheme, sc.seed) if randomized else None
 
-    # trace accumulators; a sample's state is the whole grid state x
-    s_t, s_j, s_x, s_ds, s_on = [], [], [], [], []
+    # trace accumulators; a sample's grid state is its z and held input
+    s_t, s_j, s_z, s_u, s_ds, s_on = [], [], [], [], [], []
     sw_t, sw_load, sw_sig, sw_cause = [], [], [], []
     temp_min = loads.temp0.copy()
     temp_max = loads.temp0.copy()
     meta = {
         "rate_resamples": 0,
-        "freq_bisections": 0,  # transitions probed by locate_crossing
+        "freq_bisections": 0,  # omega probes of the crossing search
         "max_jump_instants": 0,
         "loop_iterations": 0,  # passes of the event part of the loop
     }
@@ -433,7 +496,7 @@ def simulate(sc: Scenario) -> Trace:
     dist_times = [t for t, _ in sc.disturbance]
     dist_levels = [v for _, v in sc.disturbance]
 
-    x = np.zeros(sc.grid.dim)
+    z = flow.enter(np.zeros(sc.grid.dim), 0.0)
     t = 0.0
     jumps = 0
     dist_idx = 0
@@ -447,9 +510,18 @@ def simulate(sc: Scenario) -> Trace:
     def record_sample():
         s_t.append(t)
         s_j.append(jumps)
-        s_x.append(x)
+        s_z.append(z)
+        s_u.append(flow.u)
         s_ds.append(loads.d_s)
         s_on.append(loads.on_fraction)
+
+    def grid_states() -> np.ndarray:
+        """Every sample's grid state, all of it finite."""
+        states = flow.states(s_z, s_u)
+        finite = np.isfinite(states).all(axis=1)
+        if not finite.all():
+            raise SimulationError(f"non-finite grid state at t={s_t[int(np.argmin(finite))]}")
+        return states
 
     def apply_jumps(omega: float, clock_fired: int | None) -> None:
         """Settle all enabled jumps at the current instant. Only the candidate
@@ -459,11 +531,10 @@ def simulate(sc: Scenario) -> Trace:
             idx = loads.candidates(omega, t, clock_fired)
             hit = idx[:0]
             if idx.size:
-                sub = pop.take(idx)
-                temps_c = loads.temps_at(sub, idx, t)
+                temps_c = loads.temps_at(idx, t)
                 sig_c = loads.sigma[idx]
                 fired_c = None if clock_fired is None else idx == clock_fired
-                target = jump_target(sub, temps_c, sig_c, omega, scheme, fired_c)
+                target = jump_target(pop.take(idx), temps_c, sig_c, omega, scheme, fired_c)
                 hit = np.flatnonzero(target != sig_c)
             if not hit.size:
                 meta["max_jump_instants"] = max(meta["max_jump_instants"], instants)
@@ -496,66 +567,76 @@ def simulate(sc: Scenario) -> Trace:
         )
 
     # corrective jump pass so z(0,0) starts consistent with the flow set
-    apply_jumps(x[0], None)
+    apply_jumps(flow.omega(z), None)
     record_sample()
 
     tiny = 1e-12
+    excess = loads.excess
     # the next accepted candidate, drawn for the segment of held input and
     # load states keyed by (jumps, dist_idx)
     t_fire, fire, segment = math.inf, -1, None
     while t < sc.horizon - tiny:
-        u = current_level() + loads.d_s - d_star
+        z = flow.hold(z, current_level() + loads.d_s - d_star)
         # guard_min is +inf under the randomized scheme, so a segment ends
         # at the same stop
         stop = min(loads.theta_min, loads.guard_min, next_dist_time(), sc.horizon)
         if randomized and segment != (jumps, dist_idx):
             segment = (jumps, dist_idx)
-            t_fire, fire = clocks.first_accepted(loads, x, u, t, stop)
+            t_fire, fire = clocks.first_accepted(loads, flow, z, t, stop)
         stop = min(stop, t_fire)
         if stop <= t:
             raise SimulationError(f"non-positive step {stop - t} at t={t}")
 
+        # a step between disabled ends is crossing-free if it passes the
+        # curvature test (first_bracket); excess is -inf with no open branch
+        g_a = excess(flow.omega(z))
+        curvature = flow.curvature(z) if g_a > -math.inf else 0.0
+        slack = curvature * max_step**2 / 8
         # cadence steps that end more than one max_step before stop snap no
-        # load and enable no jump unless omega reaches an open level, so they
-        # are committed here; the first step that may do either goes on to
-        # the event part
+        # load and enable no jump unless they fail that test, so they are
+        # committed here; the first step that may do either goes on to the
+        # event part
         quiet_until = stop - 2 * max_step - tiny
         while True:
             dt = min(stop - t, max_step)
-            phi, psi = cache.get(dt)
-            x_end = phi @ x + psi * u
-            if not np.isfinite(x_end).all():
+            z_end = flow.advance(z, dt)
+            omega_end = flow.omega(z_end)
+            if not math.isfinite(omega_end):
+                grid_states()  # the first non-finite state may be a sample's
                 raise SimulationError(f"non-finite grid state at t={t + dt}")
-            if t >= quiet_until or loads.excess(x_end[0]) >= 0:
+            g_b = excess(omega_end)
+            if t >= quiet_until or not max(g_a, g_b) + slack < 0:
                 break
-            x = x_end
+            z, g_a = z_end, g_b
             t += dt
             record_sample()
 
         meta["loop_iterations"] += 1
         clock_fired = fire if t_fire - t <= dt else None
         dt_event = dt
-        # [0, dt] brackets a crossing only if the start is disabled, as a
-        # jump instant leaves it; excess is -inf with no open branch
-        if loads.excess(x_end[0]) >= 0 > loads.excess(x[0]):
-            dt_event, x_end, probes = locate_crossing(sc.grid, x, u, dt, x_end, loads.excess)
+        # a jump instant leaves the start disabled
+        if g_a < 0:
+            bracket, probes = first_bracket(flow, z, excess, dt, g_a, z_end, g_b, curvature)
+            if bracket is not None:
+                dt_event, z_end, more = locate_crossing(flow, z, excess, *bracket)
+                probes += more
             meta["freq_bisections"] += probes
 
         # commit the flow
-        x = x_end
+        z = z_end
         if dt_event == dt:
             loads.snap(t, dt)
         t += dt_event
         if dist_idx + 1 < len(dist_times) and t >= dist_times[dist_idx + 1] - tiny:
             dist_idx += 1
 
-        apply_jumps(x[0], clock_fired)
+        apply_jumps(flow.omega(z), clock_fired)
         record_sample()
 
-    final = loads.temps_at(pop, np.arange(n_loads), t)
+    final = loads.temps_at(np.arange(n_loads), t)
     np.minimum(temp_min, final, out=temp_min)
     np.maximum(temp_max, final, out=temp_max)
-    states = np.array(s_x)
+    states = grid_states()
     meta["clock_draws"] = clocks.draws if randomized else 0
     meta["jump_count"] = jumps
     meta["scheme"] = sc.scheme.kind

@@ -6,7 +6,10 @@ the design, simulator and statistics code take and return it. `TclParams` is
 one load, as `Population[j]` returns it. Every per-load law, the validity
 checks and the stroke formulas included, is written once over attribute
 access and NumPy operations, so it takes either one `TclParams` with scalar
-state or a `Population` (same field names) with array state.
+state or a `Population` (same field names) with array state. The held flow
+and the time to a level are written once over a stroke, its insulation
+coefficient and flow target (`stroke_flow`, `stroke_time`); their load forms
+call them, and the simulator calls them on per-(state, load) tables.
 
 Cooling devices only: the ON target temperature t_amb - cop * d_bar lies below
 the lower threshold and the ambient lies above the upper threshold, so the
@@ -55,7 +58,7 @@ class TclParams:
 
     @property
     def target_on(self) -> float:
-        return _flow_target(self, 1)
+        return flow_target(self, 1)
 
     @property
     def pi_on(self) -> float:
@@ -132,7 +135,7 @@ def check_loads(p: TclParams | Population) -> None:
             (p.k > 0, "k must be positive"),
             (p.cop > 0, "cop must be positive"),
             (p.t_amb > p.t_hi, "cooling device needs t_amb > t_hi"),
-            (_flow_target(p, 1) < p.t_lo, "cooling device needs t_amb - cop*d_bar < t_lo"),
+            (flow_target(p, 1) < p.t_lo, "cooling device needs t_amb - cop*d_bar < t_lo"),
             (p.omega1 > 0, "omega1 must be positive"),
             ((p.eps > 0) & (p.eps < half_band), "eps must lie in (0, (t_hi - t_lo)/2)"),
         ]
@@ -211,7 +214,7 @@ def on_off_durations(p: TclParams | Population) -> tuple[float, float]:
     """Closed-form ON and OFF stroke durations of the free-running load. The
     logarithm is math.log, elementwise on arrays: np.log differs from it in
     the last bit on some inputs."""
-    target = _flow_target(p, 1)
+    target = flow_target(p, 1)
     ratios = ((p.t_hi - target) / (p.t_lo - target), (p.t_amb - p.t_lo) / (p.t_amb - p.t_hi))
     if np.ndim(p.k) == 0:
         return tuple(math.log(r) / p.k for r in ratios)
@@ -232,7 +235,7 @@ def zeta(p: TclParams | Population) -> float:
     return np.maximum(alpha, 1.0 - alpha)
 
 
-def _flow_target(p: TclParams | Population, sigma):
+def flow_target(p: TclParams | Population, sigma):
     """Temperature the held flow approaches: target_on when ON, t_amb when OFF."""
     return p.t_amb - sigma * p.cop * p.d_bar
 
@@ -242,18 +245,29 @@ def temp_flow(p: TclParams | Population, temperature, sigma, dt):
     may be one duration per load."""
     if np.any(np.less(dt, 0)):
         raise TclError(f"dt must be nonnegative, got {dt}")
-    target = _flow_target(p, sigma)
-    return target + (temperature - target) * np.exp(-p.k * dt)
+    return stroke_flow(p.k, flow_target(p, sigma), temperature, dt)
+
+
+def stroke_flow(k, target, temperature, dt):
+    """temp_flow of a stroke given by its insulation coefficient k and flow
+    target, for dt >= 0."""
+    return target + (temperature - target) * np.exp(-k * dt)
 
 
 def time_to_level(p: TclParams | Population, temperature, sigma, level):
     """Time until the held flow reaches a temperature level that lies between
     the temperature and the flow target. Zero when the load is already at or
     past the level in the direction of its flow."""
-    target = _flow_target(p, sigma)
+    return stroke_time(p.k, flow_target(p, sigma), temperature, level)
+
+
+def stroke_time(k, target, temperature, level):
+    """time_to_level of a stroke given by its insulation coefficient k and
+    flow target; level may stack several levels per load along a leading
+    axis."""
     ratio = (temperature - target) / (level - target)
     with np.errstate(invalid="ignore", divide="ignore"):
-        tt = np.log(ratio) / p.k
+        tt = np.log(ratio) / k
     return np.where(ratio <= 1.0, 0.0, tt)[()]
 
 

@@ -10,11 +10,13 @@ from scipy.optimize import brentq
 from tclgrid.grid_model import (
     GenDynamics,
     GridModelError,
+    ModalFlow,
     StateSpace,
     TransitionCache,
     build_combined_system,
     default_gen_dynamics,
     default_grid,
+    held_flow,
     is_hurwitz,
     one_norm,
     spectral_abscissa,
@@ -262,6 +264,13 @@ class TestTransition:
         decay = math.exp(-dt)
         np.testing.assert_allclose(phi, decay * np.array([[1.0, dt], [0.0, 1.0]]), rtol=1e-13)
         np.testing.assert_allclose(psi, [1.0 - decay * (1.0 + dt), 1.0 - decay], rtol=1e-13)
+        # the event loop steps such a grid by transition, with no bound on
+        # omega or its curvature
+        flow = held_flow(ss, dt)
+        x = np.array([0.5, -1.0])
+        z = flow.hold(flow.enter(x, 0.0), 2.0)
+        np.testing.assert_array_equal(flow.advance(z, dt), phi @ x + psi * 2.0)
+        assert flow.envelope(z) == math.inf and flow.curvature(z) == 0.0
 
     def test_one_decomposition_per_state_space(self, monkeypatch):
         calls = 0
@@ -307,6 +316,32 @@ class TestTransition:
         one_go = propagate(ss, x0, u, dt1 + dt2)
         two_steps = propagate(ss, propagate(ss, x0, u, dt1), u, dt2)
         np.testing.assert_allclose(one_go, two_steps, rtol=1e-9, atol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        ss=governor_grids(),
+        steps=st.lists(
+            st.tuples(st.one_of(st.just(0.01), st.floats(0.0, 2.0)), st.floats(-3.0, 3.0)),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_modal_flow_matches_transition(self, ss, steps):
+        # the event loop's propagator keeps the state in modal coordinates
+        # over held inputs; over any sequence of inputs and steps (the
+        # cadence step 0.01 among them) its states and omega are transition's
+        x = np.array([0.3, -0.2, 0.5])
+        flow = held_flow(ss, 0.01)
+        assert isinstance(flow, ModalFlow)
+        z = flow.enter(x, 0.0)
+        zs, us, xs = [z], [0.0], [x]
+        for dt, u in steps:
+            z = flow.advance(flow.hold(z, u), dt)
+            x = propagate(ss, x, u, dt)
+            zs.append(z)
+            us.append(u)
+            xs.append(x)
+            assert flow.omega(z) == pytest.approx(x[0], rel=1e-9, abs=1e-12)
+        np.testing.assert_allclose(flow.states(zs, us), xs, rtol=1e-9, atol=1e-12)
 
     def test_propagation_linearity_in_input(self):
         ss = default_grid()
