@@ -24,7 +24,11 @@ too; a grid without a modal form has no such bound, and only the ends of its
 steps are tested. A bracketed crossing is cut by modified regula falsi on the exact flow
 (locate_crossing), each probe O(dim). Only the loads that switch or open a
 branch are touched. At an event every enabled load switches within a single
-jump instant, continuous state unchanged.
+jump instant, continuous state unchanged. The enabled loads are the
+candidates of the tables (LoadAnchors.candidates): thermostat-due, past an
+open frequency level, or the load whose clock fired. The part that enables a
+load names its switch's cause, and tcl.jump_target states the same rule
+pointwise.
 
 Between events the trace is sampled every max_step from the last event. Each
 pass of the step loop computes its stop, the next thermostat, guard,
@@ -69,7 +73,6 @@ from .tcl import (
     Scheme,
     flow_target,
     frequency_branch,
-    jump_target,
     rate_coefficients,
     rate_law,
     stroke_flow,
@@ -277,7 +280,7 @@ class LoadAnchors:
         return max(omega - self.on_min, self.off_max - omega)
 
     def candidates(self, omega: float, now: float, fired: int | None) -> np.ndarray:
-        """Ascending indices of the loads whose jump may be enabled at now:
+        """Ascending indices of the loads whose jump is enabled at now:
         thermostat-due, beyond their frequency level or the load whose clock
         fired."""
         parts = []
@@ -524,40 +527,35 @@ def simulate(sc: Scenario) -> Trace:
         return states
 
     def apply_jumps(omega: float, clock_fired: int | None) -> None:
-        """Settle all enabled jumps at the current instant. Only the candidate
-        loads are evaluated; every other load's jump is disabled."""
+        """Settle all enabled jumps at the current instant: every candidate
+        load switches, with the cause of the part that enabled it."""
         nonlocal jumps
         for instants in range(zeno_max + 1):
             idx = loads.candidates(omega, t, clock_fired)
-            hit = idx[:0]
-            if idx.size:
-                temps_c = loads.temps_at(idx, t)
-                sig_c = loads.sigma[idx]
-                fired_c = None if clock_fired is None else idx == clock_fired
-                target = jump_target(pop.take(idx), temps_c, sig_c, omega, scheme, fired_c)
-                hit = np.flatnonzero(target != sig_c)
-            if not hit.size:
+            if not idx.size:
                 meta["max_jump_instants"] = max(meta["max_jump_instants"], instants)
                 return
-            for k in hit:  # ascending load index within the jump instant
-                j, temp, new_sig = int(idx[k]), temps_c[k], int(target[k])
-                if fired_c is not None and fired_c[k] and pop.t_lo[j] < temp < pop.t_hi[j]:
+            temps_c = loads.temps_at(idx, t)
+            new_sig = 1 - loads.sigma[idx]
+            due = loads.theta[idx] <= t
+            # ascending load index within the jump instant
+            for j, sig, thermostat in zip(idx.tolist(), new_sig.tolist(), due.tolist()):
+                if thermostat:
+                    cause = CAUSE_THERMO_HI if sig == 1 else CAUSE_THERMO_LO
+                elif j == clock_fired:
                     cause = CAUSE_RANDOM
-                elif new_sig == 1:
-                    cause = CAUSE_THERMO_HI if temp >= pop.t_hi[j] else CAUSE_FREQ_ON
                 else:
-                    cause = CAUSE_THERMO_LO if temp <= pop.t_lo[j] else CAUSE_FREQ_OFF
+                    cause = CAUSE_FREQ_ON if sig == 1 else CAUSE_FREQ_OFF
                 sw_t.append(t)
                 sw_load.append(j)
-                sw_sig.append(new_sig)
+                sw_sig.append(sig)
                 sw_cause.append(cause)
             # the held flow is monotone, so a load's extremes are its
             # temperatures at its switches and at the end of the run
-            changed, temps_c = idx[hit], temps_c[hit]
-            temp_min[changed] = np.minimum(temp_min[changed], temps_c)
-            temp_max[changed] = np.maximum(temp_max[changed], temps_c)
-            loads.sigma[changed] = target[hit]
-            loads.reanchor(changed, temps_c, t)
+            temp_min[idx] = np.minimum(temp_min[idx], temps_c)
+            temp_max[idx] = np.maximum(temp_max[idx], temps_c)
+            loads.sigma[idx] = new_sig
+            loads.reanchor(idx, temps_c, t)
             loads.refresh()
             jumps += 1
             # the fired clock acts in the first round only

@@ -314,10 +314,6 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
     return from_dict(doc)
 
 
-def dump_scenario_file(sf: ScenarioFile, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(to_dict(sf), sort_keys=True))
-
-
 def scenario_hash(sf: ScenarioFile) -> str:
     """Content hash of the canonical serialized form, for manifest pinning."""
     canonical = yaml.safe_dump(to_dict(sf), sort_keys=True)

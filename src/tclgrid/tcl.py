@@ -103,14 +103,6 @@ class Population:
         """The population of a list of single loads."""
         return cls(**{name: np.array([getattr(p, name) for p in loads]) for name in LOAD_FIELDS})
 
-    def take(self, index) -> Population:
-        """The sub-population of the loads selected by an index array; its
-        loads are already checked and their derived fields are sliced."""
-        sub = object.__new__(Population)
-        for name in POPULATION_FIELDS:
-            object.__setattr__(sub, name, getattr(self, name)[index])
-        return sub
-
     def __getitem__(self, j: int) -> TclParams:
         return TclParams(**{name: float(getattr(self, name)[j]) for name in LOAD_FIELDS})
 
@@ -119,9 +111,6 @@ class Population:
 
     def __len__(self) -> int:
         return self.d_bar.size
-
-
-POPULATION_FIELDS = tuple(f.name for f in fields(Population))
 
 
 def check_loads(p: TclParams | Population) -> None:

@@ -316,7 +316,88 @@ def switch_sequences(draw):
     return pop, temps, sigmas, switches, scheme, omega
 
 
+@st.composite
+def jump_states(draw):
+    """A population under a scheme with a frequency channel or without one,
+    its switch states and temperatures, each exactly on one of its load's
+    thermostat thresholds or guards or at least 1e-9 C from all four, in
+    band or out of it; an omega that is often exactly some load's +-omega1,
+    and the load whose clock fired, if any."""
+    n = draw(st.integers(1, 30))
+    pop = sample_population(PopulationSpec(n, gamma=0.2, seed=draw(st.integers(0, 2**31))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    sigmas = rng.integers(0, 2, n).astype(np.int8)
+    levels = np.stack([pop.t_lo, pop.t_hi, pop.t_lo + pop.eps, pop.t_hi - pop.eps])
+    temps = rng.uniform(pop.t_lo - 2.0, pop.t_hi + 2.0)
+    # a temperature within 1e-9 C of a level is put on it
+    nearest = levels[np.argmin(np.abs(levels - temps), axis=0), np.arange(n)]
+    on_level = (rng.random(n) < 0.5) | (np.abs(nearest - temps) < 1e-9)
+    temps = np.where(on_level, levels[rng.integers(0, 4, n), np.arange(n)], temps)
+    scheme = draw(st.sampled_from(
+        [Scheme.conventional(), Scheme.deterministic(), Scheme.randomized()]
+    ))
+    omega = draw(st.one_of(
+        st.floats(-1.0, 1.0),
+        st.sampled_from([float(s * w) for w in pop.omega1 for s in (-1, 1)]),
+    ))
+    fired = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    return pop, temps, sigmas, scheme, omega, fired
+
+
 class TestLoadAnchors:
+    @settings(max_examples=200, deadline=None)
+    @given(case=jump_states())
+    def test_candidates_are_the_jump_set(self, case):
+        # the loads the tables enable are those whose jump_target differs
+        # from their state; within 1e-9 C of a level the tables decide
+        pop, temps, sigmas, scheme, omega, fired = case
+        loads = LoadAnchors(pop, scheme, temps, sigmas)
+        fired_mask = None if fired is None else np.arange(len(pop)) == fired
+        target = jump_target(pop, temps, sigmas, omega, scheme, fired_mask)
+        np.testing.assert_array_equal(
+            loads.candidates(omega, 0.0, fired), np.flatnonzero(target != sigmas)
+        )
+
+    @pytest.mark.parametrize("scheme", [Scheme.deterministic(), Scheme.conventional()])
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_wait_rounded_to_zero_switches_at_once(self, scheme, sigma):
+        # OFF loads one ulp below t_hi, or ON loads one ulp above t_lo: the
+        # rounded wait of many is 0, so the tables make them thermostat-due
+        # at t = 0, and they switch there though jump_target would not
+        pop = sample_population(PopulationSpec(200, 0.2, seed=5))
+        if sigma == 0:
+            temps, cause = np.nextafter(pop.t_hi, -np.inf), "thermostat-hi"
+        else:
+            temps, cause = np.nextafter(pop.t_lo, np.inf), "thermostat-lo"
+        sigmas = np.full(len(pop), sigma, dtype=np.int8)
+        due = np.flatnonzero(LoadAnchors(pop, scheme, temps, sigmas).theta == 0)
+        assert due.size > 100
+        assert np.all(jump_target(pop, temps, sigmas, 0.0, scheme) == sigmas)
+        tr = simulate(small_population_scenario(
+            population=pop, scheme=scheme, initial_state=(temps, sigmas), horizon=2.0,
+        ))
+        at_start = tr.switch_times == 0.0
+        np.testing.assert_array_equal(tr.switch_loads[at_start], due)
+        assert {tr.switch_causes[k] for k in np.flatnonzero(at_start)} == {cause}
+        assert tr.times[-1] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_fired_clock_out_of_band_is_randomized(self, sigma):
+        # loads that observe omega = 0 start out of band on the side their
+        # flow leaves: OFF below t_lo or ON above t_hi. Only their clocks and
+        # thermostats switch them, and each switch is logged as such
+        pop = sample_population(PopulationSpec(20, 0.2, seed=5))
+        temps = pop.t_lo - 0.5 if sigma == 0 else pop.t_hi + 0.5
+        tr = simulate(small_population_scenario(
+            population=pop,
+            scheme=Scheme.randomized(v_des=1e4),
+            clamp_omega=True,
+            initial_state=(temps, np.full(len(pop), sigma, dtype=np.int8)),
+            horizon=10.0,
+        ))
+        assert "randomized" in tr.switch_causes
+        assert set(tr.switch_causes) <= {"randomized", "thermostat-hi", "thermostat-lo"}
+
     @settings(max_examples=100, deadline=None)
     @given(case=held_steps())
     def test_opened_levels_match_kernel(self, case):
@@ -719,7 +800,6 @@ def cumulative_hazard(sc: Scenario, tr, nodes: int = 4) -> np.ndarray:
 
 PER_LOAD_KERNELS = (
     "frequency_branch",
-    "jump_target",
     "next_thermostat_event",
     "rate_coefficients",
     "stroke_flow",
