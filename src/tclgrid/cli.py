@@ -18,7 +18,6 @@ from . import __version__
 from .design import AllocationResult, DesignError, DesignReport, verify_design_condition
 from .grid_model import GridModelError, is_hurwitz, one_norm
 from .hybrid_sim import (
-    Scenario,
     SimulationError,
     Trace,
     compare_schemes,
@@ -40,43 +39,35 @@ EXIT_NUMERIC = 3
 EXIT_CERTIFICATION = 4
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def write_rows(path: Path, header: str, row: str, *columns) -> None:
+    """Write the header line, then one line per entry of the columns through
+    the % template row."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.write("".join(map(row.__mod__, zip(*columns))))
 
 
 def write_trace_csv(tr: Trace, path: Path) -> None:
     n = tr.x_hat.shape[1]
-    header = ["t", "jumps", "omega", *[f"x_hat_{i}" for i in range(n)], "d_s", "on_fraction"]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(tr.times.size):
-            row = [
-                _fmt(tr.times[i]),
-                str(int(tr.jumps[i])),
-                _fmt(tr.omega[i]),
-                *[_fmt(v) for v in tr.x_hat[i]],
-                _fmt(tr.d_s[i]),
-                _fmt(tr.on_fraction[i]),
-            ]
-            fh.write(",".join(row) + "\n")
+    x_hat = [f"x_hat_{i}" for i in range(n)]
+    header = ",".join(["t", "jumps", "omega", *x_hat, "d_s", "on_fraction"])
+    row = "%.17g,%d" + ",%.17g" * (n + 3) + "\n"
+    columns = [tr.times, tr.jumps, tr.omega, *tr.x_hat.T, tr.d_s, tr.on_fraction]
+    write_rows(path, header, row, *(c.tolist() for c in columns))
 
 
 def write_switch_log_csv(tr: Trace, path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,load,new_sigma,cause\n")
-        for i in range(tr.switch_times.size):
-            fh.write(
-                f"{_fmt(tr.switch_times[i])},{int(tr.switch_loads[i])},"
-                f"{int(tr.switch_new_sigma[i])},{tr.switch_causes[i]}\n"
-            )
+    write_rows(
+        path, "t,load,new_sigma,cause", "%.17g,%d,%d,%s\n", tr.switch_times.tolist(),
+        tr.switch_loads.tolist(), tr.switch_new_sigma.tolist(), tr.switch_causes,
+    )
 
 
 def write_metrics_txt(tr: Trace, path: Path) -> None:
     m = dwell_time_report(tr)
-    gap = "inf" if m.min_interswitch_gap == float("inf") else _fmt(m.min_interswitch_gap)
     lines = [
-        f"peak_abs_omega_hz: {_fmt(m.peak_abs_omega)}",
-        f"min_interswitch_gap_s: {gap}",
+        "peak_abs_omega_hz: %.17g" % m.peak_abs_omega,
+        "min_interswitch_gap_s: %.17g" % m.min_interswitch_gap,
         f"total_switches: {int(np.sum(m.switch_counts))}",
         f"jump_instants: {tr.meta.get('jump_count', 0)}",
     ]
@@ -160,21 +151,17 @@ def cmd_compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     sc, _ = sf.build_scenario()
     runs = compare_schemes(sc)
-    rows = []
     for name, run in runs.items():
         write_trace_csv(run.trace, out_dir / f"trace_{name}.csv")
         # plot-ready (t, on_fraction) pairs
-        with open(out_dir / f"on_fraction_{name}.csv", "w") as fh:
-            fh.write("t,on_fraction\n")
-            for t, v in zip(run.trace.times, run.trace.on_fraction):
-                fh.write(f"{_fmt(t)},{_fmt(v)}\n")
-        rows.append((name, run.metrics.peak_abs_omega))
-    with open(out_dir / "comparison.csv", "w") as fh:
-        fh.write("scheme,peak_abs_omega_hz\n")
-        for name, peak in rows:
-            fh.write(f"{name},{_fmt(peak)}\n")
+        write_rows(
+            out_dir / f"on_fraction_{name}.csv", "t,on_fraction", "%.17g,%.17g\n",
+            run.trace.times.tolist(), run.trace.on_fraction.tolist(),
+        )
+    peaks = [run.metrics.peak_abs_omega for run in runs.values()]
+    write_rows(out_dir / "comparison.csv", "scheme,peak_abs_omega_hz", "%s,%.17g\n", runs, peaks)
     write_manifest(sf, out_dir, {"command": "compare"})
-    for name, peak in rows:
+    for name, peak in zip(runs, peaks):
         print(f"{name:24s} peak |omega| = {peak:.6f} Hz")
     return EXIT_OK
 

@@ -3,6 +3,12 @@
 State convention: x = (omega, x_hat) with omega the frequency deviation in Hz
 and x_hat the generation states. Power quantities are per-unit on the
 scenario-declared base; M and D carry matching units (pu*s/Hz and pu/Hz).
+
+Over a pass of held input the state flows exactly (ModalFlow, or MatrixFlow
+without a modal form). CrossingWalk finds where a function of the output
+changes sign along that flow, in time order and certified between probes: it
+is the simulator's search for frequency-level crossings, and one_norm's for
+the zeros of the impulse response.
 """
 
 from __future__ import annotations
@@ -192,13 +198,6 @@ class OneNormResult(NamedTuple):
         return self.value
 
 
-# Bisection steps per sign-change bracket, enough to reach the last bit.
-_BISECTIONS = 60
-# Intervals are halved at most this many times when certifying where the
-# impulse response changes sign; only a tangency (a double zero) gets there.
-_MAX_HALVINGS = 48
-
-
 def one_norm(ss: StateSpace, t_max: float | None = None, tol: float = 1e-8) -> OneNormResult:
     """Integral of |g(t)| = |c expm(a t) b| over [0, inf).
 
@@ -206,9 +205,11 @@ def one_norm(ss: StateSpace, t_max: float | None = None, tol: float = 1e-8) -> O
     r = (c V) * (V^-1 b), so g integrates exactly: over [s, s + w],
     Re sum_k r_k exp(lam_k s) expm1(lam_k w) / lam_k. The value on
     [0, t_max] is the sum of the absolute integrals between consecutive sign
-    changes of g, which _sign_changes brackets with a certificate and
-    bisects. The tail beyond t_max is bounded by
-    sum_k |r_k| exp(Re lam_k t_max) / |Re lam_k|.
+    changes of g. g is the output c x of the held flow from x = b with the
+    input at 0 (ModalFlow), so CrossingWalk finds the sign changes with the
+    certificate of the event search, negating its excess at each one. The
+    tail beyond t_max is bounded by sum_k |r_k| exp(Re lam_k t_max) /
+    |Re lam_k|.
 
     Without a modal form, adaptive quadrature with the tail bound
     norm(c) * norm(expm(a t_max)) * norm(b) / |max Re eigenvalue|.
@@ -257,55 +258,18 @@ def one_norm(ss: StateSpace, t_max: float | None = None, tol: float = 1e-8) -> O
             0.0, t_max, epsabs=tol / 2, limit=2000,
         )
     else:
-        zeros = _sign_changes(lam, r, t_max)
+        flow = ModalFlow(ss, t_max)
+        z = flow.enter(ss.b, 0.0)
+        z_end = flow.advance(z, t_max)
+        # excess -|g| at 0, so the walk starts disabled
+        sign = -1.0 if flow.omega(z) > 0 else 1.0
+        walk = CrossingWalk(flow, lambda g: sign * g)
+        e_start, e_end = walk.excess(flow.omega(z)), walk.excess(flow.omega(z_end))
+        zeros = [tau for tau, _ in walk.crossings(z, e_start, t_max, e_end, z_end)]
         edges = np.concatenate(([0.0], zeros, [t_max]))
         pieces = np.exp(np.outer(edges[:-1], lam)) * np.expm1(np.outer(np.diff(edges), lam))
         value = float(np.sum(np.abs((pieces @ (r / lam)).real)))
     return OneNormResult(value=float(value), tail_bound=float(tail), t_max=float(t_max))
-
-
-def _modal_response(lam: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """g(t) = Re sum_k r_k exp(lam_k t) at each time in t."""
-    return (np.exp(np.outer(t, lam)) @ r).real
-
-
-def _sign_changes(lam: np.ndarray, r: np.ndarray, t_end: float) -> np.ndarray:
-    """Sorted times in [0, t_end] where g(t) = Re sum_k r_k exp(lam_k t)
-    changes sign.
-
-    [0, t_end] is halved until each interval [t, t + w] is certified by
-    Taylor's theorem with |g''| <= m2 = sum_k |r_k lam_k^2| exp(Re lam_k t)
-    on it: zero-free if |g(t)| > |g'(t)| w + m2 w^2 / 2, or monotone if
-    |g'(t)| >= m2 w, so that its one possible sign change shows at its ends
-    and is bisected. A zero at either end counts as a sign change.
-    """
-    curvature = np.abs(r * lam**2)
-    start, width = np.zeros(1), t_end
-    lo, hi, lo_sign = [], [], []
-    for halvings in range(_MAX_HALVINGS + 1):
-        if not start.size:
-            break
-        e = np.exp(np.outer(start, lam))
-        g = (e @ r).real
-        slope = np.abs((e @ (r * lam)).real)
-        bound = np.abs(e) @ curvature
-        free = np.abs(g) > (slope + bound * width / 2) * width
-        ends = ~free & ((slope >= bound * width) | (halvings == _MAX_HALVINGS))
-        left, sign = start[ends], np.sign(g[ends])
-        cross = sign * np.sign(_modal_response(lam, r, left + width)) <= 0
-        lo.append(left[cross])
-        hi.append(left[cross] + width)
-        lo_sign.append(sign[cross])
-        split = start[~(free | ends)]
-        width /= 2
-        start = np.concatenate((split, split + width))
-    lo, hi, lo_sign = (np.concatenate(parts) for parts in (lo, hi, lo_sign))
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        same = np.sign(_modal_response(lam, r, mid)) == lo_sign
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return np.sort(0.5 * (lo + hi))
 
 
 def transition(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -357,28 +321,31 @@ class ModalFlow:
     With the input held at u the state decays to x_inf = u * x_unit, where
     x_unit = -a^-1 b, and z = V^-1 (x - x_inf) evolves as z * exp(lam t). So
     a step is one product (the cadence step's factor computed once), a new
-    input shifts z by -du * V^-1 x_unit, omega is x_inf[0] + Re(V[0] z) and
-    the state x_inf + Re(V z) is built only for the recorded samples
-    (states). The held input u is kept here; every other method takes z.
+    input shifts z by -du * V^-1 x_unit, the output omega = c x is
+    c x_inf + Re(c V z) and the state x_inf + Re(V z) is built only for the
+    recorded samples (states). The held input u is kept here; every other
+    method takes z.
     """
 
     def __init__(self, ss: StateSpace, step: float):
         modes = ss.modes
         self.lam, self.v = modes.lam, modes.v
-        self.v0 = modes.v[0]
+        self.c_v = ss.c @ modes.v  # the output row in modal coordinates
         self.x_unit = -(modes.v @ (modes.v_inv_b / modes.lam)).real
+        self.omega_unit = float(ss.c @ self.x_unit)
         self.z_unit = modes.v_inv @ self.x_unit
         self.v_inv = modes.v_inv
         self.step = step
         self.cadence = np.exp(modes.lam * step)
-        self.abs_v0 = np.abs(self.v0)
-        # |omega''| <= sum_k |w_k| |lam_k|^2 with w = V[0] z, since Re lam < 0
-        self.curvature_weights = self.abs_v0 * np.abs(modes.lam) ** 2
+        self.abs_c_v = np.abs(self.c_v)
+        self.slope_row = self.c_v * modes.lam
+        # |omega''| <= sum_k |w_k| |lam_k|^2 with w = c V z, since Re lam < 0
+        self.curvature_weights = self.abs_c_v * np.abs(modes.lam) ** 2
         self.u = self.omega_inf = 0.0
 
     def enter(self, x: np.ndarray, u: float) -> np.ndarray:
         """z of the state x with the input held at u."""
-        self.u, self.omega_inf = u, u * self.x_unit[0]
+        self.u, self.omega_inf = u, u * self.omega_unit
         return self.v_inv @ (x - u * self.x_unit)
 
     def hold(self, z: np.ndarray, u: float) -> np.ndarray:
@@ -386,22 +353,26 @@ class ModalFlow:
         if u == self.u:
             return z
         z = z - (u - self.u) * self.z_unit
-        self.u, self.omega_inf = u, u * self.x_unit[0]
+        self.u, self.omega_inf = u, u * self.omega_unit
         return z
 
     def advance(self, z: np.ndarray, dt: float) -> np.ndarray:
-        return z * (self.cadence if dt == self.step else np.exp(self.lam * dt))
+        return z * (self.cadence if dt == self.step else np.exp(dt * self.lam))
 
     def omega(self, z: np.ndarray) -> float:
-        return self.omega_inf + float((z @ self.v0).real)
+        return self.omega_inf + float(z.dot(self.c_v).real)
+
+    def slope(self, z: np.ndarray) -> float:
+        """omega' at z."""
+        return float(z.dot(self.slope_row).real)
 
     def envelope(self, z: np.ndarray) -> float:
         """A bound on |omega| from z on, while the input is held."""
-        return abs(self.omega_inf) + float(np.abs(z) @ self.abs_v0)
+        return abs(self.omega_inf) + float(np.abs(z) @ self.abs_c_v)
 
     def curvature(self, z: np.ndarray) -> float:
         """A bound on |omega''| from z on, while the input is held."""
-        return float(np.abs(z) @ self.curvature_weights)
+        return float(np.abs(z).dot(self.curvature_weights))
 
     def states(self, zs: list, us: list) -> np.ndarray:
         """The (samples, dim) states x of the recorded z and inputs, in one
@@ -412,11 +383,12 @@ class ModalFlow:
 class MatrixFlow:
     """ModalFlow's interface for a grid without a modal form: z is the state
     x itself, a step is phi @ x + psi * u from TransitionCache, and there is
-    no bound on omega or its curvature (envelope inf, curvature 0, so only a
-    step's ends are tested for a crossing)."""
+    no bound on omega or its curvature (envelope inf, curvature 0, so
+    CrossingWalk tests only a step's ends)."""
 
     def __init__(self, ss: StateSpace, step: float):
         self.cache = TransitionCache(ss, step)
+        self.ss = ss
         self.u = 0.0
 
     def enter(self, x: np.ndarray, u: float) -> np.ndarray:
@@ -432,7 +404,10 @@ class MatrixFlow:
         return phi @ z + psi * self.u
 
     def omega(self, z: np.ndarray) -> float:
-        return float(z[0])
+        return float(self.ss.c @ z)
+
+    def slope(self, z: np.ndarray) -> float:
+        return float(self.ss.c @ (self.ss.a @ z + self.ss.b * self.u))
 
     def envelope(self, z: np.ndarray) -> float:
         return math.inf
@@ -448,3 +423,124 @@ def held_flow(ss: StateSpace, step: float) -> ModalFlow | MatrixFlow:
     """The event loop's grid propagator, with cadence step length step:
     ModalFlow where ss has a modal form, MatrixFlow otherwise."""
     return MatrixFlow(ss, step) if ss.modes is None else ModalFlow(ss, step)
+
+
+# Hz: an enabled probe this close to its frequency level, the rounding level of
+# omega, ends the event search
+_OVERSHOOT = 1e-15
+
+
+def locate_crossing(
+    flow, z: np.ndarray, excess, lo: float, g_lo: float, hi: float, g_hi: float,
+    z_hi: np.ndarray,
+):
+    """(tau, state at tau, probes) for the held-input flow from the grid state
+    z of flow, given a bracket [lo, hi] of tau: excess is g_lo < 0 at lo and
+    g_hi >= 0 at hi, where the state is z_hi. At tau in (lo, hi] the jump is
+    enabled, with omega at most _OVERSHOOT past its level, or tau is the
+    first double at which it is.
+
+    Modified regula falsi on the bracket, aimed at the middle of the accepted
+    window: the Illinois method (Dowell & Jarratt, BIT 11, 168, 1971) with
+    the Anderson-Bjorck scaling of the kept end (BIT 13, 253, 1973). Each
+    probe is the exact flow flow.advance(z, tau), O(dim) in modal form, and
+    its omega is the one the state it returns has.
+    """
+    if g_hi <= _OVERSHOOT:
+        return hi, z_hi, 0
+    aim = 0.5 * _OVERSHOOT
+    g_lo -= aim
+    g_hi -= aim
+    side = probes = 0
+    while True:
+        tau = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        if not lo < tau < hi:
+            tau = 0.5 * (lo + hi)
+            if not lo < tau < hi:
+                return hi, z_hi, probes
+        z_tau = flow.advance(z, tau)
+        g_tau = excess(flow.omega(z_tau))
+        probes += 1
+        if 0 <= g_tau <= _OVERSHOOT:
+            return tau, z_tau, probes
+        g = g_tau - aim
+        # when the same end moves twice running, the kept end's value shrinks
+        if g > 0:
+            if side > 0:
+                scale = 1.0 - g / g_hi
+                g_lo *= scale if scale > 0 else 0.5
+            hi, g_hi, z_hi, side = tau, g, z_tau, 1
+        else:
+            if side < 0:
+                scale = 1.0 - g / g_lo
+                g_hi *= scale if scale > 0 else 0.5
+            lo, g_lo, side = tau, g, -1
+
+
+class CrossingWalk:
+    """The sign changes of excess(omega) along the held-input flow of a grid
+    state, in time order, each certified to be the next one. A state is
+    enabled where excess >= 0; probes counts the flow evaluations so far.
+
+    An interval [lo, hi] with a disabled start is judged from the state at
+    lo, from which on |omega''| <= M2 (flow.curvature):
+    - it holds no sign change if its end is disabled too and
+      max(e_lo, e_hi) + M2 h^2 / 8 < 0, since each branch of excess is omega
+      minus a level, or a level minus omega;
+    - it holds exactly one if its end is enabled and omega is monotone on it,
+      |omega'(lo)| >= M2 h (flow.slope): the branch enabled at hi then rises
+      through 0 once, and the other one falls;
+    - any other interval is halved, the nearer half first, down to the last
+      double.
+    The first interval that holds a sign change is cut by locate_crossing.
+
+    A grid without a modal form has curvature 0, so only the ends of the
+    interval are tested. The first sign change is the event search's; after
+    one, the walk goes on from the end of its interval with excess negated,
+    which for an excess of one branch (the 1-norm's impulse response) yields
+    every later sign change in turn.
+    """
+
+    def __init__(self, flow, excess):
+        self.flow = flow
+        self.excess = excess
+        self.probes = 0
+
+    def crossings(
+        self, z: np.ndarray, e_start: float, end: float, e_end: float, z_end: np.ndarray
+    ):
+        """Yield (tau, state at tau) at each sign change over (0, end] of the
+        flow from the grid state z, whose excess is e_start < 0; the excess
+        at end is e_end and the state z_end."""
+        flow = self.flow
+        excess, negated = self.excess, lambda omega: -self.excess(omega)
+        lo, e_lo, z_lo = 0.0, e_start, z
+        # a curvature bound from an earlier state holds from lo on too, so it
+        # is renewed only when a test fails; |omega'(lo)| when first needed
+        m2, renewed, slope = flow.curvature(z), True, None
+        pending = [(end, e_end, z_end)]  # right ends still to reach, the nearest last
+        while pending:
+            hi, e_hi, z_hi = pending[-1]
+            h = hi - lo
+            if e_hi < 0:
+                certified = max(e_lo, e_hi) + m2 * h**2 / 8 < 0
+            else:
+                slope = abs(flow.slope(z_lo)) if slope is None else slope
+                certified = slope >= m2 * h
+            mid = 0.5 * (lo + hi)
+            if not certified and lo < mid < hi:
+                if not renewed:
+                    m2, renewed = flow.curvature(z_lo), True
+                    continue
+                z_mid = flow.advance(z, mid)
+                pending.append((mid, excess(flow.omega(z_mid)), z_mid))
+                self.probes += 1
+                continue
+            pending.pop()
+            if e_hi >= 0:
+                tau, z_tau, probes = locate_crossing(flow, z, excess, lo, e_lo, hi, e_hi, z_hi)
+                self.probes += probes
+                yield tau, z_tau
+                excess, negated, e_hi = negated, excess, -e_hi
+                pending = [(t, -e, z_t) for t, e, z_t in pending]
+            lo, e_lo, z_lo, renewed, slope = hi, e_hi, z_hi, False, None

@@ -3,7 +3,7 @@
 Between events the linear grid state advances exactly. Over a pass of held
 input it is kept in modal coordinates, z = V^-1 (x - x_inf) with x_inf the
 held input's equilibrium (grid_model.ModalFlow): a step is z * exp(lam dt),
-omega is x_inf[0] + Re(V[0] z) in O(dim), and the samples' states are built
+omega is c x_inf + Re(c V z) in O(dim), and the samples' states are built
 in one product at the end of the run. A grid without a modal form steps by
 (phi, psi) from TransitionCache instead (grid_model.MatrixFlow). Each load's
 temperature is the closed-form held flow from its anchor, the temperature
@@ -16,13 +16,14 @@ the sample cadence, a disturbance change or an accepted randomized
 candidate, so the open frequency levels are constant over a step.
 
 A step holds no crossing of an open level if its ends are disabled and
-max(excess at the ends) + M2 h^2 / 8 < 0, with M2 = sum_k |V[0]_k z_k|
+max(excess at the ends) + M2 h^2 / 8 < 0, with M2 = sum_k |(c V)_k z_k|
 |lam_k|^2 a bound on |omega''| over the pass (Re lam < 0). A step that fails
-this test is halved in time order until each part passes it or ends
-enabled (first_bracket), so a near-tangent crossing inside a step is found
-too; a grid without a modal form has no such bound, and only the ends of its
-steps are tested. A bracketed crossing is cut by modified regula falsi on the exact flow
-(locate_crossing), each probe O(dim). Only the loads that switch or open a
+this test goes to grid_model.CrossingWalk, which halves it in time order
+until each part is crossing-free or holds exactly one crossing, omega being
+monotone on it, and cuts the first such part by modified regula falsi on the
+exact flow, each probe O(dim). So the first crossing inside a step is found,
+a near-tangent one too; a grid without a modal form has no such bound, and
+only the ends of its steps are tested. Only the loads that switch or open a
 branch are touched. At an event every enabled load switches within a single
 jump instant, continuous state unchanged. The enabled loads are the
 candidates of the tables (LoadAnchors.candidates): thermostat-due, past an
@@ -81,9 +82,6 @@ from .tcl import (
 )
 
 _SNAP_REL = 1e-12  # loads with threshold time within this of the step land exactly
-# Hz: an enabled probe this close to its frequency level, the rounding level of
-# omega, ends the event search
-_OVERSHOOT = 1e-15
 ZENO_PER_LOAD = 10  # jump instants allowed at one time, per load
 
 
@@ -346,88 +344,6 @@ class ThinnedClocks:
                 return t, j
 
 
-def locate_crossing(
-    flow, z: np.ndarray, excess, lo: float, g_lo: float, hi: float, g_hi: float,
-    z_hi: np.ndarray,
-):
-    """(tau, state at tau, probes) for the held-input flow from the grid state
-    z of flow, given a bracket [lo, hi] of tau: excess is g_lo < 0 at lo and
-    g_hi >= 0 at hi, where the state is z_hi. At tau in (lo, hi] the jump is
-    enabled, with omega at most _OVERSHOOT past its level, or tau is the
-    first double at which it is.
-
-    Modified regula falsi on the bracket, aimed at the middle of the accepted
-    window: the Illinois method (Dowell & Jarratt, BIT 11, 168, 1971) with
-    the Anderson-Bjorck scaling of the kept end (BIT 13, 253, 1973). Each
-    probe is the exact flow flow.advance(z, tau), O(dim) in modal form, and
-    its omega is the one the state it returns has.
-    """
-    if g_hi <= _OVERSHOOT:
-        return hi, z_hi, 0
-    aim = 0.5 * _OVERSHOOT
-    g_lo -= aim
-    g_hi -= aim
-    side = probes = 0
-    while True:
-        tau = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        if not lo < tau < hi:
-            tau = 0.5 * (lo + hi)
-            if not lo < tau < hi:
-                return hi, z_hi, probes
-        z_tau = flow.advance(z, tau)
-        g_tau = excess(flow.omega(z_tau))
-        probes += 1
-        if 0 <= g_tau <= _OVERSHOOT:
-            return tau, z_tau, probes
-        g = g_tau - aim
-        # when the same end moves twice running, the kept end's value shrinks
-        if g > 0:
-            if side > 0:
-                scale = 1.0 - g / g_hi
-                g_lo *= scale if scale > 0 else 0.5
-            hi, g_hi, z_hi, side = tau, g, z_tau, 1
-        else:
-            if side < 0:
-                scale = 1.0 - g / g_lo
-                g_hi *= scale if scale > 0 else 0.5
-            lo, g_lo, side = tau, g, -1
-
-
-def first_bracket(
-    flow, z: np.ndarray, excess, dt: float, g_a: float, z_b: np.ndarray, g_b: float,
-    curvature: float,
-):
-    """(bracket, probes) for a step of dt from the grid state z of flow whose
-    start is disabled (excess g_a < 0), to the state z_b with excess g_b:
-    bracket is (lo, g_lo, hi, g_hi, z_hi) for locate_crossing around the
-    first crossing inside the step, or None when the step holds none.
-
-    With |omega''| <= curvature, an interval of width h between disabled ends
-    e_a and e_b is crossing-free if max(e_a, e_b) + curvature h^2 / 8 < 0,
-    since each branch of excess is omega minus a level, or a level minus
-    omega. Intervals that fail are halved in time order until each is
-    certified, ends in an enabled state or has curvature h^2 / 8 at most
-    _OVERSHOOT, the resolution of the crossing search.
-    """
-    lo, g_lo = 0.0, g_a
-    pending = [(dt, g_b, z_b)]  # right ends still to reach, the nearest last
-    probes = 0
-    while pending:
-        hi, g_hi, z_hi = pending[-1]
-        if g_hi >= 0:
-            return (lo, g_lo, hi, g_hi, z_hi), probes
-        slack = curvature * (hi - lo) ** 2 / 8
-        mid = 0.5 * (lo + hi)
-        if max(g_lo, g_hi) + slack < 0 or slack <= _OVERSHOOT or not lo < mid < hi:
-            pending.pop()
-            lo, g_lo = hi, g_hi
-            continue
-        z_mid = flow.advance(z, mid)
-        pending.append((mid, excess(flow.omega(z_mid)), z_mid))
-        probes += 1
-    return None, probes
-
-
 CAUSE_THERMO_HI = "thermostat-hi"
 CAUSE_THERMO_LO = "thermostat-lo"
 CAUSE_FREQ_ON = "freq-on"
@@ -439,7 +355,7 @@ CAUSE_RANDOM = "randomized"
 class Trace:
     times: np.ndarray          # sample times
     jumps: np.ndarray          # cumulative jump count at each sample
-    omega: np.ndarray          # frequency deviation, Hz
+    omega: np.ndarray          # frequency deviation c x, Hz
     x_hat: np.ndarray          # generation states, (samples, n)
     d_s: np.ndarray            # aggregate TCL demand, pu
     on_fraction: np.ndarray
@@ -483,6 +399,7 @@ def simulate(sc: Scenario) -> Trace:
     max_step = sc.max_step
     flow = grid_model.held_flow(sc.grid, max_step)
     clocks = ThinnedClocks(scheme, sc.seed) if randomized else None
+    walk = grid_model.CrossingWalk(flow, loads.excess)
 
     # trace accumulators; a sample's grid state is its z and held input
     s_t, s_j, s_z, s_u, s_ds, s_on = [], [], [], [], [], []
@@ -586,10 +503,9 @@ def simulate(sc: Scenario) -> Trace:
             raise SimulationError(f"non-positive step {stop - t} at t={t}")
 
         # a step between disabled ends is crossing-free if it passes the
-        # curvature test (first_bracket); excess is -inf with no open branch
+        # curvature test of CrossingWalk; excess is -inf with no open branch
         g_a = excess(flow.omega(z))
-        curvature = flow.curvature(z) if g_a > -math.inf else 0.0
-        slack = curvature * max_step**2 / 8
+        slack = flow.curvature(z) * max_step**2 / 8 if g_a > -math.inf else 0.0
         # cadence steps that end more than one max_step before stop snap no
         # load and enable no jump unless they fail that test, so they are
         # committed here; the first step that may do either goes on to the
@@ -612,13 +528,12 @@ def simulate(sc: Scenario) -> Trace:
         meta["loop_iterations"] += 1
         clock_fired = fire if t_fire - t <= dt else None
         dt_event = dt
-        # a jump instant leaves the start disabled
-        if g_a < 0:
-            bracket, probes = first_bracket(flow, z, excess, dt, g_a, z_end, g_b, curvature)
-            if bracket is not None:
-                dt_event, z_end, more = locate_crossing(flow, z, excess, *bracket)
-                probes += more
-            meta["freq_bisections"] += probes
+        # a jump instant leaves the start disabled; with no open branch
+        # (excess -inf) there is no level to cross
+        if -math.inf < g_a < 0:
+            crossing = next(walk.crossings(z, g_a, dt, g_b, z_end), None)
+            if crossing is not None:
+                dt_event, z_end = crossing
 
         # commit the flow
         z = z_end
@@ -635,6 +550,7 @@ def simulate(sc: Scenario) -> Trace:
     np.minimum(temp_min, final, out=temp_min)
     np.maximum(temp_max, final, out=temp_max)
     states = grid_states()
+    meta["freq_bisections"] = walk.probes
     meta["clock_draws"] = clocks.draws if randomized else 0
     meta["jump_count"] = jumps
     meta["scheme"] = sc.scheme.kind
@@ -642,7 +558,7 @@ def simulate(sc: Scenario) -> Trace:
     return Trace(
         times=np.array(s_t),
         jumps=np.array(s_j),
-        omega=states[:, 0].copy(),
+        omega=states @ sc.grid.c,
         x_hat=states[:, 1:].copy(),
         d_s=np.array(s_ds),
         on_fraction=np.array(s_on),

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
+from tclgrid import grid_model
 from tclgrid.grid_model import (
+    CrossingWalk,
     GenDynamics,
     GridModelError,
     ModalFlow,
@@ -200,6 +202,38 @@ class TestOneNorm:
         assert result.value == pytest.approx(exact, abs=1e-14)
         full = exact - antiderivative(result.t_max)  # over [0, inf)
         assert result.value <= full <= result.value + result.tail_bound
+
+    @settings(max_examples=30, deadline=None)
+    @given(ss=governor_grids())
+    @example(ss=default_grid(m=13.5, d=0.955, t_g=0.889, k_p=1.64, k_i=2.45))
+    def test_walk_finds_every_sign_change(self, ss):
+        # the crossing walk over the impulse response g = c expm(a t) b on
+        # [0, t_max], sampled 64 times per period of the fastest mode: its
+        # zeros come in order, g has the sign they predict at every sample
+        # it resolves (|g| above the search's window), and no sign change
+        # between samples is missed, however small g has decayed
+        assume(is_hurwitz(ss) and ss.modes is not None)
+        t_max = one_norm(ss).t_max
+        flow = ModalFlow(ss, t_max)
+        z = flow.enter(ss.b, 0.0)
+        g0, z_end = flow.omega(z), flow.advance(z, t_max)
+        walk = CrossingWalk(flow, (lambda g: -g) if g0 > 0 else (lambda g: g))
+        e_start, e_end = walk.excess(g0), walk.excess(flow.omega(z_end))
+        zeros = np.array([tau for tau, _ in walk.crossings(z, e_start, t_max, e_end, z_end)])
+        assert np.all(np.diff(zeros) > 0)
+
+        lam = ss.modes.lam
+        periods = t_max * np.max(np.abs(lam)) / (2 * np.pi)
+        ts = np.linspace(0.0, t_max, int(np.ceil(periods * 64)) + 1)
+        g = np.concatenate([
+            (np.exp(np.multiply.outer(chunk, lam)) @ (flow.c_v * z)).real
+            for chunk in np.array_split(ts, ts.size // 65536 + 1)
+        ])
+        predicted = np.sign(g0) * (-1.0) ** np.searchsorted(zeros, ts, side="right")
+        resolved = np.abs(g) > 2 * grid_model._OVERSHOOT
+        np.testing.assert_array_equal(np.sign(g[resolved]), predicted[resolved])
+        signs = np.sign(g[g != 0])
+        assert zeros.size >= np.count_nonzero(signs[1:] != signs[:-1])
 
     def test_governor_grid_with_real_spectrum(self):
         ss = default_grid(m=2.0, d=3.0, t_g=10.0, k_p=1.0, k_i=0.05)

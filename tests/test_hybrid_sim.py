@@ -13,6 +13,7 @@ from tclgrid.grid_model import (
     StateSpace,
     build_combined_system,
     default_grid,
+    locate_crossing,
     transition,
 )
 from tclgrid.hybrid_sim import (
@@ -21,7 +22,6 @@ from tclgrid.hybrid_sim import (
     SimulationError,
     compare_schemes,
     dwell_time_report,
-    locate_crossing,
     ripple_envelope,
     simulate,
 )
@@ -650,7 +650,7 @@ class TestEventLocation:
         )
         overshoot = excess(flow.omega(z_tau))
         assert overshoot >= 0
-        if overshoot > hybrid_sim._OVERSHOOT:
+        if overshoot > grid_model._OVERSHOOT:
             assert excess(flow.omega(flow.advance(z, math.nextafter(tau, 0.0)))) < 0
         assert probes <= 60  # a stalled search shows as a long one
 
@@ -668,7 +668,40 @@ class TestEventLocation:
         assert abs(t_switch - t_peak) < 0.5 * width
         # the trace's omega there is the search's up to rounding
         omega1 = sc.population.omega1[0]
-        assert tr.omega[tr.times == t_switch] >= omega1 - hybrid_sim._OVERSHOOT
+        assert tr.omega[tr.times == t_switch] >= omega1 - grid_model._OVERSHOOT
+
+    def test_first_of_several_crossings_in_a_step(self):
+        # a fast, lightly damped mode (eigenvalues -1 +- 1000j) takes omega
+        # from rest to 0.1 (1 - e^-t cos 1000 t): up through an OFF load's
+        # open level of 0.1 Hz at 1.57 ms, down at 4.71 ms and up again at
+        # 7.85 ms, all inside the first 0.01 s step, which ends enabled. The
+        # load switches at the first crossing, not at whichever one a search
+        # on the whole step lands on
+        ss = StateSpace(
+            a=np.array([[-1.0, 1000.0], [-1000.0, -1.0]]), b=np.array([0.1, 100.0]),
+            c=np.array([1.0, 0.0]), m=1.0, d=1.0, n=1,
+        )
+        sc = single_load_scenario(
+            grid=ss,
+            scheme=Scheme.deterministic(),
+            disturbance=[(0.0, 1.0)],
+            horizon=0.02,
+            max_step=0.01,
+            clamp_omega=False,
+            offset_demand=False,
+            # OFF, past its guard t_lo + eps, so its ON level is open
+            initial_state=(np.array([REFERENCE.t_lo + 0.5]), np.array([0])),
+        )
+        tr = simulate(sc)
+        assert tr.switch_causes[0] == "freq-on"
+        # the first crossing, by dense sampling of the held flow
+        flow = grid_model.held_flow(ss, sc.max_step)
+        z = flow.enter(np.zeros(ss.dim), 1.0)
+        ts = np.linspace(0.0, sc.max_step, 10_001)
+        omega = np.array([flow.omega(flow.advance(z, t)) for t in ts])
+        assert omega[-1] > REFERENCE.omega1 and np.sum(np.diff(omega > REFERENCE.omega1)) == 3
+        first = np.argmax(omega >= REFERENCE.omega1)
+        assert ts[first - 1] <= tr.switch_times[0] <= ts[first]
 
     def test_few_probes_per_jump_instant(self, shipped_run_30s):
         # the bisection to 1e-6 s took 11.5 probes per jump instant here
