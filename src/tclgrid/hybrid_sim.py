@@ -188,6 +188,10 @@ class LoadAnchors:
         self.temp0 = np.array(temps, dtype=float)
         self.t0 = np.zeros(n)
         self.sigma = np.array(sigmas, dtype=np.int8)
+        # the states as float64 for the d_s dot, and the ON count, both
+        # kept by switch
+        self.on_states = self.sigma.astype(float)
+        self.n_on = int(np.count_nonzero(self.sigma))
         self.state_offset = np.array([0, n])
         self.target = flow_target(pop, _STATES).ravel()
         # the temperatures whose waits anchor a load: its thermostat
@@ -219,9 +223,18 @@ class LoadAnchors:
     def refresh(self) -> None:
         self.theta_min, self.guard_min, self.on_min, neg_off_min = self.times.min(axis=1).tolist()
         self.off_max = -neg_off_min
-        self.d_s = float(np.dot(self.pop.d_bar, self.sigma))
+        self.d_s = float(np.dot(self.pop.d_bar, self.on_states))
         # the mean of the 0/1 states, exactly
-        self.on_fraction = np.count_nonzero(self.sigma) / self.sigma.size
+        self.on_fraction = self.n_on / self.sigma.size
+
+    def switch(self, idx: np.ndarray) -> np.ndarray:
+        """Switch the loads idx (no repeats) to their other states, and
+        return those."""
+        new = 1 - self.sigma[idx]
+        self.sigma[idx] = new
+        self.on_states[idx] = new
+        self.n_on += 2 * int(np.count_nonzero(new)) - idx.size
+        return new
 
     def flat(self, idx: np.ndarray) -> np.ndarray:
         """Table index of the loads idx in their current states."""
@@ -453,7 +466,7 @@ def simulate(sc: Scenario) -> Trace:
                 meta["max_jump_instants"] = max(meta["max_jump_instants"], instants)
                 return
             temps_c = loads.temps_at(idx, t)
-            new_sig = 1 - loads.sigma[idx]
+            new_sig = loads.switch(idx)
             due = loads.theta[idx] <= t
             # ascending load index within the jump instant
             for j, sig, thermostat in zip(idx.tolist(), new_sig.tolist(), due.tolist()):
@@ -471,7 +484,6 @@ def simulate(sc: Scenario) -> Trace:
             # temperatures at its switches and at the end of the run
             temp_min[idx] = np.minimum(temp_min[idx], temps_c)
             temp_max[idx] = np.maximum(temp_max[idx], temps_c)
-            loads.sigma[idx] = new_sig
             loads.reanchor(idx, temps_c, t)
             loads.refresh()
             jumps += 1

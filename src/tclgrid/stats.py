@@ -33,8 +33,11 @@ class TimeSeries:
             raise StatsError("times and values must be 1-D arrays of equal length")
         if times.size == 0:
             raise StatsError("series must be non-empty")
-        if np.any(np.diff(times) <= 0):
+        # NaN compares false, so it fails here too
+        if not np.all(times[1:] > times[:-1]):
             raise StatsError("times must be strictly increasing")
+        if not (np.isfinite(times[[0, -1]]).all() and np.isfinite(values).all()):
+            raise StatsError("times and values must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         times.setflags(write=False)
@@ -128,16 +131,43 @@ def demand_series(p: TclParams, temperature: float, sigma: int, horizon: float) 
     return aggregate_demand_series(Population.of([p]), [temperature], [sigma], horizon)
 
 
+def time_order(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.argsort(times, kind="stable") of finite non-negative times, and the
+    times in that order.
+
+    A non-negative double orders as its int64 bit pattern. Each time's high
+    bits are packed with its index into one int64 key, (bits >> b) << b |
+    index with b = (n - 1).bit_length(), and the keys get one unstable
+    (SIMD) integer sort. That orders the times up to the bits cut off; times
+    sharing a key prefix come out in index order, so a stable sort of the
+    nearly sorted result puts the few inversions left right and keeps exact
+    ties in index order.
+    """
+    idx_bits = (times.size - 1).bit_length()
+    keys = times.view(np.int64) >> idx_bits
+    keys <<= idx_bits
+    keys |= np.arange(times.size)
+    keys.sort()
+    # a set sign bit (a negative time or -0.0) gives a negative key
+    if keys[0] < 0:
+        raise StatsError("times must be non-negative, and not -0.0")
+    keys &= (1 << idx_bits) - 1
+    near = times[keys]
+    fix = np.argsort(near, kind="stable")
+    return keys[fix], near[fix]
+
+
 def aggregate_demand_series(
     pop: Population, temperatures, sigmas, horizon: float
 ) -> TimeSeries:
-    """Aggregate free-running demand of the whole population, built by merging
-    every load's analytic switch instants."""
+    """Aggregate free-running demand of the whole population: every load's
+    analytic switch instants, merged in time order by time_order (one
+    packed-key integer sort, then a stable pass over the few inversions it
+    leaves), with exact ties in load order."""
     times, deltas = free_run_events(pop, temperatures, sigmas, horizon)
     times = np.concatenate([[0.0], times])
     deltas = np.concatenate([[0.0], deltas])
-    order = np.argsort(times, kind="stable")
-    times = times[order]
+    order, times = time_order(times)
     levels = np.cumsum(deltas[order])
     # merge coincident event times (measure-zero ties)
     keep = np.concatenate([times[1:] != times[:-1], [True]])

@@ -494,8 +494,12 @@ class TestLoadAnchors:
             np.testing.assert_array_equal(loads.rate_table[0][row], base)
             np.testing.assert_array_equal(loads.rate_table[1][row], level)
         for now, idx in enumerate(switches, start=1):
-            loads.sigma[idx] = 1 - loads.sigma[idx]
+            loads.switch(idx)
             loads.reanchor(idx, temps[idx], float(now))
+        # the kept float states and ON count give the sums over the states
+        loads.refresh()
+        assert loads.d_s == float(np.dot(pop.d_bar, loads.sigma.astype(float)))
+        assert loads.on_fraction == np.count_nonzero(loads.sigma) / n
         # each load's thermostat time is the kernel's from its last anchor
         np.testing.assert_array_equal(
             loads.theta, loads.t0 + next_thermostat_event(pop, temps, loads.sigma)

@@ -65,6 +65,21 @@ class TestTimeSeries:
         with pytest.raises(StatsError):
             ts.integral(-1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "times, values",
+        [
+            ([0.0, math.nan, 2.0], [1.0, 2.0, 3.0]),
+            ([math.nan], [1.0]),
+            ([0.0, 1.0, math.inf], [1.0, 2.0, 3.0]),
+            ([-math.inf, 0.0], [1.0, 2.0]),
+            ([0.0, 1.0], [1.0, math.inf]),
+            ([0.0, 1.0], [math.nan, 2.0]),
+        ],
+    )
+    def test_non_finite_series_rejected(self, times, values):
+        with pytest.raises(StatsError):
+            TimeSeries(times=np.array(times), values=np.array(values))
+
 
 def reference_switch_times(p, temperature, sigma, horizon):
     """Reference for the kernel: one load's switch instants by a 1-D running sum."""
@@ -121,6 +136,52 @@ def free_run_cases(draw):
         sigmas.append(draw(st.integers(0, 1)))
     horizon = draw(st.one_of(st.sampled_from([0.0, 50.0, 2e5]), st.floats(0.0, 3e4)))
     return pop, np.array(temps), np.array(sigmas, dtype=np.int8), horizon
+
+
+# a finite double's sign bit clear: from +0.0 to the largest finite value
+_MAX_FINITE_BITS = int(np.array(np.finfo(float).max).view(np.int64))
+
+
+@st.composite
+def tie_heavy_times(draw):
+    """Finite non-negative times of n = 1 or n on either side of a power of
+    two, drawn with repeats from a few values that include +0.0, subnormals
+    and values up to 1e300, each with neighbours a few low bits away (so
+    they share the high bits that time_order sorts by first)."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1023, 1024, 1025]))
+    bases = draw(st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 1e-307, allow_subnormal=True),
+            st.floats(0.0, 1e300),
+        ),
+        min_size=1,
+        max_size=6,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = 1 << ((n - 1).bit_length() + 2)
+    bits = np.array(bases).view(np.int64)
+    bits = np.concatenate([bits, bits + rng.integers(0, spread, bits.size)])
+    pool = np.minimum(bits, _MAX_FINITE_BITS).view(float)
+    return pool[rng.integers(0, pool.size, n)]
+
+
+class TestTimeOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(times=tie_heavy_times())
+    def test_equals_stable_argsort(self, times):
+        order, ordered = stats.time_order(times)
+        want = np.argsort(times, kind="stable")
+        assert np.array_equal(order, want)
+        assert np.array_equal(ordered, times[want])
+
+    @pytest.mark.parametrize(
+        "times", [[-0.0], [1.0, -0.0, 2.0], [-1.0], [3.0, 0.0, -1e-300], [-5e-324, 0.0]]
+    )
+    def test_sign_bit_rejected(self, times):
+        # a set sign bit would order as a negative key, below every other
+        with pytest.raises(StatsError):
+            stats.time_order(np.array(times))
 
 
 class TestFreeRun:
@@ -192,6 +253,23 @@ class TestFreeRun:
             want = reference_demand_series(p, float(temp), int(sig), horizon)
             assert np.array_equal(got.times, want.times)
             assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("copies", [2, 3, 8])
+    def test_series_ties_across_duplicated_loads(self, copies):
+        # each load repeated in one state: all its copies switch at the same
+        # instants, so every switch after t = 0 is tied across them
+        pop = sample_population(PopulationSpec(5, 0.05, seed=13))
+        temps, sigmas = sample_initial_states(pop, seed=13)
+        pop = Population.of([p for p in pop for _ in range(copies)])
+        temps = np.repeat(temps, copies)
+        sigmas = np.repeat(sigmas, copies)
+        horizon = 2e4
+        got = aggregate_demand_series(pop, temps, sigmas, horizon)
+        want = reference_aggregate(pop, temps, sigmas, horizon)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.values, want.values)
+        switches, _ = free_run_events(pop, temps, sigmas, horizon)
+        assert np.count_nonzero(switches > 0) == copies * (got.times.size - 1)
 
     def test_demand_series_level_alternates(self):
         series = demand_series(REFERENCE, REFERENCE.t_hi, 1, horizon=3000.0)
