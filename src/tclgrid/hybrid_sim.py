@@ -29,7 +29,11 @@ jump instant, continuous state unchanged. The enabled loads are the
 candidates of the tables (LoadAnchors.candidates): thermostat-due, past an
 open frequency level, or the load whose clock fired. The part that enables a
 load names its switch's cause, and tcl.jump_target states the same rule
-pointwise.
+pointwise. An instant is settled load by load in Python scalars through the
+same tcl laws, to the bits of the whole-array forms (LoadAnchors.settle).
+Within it t and omega are fixed and a load keeps its rows until it switches,
+so after the first round's full candidates scan only the loads just switched
+are checked again, and the scalars over all loads are refreshed once.
 
 Between events the trace is sampled every max_step from the last event. Each
 pass of the step loop computes its stop, the next thermostat, guard,
@@ -154,6 +158,13 @@ def valid_seed(value) -> bool:
     )
 
 
+CAUSE_THERMO_HI = "thermostat-hi"
+CAUSE_THERMO_LO = "thermostat-lo"
+CAUSE_FREQ_ON = "freq-on"
+CAUSE_FREQ_OFF = "freq-off"
+CAUSE_RANDOM = "randomized"
+
+
 # both switch states, as a column: a per-load law called on it tabulates the
 # law for every (state, load), flat index sigma * N + load
 _STATES = np.array([[0], [1]], dtype=np.int8)
@@ -172,12 +183,13 @@ class LoadAnchors:
     (kept negated, as neg_off). Under the randomized scheme, base and level
     hold the coefficients of each load's active stroke rate
     (tcl.rate_coefficients). The scalars below are recomputed by refresh,
-    after a jump instant or a branch opening only.
+    after a settled instant or a branch opening only.
 
     What a load's state decides is tabulated once per (state, load) by the
     tcl laws: the flow target, the thermostat threshold and the guard it
     flows toward, the open level and the rate coefficients. An event reads
-    the tables at flat index sigma * N + load.
+    the tables at flat index sigma * N + load, one load at a time (jump,
+    anchor); reanchor is the whole-array form, for the initial anchors.
     """
 
     def __init__(self, pop: Population, scheme: Scheme, temps, sigmas):
@@ -185,11 +197,16 @@ class LoadAnchors:
         self.pop = pop
         self.freq_active = scheme.kind == "deterministic"
         self.rate_scheme = scheme if scheme.kind == "randomized" else None
+        self.n = n
         self.temp0 = np.array(temps, dtype=float)
         self.t0 = np.zeros(n)
+        # the held flow is monotone, so a load's extremes are its
+        # temperatures at its switches (and at the end of the run)
+        self.temp_min = self.temp0.copy()
+        self.temp_max = self.temp0.copy()
         self.sigma = np.array(sigmas, dtype=np.int8)
         # the states as float64 for the d_s dot, and the ON count, both
-        # kept by switch
+        # kept by jump
         self.on_states = self.sigma.astype(float)
         self.n_on = int(np.count_nonzero(self.sigma))
         self.state_offset = np.array([0, n])
@@ -225,23 +242,16 @@ class LoadAnchors:
         self.off_max = -neg_off_min
         self.d_s = float(np.dot(self.pop.d_bar, self.on_states))
         # the mean of the 0/1 states, exactly
-        self.on_fraction = self.n_on / self.sigma.size
-
-    def switch(self, idx: np.ndarray) -> np.ndarray:
-        """Switch the loads idx (no repeats) to their other states, and
-        return those."""
-        new = 1 - self.sigma[idx]
-        self.sigma[idx] = new
-        self.on_states[idx] = new
-        self.n_on += 2 * int(np.count_nonzero(new)) - idx.size
-        return new
+        self.on_fraction = self.n_on / self.n
 
     def flat(self, idx: np.ndarray) -> np.ndarray:
         """Table index of the loads idx in their current states."""
         return idx + self.state_offset[self.sigma[idx]]
 
     def reanchor(self, idx: np.ndarray, temps: np.ndarray, now: float) -> None:
-        """Anchor loads idx at temps at time now, in their current states."""
+        """Anchor loads idx at temps at time now, in their current states.
+        The event loop anchors one load at a time (anchor), to the same
+        bits."""
         flat = self.flat(idx)
         self.temp0[idx] = temps
         self.t0[idx] = now
@@ -259,6 +269,89 @@ class LoadAnchors:
             self.open_levels[flat] = np.where(is_open, self.branch_level[flat], np.inf)
         self.times[: len(times), idx] = times
 
+    def anchor(self, j: int, temp: float, now: float) -> None:
+        """reanchor of the one load j, in Python scalars: float + - * / are
+        the IEEE operations of numpy's loops, and stroke_time runs the same
+        ufuncs on the load's column of wait levels."""
+        flat = j + self.n * self.sigma.item(j)
+        self.temp0[j] = temp
+        self.t0[j] = now
+        if self.rate_scheme is not None:
+            base, level = self.rate_table
+            self.base[j] = base[flat]
+            self.level[j] = level[flat]
+        wait = stroke_time(
+            self.pop.k.item(j), self.target.item(flat), temp, self.wait_levels[:, flat]
+        ).tolist()
+        self.theta[j] = now + wait[0]
+        if self.freq_active:
+            self.lvl_on[j] = self.neg_off[j] = math.inf
+            if wait[1] == 0:
+                self.guard[j] = math.inf
+                self.open_levels[flat] = self.branch_level[flat]
+            else:
+                self.guard[j] = now + wait[1]
+
+    def jump(self, j: int, now: float) -> tuple[int, bool]:
+        """Switch load j at now, no earlier than its anchor time and no later
+        than its thermostat time, and anchor it at its temperature there:
+        (its new state, whether its thermostat was due)."""
+        sigma = self.sigma.item(j)
+        t0, temp = self.t0.item(j), self.temp0.item(j)
+        if t0 != now:
+            temp = stroke_flow(
+                self.pop.k.item(j), self.target.item(j + self.n * sigma), temp, now - t0
+            )
+        if temp < self.temp_min.item(j):
+            self.temp_min[j] = temp
+        elif temp > self.temp_max.item(j):
+            self.temp_max[j] = temp
+        due = self.theta.item(j) <= now
+        new = 1 - sigma
+        self.sigma[j] = new
+        self.on_states[j] = new
+        self.n_on += 2 * new - 1
+        self.anchor(j, temp, now)
+        return new, due
+
+    def settle(
+        self, omega: float, now: float, fired: int | None, max_rounds: int
+    ) -> tuple[list[tuple[float, int, int, str]], int]:
+        """Switch every enabled load at now, round after round until none
+        is, each with the cause of the part that enabled it; return the
+        switches in order, as (now, load, new state, cause), and the number
+        of rounds (jump instants). Within an instant now and omega are fixed
+        and a load keeps its rows until it switches, so after the first
+        round's candidates scan only the loads just switched can be enabled
+        again, and only they are checked."""
+        switches = []
+        idx = self.candidates(omega, now, fired).tolist()
+        # the open levels omega lies beyond (see candidates)
+        row, beyond = (self.lvl_on if omega > 0 else self.neg_off), abs(omega)
+        rounds = 0
+        while idx:
+            if rounds == max_rounds:
+                raise SimulationError(
+                    f"Zeno guard tripped: more than {max_rounds} jump instants at t={now}"
+                )
+            rounds += 1
+            # ascending load index within the jump instant
+            for j in idx:
+                sigma, thermostat = self.jump(j, now)
+                if thermostat:
+                    cause = CAUSE_THERMO_HI if sigma == 1 else CAUSE_THERMO_LO
+                elif j == fired:
+                    cause = CAUSE_RANDOM
+                else:
+                    cause = CAUSE_FREQ_ON if sigma == 1 else CAUSE_FREQ_OFF
+                switches.append((now, j, sigma, cause))
+            # the fired clock acts in the first round only
+            fired = None
+            idx = [j for j in idx if self.theta.item(j) <= now or row.item(j) <= beyond]
+        if rounds:
+            self.refresh()
+        return switches, rounds
+
     def temps_at(self, idx: np.ndarray, now: float) -> np.ndarray:
         """Temperatures at now of the loads idx; now must not lie past their
         thermostat times."""
@@ -275,7 +368,8 @@ class LoadAnchors:
         now = start + dt
         if self.guard_min - start <= reach:
             idx = np.flatnonzero(self.guard - start <= reach)
-            self.reanchor(idx, self.wait_levels[1, self.flat(idx)], now)
+            for j, guard in zip(idx.tolist(), self.wait_levels[1, self.flat(idx)].tolist()):
+                self.anchor(j, guard, now)
             self.refresh()
         if self.theta_min - start <= reach:
             idx = np.flatnonzero(self.theta - start <= reach)
@@ -357,13 +451,6 @@ class ThinnedClocks:
                 return t, j
 
 
-CAUSE_THERMO_HI = "thermostat-hi"
-CAUSE_THERMO_LO = "thermostat-lo"
-CAUSE_FREQ_ON = "freq-on"
-CAUSE_FREQ_OFF = "freq-off"
-CAUSE_RANDOM = "randomized"
-
-
 @dataclass
 class Trace:
     times: np.ndarray          # sample times
@@ -416,9 +503,7 @@ def simulate(sc: Scenario) -> Trace:
 
     # trace accumulators; a sample's grid state is its z and held input
     s_t, s_j, s_z, s_u, s_ds, s_on = [], [], [], [], [], []
-    sw_t, sw_load, sw_sig, sw_cause = [], [], [], []
-    temp_min = loads.temp0.copy()
-    temp_max = loads.temp0.copy()
+    switch_log = []  # (time, load, new state, cause)
     meta = {
         "rate_resamples": 0,
         "freq_bisections": 0,  # omega probes of the crossing search
@@ -457,41 +542,12 @@ def simulate(sc: Scenario) -> Trace:
         return states
 
     def apply_jumps(omega: float, clock_fired: int | None) -> None:
-        """Settle all enabled jumps at the current instant: every candidate
-        load switches, with the cause of the part that enabled it."""
+        """Settle all enabled jumps at the current instant."""
         nonlocal jumps
-        for instants in range(zeno_max + 1):
-            idx = loads.candidates(omega, t, clock_fired)
-            if not idx.size:
-                meta["max_jump_instants"] = max(meta["max_jump_instants"], instants)
-                return
-            temps_c = loads.temps_at(idx, t)
-            new_sig = loads.switch(idx)
-            due = loads.theta[idx] <= t
-            # ascending load index within the jump instant
-            for j, sig, thermostat in zip(idx.tolist(), new_sig.tolist(), due.tolist()):
-                if thermostat:
-                    cause = CAUSE_THERMO_HI if sig == 1 else CAUSE_THERMO_LO
-                elif j == clock_fired:
-                    cause = CAUSE_RANDOM
-                else:
-                    cause = CAUSE_FREQ_ON if sig == 1 else CAUSE_FREQ_OFF
-                sw_t.append(t)
-                sw_load.append(j)
-                sw_sig.append(sig)
-                sw_cause.append(cause)
-            # the held flow is monotone, so a load's extremes are its
-            # temperatures at its switches and at the end of the run
-            temp_min[idx] = np.minimum(temp_min[idx], temps_c)
-            temp_max[idx] = np.maximum(temp_max[idx], temps_c)
-            loads.reanchor(idx, temps_c, t)
-            loads.refresh()
-            jumps += 1
-            # the fired clock acts in the first round only
-            clock_fired = None
-        raise SimulationError(
-            f"Zeno guard tripped: more than {zeno_max} jump instants at t={t}"
-        )
+        switches, rounds = loads.settle(omega, t, clock_fired, zeno_max)
+        switch_log.extend(switches)
+        jumps += rounds
+        meta["max_jump_instants"] = max(meta["max_jump_instants"], rounds)
 
     # corrective jump pass so z(0,0) starts consistent with the flow set
     apply_jumps(flow.omega(z), None)
@@ -559,8 +615,9 @@ def simulate(sc: Scenario) -> Trace:
         record_sample()
 
     final = loads.temps_at(np.arange(n_loads), t)
-    np.minimum(temp_min, final, out=temp_min)
-    np.maximum(temp_max, final, out=temp_max)
+    temp_min = np.minimum(loads.temp_min, final)
+    temp_max = np.maximum(loads.temp_max, final)
+    sw_t, sw_load, sw_sig, sw_cause = zip(*switch_log) if switch_log else ((),) * 4
     states = grid_states()
     meta["freq_bisections"] = walk.probes
     meta["clock_draws"] = clocks.draws if randomized else 0
@@ -577,7 +634,7 @@ def simulate(sc: Scenario) -> Trace:
         switch_times=np.array(sw_t),
         switch_loads=np.array(sw_load, dtype=int),
         switch_new_sigma=np.array(sw_sig, dtype=np.int8),
-        switch_causes=sw_cause,
+        switch_causes=list(sw_cause),
         temp_min=temp_min,
         temp_max=temp_max,
         final_temperatures=final,
@@ -598,19 +655,14 @@ class FrequencyMetrics:
     omega: np.ndarray
 
     def longest_window_within(self, eps: float) -> float:
-        """Length of the longest contiguous span with |omega| <= eps."""
-        inside = np.abs(self.omega) <= eps
-        best = 0.0
-        start = None
-        for i, ok in enumerate(inside):
-            if ok and start is None:
-                start = self.times[i]
-            elif not ok and start is not None:
-                best = max(best, self.times[i] - start)
-                start = None
-        if start is not None:
-            best = max(best, self.times[-1] - start)
-        return float(best)
+        """Length of the longest contiguous span with |omega| <= eps: a run
+        of such samples lasts from its first sample to the first sample
+        outside it, or to the last sample."""
+        inside = np.concatenate(([False], np.abs(self.omega) <= eps, [False]))
+        # runs cover samples starts[i] to ends[i] - 1
+        starts, ends = np.flatnonzero(inside[1:] != inside[:-1]).reshape(-1, 2).T
+        ends = np.minimum(ends, self.times.size - 1)
+        return float(np.max(self.times[ends] - self.times[starts], initial=0.0))
 
 
 def dwell_time_report(tr: Trace) -> FrequencyMetrics:

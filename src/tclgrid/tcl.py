@@ -255,9 +255,9 @@ def stroke_time(k, target, temperature, level):
     flow target; level may stack several levels per load along a leading
     axis."""
     ratio = (temperature - target) / (level - target)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tt = np.log(ratio) / k
-    return np.where(ratio <= 1.0, 0.0, tt)[()]
+    # a ratio at or below 1 (at or past the level) waits log(1) = 0; NaN
+    # stays NaN
+    return np.log(np.maximum(ratio, 1.0)) / k
 
 
 def next_thermostat_event(p: TclParams | Population, temperature, sigma):

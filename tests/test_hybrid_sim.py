@@ -344,6 +344,87 @@ def jump_states(draw):
     return pop, temps, sigmas, scheme, omega, fired
 
 
+def near_levels(pop: Population, rng: np.random.Generator) -> np.ndarray:
+    """Per load: a temperature on one of its thermostat thresholds or
+    guards, one ulp to either side of it, or anywhere within 2 C of its
+    band, in band or out of it."""
+    n = len(pop)
+    levels = np.stack([pop.t_lo, pop.t_hi, pop.t_lo + pop.eps, pop.t_hi - pop.eps])
+    on = levels[rng.integers(0, 4, n), np.arange(n)]
+    ulp = np.nextafter(on, np.where(rng.random(n) < 0.5, -np.inf, np.inf))
+    free = rng.uniform(pop.t_lo - 2.0, pop.t_hi + 2.0)
+    return np.choose(rng.integers(0, 3, n), [on, ulp, free])
+
+
+@st.composite
+def anchored_states(draw):
+    """A population under one of the three schemes, its switch states and
+    temperatures (near_levels), an omega that is often exactly some load's
+    +-omega1, the load whose clock fired, if any, and a generator for
+    further draws."""
+    n = draw(st.integers(1, 30))
+    pop = sample_population(PopulationSpec(n, gamma=0.2, seed=draw(st.integers(0, 2**31))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    sigmas = rng.integers(0, 2, n).astype(np.int8)
+    temps = near_levels(pop, rng)
+    scheme = draw(st.sampled_from(
+        [Scheme.conventional(), Scheme.deterministic(), Scheme.randomized()]
+    ))
+    omega = draw(st.one_of(
+        st.floats(-1.0, 1.0),
+        st.sampled_from([float(s * w) for w in pop.omega1 for s in (-1, 1)]),
+    ))
+    fired = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    return pop, temps, sigmas, scheme, omega, fired, rng
+
+
+def reference_jump(loads: LoadAnchors, idx: np.ndarray, now: float):
+    """Switch the loads idx (no repeats) at now by whole-array operations and
+    anchor them by the vector reanchor: (their new states, which of them
+    were thermostat-due)."""
+    temps = loads.temps_at(idx, now)
+    due = loads.theta[idx] <= now
+    new = 1 - loads.sigma[idx]
+    loads.sigma[idx] = new
+    loads.on_states[idx] = new
+    loads.n_on += 2 * int(np.count_nonzero(new)) - idx.size
+    loads.temp_min[idx] = np.minimum(loads.temp_min[idx], temps)
+    loads.temp_max[idx] = np.maximum(loads.temp_max[idx], temps)
+    loads.reanchor(idx, temps, now)
+    return new, due
+
+
+def reference_settle(loads: LoadAnchors, omega: float, now: float, fired):
+    """LoadAnchors.settle with a full candidates scan and a refresh every
+    round."""
+    switches, rounds = [], 0
+    while (idx := loads.candidates(omega, now, fired)).size:
+        new, due = reference_jump(loads, idx, now)
+        for j, sigma, thermostat in zip(idx.tolist(), new.tolist(), due.tolist()):
+            if thermostat:
+                cause = "thermostat-hi" if sigma == 1 else "thermostat-lo"
+            elif j == fired:
+                cause = "randomized"
+            else:
+                cause = "freq-on" if sigma == 1 else "freq-off"
+            switches.append((now, j, sigma, cause))
+        loads.refresh()
+        rounds += 1
+        fired = None
+    return switches, rounds
+
+
+def assert_same_anchors(loads: LoadAnchors, ref: LoadAnchors) -> None:
+    """Every per-load array and count of two LoadAnchors, bit for bit."""
+    names = ["times", "open_levels", "temp0", "t0", "sigma", "on_states", "temp_min", "temp_max"]
+    if ref.rate_scheme is not None:
+        names += ["base", "level"]
+    for name in names:
+        got, want = getattr(loads, name), getattr(ref, name)
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8), err_msg=name)
+    assert loads.n_on == ref.n_on
+
+
 class TestLoadAnchors:
     @settings(max_examples=200, deadline=None)
     @given(case=jump_states())
@@ -494,15 +575,15 @@ class TestLoadAnchors:
             np.testing.assert_array_equal(loads.rate_table[0][row], base)
             np.testing.assert_array_equal(loads.rate_table[1][row], level)
         for now, idx in enumerate(switches, start=1):
-            loads.switch(idx)
-            loads.reanchor(idx, temps[idx], float(now))
+            for j in idx.tolist():
+                loads.jump(j, float(now))
         # the kept float states and ON count give the sums over the states
         loads.refresh()
         assert loads.d_s == float(np.dot(pop.d_bar, loads.sigma.astype(float)))
         assert loads.on_fraction == np.count_nonzero(loads.sigma) / n
         # each load's thermostat time is the kernel's from its last anchor
         np.testing.assert_array_equal(
-            loads.theta, loads.t0 + next_thermostat_event(pop, temps, loads.sigma)
+            loads.theta, loads.t0 + next_thermostat_event(pop, loads.temp0, loads.sigma)
         )
         base, level = rate_coefficients(pop, loads.sigma, scheme)
         np.testing.assert_array_equal(loads.base, base)
@@ -510,6 +591,75 @@ class TestLoadAnchors:
         rates = rate_law(loads.base, loads.level, scheme.k_pi, omega)
         expected = switching_rate(pop, loads.sigma, omega, scheme)
         assert np.array_equal(rates, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=anchored_states(), ops=st.integers(1, 6))
+    def test_per_load_jump_and_anchor_match_reanchor(self, case, ops):
+        # random subsets of loads jump, or are anchored at temperatures near
+        # their levels, at random times; the per-load path leaves the same
+        # bits as the vector one
+        pop, temps, sigmas, scheme, _, _, rng = case
+        loads, ref = (LoadAnchors(pop, scheme, temps, sigmas) for _ in range(2))
+        n, now = len(pop), 0.0
+        for _ in range(ops):
+            idx = rng.permutation(n)[: rng.integers(1, n + 1)]
+            # a jump may come at its anchor time
+            now += rng.choice([0.0, rng.uniform(0.0, 200.0)])
+            if rng.random() < 0.5:
+                for j in idx.tolist():
+                    loads.jump(j, now)
+                reference_jump(ref, idx, now)
+            else:
+                new_temps = near_levels(pop, rng)[idx]
+                for j, temp in zip(idx.tolist(), new_temps.tolist()):
+                    loads.anchor(j, temp, now)
+                ref.reanchor(idx, new_temps, now)
+            assert_same_anchors(loads, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=anchored_states(), dt=st.floats(1e-3, 100.0))
+    def test_settle_matches_full_scan_every_round(self, case, dt):
+        # an instant settled at t = 0 and another at the next event, each
+        # against a full candidates scan and a refresh every round; after
+        # either no load is enabled
+        pop, temps, sigmas, scheme, omega, fired, _ = case
+        loads, ref = (LoadAnchors(pop, scheme, temps, sigmas) for _ in range(2))
+        now = 0.0
+        for _ in range(2):
+            assert loads.settle(omega, now, fired, 10 * len(pop)) == reference_settle(
+                ref, omega, now, fired
+            )
+            assert_same_anchors(loads, ref)
+            scalars = ("theta_min", "guard_min", "on_min", "off_max", "d_s", "on_fraction")
+            assert [getattr(loads, a) for a in scalars] == [getattr(ref, a) for a in scalars]
+            assert loads.candidates(omega, now, None).size == 0
+            step = min(dt, loads.theta_min - now, loads.guard_min - now)
+            loads.snap(now, step)
+            ref.snap(now, step)
+            now, fired = now + step, None
+
+    @pytest.mark.parametrize("sigma", [0, 1])
+    @pytest.mark.parametrize("offset", [0.5, 0.0])
+    def test_settle_takes_a_second_round(self, sigma, offset):
+        # a fired clock on a load out of band on the side its flow leaves
+        # (offset 0.5 C), or one ulp inside the band there (offset 0): in
+        # its new state the load is due at once, or its rounded wait is 0,
+        # so its thermostat switches it back in a second round
+        pop = sample_population(PopulationSpec(50, 0.2, seed=5))
+        edge = pop.t_lo - offset if sigma == 0 else pop.t_hi + offset
+        temps = edge if offset else np.nextafter(edge, pop.t_hi if sigma == 0 else pop.t_lo)
+        sigmas = np.full(len(pop), sigma, dtype=np.int8)
+        scheme = Scheme.randomized()
+        second = 0
+        for fired in range(len(pop)):
+            loads, ref = (LoadAnchors(pop, scheme, temps, sigmas) for _ in range(2))
+            switches, rounds = loads.settle(0.0, 0.0, fired, 10)
+            assert (switches, rounds) == reference_settle(ref, 0.0, 0.0, fired)
+            assert_same_anchors(loads, ref)
+            assert loads.candidates(0.0, 0.0, None).size == 0
+            assert [cause for *_, cause in switches][:1] == ["randomized"]
+            second += rounds == 2
+        assert second == len(pop) if offset else second > len(pop) // 2
 
 
 def run_counting_kernels(shipped_file, monkeypatch, horizon, **changes):
@@ -527,7 +677,7 @@ def run_counting_kernels(shipped_file, monkeypatch, horizon, **changes):
     def counted(fn):
         def wrapped(p, *args, **kwargs):
             nonlocal elements
-            elements += len(p)
+            elements += np.size(p)
             return fn(p, *args, **kwargs)
         return wrapped
 
@@ -959,6 +1109,22 @@ class TestClassifyRegion:
         assert jump_target(REFERENCE, 4.5, 1, -0.5, Scheme.conventional()) == 1
 
 
+def window_by_sample_loop(times: np.ndarray, omega: np.ndarray, eps: float) -> float:
+    """FrequencyMetrics.longest_window_within, one sample at a time."""
+    inside = np.abs(omega) <= eps
+    best = 0.0
+    start = None
+    for i, ok in enumerate(inside):
+        if ok and start is None:
+            start = times[i]
+        elif not ok and start is not None:
+            best = max(best, times[i] - start)
+            start = None
+    if start is not None:
+        best = max(best, times[-1] - start)
+    return float(best)
+
+
 class TestMetrics:
     def test_settle_and_window(self):
         from tclgrid.hybrid_sim import FrequencyMetrics
@@ -971,6 +1137,25 @@ class TestMetrics:
         )
         assert m.longest_window_within(0.1) == pytest.approx(3.0)
         assert m.longest_window_within(1.0) == pytest.approx(5.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        times=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40).map(sorted),
+        data=st.data(),
+        eps=st.sampled_from([0.0, 0.1, 0.5]),
+    )
+    def test_window_matches_sample_loop(self, times, data, eps):
+        from tclgrid.hybrid_sim import FrequencyMetrics
+
+        omega = data.draw(st.lists(
+            st.sampled_from([0.0, 0.1, -0.1, 0.3, -0.5, 1.0, np.nan]),
+            min_size=len(times), max_size=len(times),
+        ))
+        m = FrequencyMetrics(
+            peak_abs_omega=1.0, min_interswitch_gap=1.0,
+            switch_counts=np.array([1]), times=np.array(times), omega=np.array(omega),
+        )
+        assert m.longest_window_within(eps) == window_by_sample_loop(m.times, m.omega, eps)
 
     def test_ripple_envelope_of_sine(self):
         t = np.arange(0.0, 100.0, 0.01)
