@@ -53,8 +53,12 @@ class TimeSeries:
         # the last value at or before it, values[lo - 1]
         lo = np.searchsorted(self.times, t0, side="right")
         hi = np.searchsorted(self.times, t1, side="left")
-        edges = np.concatenate([[t0], self.times[lo:hi], [t1]])
-        return self.values[lo - 1 : hi], np.diff(edges)
+        # the differences of t0, times[lo:hi], t1, taken in place in one array
+        inner = self.times[lo:hi]
+        widths = np.append(inner, t1)
+        widths[1:] -= inner
+        widths[0] -= t0
+        return self.values[lo - 1 : hi], widths
 
     def integral(self, t0: float, t1: float, power: int = 1) -> float:
         """Exact integral of values**power over [t0, t1]."""
@@ -70,8 +74,12 @@ def time_average(ts: TimeSeries, window: tuple[float, float]) -> float:
 def time_variance(ts: TimeSeries, window: tuple[float, float]) -> float:
     t0, t1 = window
     vals, widths = ts.pieces(t0, t1)
-    mean = float(np.sum(vals * widths)) / (t1 - t0)
-    mean_sq = float(np.sum(vals**2 * widths)) / (t1 - t0)
+    # both moments share one array of terms
+    terms = vals * widths
+    mean = float(np.sum(terms)) / (t1 - t0)
+    np.square(vals, out=terms)
+    terms *= widths
+    mean_sq = float(np.sum(terms)) / (t1 - t0)
     return mean_sq - mean * mean
 
 
@@ -86,7 +94,10 @@ def theoretical_variance(pop: Population, warn=None) -> float:
     return float(np.sum(pop.alpha * (1.0 - pop.alpha) * pop.d_bar**2))
 
 
-# Loads per row-wise cumsum in free_run_events; bounds the padded block.
+# Loads per row-wise cumsum in free_run_events; bounds the padded block. The
+# loads are blocked in order of cycle count, so a block is about as wide as
+# each of its loads needs, and their times are then written back in load
+# order, the order time_order breaks exact ties by.
 SWITCH_BLOCK = 256
 
 
@@ -97,33 +108,66 @@ def free_run_events(
     1 and so on, its level at t = 0, then its switch instants with steps
     +-d_bar. The first switch is solved from the flow (at t = 0 it sets the
     level instead), and each later one adds the stroke of the state switched
-    to, one at a time: a row-wise cumsum over blocks of SWITCH_BLOCK loads.
+    to, one at a time: a row-wise cumsum over blocks of SWITCH_BLOCK loads
+    taken in order of cycle count (a stable argsort), so a block pads each
+    load to about its own width. The blocks fill one preallocated buffer,
+    and each load's kept times are then copied to its place in load order.
     """
+    times, deltas = _load_major_events(pop, temperatures, sigmas, horizon)
+    return times[1:], deltas[1:]
+
+
+def _load_major_events(pop: Population, temperatures, sigmas, horizon: float):
+    """free_run_events behind one leading (t = 0, step 0) slot, the start of
+    the series aggregate_demand_series merges."""
     sigmas = np.asarray(sigmas)
     first = next_thermostat_event(pop, np.asarray(temperatures, dtype=float), sigmas)
-    # each switch is followed by the stroke of the state it switched to
-    after_odd = np.where(sigmas == 1, pop.pi_off, pop.pi_on)
-    after_even = np.where(sigmas == 1, pop.pi_on, pop.pi_off)
+    # a switch at t = 0 sets the level, and the strokes start from there:
+    # the row of such a load starts 0, own, the same sums as 0, 0, own
+    at_zero = first == 0.0
+    level = np.where(at_zero, 1 - sigmas, sigmas)
+    own = np.where(level == 1, pop.pi_on, pop.pi_off)
+    other = np.where(level == 1, pop.pi_off, pop.pi_on)
     n_cycles = np.maximum((horizon - first) // period(pop), 0).astype(int) + 2
-    level0 = np.where(first == 0.0, 1 - sigmas, sigmas) * pop.d_bar
-    times, deltas = [np.empty(0)], [np.empty(0)]
-    for start in range(0, len(pop), SWITCH_BLOCK):
-        rows = slice(start, start + SWITCH_BLOCK)
-        # column 0 is t = 0, column c >= 1 the c-th switch
-        steps = np.zeros((first[rows].size, 2 * int(n_cycles[rows].max()) + 2))
-        steps[:, 1] = first[rows]
-        steps[:, 2::2] = after_odd[rows, None]
-        steps[:, 3::2] = after_even[rows, None]
-        block_times = np.cumsum(steps, axis=1)
-        kept = block_times <= horizon
-        kept[:, 1] &= first[rows] != 0.0
-        # the c-th switch leads to state sigma ^ (c & 1)
-        switched_on = (sigmas[rows, None] == 1) == (np.arange(steps.shape[1]) % 2 == 0)
-        block_deltas = np.where(switched_on, pop.d_bar[rows, None], -pop.d_bar[rows, None])
-        block_deltas[:, 0] = level0[rows]
-        times.append(block_times[kept])
-        deltas.append(block_deltas[kept])
-    return np.concatenate(times), np.concatenate(deltas)
+    # a load's row: t = 0, its first switch, then the strokes of the other
+    # state and of its own in turn, out to two cycles past the horizon
+    lead = np.where(at_zero, own, first)
+    loads = np.argsort(n_cycles, kind="stable")
+    n = len(pop)
+    starts = range(0, n, SWITCH_BLOCK)
+    widths = [2 * int(n_cycles[loads[min(s + SWITCH_BLOCK, n) - 1]]) + 2 for s in starts]
+    sums = np.empty(sum(min(SWITCH_BLOCK, n - s) * w for s, w in zip(starts, widths)))
+    row_at = np.empty(n, dtype=int)
+    counts = np.empty(n, dtype=int)
+    pos = 0
+    for start, width in zip(starts, widths):
+        rows = loads[start : start + SWITCH_BLOCK]
+        block = sums[pos : pos + rows.size * width].reshape(rows.size, width)
+        block[:, 0] = 0.0
+        block[:, 1] = lead[rows]
+        block[:, 2::2] = other[rows, None]
+        block[:, 3::2] = own[rows, None]
+        np.cumsum(block, axis=1, out=block)
+        # times rise along a row, so the kept ones are a prefix
+        counts[rows] = np.count_nonzero(block <= horizon, axis=1)
+        row_at[rows] = pos + width * np.arange(rows.size)
+        pos += block.size
+    offsets = np.cumsum(counts) - counts + 1
+    times = np.empty(1 + int(counts.sum()))
+    times[0] = 0.0
+    for o, r, c in zip(offsets.tolist(), row_at.tolist(), counts.tolist()):
+        times[o : o + c] = sums[r : r + c]
+    # a load's switches step by step, -step, step, ... from the first, at
+    # offset o + 1: index i steps by (-1)**(o + 1) * step * (-1)**i, so each
+    # load's (-1)**(o + 1) * step is repeated and every odd index negated
+    step = np.where(level == 1, -pop.d_bar, pop.d_bar)
+    deltas = np.empty(times.size)
+    deltas[0] = 0.0
+    deltas[1:] = np.repeat(np.where(offsets & 1, step, -step), counts)
+    np.negative(deltas[1::2], out=deltas[1::2])
+    opened = counts > 0  # every load, unless the horizon is negative
+    deltas[offsets[opened]] = (level * pop.d_bar)[opened]
+    return times, deltas
 
 
 def demand_series(p: TclParams, temperature: float, sigma: int, horizon: float) -> TimeSeries:
@@ -138,10 +182,12 @@ def time_order(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A non-negative double orders as its int64 bit pattern. Each time's high
     bits are packed with its index into one int64 key, (bits >> b) << b |
     index with b = (n - 1).bit_length(), and the keys get one unstable
-    (SIMD) integer sort. That orders the times up to the bits cut off; times
-    sharing a key prefix come out in index order, so a stable sort of the
-    nearly sorted result puts the few inversions left right and keeps exact
-    ties in index order.
+    (SIMD) integer sort. That orders the times by their high bits, and each
+    group of equal high bits in index order, so an inversion can only lie
+    inside a group. Only the groups that hold one are re-sorted, by one
+    stable sort of their members taken together: every time of a group lies
+    below every time of a later group, so the groups stay in place. Exact
+    ties stay in index order.
     """
     idx_bits = (times.size - 1).bit_length()
     keys = times.view(np.int64) >> idx_bits
@@ -153,24 +199,43 @@ def time_order(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise StatsError("times must be non-negative, and not -0.0")
     keys &= (1 << idx_bits) - 1
     near = times[keys]
-    fix = np.argsort(near, kind="stable")
-    return keys[fix], near[fix]
+    inverted = np.flatnonzero(near[1:] < near[:-1])
+    if inverted.size:
+        # the high bits rise along near, so a bisection finds each group's ends
+        bits = near.view(np.int64)
+        high = np.unique(bits[inverted] >> idx_bits)
+        lo = np.searchsorted(bits, high << idx_bits)
+        sizes = np.searchsorted(bits, (high + 1) << idx_bits) - lo
+        # the indices of each group in turn: lo, lo + 1, ..., lo + size - 1
+        members = np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+        members += np.arange(members.size)
+        fixed = members[np.argsort(near[members], kind="stable")]
+        keys[members] = keys[fixed]
+        near[members] = near[fixed]
+    return keys, near
 
 
 def aggregate_demand_series(
     pop: Population, temperatures, sigmas, horizon: float
 ) -> TimeSeries:
     """Aggregate free-running demand of the whole population: every load's
-    analytic switch instants, merged in time order by time_order (one
-    packed-key integer sort, then a stable pass over the few inversions it
-    leaves), with exact ties in load order."""
-    times, deltas = free_run_events(pop, temperatures, sigmas, horizon)
-    times = np.concatenate([[0.0], times])
-    deltas = np.concatenate([[0.0], deltas])
+    analytic switch instants from free_run_events (summed in blocks of loads
+    of like cycle count, written in load order), merged in time order by
+    time_order (one packed-key integer sort, then a stable re-sort of only
+    the groups of equal high bits that hold an inversion), with exact ties
+    in load order."""
+    times, deltas = _load_major_events(pop, temperatures, sigmas, horizon)
     order, times = time_order(times)
-    levels = np.cumsum(deltas[order])
-    # merge coincident event times (measure-zero ties)
-    keep = np.concatenate([times[1:] != times[:-1], [True]])
+    levels = deltas[order]
+    np.cumsum(levels, out=levels)
+    # merge coincident event times (measure-zero ties) into the last of each
+    # run; when the only run is the leading one (every load's t = 0 level),
+    # the merge is a slice
+    ties = np.flatnonzero(times[1:] == times[:-1])
+    if ties.size == 0 or ties[-1] == ties.size - 1:
+        return TimeSeries(times=times[ties.size :], values=levels[ties.size :])
+    keep = np.ones(times.size, dtype=bool)
+    keep[ties] = False
     return TimeSeries(times=times[keep], values=levels[keep])
 
 

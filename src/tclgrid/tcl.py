@@ -127,6 +127,11 @@ def check_loads(p: TclParams | Population) -> None:
             (flow_target(p, 1) < p.t_lo, "cooling device needs t_amb - cop*d_bar < t_lo"),
             (p.omega1 > 0, "omega1 must be positive"),
             ((p.eps > 0) & (p.eps < half_band), "eps must lie in (0, (t_hi - t_lo)/2)"),
+            # a guard left on its threshold trips the simulator's Zeno guard
+            (
+                (p.t_lo + p.eps > p.t_lo) & (p.t_hi - p.eps < p.t_hi),
+                "eps must move the guards t_lo + eps and t_hi - eps off the thresholds",
+            ),
         ]
     if np.all([holds for holds, _ in rules]):
         return

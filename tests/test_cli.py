@@ -218,6 +218,22 @@ class TestErrors:
         assert "configuration error" in err and field in err
 
 
+    def test_eps_range_leaving_guards_on_thresholds_is_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # eps this small passes the range check, but t_hi - eps rounds to t_hi
+        population = dict(SMALL_DOC["population"], ranges={"eps": [1e-17, 2e-17]})
+        path = tmp_path / "eps.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_DOC, population=population)))
+
+        def simulate(sc):
+            raise AssertionError("the run simulated")
+
+        monkeypatch.setattr("tclgrid.cli.simulate", simulate)
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "eps must move the guards" in err
+
     @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
     def test_unknown_field_is_config_error(self, tmp_path, capsys, command):
         path = tmp_path / "typo.yaml"

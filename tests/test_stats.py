@@ -166,10 +166,65 @@ def tie_heavy_times(draw):
     return pool[rng.integers(0, pool.size, n)]
 
 
+# (t_lo, t_hi, k, cop_scale, t_amb) of the fastest and slowest loads of the
+# default range box, periods 118 s and 7,489 s: a population holding both
+# spans the shipped population's 30x range of periods (144-4,327 s at 8,000
+# loads)
+RANGE_CORNERS = [(4.0, 5.0, 1e-3, 35.0, 25.0), (2.0, 7.0, 2e-4, 25.0, 25.0)]
+
+
+@st.composite
+def multi_block_cases(draw):
+    """20-300 sampled loads with the RANGE_CORNERS among them, each starting
+    on a threshold (so it may switch at t = 0), mid-band or anywhere in its
+    band, and a horizon from zero, where no load switches after t = 0, to
+    2e4 s, thousands of switches."""
+    n = draw(st.integers(20, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    loads = list(sample_population(PopulationSpec(n - 2, 0.05, seed=seed)))
+    d_bar = loads[0].d_bar
+    for t_lo, t_hi, k, cop_scale, t_amb in RANGE_CORNERS:
+        load = TclParams(
+            d_bar=d_bar, t_lo=t_lo, t_hi=t_hi, k=k, cop=cop_scale / d_bar, t_amb=t_amb,
+            omega1=0.1, eps=0.005,
+        )
+        loads.insert(rng.integers(0, len(loads) + 1), load)
+    pop = Population.of(loads)
+    mid = (pop.t_lo + pop.t_hi) / 2
+    temps = np.choose(rng.integers(0, 4, n), [pop.t_lo, pop.t_hi, mid, rng.uniform(pop.t_lo, pop.t_hi)])
+    sigmas = rng.integers(0, 2, n).astype(np.int8)
+    horizon = draw(st.one_of(st.sampled_from([0.0, 60.0]), st.floats(0.0, 2e4)))
+    return pop, temps, sigmas, horizon
+
+
 class TestTimeOrder:
     @settings(max_examples=200, deadline=None)
     @given(times=tie_heavy_times())
     def test_equals_stable_argsort(self, times):
+        order, ordered = stats.time_order(times)
+        want = np.argsort(times, kind="stable")
+        assert np.array_equal(order, want)
+        assert np.array_equal(ordered, times[want])
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            # n = 8 cuts 3 bits: two adjacent groups of 8 bit patterns, each
+            # inverted, one with a tie
+            [9, 2, 8, 1, 15, 0, 2, 12],
+            # one group spanning the whole array
+            [7, 3, 3, 0, 6, 1, 5, 3],
+            # n = 2**k and 2**k + 1: about four groups, each inverted, with ties
+            *(np.random.default_rng(n).integers(0, 4 << (n - 1).bit_length(), n) for n in (1024, 1025)),
+        ],
+        ids=["two-groups", "one-group", "n-1024", "n-1025"],
+    )
+    def test_repairs_inverted_groups(self, offsets):
+        # times a few bit patterns apart, from an aligned pattern near 1e3
+        bits = (np.array(1e3).view(np.int64) >> 16 << 16) + np.asarray(offsets, dtype=np.int64)
+        times = bits.view(float)
+        assert np.any(times[1:] < times[:-1])
         order, ordered = stats.time_order(times)
         want = np.argsort(times, kind="stable")
         assert np.array_equal(order, want)
@@ -253,6 +308,31 @@ class TestFreeRun:
             want = reference_demand_series(p, float(temp), int(sig), horizon)
             assert np.array_equal(got.times, want.times)
             assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @settings(max_examples=25, deadline=None)
+    @given(case=multi_block_cases())
+    def test_multi_block_series_bit_exact(self, block, case):
+        """Loads of mixed cycle counts over many blocks: the series is bit for
+        bit the per-load loop's, and the events keep each load's run in load
+        order however the blocks group the loads."""
+        pop, temps, sigmas, horizon = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats, "SWITCH_BLOCK", block)
+            times, deltas = free_run_events(pop, temps, sigmas, horizon)
+            got = aggregate_demand_series(pop, temps, sigmas, horizon)
+        want = reference_aggregate(pop, temps, sigmas, horizon)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.values, want.values)
+        # only a load's first event lies at t = 0, so the zeros split the runs
+        starts = np.flatnonzero(times == 0.0)
+        assert starts.size == len(pop)
+        for p, temp, sig, t, d in zip(
+            pop, temps, sigmas, np.split(times, starts[1:]), np.split(deltas, starts[1:])
+        ):
+            series = reference_demand_series(p, float(temp), int(sig), horizon)
+            assert np.array_equal(t, series.times)
+            assert np.array_equal(d, np.diff(series.values, prepend=0.0))
 
     @pytest.mark.parametrize("copies", [2, 3, 8])
     def test_series_ties_across_duplicated_loads(self, copies):

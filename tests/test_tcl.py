@@ -122,6 +122,23 @@ class TestValidation:
                 omega1=0.1, eps=1.6,
             )
 
+    @pytest.mark.parametrize(
+        "t_lo, eps",
+        # both guards stay on their thresholds; only t_hi - eps does
+        [(3.0, 1e-17), (1e-3, 1e-17)],
+    )
+    def test_eps_leaving_guard_on_threshold_rejected(self, t_lo, eps):
+        # eps lies in (0, (t_hi - t_lo)/2), but t_hi - eps rounds to t_hi
+        load = dataclasses.replace(REFERENCE, t_lo=t_lo, eps=0.005)
+        assert load.t_hi - eps == load.t_hi and eps < (load.t_hi - load.t_lo) / 2
+        with pytest.raises(TclError, match="^eps must move the guards"):
+            dataclasses.replace(load, eps=eps)
+        pop = sample_population(PopulationSpec(5, 0.05, seed=1))
+        bad = pop.eps.copy()
+        bad[2] = pop.t_hi[2] * 2**-60
+        with pytest.raises(TclError, match="^load 2: eps must move the guards"):
+            dataclasses.replace(pop, eps=bad)
+
     def test_scheme_kind_validated(self):
         with pytest.raises(TclError):
             Scheme("thermostatic")
