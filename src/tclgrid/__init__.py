@@ -43,7 +43,4 @@ from .tcl import (
     on_off_durations,
     sample_initial_states,
     sample_population,
-    switching_rate,
-    temp_flow,
-    time_to_level,
 )

@@ -75,38 +75,35 @@ class StateSpace:
     """Combined model x' = a x + b u, omega = c x, with u the net demand
     channel (uncontrollable load plus aggregate TCL demand)."""
 
-    a: np.ndarray  # (n+1, n+1)
-    b: np.ndarray  # (n+1,)
-    c: np.ndarray  # (n+1,)
-    m: float
-    d: float
-    n: int
+    a: np.ndarray  # (dim, dim)
+    b: np.ndarray  # (dim,)
+    c: np.ndarray  # (dim,)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float).reshape(-1)
         c = np.asarray(self.c, dtype=float).reshape(-1)
-        dim = self.n + 1
-        if a.shape != (dim, dim) or b.shape != (dim,) or c.shape != (dim,):
+        if a.shape != (b.size, b.size) or c.shape != b.shape:
             raise GridModelError(
-                f"inconsistent state-space dimensions for n={self.n}: "
-                f"a {a.shape}, b {b.shape}, c {c.shape}"
+                f"inconsistent state-space dimensions: a {a.shape}, b {b.shape}, c {c.shape}"
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        for arr in (self.a, self.b, self.c):
+        for name, arr in (("a", a), ("b", b), ("c", c)):
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
-        return self.n + 1
+        return self.a.shape[0]
+
+    @property
+    def n(self) -> int:  # generation states
+        return self.dim - 1
 
     @cached_property
     def modes(self) -> Modes | None:
         """Modal decomposition of a, computed once. None where the modal forms
         do not apply: a is defective, its eigenvectors are too ill-conditioned,
-        or it has a zero eigenvalue (transition divides by each one)."""
+        or it has a zero eigenvalue (ModalFlow and one_norm divide by each)."""
         try:
             lam, v = np.linalg.eig(self.a)
             if not np.linalg.cond(v) < _MODAL_COND_MAX or np.any(lam == 0):
@@ -150,7 +147,7 @@ def build_combined_system(gen: GenDynamics, m: float, d: float) -> StateSpace:
     b[0] = -1.0 / m
     c = np.zeros(n + 1)
     c[0] = 1.0
-    return StateSpace(a=a, b=b, c=c, m=float(m), d=float(d), n=n)
+    return StateSpace(a=a, b=b, c=c)
 
 
 def default_gen_dynamics(
@@ -217,8 +214,9 @@ def one_norm(ss: StateSpace, t_max: float | None = None, tol: float = 1e-8) -> O
     Either way t_max (default 10 / |max Re eigenvalue|) is doubled until the
     tail bound is at most tol/2.
     """
-    if tol <= 0:
-        raise GridModelError(f"tol must be positive, got {tol}")
+    for name, value in (("t_max", t_max), ("tol", tol)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise GridModelError(f"{name} must be positive and finite, got {value}")
     alpha = spectral_abscissa(ss)
     if alpha >= 0:
         raise GridModelError(
@@ -273,36 +271,24 @@ def one_norm(ss: StateSpace, t_max: float | None = None, tol: float = 1e-8) -> O
 
 
 def transition(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact discretization: x(t+dt) = phi @ x(t) + psi * u for constant u.
-
-    phi = expm(a dt) and psi = (integral of expm(a s) ds over [0, dt]) @ b.
-    In modal form phi = V diag(exp(lam dt)) V^-1 and
-    psi = V diag(expm1(lam dt) / lam) V^-1 b. Where ss.modes is None, both
-    come from the augmented-matrix exponential, which needs no invertibility
-    assumption.
-    """
+    """Exact discretization x(t+dt) = phi @ x(t) + psi * u for constant u:
+    phi = expm(a dt) and psi = (integral of expm(a s) ds over [0, dt]) @ b are
+    blocks of the augmented-matrix exponential expm([[a, b], [0, 0]] dt), which
+    needs no modal form and no invertible a. MatrixFlow steps by it; it shares
+    nothing with ModalFlow's eigendecomposition, so it is a reference for it."""
     if dt < 0:
         raise GridModelError(f"dt must be nonnegative, got {dt}")
-    if dt == 0:
-        return np.eye(ss.dim), np.zeros(ss.dim)
-    modes = ss.modes
-    if modes is None:
-        from scipy.linalg import expm
+    from scipy.linalg import expm
 
-        dim = ss.dim
-        aug = np.zeros((dim + 1, dim + 1))
-        aug[:dim, :dim] = ss.a
-        aug[:dim, dim] = ss.b
-        e = expm(aug * dt)
-        return e[:dim, :dim], e[:dim, dim]
-    z = modes.lam * dt
-    phi = (modes.v * np.exp(z)) @ modes.v_inv
-    psi = modes.v @ (np.expm1(z) / modes.lam * modes.v_inv_b)
-    return phi.real, psi.real
+    dim = ss.dim
+    aug = np.zeros((dim + 1, dim + 1))
+    aug[:dim] = np.column_stack((ss.a, ss.b))
+    e = expm(aug * dt)
+    return e[:dim, :dim], e[:dim, dim]
 
 
 class TransitionCache:
-    """The event loop's propagator: the cadence step's (phi, psi), computed
+    """MatrixFlow's propagator: the cadence step's (phi, psi), computed
     once, and every other step length's computed fresh. Off-cadence lengths
     (events, guards, crossings) almost never repeat, so they are not kept."""
 

@@ -110,14 +110,18 @@ class Scenario:
     def __post_init__(self):
         if not valid_seed(self.seed):
             raise SimulationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        for name in ("horizon", "max_step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise SimulationError(f"{name} must be positive and finite, got {value}")
+        check_positive(horizon=self.horizon, max_step=self.max_step)
         if not valid_disturbance(self.disturbance):
             raise SimulationError(f"{DISTURBANCE_RULE}, got {self.disturbance}")
         if self.initial_state is not None:
             check_initial_state(self.initial_state, len(self.population))
+
+
+def check_positive(**values: float) -> None:
+    """Raise SimulationError unless every value is positive and finite."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise SimulationError(f"{name} must be positive and finite, got {value}")
 
 
 def check_initial_state(state, n_loads: int) -> None:
@@ -179,8 +183,8 @@ class LoadAnchors:
     time its frequency branch opens (tcl.frequency_branch), +inf once open or
     when the scheme has no frequency branches (any kind but deterministic).
     lvl_on holds the branch's frequency level for OFF loads with an open
-    branch and +inf elsewhere, lvl_off for open ON loads and -inf elsewhere
-    (kept negated, as neg_off). Under the randomized scheme, base and level
+    branch and +inf elsewhere, neg_off the negated level for open ON loads
+    and +inf elsewhere. Under the randomized scheme, base and level
     hold the coefficients of each load's active stroke rate
     (tcl.rate_coefficients). The scalars below are recomputed by refresh,
     after a settled instant or a branch opening only.
@@ -217,13 +221,13 @@ class LoadAnchors:
         if self.freq_active:
             guard, level = frequency_branch(pop, _STATES)
             levels.append(guard)
-            # +omega1 as lvl_on of OFF loads, +omega1 as -lvl_off of ON loads
+            # +omega1 as lvl_on of OFF loads and as neg_off of ON loads
             self.branch_level = (level * np.array([[1.0], [-1.0]])).ravel()
         self.wait_levels = np.reshape(levels, (len(levels), 2 * n))
-        # thermostat times, guard times, lvl_on and -lvl_off, reduced at once
+        # thermostat times, guard times, lvl_on and neg_off, reduced at once
         self.times = np.full((4, n), np.inf)
         self.theta, self.guard, self.lvl_on, self.neg_off = self.times
-        # lvl_on then -lvl_off, at the flat index of the state they open in
+        # lvl_on then neg_off, at the flat index of the state they open in
         self.open_levels = self.times[2:].reshape(-1)
         if self.rate_scheme is not None:
             base, level = rate_coefficients(pop, _STATES, self.rate_scheme)
@@ -232,10 +236,6 @@ class LoadAnchors:
             self.level = np.empty(n)
         self.reanchor(np.arange(n), self.temp0, 0.0)
         self.refresh()
-
-    @property
-    def lvl_off(self) -> np.ndarray:
-        return -self.neg_off
 
     def refresh(self) -> None:
         self.theta_min, self.guard_min, self.on_min, neg_off_min = self.times.min(axis=1).tolist()
@@ -392,7 +392,7 @@ class LoadAnchors:
         if self.theta_min <= now:
             parts.append(np.flatnonzero(self.theta <= now))
         if self.excess(omega) >= 0:
-            # open levels lie at +omega1 > 0 (lvl_on) and -omega1 < 0 (lvl_off)
+            # open levels lie at +omega1 > 0 (lvl_on) and -omega1 < 0 (-neg_off)
             row = self.lvl_on if omega > 0 else self.neg_off
             parts.append(np.flatnonzero(row <= abs(omega)))
         if fired is not None:
@@ -698,6 +698,7 @@ def ripple_envelope(
     windows, and the envelope is the median of the per-window maxima of
     |omega| — insensitive to a few outlier excursions, unlike the global peak.
     """
+    check_positive(window=window, cadence=cadence)
     if times.size < 2:
         raise SimulationError("ripple envelope needs at least two samples")
     grid = np.arange(float(times[0]), float(times[-1]), cadence)

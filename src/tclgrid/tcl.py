@@ -8,8 +8,9 @@ checks and the stroke formulas included, is written once over attribute
 access and NumPy operations, so it takes either one `TclParams` with scalar
 state or a `Population` (same field names) with array state. The held flow
 and the time to a level are written once over a stroke, its insulation
-coefficient and flow target (`stroke_flow`, `stroke_time`); their load forms
-call them, and the simulator calls them on per-(state, load) tables.
+coefficient and flow target (`stroke_flow`, `stroke_time`), and the
+randomized rate once over a stroke's coefficients (`rate_law` over
+`rate_coefficients`); the simulator calls them on per-(state, load) tables.
 
 Cooling devices only: the ON target temperature t_amb - cop * d_bar lies below
 the lower threshold and the ambient lies above the upper threshold, so the
@@ -55,10 +56,6 @@ class TclParams:
 
     def __post_init__(self):
         check_loads(self)
-
-    @property
-    def target_on(self) -> float:
-        return flow_target(self, 1)
 
     @property
     def pi_on(self) -> float:
@@ -230,35 +227,22 @@ def zeta(p: TclParams | Population) -> float:
 
 
 def flow_target(p: TclParams | Population, sigma):
-    """Temperature the held flow approaches: target_on when ON, t_amb when OFF."""
+    """Temperature the held flow approaches: t_amb - cop * d_bar ON, t_amb OFF."""
     return p.t_amb - sigma * p.cop * p.d_bar
 
 
-def temp_flow(p: TclParams | Population, temperature, sigma, dt):
-    """Exact temperature after flowing dt seconds with the switch held; dt
-    may be one duration per load."""
-    if np.any(np.less(dt, 0)):
-        raise TclError(f"dt must be nonnegative, got {dt}")
-    return stroke_flow(p.k, flow_target(p, sigma), temperature, dt)
-
-
 def stroke_flow(k, target, temperature, dt):
-    """temp_flow of a stroke given by its insulation coefficient k and flow
-    target, for dt >= 0."""
+    """Exact temperature after flowing dt >= 0 seconds with the switch held,
+    on a stroke given by its insulation coefficient k and flow target; dt may
+    be one duration per load."""
     return target + (temperature - target) * np.exp(-k * dt)
 
 
-def time_to_level(p: TclParams | Population, temperature, sigma, level):
-    """Time until the held flow reaches a temperature level that lies between
-    the temperature and the flow target. Zero when the load is already at or
-    past the level in the direction of its flow."""
-    return stroke_time(p.k, flow_target(p, sigma), temperature, level)
-
-
 def stroke_time(k, target, temperature, level):
-    """time_to_level of a stroke given by its insulation coefficient k and
-    flow target; level may stack several levels per load along a leading
-    axis."""
+    """Time until the held flow of a stroke (insulation coefficient k, flow
+    target) reaches a level between the temperature and the target; zero at
+    or past it in the direction of the flow. level may stack several levels
+    per load along a leading axis."""
     ratio = (temperature - target) / (level - target)
     # a ratio at or below 1 (at or past the level) waits log(1) = 0; NaN
     # stays NaN
@@ -268,7 +252,7 @@ def stroke_time(k, target, temperature, level):
 def next_thermostat_event(p: TclParams | Population, temperature, sigma):
     """Time until the held flow reaches the active thermostat threshold
     (t_lo when ON, t_hi when OFF). Zero when already at or past it."""
-    return time_to_level(p, temperature, sigma, thermostat_threshold(p, sigma))
+    return stroke_time(p.k, flow_target(p, sigma), temperature, thermostat_threshold(p, sigma))
 
 
 def thermostat_threshold(p: TclParams | Population, sigma):
@@ -276,22 +260,12 @@ def thermostat_threshold(p: TclParams | Population, sigma):
     return np.where(sigma == 1, p.t_lo, p.t_hi)[()]
 
 
-def switching_rate(p: TclParams | Population, sigma, omega: float, scheme: Scheme):
-    """Active rate of the randomized scheme: the ON-rate for OFF loads, the
-    OFF-rate for ON loads.
-
-    Baseline rates v_des/pi_off and v_des/pi_on reproduce the natural duty
-    cycle in expectation at omega = 0; frequency feedback scales them
-    linearly in omega/omega1. Rates are clamped to [0, 1] per second to
-    prevent chatter at extreme gains.
-    """
-    return rate_law(*rate_coefficients(p, sigma, scheme), scheme.k_pi, omega)
-
-
 def rate_coefficients(p: TclParams | Population, sigma, scheme: Scheme):
-    """(base, level) of the active stroke's rate: base = v_des/pi_off and
-    level = +omega1 for OFF loads, base = v_des/pi_on and level = -omega1
-    for ON loads. They change only when the load switches."""
+    """(base, level) of the randomized scheme's active rate, the ON-rate for
+    OFF loads and the OFF-rate for ON loads: base = v_des/pi_off and level =
+    +omega1 for OFF loads, base = v_des/pi_on and level = -omega1 for ON
+    loads. The baseline rates reproduce the natural duty cycle in expectation
+    at omega = 0. They change only when the load switches."""
     on = sigma == 1
     base = scheme.v_des / np.where(on, p.pi_on, p.pi_off)
     return base[()], np.where(on, -p.omega1, p.omega1)[()]
@@ -299,8 +273,10 @@ def rate_coefficients(p: TclParams | Population, sigma, scheme: Scheme):
 
 def rate_law(base, level, k_pi: float, omega):
     """The randomized rate min(1, base * max(0, 1 + k_pi * omega / level))
-    over rate_coefficients. For ON loads 1 + k_pi * omega / -omega1 is
-    exactly 1 - k_pi * omega / omega1."""
+    over rate_coefficients: frequency feedback scales the baseline rate
+    linearly in omega/omega1, and the rate is clamped to [0, 1] per second to
+    prevent chatter at extreme gains. For ON loads 1 + k_pi * omega / -omega1
+    is exactly 1 - k_pi * omega / omega1."""
     return np.minimum(base * np.maximum(k_pi * omega / level + 1.0, 0.0), 1.0)[()]
 
 

@@ -30,9 +30,9 @@ from tclgrid.tcl import (
     on_off_durations,
     sample_initial_states,
     sample_population,
-    temp_flow,
 )
 from tests.conftest import SHIPPED_SCENARIO
+from tests.reference import temp_flow
 
 
 # ---------------------------------------------------------------------------

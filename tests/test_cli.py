@@ -407,7 +407,7 @@ codes = [
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 jordan = StateSpace(
     a=np.array([[-1.0, 1.0], [0.0, -1.0]]), b=np.array([0.0, 1.0]),
-    c=np.array([1.0, 0.0]), m=1.0, d=1.0, n=1,
+    c=np.array([1.0, 0.0]),
 )
 result = one_norm(jordan)
 phi, psi = transition(jordan, 0.8)

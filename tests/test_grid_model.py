@@ -105,7 +105,7 @@ class TestConstruction:
         with pytest.raises(GridModelError):
             GenDynamics(a_hat=np.zeros((2, 2)), b_hat=np.zeros(3), c_hat=np.zeros(2))
         with pytest.raises(GridModelError):
-            StateSpace(a=np.zeros((2, 2)), b=np.zeros(2), c=np.zeros(2), m=1, d=1, n=2)
+            StateSpace(a=np.zeros((2, 2)), b=np.zeros(3), c=np.zeros(2))
 
     def test_nonpositive_physical_params_rejected(self):
         gen = default_gen_dynamics()
@@ -147,7 +147,6 @@ class TestOneNorm:
         for p in (0.2, 2.0):
             ss = StateSpace(
                 a=np.array([[-p]]), b=np.array([1.0]), c=np.array([1.0]),
-                m=1.0, d=p, n=0,
             )
             assert one_norm(ss).value == pytest.approx(1.0 / p, rel=1e-7)
 
@@ -188,7 +187,6 @@ class TestOneNorm:
         # g(t) = e^-t - 2 e^-3t: negative until t = ln(2)/2, positive after
         ss = StateSpace(
             a=np.diag([-1.0, -3.0]), b=np.array([1.0, 1.0]), c=np.array([1.0, -2.0]),
-            m=1.0, d=1.0, n=1,
         )
         result = one_norm(ss)
 
@@ -249,10 +247,18 @@ class TestOneNorm:
         beyond = one_norm(ss, t_max=4 * result.t_max, tol=tol).value - result.value
         assert -1e-14 <= beyond <= result.tail_bound + 1e-14  # rounding of the sums
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("t_max", v) for v in (math.inf, 0.0, -5.0, math.nan)]
+        + [("tol", v) for v in (math.inf, math.nan, 0.0, -1.0)],
+    )
+    def test_bad_t_max_or_tol_rejected(self, name, value):
+        with pytest.raises(GridModelError, match=f"^{name} must be positive and finite"):
+            one_norm(default_grid(), **{name: value})
+
     def test_unstable_system_rejected(self):
         ss = StateSpace(
             a=np.array([[0.1]]), b=np.array([1.0]), c=np.array([1.0]),
-            m=1.0, d=1.0, n=0,
         )
         with pytest.raises(GridModelError):
             one_norm(ss)
@@ -273,24 +279,28 @@ class TestTransition:
 
     @pytest.mark.parametrize("dt", np.geomspace(1e-7, 5.0, 25))
     def test_modal_matches_expm(self, dt):
+        # ModalFlow's step from each unit state with the input at 0 gives
+        # the columns of phi, and from rest with the input at 1 gives psi;
+        # transition is the augmented-matrix exponential
         ss = default_grid()
-        assert ss.modes is not None
-        phi, psi = transition(ss, dt)
+        flow = held_flow(ss, 0.01)
+        assert isinstance(flow, ModalFlow)
         dim = ss.dim
-        aug = np.zeros((dim + 1, dim + 1))
-        aug[:dim, :dim] = ss.a
-        aug[:dim, dim] = ss.b
-        ref = expm(aug * dt)
+        starts = [(x, 0.0) for x in np.eye(dim)] + [(np.zeros(dim), 1.0)]
+        zs = [flow.advance(flow.enter(x, u), dt) for x, u in starts]
+        states = flow.states(zs, [u for _, u in starts])
+        phi, psi = states[:dim].T, states[dim]
+        phi_ref, psi_ref = transition(ss, dt)
         # entries of phi near zero at small dt carry no relative precision,
         # so the relative error is measured in norm
-        assert np.linalg.norm(phi - ref[:dim, :dim]) <= 1e-12 * np.linalg.norm(ref[:dim, :dim])
-        assert np.max(np.abs(psi - ref[:dim, dim])) <= 1e-13
+        assert np.linalg.norm(phi - phi_ref) <= 1e-12 * np.linalg.norm(phi_ref)
+        assert np.max(np.abs(psi - psi_ref)) <= 1e-13
 
     def test_defective_a_falls_back_to_expm(self):
         # Jordan block: a has one eigenvector, so there is no modal form
         ss = StateSpace(
             a=np.array([[-1.0, 1.0], [0.0, -1.0]]), b=np.array([0.0, 1.0]),
-            c=np.array([1.0, 0.0]), m=1.0, d=1.0, n=1,
+            c=np.array([1.0, 0.0]),
         )
         assert ss.modes is None
         dt = 0.8
@@ -332,7 +342,6 @@ class TestTransition:
         # integrator: a = 0, psi must equal b * dt without inverting a
         ss = StateSpace(
             a=np.array([[0.0]]), b=np.array([2.0]), c=np.array([1.0]),
-            m=1.0, d=1.0, n=0,
         )
         phi, psi = transition(ss, 3.0)
         assert phi[0, 0] == pytest.approx(1.0)

@@ -39,12 +39,10 @@ from tclgrid.tcl import (
     rate_law,
     sample_initial_states,
     sample_population,
-    switching_rate,
-    temp_flow,
     thermostat_threshold,
-    time_to_level,
     trigger_levels,
 )
+from tests.reference import switching_rate, temp_flow, time_to_level
 
 REFERENCE = TclParams(
     d_bar=0.01, t_lo=3.0, t_hi=6.0, k=5e-4, cop=3000.0, t_amb=20.0,
@@ -173,7 +171,6 @@ class TestPopulationRuns:
     def test_non_hurwitz_grid_rejected(self):
         bad = StateSpace(
             a=np.array([[0.1]]), b=np.array([-1.0]), c=np.array([1.0]),
-            m=1.0, d=1.0, n=0,
         )
         with pytest.raises(SimulationError):
             simulate(single_load_scenario(grid=bad))
@@ -512,8 +509,8 @@ class TestLoadAnchors:
         )
         on_at, off_at = trigger_levels(pop, end, scheme)
         np.testing.assert_array_equal(loads.lvl_on, np.where(sigmas == 0, on_at, np.inf))
-        np.testing.assert_array_equal(loads.lvl_off, np.where(sigmas == 1, off_at, -np.inf))
-        assert (loads.on_min, loads.off_max) == (np.min(loads.lvl_on), np.max(loads.lvl_off))
+        np.testing.assert_array_equal(-loads.neg_off, np.where(sigmas == 1, off_at, -np.inf))
+        assert (loads.on_min, loads.off_max) == (np.min(loads.lvl_on), np.max(-loads.neg_off))
 
     def test_branch_opening_switches_at_its_guard_time(self):
         # an OFF load below its guard while omega rises past its level and
@@ -690,7 +687,7 @@ def run_counting_kernels(shipped_file, monkeypatch, horizon, **changes):
 
 JORDAN = StateSpace(
     a=np.array([[-1.0, 1.0], [0.0, -1.0]]), b=np.array([-1.0, 0.0]),
-    c=np.array([1.0, 0.0]), m=1.0, d=1.0, n=1,
+    c=np.array([1.0, 0.0]),
 )
 
 
@@ -833,7 +830,7 @@ class TestEventLocation:
         # on the whole step lands on
         ss = StateSpace(
             a=np.array([[-1.0, 1000.0], [-1000.0, -1.0]]), b=np.array([0.1, 100.0]),
-            c=np.array([1.0, 0.0]), m=1.0, d=1.0, n=1,
+            c=np.array([1.0, 0.0]),
         )
         sc = single_load_scenario(
             grid=ss,
@@ -901,7 +898,7 @@ class TestThinning:
         # log still does not depend on max_step
         jordan = StateSpace(
             a=np.array([[-1.0, 1.0], [0.0, -1.0]]), b=np.array([-1.0, 0.0]),
-            c=np.array([1.0, 0.0]), m=1.0, d=1.0, n=1,
+            c=np.array([1.0, 0.0]),
         )
         assert jordan.modes is None
         runs = [
@@ -991,10 +988,7 @@ PER_LOAD_KERNELS = (
     "rate_coefficients",
     "stroke_flow",
     "stroke_time",
-    "switching_rate",
-    "temp_flow",
     "thermostat_threshold",
-    "time_to_level",
     "trigger_levels",
 )
 
@@ -1161,6 +1155,14 @@ class TestMetrics:
         t = np.arange(0.0, 100.0, 0.01)
         w = 0.3 * np.sin(2 * np.pi * t / 7.0)
         assert ripple_envelope(t, w, window=10.0) == pytest.approx(0.3, rel=1e-3)
+
+    @pytest.mark.parametrize("name", ["window", "cadence"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_ripple_envelope_rejects_bad_window_or_cadence(self, name, value):
+        t = np.arange(0.0, 100.0, 0.01)
+        w = np.sin(2 * np.pi * t / 7.0)
+        with pytest.raises(SimulationError, match=f"^{name} must be positive and finite"):
+            ripple_envelope(t, w, **{name: value})
 
     def test_compare_schemes_runs_all_cases(self):
         base = small_population_scenario(disturbance=[(0.0, 0.0), (10.0, 1.0)], horizon=40.0)

@@ -14,18 +14,17 @@ from tclgrid.tcl import (
     TclError,
     TclParams,
     duty_cycle,
+    flow_target,
     jump_target,
     next_thermostat_event,
     on_off_durations,
     period,
     sample_initial_states,
     sample_population,
-    switching_rate,
-    temp_flow,
-    time_to_level,
     trigger_levels,
     zeta,
 )
+from tests.reference import switching_rate, temp_flow, time_to_level
 
 REFERENCE = TclParams(
     d_bar=0.01, t_lo=3.0, t_hi=6.0, k=5e-4, cop=3000.0, t_amb=20.0,
@@ -312,7 +311,7 @@ class TestPopulationSampling:
         assert len(pop) == 50
         assert all(p.d_bar == pytest.approx(0.005) for p in pop)
         # every sampled load satisfies the invariants by construction
-        assert all(p.target_on < p.t_lo < p.t_hi < p.t_amb for p in pop)
+        assert all(flow_target(p, 1) < p.t_lo < p.t_hi < p.t_amb for p in pop)
 
     def test_different_seeds_differ(self):
         a = sample_population(PopulationSpec(5, 0.1, seed=1))
