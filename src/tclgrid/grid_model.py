@@ -13,9 +13,11 @@ the zeros of the impulse response.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -301,69 +303,85 @@ class TransitionCache:
         return self._cadence if dt == self.step else transition(self.ss, dt)
 
 
-class ModalFlow:
-    """The grid state over passes of held input, in modal coordinates.
+# ModalFlow's methods, unrolled over the kept modes k (z[k] their entries of
+# z): hold (the same state under the input u), advance, omega, slope (omega'),
+# and envelope and curvature, bounds on |omega| and |omega''| from z on while
+# the input is held (hypot, unlike abs(), is inf past the largest double). The
+# constants: l lam, e the cadence's exp, n z_unit, w the output row, s = w lam.
+_MODAL_METHODS = """
+def hold(z, u):
+    du, flow.u, flow.omega_inf = u - flow.u, u, u * omega_unit
+    return ({hold},) if du else z
+def advance(z, dt):
+    return ({cadence},) if dt == step else ({flow},)
+def omega(z):
+    return flow.omega_inf + ({omega})
+def slope(z):
+    return {slope}
+def envelope(z):
+    return abs(flow.omega_inf) + {envelope}
+def curvature(z):
+    return {curvature}
+"""
+_MODAL_TERMS = {  # field: (term, separator)
+    "hold": ("z[{k}] - du * n{k}", ", "), "cadence": ("z[{k}] * e{k}", ", "),
+    "flow": ("z[{k}] * exp{k}(l{k} * dt)", ", "),
+    "omega": ("(w{k} * z[{k}]).real", " + "), "slope": ("(s{k} * z[{k}]).real", " + "),
+    "envelope": ("a{k} * hypot(z[{k}].real, z[{k}].imag)", " + "),
+    "curvature": ("m{k} * hypot(z[{k}].real, z[{k}].imag)", " + "),
+}
+_compiled = cache(partial(compile, filename="<ModalFlow>", mode="exec"))
 
-    With the input held at u the state decays to x_inf = u * x_unit, where
-    x_unit = -a^-1 b, and z = V^-1 (x - x_inf) evolves as z * exp(lam t). So
-    a step is one product (the cadence step's factor computed once), a new
-    input shifts z by -du * V^-1 x_unit, the output omega = c x is
-    c x_inf + Re(c V z) and the state x_inf + Re(V z) is built only for the
-    recorded samples (states). The held input u is kept here; every other
-    method takes z.
+
+class ModalFlow:
+    """The grid state over passes of held input, in the real modal form.
+
+    With the input held at u the state decays to x_inf = u * x_unit, x_unit =
+    -a^-1 b, and each coordinate of V^-1 (x - x_inf) evolves as exp(lam t).
+    z is a tuple of Python numbers: one complex per conjugate pair (Im lam >
+    0, weighted x2 in every output sum) and one float per real mode (its row
+    of V^-1 is real up to rounding). The held input u is kept here; every
+    other method takes z, and the states x_inf + Re(V z) are built only for
+    the recorded samples (states). The per-mode methods are compiled once per
+    mode count and bound to the flow: each call is one Python call.
     """
 
     def __init__(self, ss: StateSpace, step: float):
         modes = ss.modes
-        self.lam, self.v = modes.lam, modes.v
-        self.c_v = ss.c @ modes.v  # the output row in modal coordinates
+        keep = modes.lam.imag >= 0
+        self.real = (modes.lam.imag[keep] == 0).tolist()
+        self.v = modes.v[:, keep] * np.where(self.real, 1.0, 2.0)
+        self.v_inv = modes.v_inv[keep]
         self.x_unit = -(modes.v @ (modes.v_inv_b / modes.lam)).real
         self.omega_unit = float(ss.c @ self.x_unit)
-        self.z_unit = modes.v_inv @ self.x_unit
-        self.v_inv = modes.v_inv
-        self.step = step
-        self.cadence = np.exp(modes.lam * step)
-        self.abs_c_v = np.abs(self.c_v)
-        self.slope_row = self.c_v * modes.lam
-        # |omega''| <= sum_k |w_k| |lam_k|^2 with w = c V z, since Re lam < 0
-        self.curvature_weights = self.abs_c_v * np.abs(modes.lam) ** 2
         self.u = self.omega_inf = 0.0
+        namespace = dict(flow=self, step=step, omega_unit=self.omega_unit, hypot=math.hypot)
+        kept = (modes.lam[keep], ss.c @ self.v, self.v_inv @ self.x_unit)
+        for k, (real, lam, w, n) in enumerate(zip(self.real, *map(self.scalars, kept))):
+            exp = math.exp if real else cmath.exp
+            # |omega''| <= sum_k m_k |z_k| with m = |w| |lam|^2, since Re lam < 0
+            row = dict(l=lam, exp=exp, e=exp(lam * step), n=n, w=w, s=w * lam, a=abs(w),
+                       m=abs(w) * abs(lam) ** 2)
+            namespace.update((f"{name}{k}", value) for name, value in row.items())
+        fields = {name: sep.join(term.format(k=k) for k in range(len(self.real)))
+                  for name, (term, sep) in _MODAL_TERMS.items()}
+        # the methods' defs bind them on the flow
+        exec(_compiled(_MODAL_METHODS.format(**fields)), namespace, vars(self))
 
-    def enter(self, x: np.ndarray, u: float) -> np.ndarray:
+    def scalars(self, z: np.ndarray) -> tuple:
+        """The kept modes' entries of z: a float per real mode, else complex."""
+        return tuple(zk.real if r else zk for zk, r in zip(z.tolist(), self.real))
+
+    def enter(self, x: np.ndarray, u: float) -> tuple:
         """z of the state x with the input held at u."""
         self.u, self.omega_inf = u, u * self.omega_unit
-        return self.v_inv @ (x - u * self.x_unit)
+        return self.scalars(self.v_inv @ (x - u * self.x_unit))
 
-    def hold(self, z: np.ndarray, u: float) -> np.ndarray:
-        """The same state after the input changes to u."""
-        if u == self.u:
-            return z
-        z = z - (u - self.u) * self.z_unit
-        self.u, self.omega_inf = u, u * self.omega_unit
-        return z
-
-    def advance(self, z: np.ndarray, dt: float) -> np.ndarray:
-        return z * (self.cadence if dt == self.step else np.exp(dt * self.lam))
-
-    def omega(self, z: np.ndarray) -> float:
-        return self.omega_inf + float(z.dot(self.c_v).real)
-
-    def slope(self, z: np.ndarray) -> float:
-        """omega' at z."""
-        return float(z.dot(self.slope_row).real)
-
-    def envelope(self, z: np.ndarray) -> float:
-        """A bound on |omega| from z on, while the input is held."""
-        return abs(self.omega_inf) + float(np.abs(z) @ self.abs_c_v)
-
-    def curvature(self, z: np.ndarray) -> float:
-        """A bound on |omega''| from z on, while the input is held."""
-        return float(np.abs(z).dot(self.curvature_weights))
-
-    def states(self, zs: list, us: list) -> np.ndarray:
-        """The (samples, dim) states x of the recorded z and inputs, in one
-        product."""
-        return np.multiply.outer(us, self.x_unit) + (np.array(zs) @ self.v.T).real
+    def states(self, zs, us) -> np.ndarray:
+        """The (samples, dim) states x of the recorded z and inputs."""
+        k = len(self.real)
+        z = np.fromiter(chain.from_iterable(zs), complex, len(zs) * k).reshape(-1, k)
+        return np.multiply.outer(us, self.x_unit) + (z @ self.v.T).real
 
 
 class MatrixFlow:
@@ -417,8 +435,8 @@ _OVERSHOOT = 1e-15
 
 
 def locate_crossing(
-    flow, z: np.ndarray, excess, lo: float, g_lo: float, hi: float, g_hi: float,
-    z_hi: np.ndarray,
+    flow, z: tuple | np.ndarray, excess, lo: float, g_lo: float, hi: float, g_hi: float,
+    z_hi: tuple | np.ndarray,
 ):
     """(tau, state at tau, probes) for the held-input flow from the grid state
     z of flow, given a bracket [lo, hi] of tau: excess is g_lo < 0 at lo and
@@ -429,8 +447,8 @@ def locate_crossing(
     Modified regula falsi on the bracket, aimed at the middle of the accepted
     window: the Illinois method (Dowell & Jarratt, BIT 11, 168, 1971) with
     the Anderson-Bjorck scaling of the kept end (BIT 13, 253, 1973). Each
-    probe is the exact flow flow.advance(z, tau), O(dim) in modal form, and
-    its omega is the one the state it returns has.
+    probe is the exact flow flow.advance(z, tau), a few float operations per
+    mode in modal form, and its omega is the one the state it returns has.
     """
     if g_hi <= _OVERSHOOT:
         return hi, z_hi, 0
@@ -493,7 +511,8 @@ class CrossingWalk:
         self.probes = 0
 
     def crossings(
-        self, z: np.ndarray, e_start: float, end: float, e_end: float, z_end: np.ndarray
+        self, z: tuple | np.ndarray, e_start: float, end: float, e_end: float,
+        z_end: tuple | np.ndarray,
     ):
         """Yield (tau, state at tau) at each sign change over (0, end] of the
         flow from the grid state z, whose excess is e_start < 0; the excess

@@ -1,62 +1,53 @@
 """Event-driven simulator of the coupled grid/TCL hybrid system.
 
 Between events the linear grid state advances exactly. Over a pass of held
-input it is kept in modal coordinates, z = V^-1 (x - x_inf) with x_inf the
-held input's equilibrium (grid_model.ModalFlow): a step is z * exp(lam dt),
-omega is c x_inf + Re(c V z) in O(dim), and the samples' states are built
-in one product at the end of the run. A grid without a modal form steps by
-(phi, psi) from TransitionCache instead (grid_model.MatrixFlow). Each load's
-temperature is the closed-form held flow from its anchor, the temperature
-and time of its last switch or branch opening (LoadAnchors), so its absolute
-thermostat time and the time its frequency branch opens stay fixed until
-then. What a load's state decides (flow target, thermostat threshold, guard,
-open level, rate coefficients) is tabulated once per state and load from the
-tcl laws. Steps end at the earliest thermostat time, branch opening (guard),
-the sample cadence, a disturbance change or an accepted randomized
-candidate, so the open frequency levels are constant over a step.
+input it is z, the coordinates of x - x_inf (x_inf the held input's
+equilibrium) in the real modal form, a tuple of Python numbers
+(grid_model.ModalFlow): a step, a probe or omega costs a few float operations
+per mode, and the samples' states are built in one product at the end of the
+run. A grid without a modal form steps by (phi, psi) from TransitionCache
+instead (grid_model.MatrixFlow). Each load's temperature is the closed-form
+held flow from its anchor, the temperature and time of its last switch or
+branch opening (LoadAnchors), so its absolute thermostat time and the time
+its frequency branch opens stay fixed until then. What a load's state decides
+(flow target, thermostat threshold, guard, open level, rate coefficients) is
+tabulated once per state and load from the tcl laws. Steps end at the
+earliest thermostat time, branch opening (guard), the sample cadence, a
+disturbance change or an accepted randomized candidate, so the open frequency
+levels are constant over a step.
 
 A step holds no crossing of an open level if its ends are disabled and
-max(excess at the ends) + M2 h^2 / 8 < 0, with M2 = sum_k |(c V)_k z_k|
-|lam_k|^2 a bound on |omega''| over the pass (Re lam < 0). A step that fails
-this test goes to grid_model.CrossingWalk, which halves it in time order
-until each part is crossing-free or holds exactly one crossing, omega being
-monotone on it, and cuts the first such part by modified regula falsi on the
-exact flow, each probe O(dim). So the first crossing inside a step is found,
-a near-tangent one too; a grid without a modal form has no such bound, and
-only the ends of its steps are tested. Only the loads that switch or open a
-branch are touched. At an event every enabled load switches within a single
-jump instant, continuous state unchanged. The enabled loads are the
-candidates of the tables (LoadAnchors.candidates): thermostat-due, past an
-open frequency level, or the load whose clock fired. The part that enables a
-load names its switch's cause, and tcl.jump_target states the same rule
-pointwise. An instant is settled load by load in Python scalars through the
-same tcl laws, to the bits of the whole-array forms (LoadAnchors.settle).
-Within it t and omega are fixed and a load keeps its rows until it switches,
-so after the first round's full candidates scan only the loads just switched
-are checked again, and the scalars over all loads are refreshed once.
+max(excess at the ends) + M2 h^2 / 8 < 0, with M2 a bound on |omega''| over
+the pass (ModalFlow.curvature); a step that fails this test goes to
+grid_model.CrossingWalk, which finds the first crossing inside it, a
+near-tangent one too (a grid without a modal form has no such bound, and only
+the ends of its steps are tested). At an event every enabled load switches
+within a single jump instant, continuous state unchanged: the candidates of
+the tables (LoadAnchors.candidates), thermostat-due, past an open frequency
+level, or the load whose clock fired. The part that enables a load names its
+switch's cause, and tcl.jump_target states the same rule pointwise. An
+instant is settled load by load in Python scalars through the same tcl laws,
+to the bits of the whole-array forms (LoadAnchors.settle), and only the loads
+that switch or open a branch are touched.
 
 Between events the trace is sampled every max_step from the last event. Each
 pass of the step loop computes its stop, the next thermostat, guard,
 disturbance, candidate or horizon time, once, and one inner loop takes every
 step up to it: a cadence step that ends more than one max_step before the
 stop cannot snap a load, and it cannot enable a jump if it passes the
-curvature test, so it is committed there at one product. The first step
-that may do either goes on to the event part; it runs about twice per event
-(meta["loop_iterations"]).
+curvature test, so it is committed there (meta["cadence_steps"]). The first
+step that may do either goes on to the event part; it runs about twice per
+event (meta["loop_iterations"]).
 
 A clamped frequency channel (Scenario.clamp_omega: the loads observe omega =
 0) is the same run as another scheme: the deterministic scheme without its
 frequency branches is the conventional one, and the randomized rates at
 omega = 0 are those at k_pi = 0. simulate runs that scheme.
 
-The randomized scheme is simulated by Lewis-Shedler thinning (ThinnedClocks).
-At each jump instant and disturbance change a segment of held input starts:
-omega's modal envelope bounds every load's rate law (tcl.rate_law over the
-per-stroke coefficients tcl.rate_coefficients that each load holds), and
-candidates drawn at the summed bound from one Philox stream keyed by the seed
-are accepted with probability rate / bound, with omega at the candidate
-evaluated exactly. So the simulated rate law holds at every instant and does
-not depend on max_step, and a rejected candidate costs no step.
+The randomized scheme is simulated by Lewis-Shedler thinning (ThinnedClocks)
+over segments of held input, with omega at each candidate evaluated exactly,
+so the simulated rate law holds at every instant and does not depend on
+max_step, and a rejected candidate costs no step.
 
 The solution selected is the jump-priority one (jump whenever the discrete
 update would change a switch state) with ascending load-index ordering, which
@@ -406,19 +397,19 @@ class ThinnedClocks:
     """The randomized scheme's switching clocks, by Lewis-Shedler thinning
     (Naval Res. Logist. Q. 26, 403, 1979).
 
-    Over a segment of held input the loads keep their states, and with a
-    Hurwitz grid |omega| stays within env = |omega_inf| + sum_k |w_k|, where
-    omega(start + tau) = omega_inf + Re sum_k w_k exp(lam_k tau)
-    (grid_model.ModalFlow.envelope). Each load's rate is monotone in omega,
+    Over a segment of held input, which starts at each jump instant and
+    disturbance change, the loads keep their states, and with a Hurwitz grid
+    |omega| stays within env (grid_model.ModalFlow.envelope). Each load's
+    rate (tcl.rate_law over the coefficients it holds) is monotone in omega,
     so the rate law at omega = +-env toward faster switching bounds it over
     the whole segment. Candidates arrive as a Poisson process at the summed
     bound, each is given to a load in proportion to its bound and accepted
     with probability rate / bound, with omega at the candidate from the
-    segment's modal state in O(dim). A new segment draws afresh, which is
-    valid because exponential waits are memoryless. One Philox stream keyed
-    by the seed supplies every draw. With k_pi = 0 the rates do not depend on
-    omega, so env is 0; without a modal form env is inf, which caps every
-    bound at the rate law's 1/s.
+    segment's grid state. A new segment draws afresh, which is valid because
+    exponential waits are memoryless. One Philox stream keyed by the seed
+    supplies every draw. With k_pi = 0 the rates do not depend on omega, so
+    env is 0; without a modal form env is inf, which caps every bound at the
+    rate law's 1/s.
     """
 
     def __init__(self, scheme: Scheme, seed: int):
@@ -428,7 +419,7 @@ class ThinnedClocks:
         self.draws = 0  # candidate times drawn
 
     def first_accepted(
-        self, loads: LoadAnchors, flow, z: np.ndarray, start: float, end: float
+        self, loads: LoadAnchors, flow, z: tuple | np.ndarray, start: float, end: float
     ) -> tuple[float, int]:
         """(time, load) of the first accepted candidate in [start, end) from
         the grid state z of flow (its input held) at start, or (inf, -1) if
@@ -501,45 +492,32 @@ def simulate(sc: Scenario) -> Trace:
     clocks = ThinnedClocks(scheme, sc.seed) if randomized else None
     walk = grid_model.CrossingWalk(flow, loads.excess)
 
-    # trace accumulators; a sample's grid state is its z and held input
-    s_t, s_j, s_z, s_u, s_ds, s_on = [], [], [], [], [], []
+    # each sample's time, jump count, z, held input, d_s and on fraction, flat
+    samples = []
     switch_log = []  # (time, load, new state, cause)
-    meta = {
-        "rate_resamples": 0,
-        "freq_bisections": 0,  # omega probes of the crossing search
-        "max_jump_instants": 0,
-        "loop_iterations": 0,  # passes of the event part of the loop
-    }
+    # loop_iterations: passes of the event part of the loop
+    meta = {"rate_resamples": 0, "max_jump_instants": 0, "loop_iterations": 0}
 
-    dist_times = [t for t, _ in sc.disturbance]
     dist_levels = [v for _, v in sc.disturbance]
+    dist_next = [t for t, _ in sc.disturbance[1:]] + [math.inf]  # the next change's time
 
     z = flow.enter(np.zeros(sc.grid.dim), 0.0)
     t = 0.0
     jumps = 0
     dist_idx = 0
 
-    def current_level() -> float:
-        return dist_levels[dist_idx]
-
-    def next_dist_time() -> float:
-        return dist_times[dist_idx + 1] if dist_idx + 1 < len(dist_times) else np.inf
-
     def record_sample():
-        s_t.append(t)
-        s_j.append(jumps)
-        s_z.append(z)
-        s_u.append(flow.u)
-        s_ds.append(loads.d_s)
-        s_on.append(loads.on_fraction)
+        samples.extend((t, jumps, z, flow.u, loads.d_s, loads.on_fraction))
 
-    def grid_states() -> np.ndarray:
-        """Every sample's grid state, all of it finite."""
-        states = flow.states(s_z, s_u)
+    def grid_states() -> tuple[list, np.ndarray]:
+        """The samples' columns, and their grid states, all of them finite."""
+        columns = [samples[i::6] for i in range(6)]
+        times, _, zs, us = columns[:4]
+        states = flow.states(zs, us)
         finite = np.isfinite(states).all(axis=1)
         if not finite.all():
-            raise SimulationError(f"non-finite grid state at t={s_t[int(np.argmin(finite))]}")
-        return states
+            raise SimulationError(f"non-finite grid state at t={times[int(np.argmin(finite))]}")
+        return columns, states
 
     def apply_jumps(omega: float, clock_fired: int | None) -> None:
         """Settle all enabled jumps at the current instant."""
@@ -558,11 +536,12 @@ def simulate(sc: Scenario) -> Trace:
     # the next accepted candidate, drawn for the segment of held input and
     # load states keyed by (jumps, dist_idx)
     t_fire, fire, segment = math.inf, -1, None
+    cadence_steps = 0
     while t < sc.horizon - tiny:
-        z = flow.hold(z, current_level() + loads.d_s - d_star)
+        z = flow.hold(z, dist_levels[dist_idx] + loads.d_s - d_star)
         # guard_min is +inf under the randomized scheme, so a segment ends
         # at the same stop
-        stop = min(loads.theta_min, loads.guard_min, next_dist_time(), sc.horizon)
+        stop = min(loads.theta_min, loads.guard_min, dist_next[dist_idx], sc.horizon)
         if randomized and segment != (jumps, dist_idx):
             segment = (jumps, dist_idx)
             t_fire, fire = clocks.first_accepted(loads, flow, z, t, stop)
@@ -592,6 +571,7 @@ def simulate(sc: Scenario) -> Trace:
             z, g_a = z_end, g_b
             t += dt
             record_sample()
+            cadence_steps += 1
 
         meta["loop_iterations"] += 1
         clock_fired = fire if t_fire - t <= dt else None
@@ -608,7 +588,7 @@ def simulate(sc: Scenario) -> Trace:
         if dt_event == dt:
             loads.snap(t, dt)
         t += dt_event
-        if dist_idx + 1 < len(dist_times) and t >= dist_times[dist_idx + 1] - tiny:
+        if t >= dist_next[dist_idx] - tiny:
             dist_idx += 1
 
         apply_jumps(flow.omega(z), clock_fired)
@@ -618,12 +598,13 @@ def simulate(sc: Scenario) -> Trace:
     temp_min = np.minimum(loads.temp_min, final)
     temp_max = np.maximum(loads.temp_max, final)
     sw_t, sw_load, sw_sig, sw_cause = zip(*switch_log) if switch_log else ((),) * 4
-    states = grid_states()
-    meta["freq_bisections"] = walk.probes
-    meta["clock_draws"] = clocks.draws if randomized else 0
-    meta["jump_count"] = jumps
-    meta["scheme"] = sc.scheme.kind
-    meta["k_pi"] = sc.scheme.k_pi
+    (s_t, s_j, _, _, s_ds, s_on), states = grid_states()
+    meta.update(
+        cadence_steps=cadence_steps,  # steps the quiet loop commits
+        freq_bisections=walk.probes,  # omega probes of the crossing search
+        clock_draws=clocks.draws if randomized else 0,
+        jump_count=jumps, scheme=sc.scheme.kind, k_pi=sc.scheme.k_pi,
+    )
     return Trace(
         times=np.array(s_t),
         jumps=np.array(s_j),

@@ -392,6 +392,22 @@ def test_shipped_switch_sequence_is_pinned(tmp_path, scheme):
     assert float(metrics["peak_abs_omega_hz"]) == pytest.approx(peak, rel=1e-9, abs=0)
 
 
+@pytest.mark.parametrize("scheme", ["deterministic", "randomized"])
+def test_overflowing_grid_state_is_a_simulation_error(tmp_path, capsys, scheme):
+    """A finite 1.7e308 pu step of demand drives the shipped grid past the
+    largest double a few seconds later: `run` exits 3 on the non-finite grid
+    state, and the bounds taken on the way (envelope, curvature) raise
+    nothing."""
+    doc = yaml.safe_load(SHIPPED_SCENARIO.read_text())
+    doc["disturbance"] = [[0.0, 0.0], [1.0, 1.7e308]]
+    scenario = tmp_path / "overflow.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--horizon", "10"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([*argv, "--scheme", scheme]) == 3
+    assert "simulation error: non-finite grid state at t=4.0" in capsys.readouterr().err
+
+
 SCIPY_FREE_SCRIPT = """
 import json, sys
 import numpy as np

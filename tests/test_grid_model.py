@@ -82,6 +82,32 @@ def governor_grids():
     )
 
 
+@st.composite
+def modal_grids(draw):
+    """A Hurwitz grid of dimension 1-6 with a modal form: a = T J T^-1 for a
+    real block-diagonal J of distinct real eigenvalues and conjugate pairs
+    (all real, mixed or all pairs) and a well-conditioned T, with b and c
+    drawn."""
+    dim, n_pairs = draw(st.sampled_from([(d, p) for d in range(1, 7) for p in range(d // 2 + 1)]))
+    reals = [draw(st.floats(-4.0, -0.05)) for _ in range(dim - 2 * n_pairs)]
+    pairs = [complex(draw(st.floats(-3.0, -0.05)), draw(st.floats(0.05, 8.0)))
+             for _ in range(n_pairs)]
+    spectrum = np.array(reals + pairs + [p.conjugate() for p in pairs])
+    gaps = np.abs(np.subtract.outer(spectrum, spectrum)) + np.eye(dim)
+    assume(gaps.min() > 0.05)
+    j = np.diag(np.array(reals + [p.real for p in pairs for _ in (0, 1)]))
+    for i, p in enumerate(pairs):
+        k = len(reals) + 2 * i
+        j[k, k + 1], j[k + 1, k] = p.imag, -p.imag
+    entries = st.floats(-1.0, 1.0)
+    t = np.eye(dim) + 0.5 * np.array([[draw(entries) for _ in range(dim)] for _ in range(dim)])
+    assume(np.linalg.cond(t) < 1e3)
+    vector = lambda: np.array([draw(st.floats(-2.0, 2.0)) for _ in range(dim)])
+    ss = StateSpace(a=t @ j @ np.linalg.inv(t), b=vector(), c=vector())
+    assume(ss.modes is not None)
+    return ss
+
+
 class TestConstruction:
     def test_default_grid_block_structure(self):
         ss = default_grid(m=10.0, d=1.0, t_g=5.0, k_p=20.0, k_i=1.0)
@@ -220,11 +246,13 @@ class TestOneNorm:
         zeros = np.array([tau for tau, _ in walk.crossings(z, e_start, t_max, e_end, z_end)])
         assert np.all(np.diff(zeros) > 0)
 
-        lam = ss.modes.lam
+        # g = Re sum_k r_k exp(lam_k t) with r = (c V) * (V^-1 b)
+        lam, v, _, v_inv_b = ss.modes
+        r = (ss.c @ v) * v_inv_b
         periods = t_max * np.max(np.abs(lam)) / (2 * np.pi)
         ts = np.linspace(0.0, t_max, int(np.ceil(periods * 64)) + 1)
         g = np.concatenate([
-            (np.exp(np.multiply.outer(chunk, lam)) @ (flow.c_v * z)).real
+            (np.exp(np.multiply.outer(chunk, lam)) @ r).real
             for chunk in np.array_split(ts, ts.size // 65536 + 1)
         ])
         predicted = np.sign(g0) * (-1.0) ** np.searchsorted(zeros, ts, side="right")
@@ -414,6 +442,75 @@ class TestTransition:
     def test_negative_step_rejected(self):
         with pytest.raises(GridModelError):
             transition(default_grid(), -0.1)
+
+
+class TestModalFlow:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ss=modal_grids(),
+        x=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+        steps=st.lists(
+            st.tuples(st.one_of(st.just(0.01), st.floats(0.0, 2.0)), st.floats(-3.0, 3.0)),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_matches_transition_on_any_spectrum(self, ss, x, steps):
+        # one complex number per conjugate pair and one float per real mode
+        # carry the state over any sequence of held inputs and steps (the
+        # cadence step 0.01 among them) as transition does
+        x = np.array(x[: ss.dim])
+        flow = held_flow(ss, 0.01)
+        assert isinstance(flow, ModalFlow)
+        z = flow.enter(x, 0.0)
+        lam = ss.modes.lam
+        assert len(z) == np.count_nonzero(lam.imag >= 0)
+        assert [type(zk) for zk in z] == [
+            float if lk.imag == 0 else complex for lk in lam[lam.imag >= 0]
+        ]
+        zs, us, xs, omegas = [z], [0.0], [x], [flow.omega(z)]
+        for dt, u in steps:
+            z = flow.advance(flow.hold(z, u), dt)
+            x = propagate(ss, x, u, dt)
+            zs.append(z)
+            us.append(u)
+            xs.append(x)
+            omegas.append(flow.omega(z))
+        xs = np.array(xs)
+        scale = np.max(np.abs(xs))
+        np.testing.assert_allclose(flow.states(zs, us), xs, rtol=1e-9, atol=1e-9 * scale)
+        np.testing.assert_allclose(omegas, xs @ ss.c, rtol=1e-9, atol=1e-9 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ss=modal_grids(),
+        x=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+        u=st.floats(-3.0, 3.0),
+    )
+    def test_bounds_hold_over_a_pass(self, ss, x, u):
+        # sampled densely over a held pass, |omega| stays within the envelope
+        # and |omega''| within the curvature bound taken at its start; omega''
+        # = c a (a x + b u) comes from the state, not from the modal weights
+        flow = held_flow(ss, 0.01)
+        z = flow.enter(np.array(x[: ss.dim]), u)
+        envelope, curvature = flow.envelope(z), flow.curvature(z)
+        decay = -np.max(ss.modes.lam.real)
+        ts = np.concatenate((np.linspace(0.0, 1.0, 201), np.linspace(1.0, 10.0 / decay, 400)))
+        zs = [flow.advance(z, t) for t in ts]
+        omega = np.array([flow.omega(zt) for zt in zs])
+        xs = flow.states(zs, [u] * len(zs))
+        second = (xs @ ss.a.T + u * ss.b) @ (ss.c @ ss.a)
+        assert np.all(np.abs(omega) <= envelope * (1 + 1e-12) + 1e-12)
+        assert np.all(np.abs(second) <= curvature * (1 + 1e-9) + 1e-9 * np.max(np.abs(second)))
+
+    def test_bounds_of_an_overflowing_state_are_inf(self):
+        # abs() of a finite complex beyond the largest double raises
+        # OverflowError; the bounds on such a state are inf instead
+        flow = held_flow(default_grid(), 0.01)
+        z = tuple(1.0 if real else complex(1.7e308, 1.7e308) for real in flow.real)
+        with pytest.raises(OverflowError):
+            abs(complex(1.7e308, 1.7e308))
+        assert flow.envelope(z) == math.inf
+        assert flow.curvature(z) == math.inf
 
 
 class TestStepResponse:

@@ -876,6 +876,20 @@ def test_quiet_cadence_steps_skip_the_loop_body(shipped_file, scheme):
     assert tr.meta["loop_iterations"] < tr.times.size / 5
 
 
+@pytest.mark.parametrize("scheme", [s for _, s in hybrid_sim.SCHEME_CASES],
+                         ids=[name for name, _ in hybrid_sim.SCHEME_CASES])
+def test_every_sample_is_a_cadence_step_or_a_pass(shipped_file, scheme):
+    # after the first sample, one per step the quiet loop commits, each
+    # max_step long, and one per pass of the event part, on the shipped 30 s
+    # runs
+    sc, _ = dataclasses.replace(shipped_file, horizon=30.0, scheme=scheme).build_scenario()
+    tr = simulate(sc)
+    cadence = tr.meta["cadence_steps"]
+    assert tr.times.size == 1 + cadence + tr.meta["loop_iterations"]
+    assert cadence > tr.times.size / 2
+    assert np.count_nonzero(np.isclose(np.diff(tr.times), sc.max_step, rtol=0, atol=1e-9)) >= cadence
+
+
 class TestThinning:
     def test_switch_log_does_not_depend_on_max_step(self, shipped_file):
         # the rate law holds at every instant, not over a step: the shipped
