@@ -38,7 +38,6 @@ from .tcl import (
     Scheme,
     TclParams,
     duty_cycle,
-    jump_target,
     next_thermostat_event,
     on_off_durations,
     sample_initial_states,

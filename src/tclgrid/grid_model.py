@@ -378,10 +378,12 @@ class ModalFlow:
         return self.scalars(self.v_inv @ (x - u * self.x_unit))
 
     def states(self, zs, us) -> np.ndarray:
-        """The (samples, dim) states x of the recorded z and inputs."""
+        """The (samples, dim) states x of the recorded z and inputs; an
+        overflowing one is non-finite, without a warning."""
         k = len(self.real)
         z = np.fromiter(chain.from_iterable(zs), complex, len(zs) * k).reshape(-1, k)
-        return np.multiply.outer(us, self.x_unit) + (z @ self.v.T).real
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.multiply.outer(us, self.x_unit) + (z @ self.v.T).real
 
 
 class MatrixFlow:

@@ -24,11 +24,11 @@ near-tangent one too (a grid without a modal form has no such bound, and only
 the ends of its steps are tested). At an event every enabled load switches
 within a single jump instant, continuous state unchanged: the candidates of
 the tables (LoadAnchors.candidates), thermostat-due, past an open frequency
-level, or the load whose clock fired. The part that enables a load names its
-switch's cause, and tcl.jump_target states the same rule pointwise. An
-instant is settled load by load in Python scalars through the same tcl laws,
-to the bits of the whole-array forms (LoadAnchors.settle), and only the loads
-that switch or open a branch are touched.
+level, or the load whose clock fired. The tables are the switching rule, and
+the part that enables a load names its switch's cause. An instant is settled
+load by load in Python scalars through the same tcl laws, to the bits of the
+whole-array forms (LoadAnchors.settle), and only the loads that switch or
+open a branch are touched.
 
 Between events the trace is sampled every max_step from the last event. Each
 pass of the step loop computes its stop, the next thermostat, guard,
@@ -47,7 +47,8 @@ omega = 0 are those at k_pi = 0. simulate runs that scheme.
 The randomized scheme is simulated by Lewis-Shedler thinning (ThinnedClocks)
 over segments of held input, with omega at each candidate evaluated exactly,
 so the simulated rate law holds at every instant and does not depend on
-max_step, and a rejected candidate costs no step.
+max_step, and a rejected candidate costs no step. A load's clock never fires
+while its thermostat holds it (LoadAnchors.held): its rate is 0 there.
 
 The solution selected is the jump-priority one (jump whenever the discrete
 update would change a switch state) with ascending load-index ordering, which
@@ -283,16 +284,30 @@ class LoadAnchors:
             else:
                 self.guard[j] = now + wait[1]
 
+    def temp(self, j: int, now: float) -> float:
+        """Temperature of load j at now, no earlier than its anchor time and
+        no later than its thermostat time, in Python scalars."""
+        t0, temp = self.t0.item(j), self.temp0.item(j)
+        if t0 == now:
+            return temp
+        flat = j + self.n * self.sigma.item(j)
+        return stroke_flow(self.pop.k.item(j), self.target.item(flat), temp, now - t0)
+
+    def held(self, j: int, now: float) -> bool:
+        """Whether load j's thermostat holds it at now: switched there, it
+        would be thermostat-due at once in its new state (an OFF load at or
+        below t_lo, an ON load at or above t_hi)."""
+        other = j + self.n * (1 - self.sigma.item(j))
+        level = self.wait_levels.item(0, other)
+        wait = stroke_time(self.pop.k.item(j), self.target.item(other), self.temp(j, now), level)
+        return now + wait <= now
+
     def jump(self, j: int, now: float) -> tuple[int, bool]:
         """Switch load j at now, no earlier than its anchor time and no later
         than its thermostat time, and anchor it at its temperature there:
         (its new state, whether its thermostat was due)."""
         sigma = self.sigma.item(j)
-        t0, temp = self.t0.item(j), self.temp0.item(j)
-        if t0 != now:
-            temp = stroke_flow(
-                self.pop.k.item(j), self.target.item(j + self.n * sigma), temp, now - t0
-            )
+        temp = self.temp(j, now)
         if temp < self.temp_min.item(j):
             self.temp_min[j] = temp
         elif temp > self.temp_max.item(j):
@@ -423,10 +438,11 @@ class ThinnedClocks:
     ) -> tuple[float, int]:
         """(time, load) of the first accepted candidate in [start, end) from
         the grid state z of flow (its input held) at start, or (inf, -1) if
-        none."""
+        none; a held load's candidate is rejected after its draws."""
         env = flow.envelope(z) if self.coupled else 0.0
         # |level| is omega1: the rate law at omega = +-env toward faster switching
-        bound = rate_law(loads.base, loads.pop.omega1, self.k_pi, env)
+        with np.errstate(over="ignore"):  # an overflowing env gives the 1/s cap
+            bound = rate_law(loads.base, loads.pop.omega1, self.k_pi, env)
         cum = np.cumsum(bound)
         total = float(cum[-1])
         rng = self.rng
@@ -438,7 +454,9 @@ class ThinnedClocks:
                 return math.inf, -1
             j = min(int(np.searchsorted(cum, rng.random() * total, side="right")), cum.size - 1)
             omega = flow.omega(flow.advance(z, t - start)) if self.coupled else 0.0
-            if rng.random() * bound[j] < rate_law(loads.base[j], loads.level[j], self.k_pi, omega):
+            # in Python floats an overflowing omega gives the cap without a warning
+            rate = rate_law(loads.base.item(j), loads.level.item(j), self.k_pi, omega)
+            if rng.random() * bound[j] < rate and not loads.held(j, t):
                 return t, j
 
 

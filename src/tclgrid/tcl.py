@@ -1,5 +1,5 @@
-"""Per-load TCL physics: parameters, closed-form temperature flows, switching
-logic, natural periods and duty cycles.
+"""Per-load TCL physics: parameters, closed-form temperature flows, the laws
+the switching rule is tabulated from, natural periods and duty cycles.
 
 `Population` is the population type: sampling draws straight into it, and
 the design, simulator and statistics code take and return it. `TclParams` is
@@ -10,7 +10,8 @@ state or a `Population` (same field names) with array state. The held flow
 and the time to a level are written once over a stroke, its insulation
 coefficient and flow target (`stroke_flow`, `stroke_time`), and the
 randomized rate once over a stroke's coefficients (`rate_law` over
-`rate_coefficients`); the simulator calls them on per-(state, load) tables.
+`rate_coefficients`); their per-(state, load) tables are the switching rule,
+under which a held load's clock never fires (hybrid_sim.LoadAnchors.held).
 
 Cooling devices only: the ON target temperature t_amb - cop * d_bar lies below
 the lower threshold and the ambient lies above the upper threshold, so the
@@ -280,26 +281,6 @@ def rate_law(base, level, k_pi: float, omega):
     return np.minimum(base * np.maximum(k_pi * omega / level + 1.0, 0.0), 1.0)[()]
 
 
-def trigger_levels(p: TclParams | Population, temperature, scheme: Scheme):
-    """Frequency levels (on_at, off_at) of the frequency branches at a
-    temperature: the branch switches a load ON when omega >= on_at and OFF
-    when omega <= off_at.
-
-    The deterministic scheme triggers at +-omega1 behind an eps temperature
-    guard, so a frequency-triggered switch never lands at a thermostat
-    boundary. A level is +-inf where the guard blocks the branch, and both are
-    the scalars +-inf when the scheme has no frequency branch; no finite
-    omega reaches them.
-    """
-    if scheme.kind != "deterministic":
-        return np.inf, -np.inf
-    guard_on, level_on = frequency_branch(p, 0)
-    guard_off, level_off = frequency_branch(p, 1)
-    on_at = np.where(temperature >= guard_on, level_on, np.inf)
-    off_at = np.where(temperature <= guard_off, level_off, -np.inf)
-    return on_at[()], off_at[()]
-
-
 def frequency_branch(p: TclParams | Population, sigma):
     """(guard, level) of the deterministic scheme's frequency branch that can
     switch a load in state sigma. An OFF load's branch opens once its rising
@@ -309,31 +290,6 @@ def frequency_branch(p: TclParams | Population, sigma):
     off = sigma == 0
     guard = np.where(off, p.t_lo + p.eps, p.t_hi - p.eps)
     return guard[()], np.where(off, p.omega1, -p.omega1)[()]
-
-
-def jump_target(
-    p: TclParams | Population,
-    temperature,
-    sigma,
-    omega: float,
-    scheme: Scheme,
-    fired=None,
-):
-    """Post-jump switch state under the given scheme; equal to sigma where no
-    jump is enabled.
-
-    Thermostat hard limits dominate the frequency branches (trigger_levels).
-    A fired randomized clock toggles a load unless a thermostat limit already
-    decides it.
-    """
-    on_at, off_at = trigger_levels(p, temperature, scheme)
-    target = np.where(omega >= on_at, 1, sigma)
-    target = np.where(omega <= off_at, 0, target)
-    target = np.where(temperature >= p.t_hi, 1, target)
-    target = np.where(temperature <= p.t_lo, 0, target)
-    if fired is not None:
-        target = np.where(fired & (target == sigma), 1 - sigma, target)
-    return target.astype(np.int8)[()]
 
 
 def sample_population(spec: PopulationSpec) -> Population:

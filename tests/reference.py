@@ -1,7 +1,21 @@
 """Load forms of the stroke laws, each a composition of the laws tclgrid.tcl
-ships, for tests that state a law per load rather than per stroke."""
+ships, for tests that state a law per load rather than per stroke; and the
+switching rule stated pointwise (jump_target, trigger_levels), the oracle for
+the simulator's per-(state, load) tables."""
 
-from tclgrid.tcl import flow_target, rate_coefficients, rate_law, stroke_flow, stroke_time
+import numpy as np
+
+from tclgrid.tcl import (
+    Population,
+    Scheme,
+    TclParams,
+    flow_target,
+    frequency_branch,
+    rate_coefficients,
+    rate_law,
+    stroke_flow,
+    stroke_time,
+)
 
 
 def temp_flow(p, temperature, sigma, dt):
@@ -19,3 +33,51 @@ def switching_rate(p, sigma, omega, scheme):
     """The randomized scheme's active rate: the ON-rate for OFF loads, the
     OFF-rate for ON loads."""
     return rate_law(*rate_coefficients(p, sigma, scheme), scheme.k_pi, omega)
+
+
+def trigger_levels(p: TclParams | Population, temperature, scheme: Scheme):
+    """Frequency levels (on_at, off_at) of the frequency branches at a
+    temperature: the branch switches a load ON when omega >= on_at and OFF
+    when omega <= off_at.
+
+    The deterministic scheme triggers at +-omega1 behind an eps temperature
+    guard, so a frequency-triggered switch never lands at a thermostat
+    boundary. A level is +-inf where the guard blocks the branch, and both are
+    the scalars +-inf when the scheme has no frequency branch; no finite
+    omega reaches them. A randomized load switches by its clock (jump_target's
+    fired), and a held load's clock never fires.
+    """
+    if scheme.kind != "deterministic":
+        return np.inf, -np.inf
+    guard_on, level_on = frequency_branch(p, 0)
+    guard_off, level_off = frequency_branch(p, 1)
+    on_at = np.where(temperature >= guard_on, level_on, np.inf)
+    off_at = np.where(temperature <= guard_off, level_off, -np.inf)
+    return on_at[()], off_at[()]
+
+
+def jump_target(
+    p: TclParams | Population,
+    temperature,
+    sigma,
+    omega: float,
+    scheme: Scheme,
+    fired=None,
+):
+    """Post-jump switch state under the given scheme; equal to sigma where no
+    jump is enabled.
+
+    Thermostat hard limits dominate the frequency branches (trigger_levels).
+    A fired randomized clock toggles a load unless a thermostat limit already
+    decides it. A held load's clock never fires (hybrid_sim.ThinnedClocks
+    rejects the candidates of a load that its thermostat holds: OFF at or
+    below t_lo, ON at or above t_hi), so fired names no such load in a run.
+    """
+    on_at, off_at = trigger_levels(p, temperature, scheme)
+    target = np.where(omega >= on_at, 1, sigma)
+    target = np.where(omega <= off_at, 0, target)
+    target = np.where(temperature >= p.t_hi, 1, target)
+    target = np.where(temperature <= p.t_lo, 0, target)
+    if fired is not None:
+        target = np.where(fired & (target == sigma), 1 - sigma, target)
+    return target.astype(np.int8)[()]

@@ -408,6 +408,28 @@ def test_overflowing_grid_state_is_a_simulation_error(tmp_path, capsys, scheme):
     assert "simulation error: non-finite grid state at t=4.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["deterministic", "randomized"])
+def test_overflowing_run_prints_only_its_error(tmp_path, scheme):
+    """The run above as a console command, with numpy's default warning
+    settings: stderr is the one `simulation error:` line, with no
+    RuntimeWarning before it, and the exit code is 3."""
+    doc = yaml.safe_load(SHIPPED_SCENARIO.read_text())
+    doc["disturbance"] = [[0.0, 0.0], [1.0, 1.7e308]]
+    scenario = tmp_path / "overflow.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--horizon", "10"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tclgrid.cli", *argv, "--scheme", scheme],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("simulation error: non-finite grid state at t=4.0")
+
+
 SCIPY_FREE_SCRIPT = """
 import json, sys
 import numpy as np

@@ -32,7 +32,6 @@ from tclgrid.tcl import (
     TclParams,
     flow_target,
     frequency_branch,
-    jump_target,
     next_thermostat_event,
     on_off_durations,
     rate_coefficients,
@@ -40,9 +39,14 @@ from tclgrid.tcl import (
     sample_initial_states,
     sample_population,
     thermostat_threshold,
+)
+from tests.reference import (
+    jump_target,
+    switching_rate,
+    temp_flow,
+    time_to_level,
     trigger_levels,
 )
-from tests.reference import switching_rate, temp_flow, time_to_level
 
 REFERENCE = TclParams(
     d_bar=0.01, t_lo=3.0, t_hi=6.0, k=5e-4, cop=3000.0, t_amb=20.0,
@@ -375,6 +379,60 @@ def anchored_states(draw):
     return pop, temps, sigmas, scheme, omega, fired, rng
 
 
+@st.composite
+def out_of_band_runs(draw):
+    """A run of 1-8 loads, each started up to 0.5 C beyond either threshold
+    in either switch state, under one of the four SCHEME_CASES (the
+    randomized ones at v_des 1 or 50), long enough for every load to enter
+    its band and then see a 0.3 or 1 pu step of either sign; and each load's
+    band-entry time. A load beyond the threshold its flow leaves is held
+    until it enters; one beyond the threshold its flow approaches is
+    switched at t = 0 by its thermostat and then flows in."""
+    n = draw(st.integers(1, 8))
+    pop = sample_population(PopulationSpec(n, gamma=0.2, seed=draw(st.integers(0, 2**31))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    below = rng.random(n) < 0.5
+    offset = 0.5 - rng.uniform(0.0, 0.5, n)
+    temps = np.where(below, pop.t_lo - offset, pop.t_hi + offset)
+    sigmas = rng.integers(0, 2, n).astype(np.int8)
+    _, scheme = draw(st.sampled_from(hybrid_sim.SCHEME_CASES))
+    if scheme.kind == "randomized":
+        scheme = dataclasses.replace(scheme, v_des=draw(st.sampled_from([1.0, 50.0])))
+    # once its thermostat has acted at t = 0, a load below t_lo flows OFF
+    # and one above t_hi flows ON
+    entry = time_to_level(pop, temps, np.where(below, 0, 1), np.where(below, pop.t_lo, pop.t_hi))
+    # the step comes once every load is in band, where frequency branches open
+    step = float(np.max(entry)) + 1.0
+    sc = small_population_scenario(
+        population=pop,
+        scheme=scheme,
+        disturbance=[(0.0, 0.0), (step, draw(st.sampled_from([-1.0, -0.3, 0.3, 1.0])))],
+        initial_state=(temps, sigmas),
+        horizon=step + 100.0,
+        max_step=0.25,
+    )
+    return sc, entry
+
+
+def replay_temperatures(sc: Scenario, tr) -> tuple[np.ndarray, np.ndarray]:
+    """Each logged switch's load temperature at it, and every load's at the
+    end of the run, replayed from the initial state through the held flow."""
+    loads = list(sc.population)
+    temps, sigmas = (np.array(a) for a in sc.initial_state)
+    t0 = np.zeros(len(loads))
+    at_switch = []
+    for t, j, new in zip(
+        tr.switch_times.tolist(), tr.switch_loads.tolist(), tr.switch_new_sigma.tolist()
+    ):
+        assert sigmas[j] == 1 - new
+        temps[j] = temp_flow(loads[j], temps[j], sigmas[j], t - t0[j])
+        sigmas[j], t0[j] = new, t
+        at_switch.append(temps[j])
+    end = tr.times[-1]
+    final = [temp_flow(p, temps[j], sigmas[j], end - t0[j]) for j, p in enumerate(loads)]
+    return np.array(at_switch), np.array(final)
+
+
 def reference_jump(loads: LoadAnchors, idx: np.ndarray, now: float):
     """Switch the loads idx (no repeats) at now by whole-array operations and
     anchor them by the vector reanchor: (their new states, which of them
@@ -461,20 +519,65 @@ class TestLoadAnchors:
 
     @pytest.mark.parametrize("sigma", [0, 1])
     def test_fired_clock_out_of_band_is_randomized(self, sigma):
-        # loads that observe omega = 0 start out of band on the side their
-        # flow leaves: OFF below t_lo or ON above t_hi. Only their clocks and
-        # thermostats switch them, and each switch is logged as such
+        # loads that observe omega = 0 start 0.5 C out of band on the side
+        # their flow leaves: OFF below t_lo or ON above t_hi. Their
+        # thermostats hold them until they enter the band (within about
+        # 250 s), so no clock switches one before; after that only their
+        # clocks and thermostats switch them, each logged as such, and no
+        # switch is undone at its own instant
         pop = sample_population(PopulationSpec(20, 0.2, seed=5))
         temps = pop.t_lo - 0.5 if sigma == 0 else pop.t_hi + 0.5
+        entry = time_to_level(pop, temps, sigma, pop.t_lo if sigma == 0 else pop.t_hi)
+        assert np.all(entry < 250.0)
         tr = simulate(small_population_scenario(
             population=pop,
             scheme=Scheme.randomized(v_des=1e4),
             clamp_omega=True,
             initial_state=(temps, np.full(len(pop), sigma, dtype=np.int8)),
-            horizon=10.0,
+            horizon=300.0,
         ))
         assert "randomized" in tr.switch_causes
         assert set(tr.switch_causes) <= {"randomized", "thermostat-hi", "thermostat-lo"}
+        randomized = np.array(tr.switch_causes) == "randomized"
+        assert np.all(tr.switch_times[randomized] >= entry[tr.switch_loads[randomized]])
+        assert dwell_time_report(tr).min_interswitch_gap > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=out_of_band_runs())
+    def test_out_of_band_start_keeps_dwell_positive(self, case):
+        # under every scheme, from any out-of-band start: no switch is
+        # undone at its own instant, no clock fires before its load enters
+        # its band, and after that each load's temperature stays in its
+        # band (the held flow is monotone, so its temperatures at its
+        # switches and at the end bound it)
+        sc, entry = case
+        pop = sc.population
+        tr = simulate(sc)
+        assert dwell_time_report(tr).min_interswitch_gap > 0
+        loads = tr.switch_loads
+        randomized = np.array(tr.switch_causes, dtype=object) == "randomized"
+        assert np.all(tr.switch_times[randomized] >= entry[loads[randomized]])
+        at_switch, final = replay_temperatures(sc, tr)
+        np.testing.assert_allclose(final, tr.final_temperatures, rtol=0, atol=1e-9)
+        inside = tr.switch_times >= entry[loads]
+        lo, hi = pop.t_lo - 1e-9, pop.t_hi + 1e-9
+        temps, owners = at_switch[inside], loads[inside]
+        assert np.all((temps >= lo[owners]) & (temps <= hi[owners]))
+        assert np.all((final >= lo) & (final <= hi))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=anchored_states(), dt=st.floats(0.0, 100.0))
+    def test_held_is_due_at_once_after_a_jump(self, case, dt):
+        # a load is held at now iff, switched there, its thermostat time in
+        # its new state is now: held reads the temperature jump switches at
+        # and the wait anchor tabulates
+        pop, temps, sigmas, scheme, *_ = case
+        for j in range(len(pop)):
+            loads = LoadAnchors(pop, scheme, temps, sigmas)
+            now = min(dt, loads.theta[j])
+            held = loads.held(j, now)
+            loads.jump(j, now)
+            assert held == (loads.theta[j] <= now)
 
     @settings(max_examples=100, deadline=None)
     @given(case=held_steps())
@@ -679,8 +782,7 @@ def run_counting_kernels(shipped_file, monkeypatch, horizon, **changes):
         return wrapped
 
     for name in PER_LOAD_KERNELS:
-        if hasattr(hybrid_sim, name):
-            monkeypatch.setattr(hybrid_sim, name, counted(getattr(hybrid_sim, name)))
+        monkeypatch.setattr(hybrid_sim, name, counted(getattr(hybrid_sim, name)))
     tr = simulate(sc)
     return tr, len(sc.population), elements
 
@@ -929,6 +1031,22 @@ class TestThinning:
         np.testing.assert_array_equal(fine.switch_loads, coarse.switch_loads)
         np.testing.assert_allclose(fine.switch_times, coarse.switch_times, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_held_loads_accept_no_candidate(self, sigma):
+        # every load held 0.5 C out of band over a 10 s segment, at the 1/s
+        # rate cap: the clocks draw at the full bound and every candidate
+        # passes its rate test, yet none is accepted
+        pop = sample_population(PopulationSpec(20, 0.2, seed=5))
+        temps = pop.t_lo - 0.5 if sigma == 0 else pop.t_hi + 0.5
+        scheme = Scheme.randomized(v_des=1e4)
+        loads = LoadAnchors(pop, scheme, temps, np.full(len(pop), sigma, dtype=np.int8))
+        assert all(loads.held(j, 10.0) for j in range(len(pop)))
+        flow = grid_model.held_flow(default_grid(), 0.05)
+        z = flow.enter(np.zeros(default_grid().dim), 0.0)
+        clocks = hybrid_sim.ThinnedClocks(scheme, seed=2)
+        assert clocks.first_accepted(loads, flow, z, 0.0, 10.0) == (math.inf, -1)
+        assert clocks.draws > 100
+
     def test_time_rescaled_gaps_are_unit_exponential(self):
         # time-rescaling (Brown et al., Neural Comput. 14, 325, 2002): with
         # H_j the integral of load j's rate, its randomized switches are a
@@ -998,12 +1116,10 @@ def cumulative_hazard(sc: Scenario, tr, nodes: int = 4) -> np.ndarray:
 
 PER_LOAD_KERNELS = (
     "frequency_branch",
-    "next_thermostat_event",
     "rate_coefficients",
     "stroke_flow",
     "stroke_time",
     "thermostat_threshold",
-    "trigger_levels",
 )
 
 

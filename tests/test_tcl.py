@@ -15,16 +15,20 @@ from tclgrid.tcl import (
     TclParams,
     duty_cycle,
     flow_target,
-    jump_target,
     next_thermostat_event,
     on_off_durations,
     period,
     sample_initial_states,
     sample_population,
-    trigger_levels,
     zeta,
 )
-from tests.reference import switching_rate, temp_flow, time_to_level
+from tests.reference import (
+    jump_target,
+    switching_rate,
+    temp_flow,
+    time_to_level,
+    trigger_levels,
+)
 
 REFERENCE = TclParams(
     d_bar=0.01, t_lo=3.0, t_hi=6.0, k=5e-4, cop=3000.0, t_amb=20.0,
