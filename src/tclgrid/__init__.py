@@ -36,7 +36,6 @@ from .tcl import (
     Population,
     PopulationSpec,
     Scheme,
-    TclParams,
     duty_cycle,
     next_thermostat_event,
     on_off_durations,

@@ -343,7 +343,9 @@ class ModalFlow:
     of V^-1 is real up to rounding). The held input u is kept here; every
     other method takes z, and the states x_inf + Re(V z) are built only for
     the recorded samples (states). The per-mode methods are compiled once per
-    mode count and bound to the flow: each call is one Python call.
+    mode count and bound to the flow: each call is one Python call. Since z
+    carries x - u * x_unit, a state's absolute error scales with the larger
+    of |x| and |u| |x_unit|, not with |x| alone.
     """
 
     def __init__(self, ss: StateSpace, step: float):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tcl import Population, TclParams, next_thermostat_event, period
+from .tcl import Population, next_thermostat_event, period
 
 
 class StatsError(ValueError):
@@ -170,7 +170,7 @@ def _load_major_events(pop: Population, temperatures, sigmas, horizon: float):
     return times, deltas
 
 
-def demand_series(p: TclParams, temperature: float, sigma: int, horizon: float) -> TimeSeries:
+def demand_series(p: Population, temperature: float, sigma: int, horizon: float) -> TimeSeries:
     """Free-running demand of a single load as an exact piecewise signal."""
     return aggregate_demand_series(Population.of([p]), [temperature], [sigma], horizon)
 
@@ -240,8 +240,8 @@ def aggregate_demand_series(
 
 
 def cross_term_oracle(
-    p_i: TclParams,
-    p_j: TclParams,
+    p_i: Population,
+    p_j: Population,
     horizon: float,
     init_i: tuple[float, int] | None = None,
     init_j: tuple[float, int] | None = None,
@@ -275,7 +275,7 @@ def star_discrepancy(points: np.ndarray) -> float:
     return float(np.max(np.maximum(i / n - u, u - (i - 1) / n)))
 
 
-def switch_offset_sequence(p_i: TclParams, p_j: TclParams, n_terms: int) -> np.ndarray:
+def switch_offset_sequence(p_i: Population, p_j: Population, n_terms: int) -> np.ndarray:
     """Normalized offsets ((k * c) mod pi_j) / pi_j of consecutive ON-switches
     of the slower load against the faster one's cycle, k = 1..n_terms."""
     pi_i = period(p_i)
@@ -287,7 +287,7 @@ def switch_offset_sequence(p_i: TclParams, p_j: TclParams, n_terms: int) -> np.n
     return (k * (c / pi_j)) % 1.0
 
 
-def phase_uniformity(p_i: TclParams, p_j: TclParams, n_terms: int) -> float:
+def phase_uniformity(p_i: Population, p_j: Population, n_terms: int) -> float:
     """Star discrepancy of the switch-offset sequence; a diagnostic for how
     fast the two loads' relative phases equidistribute."""
     return star_discrepancy(switch_offset_sequence(p_i, p_j, n_terms))

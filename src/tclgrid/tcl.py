@@ -1,12 +1,12 @@
 """Per-load TCL physics: parameters, closed-form temperature flows, the laws
 the switching rule is tabulated from, natural periods and duty cycles.
 
-`Population` is the population type: sampling draws straight into it, and
-the design, simulator and statistics code take and return it. `TclParams` is
-one load, as `Population[j]` returns it. Every per-load law, the validity
-checks and the stroke formulas included, is written once over attribute
-access and NumPy operations, so it takes either one `TclParams` with scalar
-state or a `Population` (same field names) with array state. The held flow
+`Population` is the one load type: sampling draws straight into it, the
+design, simulator and statistics code take and return it, and `pop[j]` is
+load j as a one-load `Population` with scalar fields. Every per-load law, the
+validity checks (`check_loads`, the one statement of the load rules) and the
+stroke formulas included, is written once over attribute access and NumPy
+operations, so it takes scalar and array fields alike. The held flow
 and the time to a level are written once over a stroke, its insulation
 coefficient and flow target (`stroke_flow`, `stroke_time`), and the
 randomized rate once over a stroke's coefficients (`rate_law` over
@@ -20,6 +20,7 @@ hysteresis loop has no equilibrium and both strokes complete in finite time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -30,7 +31,7 @@ class TclError(ValueError):
     pass
 
 
-# Table-style default sampling ranges (degrees C, 1/s, Hz).
+# Table-style default sampling ranges (degrees C, 1/s, Hz), in draw order.
 DEFAULT_RANGES: dict[str, tuple[float, float]] = {
     "t_amb": (15.0, 25.0),
     "t_hi": (5.0, 7.0),
@@ -42,48 +43,20 @@ DEFAULT_RANGES: dict[str, tuple[float, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class TclParams:
-    """One load: the record that `Population[j]` returns."""
-
-    d_bar: float    # load magnitude, pu
-    t_lo: float     # lower temperature threshold, C
-    t_hi: float     # upper temperature threshold, C
-    k: float        # thermal insulation coefficient, 1/s
-    cop: float      # coefficient of performance, C per pu
-    t_amb: float    # ambient temperature, C
-    omega1: float   # frequency threshold, Hz
-    eps: float      # temperature deadband guarding frequency switches, C
-
-    def __post_init__(self):
-        check_loads(self)
-
-    @property
-    def pi_on(self) -> float:
-        return on_off_durations(self)[0]
-
-    @property
-    def pi_off(self) -> float:
-        return on_off_durations(self)[1]
-
-
-LOAD_FIELDS = [f.name for f in fields(TclParams)]
-
-
 @dataclass(frozen=True, eq=False)
 class Population:
-    """The population type: one array per TclParams field, plus the strokes,
-    duty cycles and worst-case responsive fractions, derived once. `pop[j]`
-    is load j as a TclParams."""
+    """The population type: one array per load field, plus the strokes, duty
+    cycles and worst-case responsive fractions, derived once. `pop[j]` is
+    load j as a one-load Population with scalar fields."""
 
-    d_bar: np.ndarray
-    t_lo: np.ndarray
-    t_hi: np.ndarray
-    k: np.ndarray
-    cop: np.ndarray
-    t_amb: np.ndarray
-    omega1: np.ndarray
-    eps: np.ndarray
+    d_bar: np.ndarray   # load magnitude, pu
+    t_lo: np.ndarray    # lower temperature threshold, C
+    t_hi: np.ndarray    # upper temperature threshold, C
+    k: np.ndarray       # thermal insulation coefficient, 1/s
+    cop: np.ndarray     # coefficient of performance, C per pu
+    t_amb: np.ndarray   # ambient temperature, C
+    omega1: np.ndarray  # frequency threshold, Hz
+    eps: np.ndarray     # temperature deadband guarding frequency switches, C
     pi_on: np.ndarray = field(init=False)
     pi_off: np.ndarray = field(init=False)
     alpha: np.ndarray = field(init=False)
@@ -97,21 +70,24 @@ class Population:
         object.__setattr__(self, "zeta", zeta(self))
 
     @classmethod
-    def of(cls, loads: list[TclParams]) -> Population:
+    def of(cls, loads: list[Population]) -> Population:
         """The population of a list of single loads."""
         return cls(**{name: np.array([getattr(p, name) for p in loads]) for name in LOAD_FIELDS})
 
-    def __getitem__(self, j: int) -> TclParams:
-        return TclParams(**{name: float(getattr(self, name)[j]) for name in LOAD_FIELDS})
+    def __getitem__(self, j: int) -> Population:
+        return Population(**{name: getattr(self, name)[j] for name in LOAD_FIELDS})
 
     def __iter__(self):
         return (self[j] for j in range(len(self)))
 
     def __len__(self) -> int:
-        return self.d_bar.size
+        return np.size(self.d_bar)
 
 
-def check_loads(p: TclParams | Population) -> None:
+LOAD_FIELDS = [f.name for f in fields(Population) if f.init]
+
+
+def check_loads(p: Population) -> None:
     """Raise TclError unless every load is a cooling device with positive
     parameters. Each rule states what must hold, so a NaN breaks it."""
     with np.errstate(invalid="ignore", over="ignore"):
@@ -202,7 +178,7 @@ class Scheme:
         return Scheme.randomized(k_pi=50.0)
 
 
-def on_off_durations(p: TclParams | Population) -> tuple[float, float]:
+def on_off_durations(p: Population) -> tuple[float, float]:
     """Closed-form ON and OFF stroke durations of the free-running load. The
     logarithm is math.log, elementwise on arrays: np.log differs from it in
     the last bit on some inputs."""
@@ -213,21 +189,21 @@ def on_off_durations(p: TclParams | Population) -> tuple[float, float]:
     return tuple(np.array([math.log(v) for v in r.tolist()]) / p.k for r in ratios)
 
 
-def period(p: TclParams | Population) -> float:
+def period(p: Population) -> float:
     return p.pi_on + p.pi_off
 
 
-def duty_cycle(p: TclParams | Population) -> float:
+def duty_cycle(p: Population) -> float:
     return p.pi_on / (p.pi_on + p.pi_off)
 
 
-def zeta(p: TclParams | Population) -> float:
+def zeta(p: Population) -> float:
     """Worst-case responsive fraction max(alpha, 1 - alpha) of a load."""
     alpha = duty_cycle(p)
     return np.maximum(alpha, 1.0 - alpha)
 
 
-def flow_target(p: TclParams | Population, sigma):
+def flow_target(p: Population, sigma):
     """Temperature the held flow approaches: t_amb - cop * d_bar ON, t_amb OFF."""
     return p.t_amb - sigma * p.cop * p.d_bar
 
@@ -250,18 +226,18 @@ def stroke_time(k, target, temperature, level):
     return np.log(np.maximum(ratio, 1.0)) / k
 
 
-def next_thermostat_event(p: TclParams | Population, temperature, sigma):
+def next_thermostat_event(p: Population, temperature, sigma):
     """Time until the held flow reaches the active thermostat threshold
     (t_lo when ON, t_hi when OFF). Zero when already at or past it."""
     return stroke_time(p.k, flow_target(p, sigma), temperature, thermostat_threshold(p, sigma))
 
 
-def thermostat_threshold(p: TclParams | Population, sigma):
+def thermostat_threshold(p: Population, sigma):
     """The active thermostat threshold: t_lo when ON, t_hi when OFF."""
     return np.where(sigma == 1, p.t_lo, p.t_hi)[()]
 
 
-def rate_coefficients(p: TclParams | Population, sigma, scheme: Scheme):
+def rate_coefficients(p: Population, sigma, scheme: Scheme):
     """(base, level) of the randomized scheme's active rate, the ON-rate for
     OFF loads and the OFF-rate for ON loads: base = v_des/pi_off and level =
     +omega1 for OFF loads, base = v_des/pi_on and level = -omega1 for ON
@@ -281,7 +257,7 @@ def rate_law(base, level, k_pi: float, omega):
     return np.minimum(base * np.maximum(k_pi * omega / level + 1.0, 0.0), 1.0)[()]
 
 
-def frequency_branch(p: TclParams | Population, sigma):
+def frequency_branch(p: Population, sigma):
     """(guard, level) of the deterministic scheme's frequency branch that can
     switch a load in state sigma. An OFF load's branch opens once its rising
     temperature reaches t_lo + eps and then switches it ON when omega >=
@@ -294,44 +270,35 @@ def frequency_branch(p: TclParams | Population, sigma):
 
 def sample_population(spec: PopulationSpec) -> Population:
     """Draw a population with equal magnitudes gamma/n_loads and the other
-    fields i.i.d. uniform over the range box. Deterministic in the seed."""
+    fields i.i.d. uniform over the range box. Deterministic in the seed.
+
+    Every rule of check_loads is monotone in each drawn field (linear, or
+    monotone under rounding), so the box's 2**7 corners, built as the draws
+    are, decide it before any draw. The drawn loads are checked again."""
     if spec.n_loads < 1:
         raise TclError(f"n_loads must be positive, got {spec.n_loads}")
     if not (spec.gamma > 0):
         raise TclError(f"gamma must be positive, got {spec.gamma}")
     ranges = spec.ranges()
-    _check_range_box(ranges)
-    d_bar = spec.gamma / spec.n_loads
-    rng = np.random.default_rng(spec.seed)
-    draws = {
-        name: rng.uniform(*ranges[name], size=spec.n_loads)
-        for name in ("t_amb", "t_hi", "t_lo", "k", "cop_scale", "omega1", "eps")
-    }
-    cop = draws.pop("cop_scale") / d_bar
-    return Population(d_bar=np.full(spec.n_loads, d_bar), cop=cop, **draws)
-
-
-def _check_range_box(ranges: dict[str, tuple[float, float]]) -> None:
     for name, (lo, hi) in ranges.items():
         if not (lo <= hi):
             raise TclError(f"range for {name} is inverted: ({lo}, {hi})")
-    if ranges["t_lo"][1] >= ranges["t_hi"][0]:
-        raise TclError("t_lo range must lie strictly below t_hi range")
-    if ranges["t_lo"][0] <= 0:
-        raise TclError("t_lo must be positive")
-    if ranges["t_amb"][0] <= ranges["t_hi"][1]:
-        raise TclError("t_amb range must lie strictly above t_hi range")
-    # cop * d_bar = cop_scale, so feasibility of the ON target is range-wise:
-    if ranges["t_amb"][1] - ranges["cop_scale"][0] >= ranges["t_lo"][0]:
-        raise TclError("cop_scale range too weak: ON target may not undercut t_lo")
-    if ranges["k"][0] <= 0:
-        raise TclError("k must be positive")
-    if ranges["omega1"][0] <= 0:
-        raise TclError("omega1 must be positive")
-    eps_hi = ranges["eps"][1]
-    half_band = (ranges["t_hi"][0] - ranges["t_lo"][1]) / 2
-    if not (0 < ranges["eps"][0] and eps_hi < half_band):
-        raise TclError(f"eps range must lie in (0, {half_band})")
+    d_bar = spec.gamma / spec.n_loads
+    corners = np.array(list(itertools.product(*(ranges[name] for name in DEFAULT_RANGES))))
+    try:
+        _drawn_population(d_bar, dict(zip(DEFAULT_RANGES, corners.T)))
+    except TclError as err:
+        raise TclError(f"range box corner {str(err).removeprefix('load ')}") from err
+    rng = np.random.default_rng(spec.seed)
+    return _drawn_population(
+        d_bar, {name: rng.uniform(*ranges[name], size=spec.n_loads) for name in DEFAULT_RANGES}
+    )
+
+
+def _drawn_population(d_bar: float, draws: dict[str, np.ndarray]) -> Population:
+    """The loads of drawn fields, each of magnitude d_bar and cop = cop_scale / d_bar."""
+    cop = draws.pop("cop_scale") / d_bar
+    return Population(d_bar=np.full(cop.size, d_bar), cop=cop, **draws)
 
 
 def sample_initial_states(pop: Population, seed: int) -> tuple[np.ndarray, np.ndarray]:

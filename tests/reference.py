@@ -8,7 +8,6 @@ import numpy as np
 from tclgrid.tcl import (
     Population,
     Scheme,
-    TclParams,
     flow_target,
     frequency_branch,
     rate_coefficients,
@@ -35,7 +34,7 @@ def switching_rate(p, sigma, omega, scheme):
     return rate_law(*rate_coefficients(p, sigma, scheme), scheme.k_pi, omega)
 
 
-def trigger_levels(p: TclParams | Population, temperature, scheme: Scheme):
+def trigger_levels(p: Population, temperature, scheme: Scheme):
     """Frequency levels (on_at, off_at) of the frequency branches at a
     temperature: the branch switches a load ON when omega >= on_at and OFF
     when omega <= off_at.
@@ -57,7 +56,7 @@ def trigger_levels(p: TclParams | Population, temperature, scheme: Scheme):
 
 
 def jump_target(
-    p: TclParams | Population,
+    p: Population,
     temperature,
     sigma,
     omega: float,

@@ -83,6 +83,29 @@ class TestRun:
         assert main(["run", "--scenario", str(small_scenario), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("gamma, warned", [(0.1, False), (3.0, True)])
+    def test_unallocated_run_checks_its_own_thresholds(
+        self, tmp_path, capsys, monkeypatch, gamma, warned
+    ):
+        # without allocation, run computes l-hat itself and warns when the
+        # drawn thresholds violate the design condition
+        from tclgrid import cli
+
+        calls = []
+        real = cli.one_norm
+
+        def counted(grid):
+            calls.append(grid)
+            return real(grid)
+
+        monkeypatch.setattr(cli, "one_norm", counted)
+        population = dict(SMALL_DOC["population"], gamma=gamma)
+        path = tmp_path / "unallocated.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_DOC, population=population, design={})))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+        assert ("thresholds violate the design condition" in capsys.readouterr().err) == warned
+
 
 class TestCompare:
     def test_compare_writes_all_cases(self, small_scenario, tmp_path):
@@ -115,6 +138,21 @@ class TestCertify:
         code = main(["certify", "--scenario", str(path)])
         assert code == 4
         assert "satisfied: False" in capsys.readouterr().out
+
+    def test_allocate_option_allocates(self, tmp_path, capsys):
+        path = tmp_path / "unallocated.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_DOC, design={"allocate": False})))
+        assert main(["certify", "--scenario", str(path)]) == 0
+        assert "margin_used: 0\n" in capsys.readouterr().out
+        assert main(["certify", "--scenario", str(path), "--allocate"]) == 0
+        assert "margin_used: 0.20000000000000001\n" in capsys.readouterr().out
+
+    def test_non_hurwitz_grid_is_numeric_error(self, tmp_path, capsys):
+        gen = {"a_hat": [[1.0]], "b_hat": [0.0], "c_hat": [1.0], "d_hat": 0.0}
+        path = tmp_path / "unstable.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_DOC, grid={"m": 10.0, "d": 1.0, "gen": gen})))
+        assert main(["certify", "--scenario", str(path)]) == 3
+        assert capsys.readouterr().err == "error: grid model is not Hurwitz; 1-norm undefined\n"
 
     def test_infeasible_design_is_config_error(self, small_scenario, capsys):
         code = main([
@@ -201,6 +239,27 @@ class TestErrors:
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("population", {"n_loads": 0}, "n_loads must be positive, got 0"),
+            ("population", {"gamma": 0}, "gamma must be positive, got 0.0"),
+            ("grid", {"gen": {"preset": "droop"}}, "unknown gen preset 'droop'"),
+        ],
+        ids=["no-loads", "zero-gamma", "unknown-preset"],
+    )
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_rejected_value_is_config_error(
+        self, tmp_path, capsys, command, section, value, message
+    ):
+        path = tmp_path / "rejected.yaml"
+        path.write_text(yaml.safe_dump({**SMALL_DOC, section: {**SMALL_DOC[section], **value}}))
+        argv = [command, "--scenario", str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["false", "no", 1])
     @pytest.mark.parametrize("field", ["offset_demand", "clamp_omega", "allocate"])
     @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
@@ -221,7 +280,8 @@ class TestErrors:
     def test_eps_range_leaving_guards_on_thresholds_is_config_error(
         self, tmp_path, capsys, monkeypatch
     ):
-        # eps this small passes the range check, but t_hi - eps rounds to t_hi
+        # t_hi - eps rounds to t_hi at the corners of this box, so the box
+        # fails check_loads before any load is drawn
         population = dict(SMALL_DOC["population"], ranges={"eps": [1e-17, 2e-17]})
         path = tmp_path / "eps.yaml"
         path.write_text(yaml.safe_dump(dict(SMALL_DOC, population=population)))
@@ -232,7 +292,7 @@ class TestErrors:
         monkeypatch.setattr("tclgrid.cli.simulate", simulate)
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and "eps must move the guards" in err
+        assert "configuration error: range box" in err and "eps must move the guards" in err
 
     @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
     def test_unknown_field_is_config_error(self, tmp_path, capsys, command):
@@ -333,19 +393,19 @@ class TestErrors:
 
 def test_commands_build_no_per_load_list(tmp_path, monkeypatch):
     """`certify`, `stats` and `run` carry one Population from sampling to
-    output: only the cross-term pairs of `stats` build single-load records,
-    at most two per pair."""
-    from tclgrid.tcl import TclParams
+    output: only the cross-term pairs of `stats` build one-load populations
+    (scalar fields), at most two per pair."""
+    from tclgrid.tcl import Population
 
     built = 0
-    check = TclParams.__post_init__
+    check = Population.__post_init__
 
     def counted(self):
         nonlocal built
-        built += 1
+        built += np.ndim(self.d_bar) == 0
         check(self)
 
-    monkeypatch.setattr(TclParams, "__post_init__", counted)
+    monkeypatch.setattr(Population, "__post_init__", counted)
     for argv, allowed in (
         (["certify"], 0),
         (["stats", "--pairs", "5"], 2 * 5),

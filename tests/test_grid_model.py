@@ -454,6 +454,10 @@ class TestModalFlow:
             min_size=1, max_size=12,
         ),
     )
+    @example(
+        ss=StateSpace(a=np.array([[-1.0]]), b=np.array([1.0]), c=np.array([0.0])),
+        x=[2.789e-114], steps=[(0.0, 1.0)],
+    )
     def test_matches_transition_on_any_spectrum(self, ss, x, steps):
         # one complex number per conjugate pair and one float per real mode
         # carry the state over any sequence of held inputs and steps (the
@@ -476,7 +480,9 @@ class TestModalFlow:
             xs.append(x)
             omegas.append(flow.omega(z))
         xs = np.array(xs)
-        scale = np.max(np.abs(xs))
+        # z carries x - u * x_unit, so the error scales with the larger of
+        # |x| and |u| |x_unit|
+        scale = max(np.max(np.abs(xs)), np.max(np.abs(us)) * np.max(np.abs(flow.x_unit)))
         np.testing.assert_allclose(flow.states(zs, us), xs, rtol=1e-9, atol=1e-9 * scale)
         np.testing.assert_allclose(omegas, xs @ ss.c, rtol=1e-9, atol=1e-9 * scale)
 

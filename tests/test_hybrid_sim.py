@@ -29,7 +29,6 @@ from tclgrid.tcl import (
     Population,
     PopulationSpec,
     Scheme,
-    TclParams,
     flow_target,
     frequency_branch,
     next_thermostat_event,
@@ -48,7 +47,7 @@ from tests.reference import (
     trigger_levels,
 )
 
-REFERENCE = TclParams(
+REFERENCE = Population(
     d_bar=0.01, t_lo=3.0, t_hi=6.0, k=5e-4, cop=3000.0, t_amb=20.0,
     omega1=0.1, eps=0.005,
 )
@@ -777,7 +776,7 @@ def run_counting_kernels(shipped_file, monkeypatch, horizon, **changes):
     def counted(fn):
         def wrapped(p, *args, **kwargs):
             nonlocal elements
-            elements += np.size(p)
+            elements += len(p) if isinstance(p, Population) else np.size(p)
             return fn(p, *args, **kwargs)
         return wrapped
 

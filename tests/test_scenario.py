@@ -206,6 +206,18 @@ class TestRoundTrip:
         other = from_dict(dict(MINIMAL, seed=3))
         assert scenario_hash(sf) != scenario_hash(other)
 
+    def test_ranges_round_trip(self):
+        ranges = {"t_amb": [18.0, 22.0], "eps": [0.002, 0.004]}
+        population = dict(MINIMAL["population"], ranges=ranges)
+        sf = from_dict(dict(MINIMAL, population=population))
+        again = from_dict(to_dict(sf))
+        assert again.population.param_ranges == {k: tuple(v) for k, v in ranges.items()}
+        assert scenario_hash(again) == scenario_hash(sf)
+        # the hash moves when a range changes or the ranges are dropped
+        wider = dict(population, ranges=dict(ranges, eps=[0.002, 0.005]))
+        assert scenario_hash(from_dict(dict(MINIMAL, population=wider))) != scenario_hash(sf)
+        assert scenario_hash(from_dict(MINIMAL)) != scenario_hash(sf)
+
 
 class TestShippedScenario:
     def test_loads_and_builds(self, shipped_file):

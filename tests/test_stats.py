@@ -23,7 +23,6 @@ from tclgrid.stats import (
 from tclgrid.tcl import (
     Population,
     PopulationSpec,
-    TclParams,
     duty_cycle,
     next_thermostat_event,
     on_off_durations,
@@ -31,7 +30,7 @@ from tclgrid.tcl import (
     sample_population,
 )
 
-REFERENCE = TclParams(
+REFERENCE = Population(
     d_bar=0.01, t_lo=3.0, t_hi=6.0, k=5e-4, cop=3000.0, t_amb=20.0,
     omega1=0.1, eps=0.005,
 )
@@ -185,7 +184,7 @@ def multi_block_cases(draw):
     loads = list(sample_population(PopulationSpec(n - 2, 0.05, seed=seed)))
     d_bar = loads[0].d_bar
     for t_lo, t_hi, k, cop_scale, t_amb in RANGE_CORNERS:
-        load = TclParams(
+        load = Population(
             d_bar=d_bar, t_lo=t_lo, t_hi=t_hi, k=k, cop=cop_scale / d_bar, t_amb=t_amb,
             omega1=0.1, eps=0.005,
         )

@@ -12,7 +12,6 @@ from tclgrid.tcl import (
     PopulationSpec,
     Scheme,
     TclError,
-    TclParams,
     duty_cycle,
     flow_target,
     next_thermostat_event,
@@ -30,13 +29,16 @@ from tests.reference import (
     trigger_levels,
 )
 
-REFERENCE = TclParams(
+REFERENCE = Population(
     d_bar=0.01, t_lo=3.0, t_hi=6.0, k=5e-4, cop=3000.0, t_amb=20.0,
     omega1=0.1, eps=0.005,
 )
 
+# the head of check_loads' message for a corner of the range box
+CORNER = r"^range box corner \d+: "
 
-def bisect_stroke(p: TclParams, sigma: int, lo: float, hi: float) -> float:
+
+def bisect_stroke(p: Population, sigma: int, lo: float, hi: float) -> float:
     """Stroke duration by bisection on the exact flow, no logarithms."""
     start = p.t_hi if sigma else p.t_lo
     threshold = p.t_lo if sigma else p.t_hi
@@ -105,7 +107,7 @@ class TestClosedForms:
 class TestValidation:
     def test_heating_configuration_rejected(self):
         with pytest.raises(TclError):
-            TclParams(
+            Population(
                 d_bar=0.01, t_lo=3.0, t_hi=6.0, k=5e-4, cop=3000.0, t_amb=5.0,
                 omega1=0.1, eps=0.005,
             )
@@ -113,14 +115,14 @@ class TestValidation:
     def test_weak_cooling_rejected(self):
         # ON target above t_lo: ON stroke would never finish
         with pytest.raises(TclError):
-            TclParams(
+            Population(
                 d_bar=0.01, t_lo=3.0, t_hi=6.0, k=5e-4, cop=1500.0, t_amb=20.0,
                 omega1=0.1, eps=0.005,
             )
 
     def test_eps_wider_than_half_band_rejected(self):
         with pytest.raises(TclError):
-            TclParams(
+            Population(
                 d_bar=0.01, t_lo=3.0, t_hi=6.0, k=5e-4, cop=3000.0, t_amb=20.0,
                 omega1=0.1, eps=1.6,
             )
@@ -256,7 +258,7 @@ def population_states(draw):
 
 
 class TestKernelScalarArrayAgreement:
-    """Each kernel called on one TclParams returns exactly element j of the
+    """Each kernel called on one load returns exactly element j of the
     same kernel called on the whole Population."""
 
     @settings(max_examples=60, deadline=None)
@@ -332,6 +334,37 @@ class TestPopulationSampling:
         with pytest.raises(TclError):
             sample_population(spec)
 
+    @pytest.mark.parametrize(
+        "ranges, message",
+        [
+            ({"k": (1e-3, 2e-4)}, r"^range for k is inverted"),
+            ({"t_lo": (2.0, 5.0)}, CORNER + r"need t_hi > t_lo > 0"),
+            ({"t_lo": (0.0, 4.0)}, CORNER + r"need t_hi > t_lo > 0"),
+            ({"t_amb": (7.0, 25.0)}, CORNER + r"cooling device needs t_amb > t_hi"),
+            ({"cop_scale": (10.0, 35.0)}, CORNER + r"cooling device needs t_amb - cop\*d_bar"),
+            ({"k": (0.0, 1e-3)}, CORNER + r"k must be positive"),
+            ({"omega1": (0.0, 0.26)}, CORNER + r"omega1 must be positive"),
+            ({"eps": (0.0, 0.01)}, CORNER + r"eps must lie in"),
+            ({"eps": (0.001, 0.5)}, CORNER + r"eps must lie in"),
+            ({"eps": (1e-17, 2e-17)}, CORNER + r"eps must move the guards"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2**63])
+    def test_range_box_rejected_before_any_draw(self, monkeypatch, ranges, message, seed):
+        # a rule broken anywhere in the box is broken at one of its corners
+        def default_rng(seed):
+            raise AssertionError("the population was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        spec = PopulationSpec(n_loads=5, gamma=0.1, seed=seed, param_ranges=ranges)
+        with pytest.raises(TclError, match=message):
+            sample_population(spec)
+
+    def test_default_box_and_shipped_scenario_accepted(self, shipped_file):
+        shipped = shipped_file.population
+        for spec in (PopulationSpec(5, 0.1, seed=1), shipped, dataclasses.replace(shipped, n_loads=8000)):
+            assert len(sample_population(spec)) == spec.n_loads
+
     def test_initial_states_within_band(self):
         pop = sample_population(PopulationSpec(100, 0.5, seed=9))
         temps, sigmas = sample_initial_states(pop, seed=9)
@@ -341,7 +374,7 @@ class TestPopulationSampling:
 
     def test_replaced_threshold_keeps_the_load(self):
         q = dataclasses.replace(Population.of([REFERENCE]), omega1=np.array([0.2]))
-        assert q[0] == dataclasses.replace(REFERENCE, omega1=0.2)
+        assert same_load(q[0], dataclasses.replace(REFERENCE, omega1=0.2))
         assert period(q)[0] == period(REFERENCE)
 
     @settings(max_examples=40, deadline=None)
@@ -360,12 +393,12 @@ class TestPopulationSampling:
         # the strokes are the per-load math.log values, not np.log ones
         assert got.pi_on.tolist() == [math_log_strokes(p)[0] for p in loads]
         assert got.pi_off.tolist() == [math_log_strokes(p)[1] for p in loads]
-        assert list(got) == loads
+        assert all(same_load(a, b) for a, b in zip(got, loads, strict=True))
 
 
-def reference_population(spec: PopulationSpec) -> tuple[list[TclParams], Population]:
-    """The per-load construction: one TclParams per load from the same draws
-    in the same order, then the population of that list."""
+def reference_population(spec: PopulationSpec) -> tuple[list[Population], Population]:
+    """The per-load construction: a one-load Population per load from the
+    same draws in the same order, then the population of that list."""
     ranges = spec.ranges()
     rng = np.random.default_rng(spec.seed)
     n = spec.n_loads
@@ -378,7 +411,7 @@ def reference_population(spec: PopulationSpec) -> tuple[list[TclParams], Populat
     eps = rng.uniform(*ranges["eps"], size=n)
     d_bar = spec.gamma / n
     loads = [
-        TclParams(
+        Population(
             d_bar=d_bar,
             t_lo=float(t_lo[i]),
             t_hi=float(t_hi[i]),
@@ -393,7 +426,13 @@ def reference_population(spec: PopulationSpec) -> tuple[list[TclParams], Populat
     return loads, Population.of(loads)
 
 
-def math_log_strokes(p: TclParams) -> tuple[float, float]:
+def same_load(a: Population, b: Population) -> bool:
+    """Field-by-field equality of two one-load populations (Population is
+    compared by identity)."""
+    return all(getattr(a, f.name) == getattr(b, f.name) for f in dataclasses.fields(Population))
+
+
+def math_log_strokes(p: Population) -> tuple[float, float]:
     target = p.t_amb - p.cop * p.d_bar
     return (
         math.log((p.t_hi - target) / (p.t_lo - target)) / p.k,
