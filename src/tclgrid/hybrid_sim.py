@@ -27,8 +27,8 @@ the tables (LoadAnchors.candidates), thermostat-due, past an open frequency
 level, or the load whose clock fired. The tables are the switching rule, and
 the part that enables a load names its switch's cause. An instant is settled
 load by load in Python scalars through the same tcl laws, to the bits of the
-whole-array forms (LoadAnchors.settle), and only the loads that switch or
-open a branch are touched.
+whole-array forms (LoadAnchors.settle): only the loads that switch or open a
+branch are touched, and d_s is a compensated running sum kept by jump.
 
 Between events the trace is sampled every max_step from the last event. Each
 pass of the step loop computes its stop, the next thermostat, guard,
@@ -176,10 +176,10 @@ class LoadAnchors:
     when the scheme has no frequency branches (any kind but deterministic).
     lvl_on holds the branch's frequency level for OFF loads with an open
     branch and +inf elsewhere, neg_off the negated level for open ON loads
-    and +inf elsewhere. Under the randomized scheme, base and level
-    hold the coefficients of each load's active stroke rate
-    (tcl.rate_coefficients). The scalars below are recomputed by refresh,
-    after a settled instant or a branch opening only.
+    and +inf elsewhere. Under the randomized scheme, base and level hold
+    the coefficients of each load's active stroke rate (tcl.rate_coefficients).
+    refresh recomputes the minima and on_fraction, after a settled instant or
+    a branch opening only; jump keeps n_on and d_s.
 
     What a load's state decides is tabulated once per (state, load) by the
     tcl laws: the flow target, the thermostat threshold and the guard it
@@ -201,10 +201,12 @@ class LoadAnchors:
         self.temp_min = self.temp0.copy()
         self.temp_max = self.temp0.copy()
         self.sigma = np.array(sigmas, dtype=np.int8)
-        # the states as float64 for the d_s dot, and the ON count, both
-        # kept by jump
-        self.on_states = self.sigma.astype(float)
+        # d_s, the demand of the ON loads, is d_sum + d_comp: a Neumaier sum
+        # (ZAMM 54, 39, 1974) from the rounded sum and its remainder
         self.n_on = int(np.count_nonzero(self.sigma))
+        on = pop.d_bar[self.sigma == 1].tolist()
+        self.d_s = self.d_sum = math.fsum(on)
+        self.d_comp = math.fsum(on + [-self.d_sum])
         self.state_offset = np.array([0, n])
         self.target = flow_target(pop, _STATES).ravel()
         # the temperatures whose waits anchor a load: its thermostat
@@ -232,19 +234,14 @@ class LoadAnchors:
     def refresh(self) -> None:
         self.theta_min, self.guard_min, self.on_min, neg_off_min = self.times.min(axis=1).tolist()
         self.off_max = -neg_off_min
-        self.d_s = float(np.dot(self.pop.d_bar, self.on_states))
         # the mean of the 0/1 states, exactly
         self.on_fraction = self.n_on / self.n
-
-    def flat(self, idx: np.ndarray) -> np.ndarray:
-        """Table index of the loads idx in their current states."""
-        return idx + self.state_offset[self.sigma[idx]]
 
     def reanchor(self, idx: np.ndarray, temps: np.ndarray, now: float) -> None:
         """Anchor loads idx at temps at time now, in their current states.
         The event loop anchors one load at a time (anchor), to the same
         bits."""
-        flat = self.flat(idx)
+        flat = idx + self.state_offset[self.sigma[idx]]
         self.temp0[idx] = temps
         self.t0[idx] = now
         if self.rate_scheme is not None:
@@ -263,26 +260,24 @@ class LoadAnchors:
 
     def anchor(self, j: int, temp: float, now: float) -> None:
         """reanchor of the one load j, in Python scalars: float + - * / are
-        the IEEE operations of numpy's loops, and stroke_time runs the same
-        ufuncs on the load's column of wait levels."""
+        the IEEE operations of numpy's loops, and stroke_time clamps with max
+        and takes np.log of a float, to the bits of its array path."""
         flat = j + self.n * self.sigma.item(j)
         self.temp0[j] = temp
         self.t0[j] = now
         if self.rate_scheme is not None:
             base, level = self.rate_table
-            self.base[j] = base[flat]
-            self.level[j] = level[flat]
-        wait = stroke_time(
-            self.pop.k.item(j), self.target.item(flat), temp, self.wait_levels[:, flat]
-        ).tolist()
-        self.theta[j] = now + wait[0]
+            self.base[j], self.level[j] = base.item(flat), level.item(flat)
+        k, target, levels = self.pop.k.item(j), self.target.item(flat), self.wait_levels
+        self.theta[j] = now + stroke_time(k, target, temp, levels.item(0, flat))
         if self.freq_active:
             self.lvl_on[j] = self.neg_off[j] = math.inf
-            if wait[1] == 0:
+            wait = stroke_time(k, target, temp, levels.item(1, flat))
+            if wait == 0:
                 self.guard[j] = math.inf
-                self.open_levels[flat] = self.branch_level[flat]
+                self.open_levels[flat] = self.branch_level.item(flat)
             else:
-                self.guard[j] = now + wait[1]
+                self.guard[j] = now + wait
 
     def temp(self, j: int, now: float) -> float:
         """Temperature of load j at now, no earlier than its anchor time and
@@ -315,8 +310,12 @@ class LoadAnchors:
         due = self.theta.item(j) <= now
         new = 1 - sigma
         self.sigma[j] = new
-        self.on_states[j] = new
         self.n_on += 2 * new - 1
+        # d_s += +-d_bar[j], compensated
+        d, s = (1 if new else -1) * self.pop.d_bar.item(j), self.d_sum
+        self.d_sum = total = s + d
+        self.d_comp += (s - total) + d if abs(s) >= abs(d) else (d - total) + s
+        self.d_s = total + self.d_comp
         self.anchor(j, temp, now)
         return new, due
 
@@ -362,7 +361,8 @@ class LoadAnchors:
         """Temperatures at now of the loads idx; now must not lie past their
         thermostat times."""
         t0, temp0 = self.t0[idx], self.temp0[idx]
-        flow = stroke_flow(self.pop.k[idx], self.target[self.flat(idx)], temp0, now - t0)
+        flat = idx + self.state_offset[self.sigma[idx]]
+        flow = stroke_flow(self.pop.k[idx], self.target[flat], temp0, now - t0)
         return np.where(t0 == now, temp0, flow)
 
     def snap(self, start: float, dt: float) -> None:
@@ -372,16 +372,16 @@ class LoadAnchors:
         frequency branch."""
         reach = dt * (1.0 + _SNAP_REL)
         now = start + dt
+        n, sigma, levels = self.n, self.sigma, self.wait_levels
         if self.guard_min - start <= reach:
-            idx = np.flatnonzero(self.guard - start <= reach)
-            for j, guard in zip(idx.tolist(), self.wait_levels[1, self.flat(idx)].tolist()):
-                self.anchor(j, guard, now)
+            for j in (self.guard - start <= reach).nonzero()[0].tolist():
+                self.anchor(j, levels.item(1, j + n * sigma.item(j)), now)
             self.refresh()
         if self.theta_min - start <= reach:
-            idx = np.flatnonzero(self.theta - start <= reach)
-            self.temp0[idx] = self.wait_levels[0, self.flat(idx)]
-            self.t0[idx] = now
-            self.theta[idx] = now
+            for j in (self.theta - start <= reach).nonzero()[0].tolist():
+                self.temp0[j] = levels.item(0, j + n * sigma.item(j))
+                self.t0[j] = now
+                self.theta[j] = now
             self.theta_min = min(self.theta_min, now)
 
     def excess(self, omega: float) -> float:
@@ -396,14 +396,14 @@ class LoadAnchors:
         fired."""
         parts = []
         if self.theta_min <= now:
-            parts.append(np.flatnonzero(self.theta <= now))
+            parts.append((self.theta <= now).nonzero()[0])
         if self.excess(omega) >= 0:
             # open levels lie at +omega1 > 0 (lvl_on) and -omega1 < 0 (-neg_off)
             row = self.lvl_on if omega > 0 else self.neg_off
-            parts.append(np.flatnonzero(row <= abs(omega)))
+            parts.append((row <= abs(omega)).nonzero()[0])
         if fired is not None:
             parts.append(np.array([fired]))
-        if len(parts) == 1:  # flatnonzero is ascending and unique already
+        if len(parts) == 1:  # nonzero is ascending and unique already
             return parts[0]
         return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.intp)
 
@@ -444,19 +444,18 @@ class ThinnedClocks:
         with np.errstate(over="ignore"):  # an overflowing env gives the 1/s cap
             bound = rate_law(loads.base, loads.pop.omega1, self.k_pi, env)
         cum = np.cumsum(bound)
-        total = float(cum[-1])
-        rng = self.rng
-        t = start
+        total, last = cum.item(-1), cum.size - 1
+        rng, t = self.rng, start
         while True:
             t += rng.standard_exponential() / total
             self.draws += 1
             if t >= end:
                 return math.inf, -1
-            j = min(int(np.searchsorted(cum, rng.random() * total, side="right")), cum.size - 1)
+            j = min(int(cum.searchsorted(rng.random() * total, side="right")), last)
             omega = flow.omega(flow.advance(z, t - start)) if self.coupled else 0.0
             # in Python floats an overflowing omega gives the cap without a warning
             rate = rate_law(loads.base.item(j), loads.level.item(j), self.k_pi, omega)
-            if rng.random() * bound[j] < rate and not loads.held(j, t):
+            if rng.random() * bound.item(j) < rate and not loads.held(j, t):
                 return t, j
 
 
@@ -524,9 +523,6 @@ def simulate(sc: Scenario) -> Trace:
     jumps = 0
     dist_idx = 0
 
-    def record_sample():
-        samples.extend((t, jumps, z, flow.u, loads.d_s, loads.on_fraction))
-
     def grid_states() -> tuple[list, np.ndarray]:
         """The samples' columns, and their grid states, all of them finite."""
         columns = [samples[i::6] for i in range(6)]
@@ -537,26 +533,28 @@ def simulate(sc: Scenario) -> Trace:
             raise SimulationError(f"non-finite grid state at t={times[int(np.argmin(finite))]}")
         return columns, states
 
-    def apply_jumps(omega: float, clock_fired: int | None) -> None:
-        """Settle all enabled jumps at the current instant."""
+    def apply_jumps(clock_fired: int | None) -> None:
+        """Settle all enabled jumps at the current instant and record its sample."""
         nonlocal jumps
-        switches, rounds = loads.settle(omega, t, clock_fired, zeno_max)
+        switches, rounds = loads.settle(omega(z), t, clock_fired, zeno_max)
         switch_log.extend(switches)
         jumps += rounds
         meta["max_jump_instants"] = max(meta["max_jump_instants"], rounds)
+        extend((t, jumps, z, flow.u, loads.d_s, loads.on_fraction))
 
+    advance, omega, excess, extend = flow.advance, flow.omega, loads.excess, samples.extend
     # corrective jump pass so z(0,0) starts consistent with the flow set
-    apply_jumps(flow.omega(z), None)
-    record_sample()
+    apply_jumps(None)
 
     tiny = 1e-12
-    excess = loads.excess
     # the next accepted candidate, drawn for the segment of held input and
     # load states keyed by (jumps, dist_idx)
     t_fire, fire, segment = math.inf, -1, None
     cadence_steps = 0
     while t < sc.horizon - tiny:
-        z = flow.hold(z, dist_levels[dist_idx] + loads.d_s - d_star)
+        d_s, on_fraction = loads.d_s, loads.on_fraction
+        z = flow.hold(z, dist_levels[dist_idx] + d_s - d_star)
+        u = flow.u
         # guard_min is +inf under the randomized scheme, so a segment ends
         # at the same stop
         stop = min(loads.theta_min, loads.guard_min, dist_next[dist_idx], sc.horizon)
@@ -568,8 +566,9 @@ def simulate(sc: Scenario) -> Trace:
             raise SimulationError(f"non-positive step {stop - t} at t={t}")
 
         # a step between disabled ends is crossing-free if it passes the
-        # curvature test of CrossingWalk; excess is -inf with no open branch
-        g_a = excess(flow.omega(z))
+        # curvature test of CrossingWalk, with M2 from the pass start (it
+        # bounds the rest of the pass); excess is -inf with no open branch
+        g_a = excess(omega(z))
         slack = flow.curvature(z) * max_step**2 / 8 if g_a > -math.inf else 0.0
         # cadence steps that end more than one max_step before stop snap no
         # load and enable no jump unless they fail that test, so they are
@@ -578,25 +577,27 @@ def simulate(sc: Scenario) -> Trace:
         quiet_until = stop - 2 * max_step - tiny
         while True:
             dt = min(stop - t, max_step)
-            z_end = flow.advance(z, dt)
-            omega_end = flow.omega(z_end)
+            z_end = advance(z, dt)
+            omega_end = omega(z_end)
             if not math.isfinite(omega_end):
                 grid_states()  # the first non-finite state may be a sample's
                 raise SimulationError(f"non-finite grid state at t={t + dt}")
             g_b = excess(omega_end)
-            if t >= quiet_until or not max(g_a, g_b) + slack < 0:
+            certified = max(g_a, g_b) + slack < 0
+            if t >= quiet_until or not certified:
                 break
             z, g_a = z_end, g_b
             t += dt
-            record_sample()
+            extend((t, jumps, z, u, d_s, on_fraction))
             cadence_steps += 1
 
         meta["loop_iterations"] += 1
         clock_fired = fire if t_fire - t <= dt else None
         dt_event = dt
         # a jump instant leaves the start disabled; with no open branch
-        # (excess -inf) there is no level to cross
-        if -math.inf < g_a < 0:
+        # (excess -inf) or on a certified step (the walk's own first test,
+        # with M2 from the step start, passes too) no level is crossed
+        if -math.inf < g_a < 0 and not certified:
             crossing = next(walk.crossings(z, g_a, dt, g_b, z_end), None)
             if crossing is not None:
                 dt_event, z_end = crossing
@@ -609,8 +610,7 @@ def simulate(sc: Scenario) -> Trace:
         if t >= dist_next[dist_idx] - tiny:
             dist_idx += 1
 
-        apply_jumps(flow.omega(z), clock_fired)
-        record_sample()
+        apply_jumps(clock_fired)
 
     final = loads.temps_at(np.arange(n_loads), t)
     temp_min = np.minimum(loads.temp_min, final)

@@ -171,8 +171,8 @@ def _load_major_events(pop: Population, temperatures, sigmas, horizon: float):
 
 
 def demand_series(p: Population, temperature: float, sigma: int, horizon: float) -> TimeSeries:
-    """Free-running demand of a single load as an exact piecewise signal."""
-    return aggregate_demand_series(Population.of([p]), [temperature], [sigma], horizon)
+    """Free-running demand of a one-load Population as an exact piecewise signal."""
+    return aggregate_demand_series(p, [temperature], [sigma], horizon)
 
 
 def time_order(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,10 +6,11 @@ design, simulator and statistics code take and return it, and `pop[j]` is
 load j as a one-load `Population` with scalar fields. Every per-load law, the
 validity checks (`check_loads`, the one statement of the load rules) and the
 stroke formulas included, is written once over attribute access and NumPy
-operations, so it takes scalar and array fields alike. The held flow
-and the time to a level are written once over a stroke, its insulation
-coefficient and flow target (`stroke_flow`, `stroke_time`), and the
-randomized rate once over a stroke's coefficients (`rate_law` over
+operations, so it takes scalar and array fields alike; the stroke and rate
+laws clamp with max and min on a float, np.maximum and np.minimum on an
+array. The held flow and the time to a level are written once over a stroke,
+its insulation coefficient and flow target (`stroke_flow`, `stroke_time`),
+and the randomized rate once over a stroke's coefficients (`rate_law` over
 `rate_coefficients`); their per-(state, load) tables are the switching rule,
 under which a held load's clock never fires (hybrid_sim.LoadAnchors.held).
 
@@ -75,6 +76,8 @@ class Population:
         return cls(**{name: np.array([getattr(p, name) for p in loads]) for name in LOAD_FIELDS})
 
     def __getitem__(self, j: int) -> Population:
+        if np.ndim(self.d_bar) == 0:  # a one-load Population is its only load
+            return (self,)[j]
         return Population(**{name: getattr(self, name)[j] for name in LOAD_FIELDS})
 
     def __iter__(self):
@@ -208,6 +211,16 @@ def flow_target(p: Population, sigma):
     return p.t_amb - sigma * p.cop * p.d_bar
 
 
+# the laws' clamps: numpy's elementwise on an ndarray, Python's max and min on
+# a float (no numpy dispatch); a NaN x stays NaN either way
+def _at_least(x, bound):
+    return np.maximum(x, bound) if isinstance(x, np.ndarray) else max(x, bound)
+
+
+def _at_most(x, bound):
+    return np.minimum(x, bound) if isinstance(x, np.ndarray) else min(x, bound)
+
+
 def stroke_flow(k, target, temperature, dt):
     """Exact temperature after flowing dt >= 0 seconds with the switch held,
     on a stroke given by its insulation coefficient k and flow target; dt may
@@ -223,7 +236,7 @@ def stroke_time(k, target, temperature, level):
     ratio = (temperature - target) / (level - target)
     # a ratio at or below 1 (at or past the level) waits log(1) = 0; NaN
     # stays NaN
-    return np.log(np.maximum(ratio, 1.0)) / k
+    return np.log(_at_least(ratio, 1.0)) / k
 
 
 def next_thermostat_event(p: Population, temperature, sigma):
@@ -254,7 +267,7 @@ def rate_law(base, level, k_pi: float, omega):
     linearly in omega/omega1, and the rate is clamped to [0, 1] per second to
     prevent chatter at extreme gains. For ON loads 1 + k_pi * omega / -omega1
     is exactly 1 - k_pi * omega / omega1."""
-    return np.minimum(base * np.maximum(k_pi * omega / level + 1.0, 0.0), 1.0)[()]
+    return _at_most(base * _at_least(k_pi * omega / level + 1.0, 0.0), 1.0)
 
 
 def frequency_branch(p: Population, sigma):

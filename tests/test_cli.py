@@ -393,16 +393,17 @@ class TestErrors:
 
 def test_commands_build_no_per_load_list(tmp_path, monkeypatch):
     """`certify`, `stats` and `run` carry one Population from sampling to
-    output: only the cross-term pairs of `stats` build one-load populations
-    (scalar fields), at most two per pair."""
+    output: three array populations (the range box's corners, the drawn
+    loads and the allocated thresholds), and only the cross-term pairs of
+    `stats` build one-load populations (scalar fields), at most two per
+    pair, whose demand series are built from them as they are."""
     from tclgrid.tcl import Population
 
-    built = 0
+    built = {"scalar": 0, "array": 0}
     check = Population.__post_init__
 
     def counted(self):
-        nonlocal built
-        built += np.ndim(self.d_bar) == 0
+        built["scalar" if np.ndim(self.d_bar) == 0 else "array"] += 1
         check(self)
 
     monkeypatch.setattr(Population, "__post_init__", counted)
@@ -411,9 +412,10 @@ def test_commands_build_no_per_load_list(tmp_path, monkeypatch):
         (["stats", "--pairs", "5"], 2 * 5),
         (["run", "--horizon", "2", "--out", str(tmp_path / "o")], 0),
     ):
-        built = 0
+        built.update(scalar=0, array=0)
         assert main([argv[0], "--scenario", str(SHIPPED_SCENARIO), *argv[1:]]) == 0
-        assert built <= allowed, argv[0]
+        assert built["scalar"] <= allowed, argv[0]
+        assert built["array"] <= 3, argv[0]
 
 
 @pytest.mark.parametrize("command", ["certify", "stats"])

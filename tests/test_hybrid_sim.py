@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tclgrid import grid_model, hybrid_sim
+from tclgrid import grid_model, hybrid_sim, tcl
 from tclgrid.grid_model import (
     GenDynamics,
     StateSpace,
@@ -379,6 +380,22 @@ def anchored_states(draw):
 
 
 @st.composite
+def demand_jumps(draw):
+    """A population with equal magnitudes d_bar or unequal ones (over six
+    decades, at the same ON flow target), its switch states and
+    temperatures, and a sequence of loads that jump at t = 0."""
+    n = draw(st.integers(1, 30))
+    pop = sample_population(PopulationSpec(n, gamma=0.2, seed=draw(st.integers(0, 2**31))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    if draw(st.booleans()):
+        d_bar = 10.0 ** rng.uniform(-6.0, 0.0, n)
+        pop = dataclasses.replace(pop, d_bar=d_bar, cop=pop.cop * pop.d_bar / d_bar)
+    sigmas = rng.integers(0, 2, n).astype(np.int8)
+    temps = rng.uniform(pop.t_lo, pop.t_hi)
+    return pop, temps, sigmas, rng.integers(0, n, draw(st.integers(0, 300))).tolist()
+
+
+@st.composite
 def out_of_band_runs(draw):
     """A run of 1-8 loads, each started up to 0.5 C beyond either threshold
     in either switch state, under one of the four SCHEME_CASES (the
@@ -440,8 +457,8 @@ def reference_jump(loads: LoadAnchors, idx: np.ndarray, now: float):
     due = loads.theta[idx] <= now
     new = 1 - loads.sigma[idx]
     loads.sigma[idx] = new
-    loads.on_states[idx] = new
     loads.n_on += 2 * int(np.count_nonzero(new)) - idx.size
+    loads.d_s = on_demand(loads)
     loads.temp_min[idx] = np.minimum(loads.temp_min[idx], temps)
     loads.temp_max[idx] = np.maximum(loads.temp_max[idx], temps)
     loads.reanchor(idx, temps, now)
@@ -468,9 +485,14 @@ def reference_settle(loads: LoadAnchors, omega: float, now: float, fired):
     return switches, rounds
 
 
+def on_demand(loads: LoadAnchors) -> float:
+    """The demand of the ON loads, correctly rounded."""
+    return math.fsum(loads.pop.d_bar[loads.sigma == 1].tolist())
+
+
 def assert_same_anchors(loads: LoadAnchors, ref: LoadAnchors) -> None:
     """Every per-load array and count of two LoadAnchors, bit for bit."""
-    names = ["times", "open_levels", "temp0", "t0", "sigma", "on_states", "temp_min", "temp_max"]
+    names = ["times", "open_levels", "temp0", "t0", "sigma", "temp_min", "temp_max"]
     if ref.rate_scheme is not None:
         names += ["base", "level"]
     for name in names:
@@ -676,9 +698,9 @@ class TestLoadAnchors:
         for now, idx in enumerate(switches, start=1):
             for j in idx.tolist():
                 loads.jump(j, float(now))
-        # the kept float states and ON count give the sums over the states
+        # the kept ON count and running d_s give the sums over the states
         loads.refresh()
-        assert loads.d_s == float(np.dot(pop.d_bar, loads.sigma.astype(float)))
+        assert abs(loads.d_s - on_demand(loads)) <= math.ulp(on_demand(loads))
         assert loads.on_fraction == np.count_nonzero(loads.sigma) / n
         # each load's thermostat time is the kernel's from its last anchor
         np.testing.assert_array_equal(
@@ -690,6 +712,18 @@ class TestLoadAnchors:
         rates = rate_law(loads.base, loads.level, scheme.k_pi, omega)
         expected = switching_rate(pop, loads.sigma, omega, scheme)
         assert np.array_equal(rates, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=demand_jumps())
+    def test_running_demand_is_the_sum_over_on_loads(self, case):
+        # jump keeps d_s as a compensated running sum of +-d_bar: after every
+        # switch it lies within one ulp of the sum over the ON loads
+        pop, temps, sigmas, order = case
+        loads = LoadAnchors(pop, Scheme.deterministic(), temps, sigmas)
+        assert abs(loads.d_s - on_demand(loads)) <= math.ulp(on_demand(loads))
+        for j in order:
+            loads.jump(j, 0.0)
+            assert abs(loads.d_s - on_demand(loads)) <= math.ulp(on_demand(loads))
 
     @settings(max_examples=150, deadline=None)
     @given(case=anchored_states(), ops=st.integers(1, 6))
@@ -966,6 +1000,31 @@ class TestEventLocation:
         tr, calls = shipped_run_30s
         assert tr.times.size > 3000
         assert calls == 0
+
+
+@pytest.mark.parametrize("scheme", [Scheme.deterministic(), Scheme.randomized()])
+def test_event_path_clamps_floats_without_numpy(shipped_file, monkeypatch, scheme):
+    # on the shipped 30 s runs tcl and hybrid_sim call np.maximum and
+    # np.minimum on arrays only: a float is clamped by max and min (np.log
+    # and np.exp of a float stay, the laws' transcendentals)
+    sc, _ = dataclasses.replace(shipped_file, horizon=30.0, scheme=scheme).build_scenario()
+
+    def arrays_only(ufunc):
+        def clamp(x, *args, **kwargs):
+            if not isinstance(x, np.ndarray):
+                raise TypeError(f"np.{ufunc.__name__} called on {type(x).__name__}")
+            return ufunc(x, *args, **kwargs)
+        return clamp
+
+    guarded = types.ModuleType("numpy")
+    vars(guarded).update(vars(np))
+    guarded.maximum, guarded.minimum = arrays_only(np.maximum), arrays_only(np.minimum)
+    for module in (tcl, hybrid_sim):
+        monkeypatch.setattr(module, "np", guarded)
+    with pytest.raises(TypeError):
+        tcl.np.maximum(1.0, 0.0)
+    tr = simulate(sc)
+    assert tr.switch_times.size > 100
 
 
 @pytest.mark.parametrize("scheme", [Scheme.conventional(), Scheme.randomized()])

@@ -17,8 +17,11 @@ from tclgrid.tcl import (
     next_thermostat_event,
     on_off_durations,
     period,
+    rate_law,
     sample_initial_states,
     sample_population,
+    stroke_flow,
+    stroke_time,
     zeta,
 )
 from tests.reference import (
@@ -372,6 +375,17 @@ class TestPopulationSampling:
             assert p.t_lo <= temp <= p.t_hi
             assert sig in (0, 1)
 
+    def test_one_load_is_its_only_load(self):
+        # pop[j] has scalar fields and length 1: index 0 and -1 are the load
+        # itself, iteration yields it once, and any other index is out of range
+        p = sample_population(PopulationSpec(5, 0.2, seed=3))[2]
+        assert len(p) == 1 and np.ndim(p.d_bar) == 0
+        assert p[0] is p and p[-1] is p and p[np.int64(0)] is p
+        assert list(p) == [p]
+        for j in (1, -2, 5):
+            with pytest.raises(IndexError):
+                p[j]
+
     def test_replaced_threshold_keeps_the_load(self):
         q = dataclasses.replace(Population.of([REFERENCE]), omega1=np.array([0.2]))
         assert same_load(q[0], dataclasses.replace(REFERENCE, omega1=0.2))
@@ -438,6 +452,65 @@ def math_log_strokes(p: Population) -> tuple[float, float]:
         math.log((p.t_hi - target) / (p.t_lo - target)) / p.k,
         math.log((p.t_amb - p.t_lo) / (p.t_amb - p.t_hi)) / p.k,
     )
+
+
+# finite doubles, signed zeros, infinities, NaN and magnitudes whose products
+# overflow
+LAW_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, 1.0]),
+)
+
+
+def law_columns(n_args: int, divisors: tuple[int, ...] = ()):
+    """n_args equal-length lists of LAW_FLOATS; the args named by divisors
+    are nonzero, since a Python float divided by zero raises where numpy
+    gives inf or NaN (check_loads keeps every divisor of a run nonzero)."""
+    columns = [
+        st.lists(LAW_FLOATS.filter(bool) if i in divisors else LAW_FLOATS, min_size=1, max_size=6)
+        for i in range(n_args)
+    ]
+    return st.tuples(*columns).map(lambda cols: [c[: min(map(len, cols))] for c in cols])
+
+
+def same_bits(a, b) -> bool:
+    """Equal bits, or both NaN: which NaN an invalid operation gives follows
+    the operand order of the machine loop."""
+    a, b = np.float64(a), np.float64(b)
+    return a.tobytes() == b.tobytes() or (np.isnan(a) and np.isnan(b))
+
+
+class TestLawsOnFloats:
+    """On Python floats each stroke and rate law clamps with max and min and
+    takes np.log or np.exp of a float: element by element the bits of its
+    array path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cols=law_columns(4))
+    def test_stroke_flow(self, cols):
+        with np.errstate(all="ignore"):
+            arr = stroke_flow(*map(np.array, cols))
+            for i, args in enumerate(zip(*cols)):
+                assert same_bits(stroke_flow(*args), arr[i]), args
+
+    @settings(max_examples=300, deadline=None)
+    @given(cols=law_columns(4))
+    def test_stroke_time(self, cols):
+        k, target, temp, level = cols
+        assume(all(lv - tg != 0 for lv, tg in zip(level, target)))
+        with np.errstate(all="ignore"):
+            arr = stroke_time(*map(np.array, cols))
+            for i, args in enumerate(zip(*cols)):
+                assert same_bits(stroke_time(*args), arr[i]), args
+
+    @settings(max_examples=300, deadline=None)
+    @given(cols=law_columns(3, divisors=(1,)), k_pi=LAW_FLOATS)
+    def test_rate_law(self, cols, k_pi):
+        base, level, omega = cols
+        with np.errstate(all="ignore"):
+            arr = rate_law(np.array(base), np.array(level), k_pi, np.array(omega))
+            for i, (b, lv, w) in enumerate(zip(base, level, omega)):
+                assert same_bits(rate_law(b, lv, k_pi, w), arr[i]), (b, lv, k_pi, w)
 
 
 @st.composite
