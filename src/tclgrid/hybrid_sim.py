@@ -286,7 +286,7 @@ class LoadAnchors:
         if t0 == now:
             return temp
         flat = j + self.n * self.sigma.item(j)
-        return stroke_flow(self.pop.k.item(j), self.target.item(flat), temp, now - t0)
+        return float(stroke_flow(self.pop.k.item(j), self.target.item(flat), temp, now - t0))
 
     def held(self, j: int, now: float) -> bool:
         """Whether load j's thermostat holds it at now: switched there, it

@@ -80,7 +80,7 @@ def time_variance(ts: TimeSeries, window: tuple[float, float]) -> float:
     np.square(vals, out=terms)
     terms *= widths
     mean_sq = float(np.sum(terms)) / (t1 - t0)
-    return mean_sq - mean * mean
+    return max(mean_sq - mean * mean, 0.0)  # one pass can cancel below 0
 
 
 def theoretical_variance(pop: Population, warn=None) -> float:
@@ -106,12 +106,11 @@ def free_run_events(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Demand events of isolated loads on [0, horizon]: for load 0, then load
     1 and so on, its level at t = 0, then its switch instants with steps
-    +-d_bar. The first switch is solved from the flow (at t = 0 it sets the
-    level instead), and each later one adds the stroke of the state switched
-    to, one at a time: a row-wise cumsum over blocks of SWITCH_BLOCK loads
-    taken in order of cycle count (a stable argsort), so a block pads each
-    load to about its own width. The blocks fill one preallocated buffer,
-    and each load's kept times are then copied to its place in load order.
+    +-d_bar, the conventional simulate's switches bit for bit. A load at or
+    past its active threshold switches at t = 0, which sets its level. The
+    next switch is solved from the flow from the actual temperature, and each
+    later one adds the stroke of the state switched to, in a row-wise cumsum
+    over blocks of SWITCH_BLOCK loads (see there).
     """
     times, deltas = _load_major_events(pop, temperatures, sigmas, horizon)
     return times[1:], deltas[1:]
@@ -121,17 +120,16 @@ def _load_major_events(pop: Population, temperatures, sigmas, horizon: float):
     """free_run_events behind one leading (t = 0, step 0) slot, the start of
     the series aggregate_demand_series merges."""
     sigmas = np.asarray(sigmas)
-    first = next_thermostat_event(pop, np.asarray(temperatures, dtype=float), sigmas)
-    # a switch at t = 0 sets the level, and the strokes start from there:
-    # the row of such a load starts 0, own, the same sums as 0, 0, own
-    at_zero = first == 0.0
-    level = np.where(at_zero, 1 - sigmas, sigmas)
+    temperatures = np.asarray(temperatures, dtype=float)
+    # a load at or past its active threshold switches at t = 0, which sets its
+    # level; every load then flows from its actual temperature in its level
+    level = np.where(next_thermostat_event(pop, temperatures, sigmas) == 0.0, 1 - sigmas, sigmas)
+    lead = next_thermostat_event(pop, temperatures, level)
     own = np.where(level == 1, pop.pi_on, pop.pi_off)
     other = np.where(level == 1, pop.pi_off, pop.pi_on)
-    n_cycles = np.maximum((horizon - first) // period(pop), 0).astype(int) + 2
-    # a load's row: t = 0, its first switch, then the strokes of the other
-    # state and of its own in turn, out to two cycles past the horizon
-    lead = np.where(at_zero, own, first)
+    n_cycles = np.maximum((horizon - lead) // period(pop), 0).astype(int) + 2
+    # a load's row: t = 0, lead, then the strokes of the other state and of
+    # its own in turn, out to two cycles past the horizon
     loads = np.argsort(n_cycles, kind="stable")
     n = len(pop)
     starts = range(0, n, SWITCH_BLOCK)

@@ -9,8 +9,9 @@ stroke formulas included, is written once over attribute access and NumPy
 operations, so it takes scalar and array fields alike; the stroke and rate
 laws clamp with max and min on a float, np.maximum and np.minimum on an
 array. The held flow and the time to a level are written once over a stroke,
-its insulation coefficient and flow target (`stroke_flow`, `stroke_time`),
-and the randomized rate once over a stroke's coefficients (`rate_law` over
+its insulation coefficient and flow target (`stroke_flow`, `stroke_time`;
+pi_on and pi_off are stroke_time from threshold to threshold), and the
+randomized rate once over a stroke's coefficients (`rate_law` over
 `rate_coefficients`); their per-(state, load) tables are the switching rule,
 under which a held load's clock never fires (hybrid_sim.LoadAnchors.held).
 
@@ -22,7 +23,6 @@ hysteresis loop has no equilibrium and both strokes complete in finite time.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -182,14 +182,13 @@ class Scheme:
 
 
 def on_off_durations(p: Population) -> tuple[float, float]:
-    """Closed-form ON and OFF stroke durations of the free-running load. The
-    logarithm is math.log, elementwise on arrays: np.log differs from it in
-    the last bit on some inputs."""
-    target = flow_target(p, 1)
-    ratios = ((p.t_hi - target) / (p.t_lo - target), (p.t_amb - p.t_lo) / (p.t_amb - p.t_hi))
-    if np.ndim(p.k) == 0:
-        return tuple(math.log(r) / p.k for r in ratios)
-    return tuple(np.array([math.log(v) for v in r.tolist()]) / p.k for r in ratios)
+    """ON and OFF stroke durations of the free-running load: stroke_time from
+    each threshold to the other (t_hi to t_lo ON, t_lo to t_hi OFF), the
+    simulator's law."""
+    return (
+        stroke_time(p.k, flow_target(p, 1), p.t_hi, p.t_lo),
+        stroke_time(p.k, flow_target(p, 0), p.t_lo, p.t_hi),
+    )
 
 
 def period(p: Population) -> float:

@@ -182,6 +182,19 @@ class TestStats:
         assert code == 2
         assert "--pairs" in capsys.readouterr().err
 
+    def test_constant_demand_has_zero_variance(self, tmp_path, capsys):
+        # one load that never switches in the window: its constant demand's
+        # one-pass variance came out as -1.110223e-16
+        doc = yaml.safe_load(SHIPPED_SCENARIO.read_text())
+        doc.update(population={"n_loads": 1, "gamma": 0.8521266415512221, "seed": 4}, seed=4)
+        path = tmp_path / "one.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code = main([
+            "stats", "--scenario", str(path), "--horizon", "12.482217091288122", "--pairs", "0",
+        ])
+        assert code == 0
+        assert "measured_variance: 0\n" in capsys.readouterr().out
+
     def test_single_load_without_pairs_runs(self, tmp_path, capsys):
         doc = dict(SMALL_DOC, population={"n_loads": 1, "gamma": 0.01, "seed": 1})
         path = tmp_path / "one.yaml"

@@ -26,6 +26,7 @@ from tclgrid.hybrid_sim import (
     ripple_envelope,
     simulate,
 )
+from tclgrid.stats import free_run_events
 from tclgrid.tcl import (
     Population,
     PopulationSpec,
@@ -225,6 +226,58 @@ class TestPopulationRuns:
                 simulate(sc)
         at = float(str(info.value).rsplit("t=", 1)[1])
         assert 11.0 < at < 100.0
+
+
+@st.composite
+def free_run_pins(draw):
+    """1-60 sampled loads, each in either switch state on a threshold or
+    anywhere from 1 C below its band to 1 C above it (past either threshold
+    too), a horizon and a max_step."""
+    n = draw(st.integers(1, 60))
+    pop = sample_population(
+        PopulationSpec(n, draw(st.floats(0.01, 1.0)), seed=draw(st.integers(0, 2**32 - 1)))
+    )
+    temps = np.array([
+        draw(st.one_of(
+            st.sampled_from([float(p.t_lo), float(p.t_hi)]),
+            st.floats(float(p.t_lo) - 1.0, float(p.t_hi) + 1.0),
+        ))
+        for p in pop
+    ])
+    sigmas = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+    horizon = draw(st.floats(1.0, 1500.0))
+    max_step = draw(st.one_of(st.sampled_from([0.1, 0.5, 2.0]), st.floats(0.1, 5.0)))
+    return pop, temps, sigmas, horizon, max_step
+
+
+class TestFreeRunPin:
+    """Free-running loads switch on the one stroke law: the conventional
+    simulate and stats.free_run_events give the same switch times, bit for
+    bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=free_run_pins())
+    def test_simulate_equals_free_run_events(self, case):
+        pop, temps, sigmas, horizon, max_step = case
+        times, deltas = free_run_events(pop, temps, sigmas, horizon)
+        # each load's events open with exactly one at t = 0, its level there
+        starts = np.flatnonzero(times == 0.0)
+        assert starts.size == len(pop) and starts[0] == 0
+        rows = zip(np.split(times, starts[1:]), np.split(deltas, starts[1:]), strict=True)
+        runs = [
+            simulate(small_population_scenario(
+                population=pop, scheme=scheme, clamp_omega=clamp, horizon=horizon,
+                max_step=max_step, initial_state=(temps, sigmas),
+            ))
+            for scheme, clamp in ((Scheme.conventional(), False), (Scheme.deterministic(), True))
+        ]
+        for j, (row, steps) in enumerate(rows):
+            for tr in runs:
+                mine = tr.switch_times[tr.switch_loads == j]
+                # a load at or past its active threshold switches at t = 0
+                level = sigmas[j] ^ np.count_nonzero(mine == 0.0)
+                assert steps[0] == level * pop.d_bar[j]
+                assert mine[mine > 0].tobytes() == row[1:].tobytes()
 
 
 class TestFrequencyResponsiveScheme:
@@ -1006,8 +1059,17 @@ class TestEventLocation:
 def test_event_path_clamps_floats_without_numpy(shipped_file, monkeypatch, scheme):
     # on the shipped 30 s runs tcl and hybrid_sim call np.maximum and
     # np.minimum on arrays only: a float is clamped by max and min (np.log
-    # and np.exp of a float stay, the laws' transcendentals)
+    # and np.exp of a float stay, the laws' transcendentals), and a load's
+    # temperature on the event path is a Python float
     sc, _ = dataclasses.replace(shipped_file, horizon=30.0, scheme=scheme).build_scenario()
+    temp, temp_types = LoadAnchors.temp, set()
+
+    def typed_temp(self, j, now):
+        value = temp(self, j, now)
+        temp_types.add(type(value))
+        return value
+
+    monkeypatch.setattr(LoadAnchors, "temp", typed_temp)
 
     def arrays_only(ufunc):
         def clamp(x, *args, **kwargs):
@@ -1025,6 +1087,7 @@ def test_event_path_clamps_floats_without_numpy(shipped_file, monkeypatch, schem
         tcl.np.maximum(1.0, 0.0)
     tr = simulate(sc)
     assert tr.switch_times.size > 100
+    assert temp_types == {float}
 
 
 @pytest.mark.parametrize("scheme", [Scheme.conventional(), Scheme.randomized()])

@@ -53,6 +53,23 @@ class TestTimeSeries:
         ts = TimeSeries(times=np.array([0.0]), values=np.array([2.5]))
         assert time_variance(ts, (0.0, 100.0)) == pytest.approx(0.0, abs=1e-15)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pieces=st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=30),
+        constant=st.booleans(),
+        t0=st.floats(0.0, 1e3),
+        width=st.floats(1e-3, 1e4),
+    )
+    def test_variance_is_never_negative(self, pieces, constant, t0, width):
+        # the one-pass moments of a constant series cancel to a rounding
+        # error of either sign; the variance is clamped at 0
+        gaps, values = zip(*pieces)
+        ts = TimeSeries(
+            times=np.cumsum((0.0,) + gaps[:-1]),
+            values=np.full(len(values), values[0]) if constant else np.array(values),
+        )
+        assert time_variance(ts, (t0, t0 + width)) >= 0.0
+
     def test_validation(self):
         with pytest.raises(StatsError):
             TimeSeries(times=np.array([0.0, 0.0]), values=np.array([1.0, 2.0]))
@@ -81,14 +98,17 @@ class TestTimeSeries:
 
 
 def reference_switch_times(p, temperature, sigma, horizon):
-    """Reference for the kernel: one load's switch instants by a 1-D running sum."""
+    """Reference for the kernel: one load's switch instants by a 1-D running
+    sum. A load at or past its active threshold switches at t = 0 and then
+    flows from its actual temperature."""
     pi_on, pi_off = on_off_durations(p)
-    first = float(next_thermostat_event(p, temperature, sigma))
-    n_cycles = max(int((horizon - first) // (pi_on + pi_off)), 0) + 2
-    steps = np.empty(2 * n_cycles + 1)
-    steps[0] = first
-    steps[1::2], steps[2::2] = (pi_off, pi_on) if sigma else (pi_on, pi_off)
-    times = np.cumsum(steps)
+    lead = [float(next_thermostat_event(p, temperature, sigma))]
+    if lead[0] == 0.0:
+        sigma = 1 - sigma
+        lead.append(float(next_thermostat_event(p, temperature, sigma)))
+    n_cycles = max(int((horizon - lead[-1]) // (pi_on + pi_off)), 0) + 2
+    strokes = [pi_off, pi_on] if sigma else [pi_on, pi_off]
+    times = np.cumsum(lead + strokes * n_cycles)
     return times[: np.searchsorted(times, horizon, side="right")]
 
 
@@ -121,15 +141,18 @@ def reference_aggregate(pop, temperatures, sigmas, horizon):
 @st.composite
 def free_run_cases(draw):
     """A sampled population, with each load starting mid-band, exactly on a
-    threshold (so it may switch at t = 0) or anywhere in its band, and a
-    horizon of zero, short or long."""
+    threshold, anywhere in its band or up to 1 C past either threshold (so
+    it may switch at t = 0), and a horizon of zero, short or long."""
     n = draw(st.integers(1, 12))
     pop = sample_population(PopulationSpec(n, 0.05, seed=draw(st.integers(0, 2**32 - 1))))
     temps, sigmas = [], []
     for p in pop:
-        start = draw(st.sampled_from(["t_lo", "t_hi", "mid", "any"]))
-        if start == "any":
-            temps.append(draw(st.floats(p.t_lo, p.t_hi)))
+        spans = {
+            "any": (p.t_lo, p.t_hi), "below": (p.t_lo - 1.0, p.t_lo), "above": (p.t_hi, p.t_hi + 1.0),
+        }
+        start = draw(st.sampled_from(["t_lo", "t_hi", "mid", *spans]))
+        if start in spans:
+            temps.append(draw(st.floats(*spans[start])))
         else:
             temps.append((p.t_lo + p.t_hi) / 2 if start == "mid" else getattr(p, start))
         sigmas.append(draw(st.integers(0, 1)))
@@ -175,9 +198,9 @@ RANGE_CORNERS = [(4.0, 5.0, 1e-3, 35.0, 25.0), (2.0, 7.0, 2e-4, 25.0, 25.0)]
 @st.composite
 def multi_block_cases(draw):
     """20-300 sampled loads with the RANGE_CORNERS among them, each starting
-    on a threshold (so it may switch at t = 0), mid-band or anywhere in its
-    band, and a horizon from zero, where no load switches after t = 0, to
-    2e4 s, thousands of switches."""
+    on a threshold, mid-band, anywhere in its band or anywhere within 1 C of
+    it (so it may switch at t = 0), and a horizon from zero, where no load
+    switches after t = 0, to 2e4 s, thousands of switches."""
     n = draw(st.integers(20, 300))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -191,7 +214,9 @@ def multi_block_cases(draw):
         loads.insert(rng.integers(0, len(loads) + 1), load)
     pop = Population.of(loads)
     mid = (pop.t_lo + pop.t_hi) / 2
-    temps = np.choose(rng.integers(0, 4, n), [pop.t_lo, pop.t_hi, mid, rng.uniform(pop.t_lo, pop.t_hi)])
+    temps = np.choose(rng.integers(0, 5, n), [
+        pop.t_lo, pop.t_hi, mid, rng.uniform(pop.t_lo, pop.t_hi), rng.uniform(pop.t_lo - 1, pop.t_hi + 1)
+    ])
     sigmas = rng.integers(0, 2, n).astype(np.int8)
     horizon = draw(st.one_of(st.sampled_from([0.0, 60.0]), st.floats(0.0, 2e4)))
     return pop, temps, sigmas, horizon
@@ -258,10 +283,13 @@ class TestFreeRun:
         loads fit one block or span several."""
         pop = sample_population(PopulationSpec(60, 0.3, seed=8))
         temps, sigmas = sample_initial_states(pop, seed=8)
-        # every load twice, once per initial state, plus two starting on a threshold
-        pop = Population.of([*pop, *pop, REFERENCE, REFERENCE])
-        temps = np.concatenate([temps, temps, [REFERENCE.t_hi, REFERENCE.t_lo]])
-        sigmas = np.concatenate([sigmas, 1 - sigmas, [0, 1]]).astype(np.int8)
+        # every load twice, once per initial state, plus two starting on a
+        # threshold and two past one
+        pop = Population.of([*pop, *pop, *[REFERENCE] * 4])
+        temps = np.concatenate([
+            temps, temps, [REFERENCE.t_hi, REFERENCE.t_lo, REFERENCE.t_hi + 0.5, REFERENCE.t_lo - 0.5]
+        ])
+        sigmas = np.concatenate([sigmas, 1 - sigmas, [0, 1, 0, 1]]).astype(np.int8)
         times, deltas = free_run_events(pop, temps, sigmas, horizon)
         monkeypatch.setattr(stats, "SWITCH_BLOCK", 7)
         blocked = free_run_events(pop, temps, sigmas, horizon)
@@ -273,16 +301,18 @@ class TestFreeRun:
             pop, temps, sigmas, np.split(times, starts[1:]), np.split(deltas, starts[1:])
         ):
             pi_on, pi_off = on_off_durations(p)
-            expected, state = [], int(sig)
-            s = float(next_thermostat_event(p, float(temp), state))
+            level = int(sig)
+            s = float(next_thermostat_event(p, float(temp), level))
+            if s == 0.0:
+                # at or past the active threshold: a switch at t = 0, then
+                # the flow from the actual temperature
+                level = 1 - level
+                s = float(next_thermostat_event(p, float(temp), level))
+            expected, state = [], level
             while s <= horizon:
                 expected.append(s)
                 state = 1 - state
                 s += pi_on if state else pi_off
-            level = int(sig)
-            if expected and expected[0] == 0.0:
-                level = 1 - level  # already at the active threshold
-                expected = expected[1:]
             assert t[1:].tolist() == expected
             assert d[0] == level * p.d_bar
             # steps alternate in sign, starting from the level at t = 0

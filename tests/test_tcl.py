@@ -404,9 +404,10 @@ class TestPopulationSampling:
         loads, want = reference_population(spec)
         for f in dataclasses.fields(Population):
             assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
-        # the strokes are the per-load math.log values, not np.log ones
-        assert got.pi_on.tolist() == [math_log_strokes(p)[0] for p in loads]
-        assert got.pi_off.tolist() == [math_log_strokes(p)[1] for p in loads]
+        # the strokes are the simulator's stroke_time between the thresholds,
+        # the values of its float path load by load
+        assert got.pi_on.tolist() == [threshold_strokes(p)[0] for p in loads]
+        assert got.pi_off.tolist() == [threshold_strokes(p)[1] for p in loads]
         assert all(same_load(a, b) for a, b in zip(got, loads, strict=True))
 
 
@@ -446,11 +447,14 @@ def same_load(a: Population, b: Population) -> bool:
     return all(getattr(a, f.name) == getattr(b, f.name) for f in dataclasses.fields(Population))
 
 
-def math_log_strokes(p: Population) -> tuple[float, float]:
-    target = p.t_amb - p.cop * p.d_bar
+def threshold_strokes(p: Population) -> tuple[float, float]:
+    """stroke_time on the Python floats of a per-load record: ON from t_hi
+    down to t_lo toward t_amb - cop * d_bar, OFF from t_lo up to t_hi toward
+    t_amb."""
+    assert all(type(getattr(p, name)) is float for name in LOAD_FIELDS)
     return (
-        math.log((p.t_hi - target) / (p.t_lo - target)) / p.k,
-        math.log((p.t_amb - p.t_lo) / (p.t_amb - p.t_hi)) / p.k,
+        stroke_time(p.k, p.t_amb - p.cop * p.d_bar, p.t_hi, p.t_lo),
+        stroke_time(p.k, p.t_amb, p.t_lo, p.t_hi),
     )
 
 
