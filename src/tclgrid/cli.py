@@ -24,7 +24,7 @@ from .hybrid_sim import (
     dwell_time_report,
     simulate,
 )
-from .scenario import ScenarioError, ScenarioFile, load_scenario_file, scenario_hash
+from .scenario import ScenarioError, ScenarioFile, load_scenario_file, parse_scheme, scenario_hash
 from .stats import (
     aggregate_demand_series,
     cross_term_oracle,
@@ -74,38 +74,35 @@ def write_metrics_txt(tr: Trace, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_manifest(sf: ScenarioFile, out_dir: Path, extra: dict | None = None) -> None:
+def write_manifest(sf: ScenarioFile, out_dir: Path, extra: dict) -> None:
     manifest = {
         "tool": "tclgrid",
         "version": __version__,
         "seed": sf.seed,
         "population_seed": sf.population.seed,
         "scenario_sha256": scenario_hash(sf),
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load(path: str, overrides: argparse.Namespace) -> ScenarioFile:
-    sf = load_scenario_file(path)
-    changes = {}
-    if getattr(overrides, "seed", None) is not None:
-        changes["seed"] = overrides.seed
-    if getattr(overrides, "horizon", None) is not None:
-        changes["horizon"] = overrides.horizon
-    if getattr(overrides, "scheme", None) is not None:
-        from .scenario import parse_scheme
+# each override option, and whether it sets a design setting rather than a
+# field of the scenario file
+OVERRIDES = {
+    "seed": False, "horizon": False, "scheme": False,
+    "delta": True, "margin": True, "allocate": True,
+}
 
-        changes["scheme"] = parse_scheme(overrides.scheme)
-    if getattr(overrides, "delta", None) is not None:
-        changes["design"] = dataclasses.replace(sf.design, delta=overrides.delta)
-    if getattr(overrides, "margin", None) is not None:
-        design = changes.get("design", sf.design)
-        changes["design"] = dataclasses.replace(design, margin=overrides.margin)
-    if getattr(overrides, "allocate", False):
-        design = changes.get("design", sf.design)
-        changes["design"] = dataclasses.replace(design, allocate=True)
+
+def _load(path: str, args: argparse.Namespace) -> ScenarioFile:
+    sf = load_scenario_file(path)
+    given = {name: getattr(args, name, None) for name in OVERRIDES}
+    changes = {name: v for name, v in given.items() if v is not None and not OVERRIDES[name]}
+    design = {name: v for name, v in given.items() if v is not None and OVERRIDES[name]}
+    if "scheme" in changes:
+        changes["scheme"] = parse_scheme(changes["scheme"])
+    if design:
+        changes["design"] = dataclasses.replace(sf.design, **design)
     return dataclasses.replace(sf, **changes) if changes else sf
 
 
@@ -225,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=float, help="override the horizon (s)")
         p.add_argument("--delta", type=float, help="override the design margin delta (Hz)")
         p.add_argument("--margin", type=float, help="override the allocation margin")
-        p.add_argument("--allocate", action="store_true", help="allocate thresholds")
+        p.add_argument("--allocate", action="store_true", default=None, help="allocate thresholds")
 
     p_run = sub.add_parser("run", help="simulate and export trace/metrics")
     common(p_run)

@@ -98,6 +98,16 @@ def verify_design_condition(pop: Population, l_hat: float, delta: float) -> Desi
 
 
 @dataclass(frozen=True)
+class DesignSettings:
+    """A scenario's design margin delta (Hz) and allocator settings."""
+
+    delta: float = 0.001
+    margin: float = 0.2
+    allocate: bool = False
+    threshold_range: tuple[float, float] = (0.01, 0.26)
+
+
+@dataclass(frozen=True)
 class AllocationResult:
     population: Population
     inactive: list[int]  # loads pinned at the range top, feedback-inactive below it
@@ -108,8 +118,8 @@ def allocate_thresholds(
     pop: Population,
     l_hat: float,
     delta: float,
-    margin: float = 0.2,
-    threshold_range: tuple[float, float] = (0.01, 0.26),
+    margin: float = DesignSettings.margin,
+    threshold_range: tuple[float, float] = DesignSettings.threshold_range,
 ) -> AllocationResult:
     """Greedy ascending threshold fill with a safety margin.
 

@@ -193,9 +193,6 @@ class OneNormResult(NamedTuple):
     tail_bound: float
     t_max: float
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def one_norm(ss: StateSpace, t_max: float | None = None, tol: float = 1e-8) -> OneNormResult:
     """Integral of |g(t)| = |c expm(a t) b| over [0, inf).

@@ -100,11 +100,7 @@ class Scenario:
     initial_state: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        if not valid_seed(self.seed):
-            raise SimulationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        check_positive(horizon=self.horizon, max_step=self.max_step)
-        if not valid_disturbance(self.disturbance):
-            raise SimulationError(f"{DISTURBANCE_RULE}, got {self.disturbance}")
+        check_run_settings(self.horizon, self.max_step, self.seed, self.disturbance)
         if self.initial_state is not None:
             check_initial_state(self.initial_state, len(self.population))
 
@@ -134,24 +130,25 @@ def check_initial_state(state, n_loads: int) -> None:
         raise SimulationError("initial switch states must be 0 or 1")
 
 
-DISTURBANCE_RULE = "disturbance must start at t=0 with strictly increasing times"
+def check_run_settings(horizon: float, max_step: float, seed, disturbance) -> None:
+    """Raise SimulationError, naming the field, unless horizon and max_step
+    are positive and finite, seed passes check_seed and the piecewise-constant
+    (time, level) disturbance starts at t = 0 with strictly increasing times."""
+    check_positive(horizon=horizon, max_step=max_step)
+    check_seed(seed)
+    times = [t for t, _ in disturbance]
+    if not (times and times[0] == 0.0 and all(b > a for a, b in zip(times, times[1:]))):
+        raise SimulationError(
+            "disturbance must start at t=0 with strictly increasing times, "
+            f"got {[list(p) for p in disturbance]}"
+        )
 
 
-def valid_disturbance(schedule) -> bool:
-    """Whether a piecewise-constant (time, level) schedule follows
-    DISTURBANCE_RULE."""
-    times = [t for t, _ in schedule]
-    return bool(times) and times[0] == 0.0 and all(b > a for a, b in zip(times, times[1:]))
-
-
-def valid_seed(value) -> bool:
-    """Whether value can key a Philox stream: an integer (not a bool) in
-    [0, 2**64)."""
-    return (
-        isinstance(value, numbers.Integral)
-        and not isinstance(value, bool)
-        and 0 <= value < 2**64
-    )
+def check_seed(value, name: str = "seed") -> None:
+    """Raise SimulationError unless value can key a Philox stream: an integer
+    (not a bool) in [0, 2**64)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and 0 <= value < 2**64):
+        raise SimulationError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
 CAUSE_THERMO_HI = "thermostat-hi"
@@ -498,6 +495,7 @@ def simulate(sc: Scenario) -> Trace:
     if sc.initial_state is not None:
         temps, sigmas = sc.initial_state
     else:
+        # looked up at call time, so a wrapper set on tcl.sample_initial_states sees the call
         from .tcl import sample_initial_states
 
         temps, sigmas = sample_initial_states(pop, sc.seed)
@@ -710,6 +708,7 @@ def ripple_envelope(
     return float(np.median(blocks.max(axis=1)))
 
 
+# the named schemes: compare_schemes runs each, and a scenario's kind names one
 SCHEME_CASES: list[tuple[str, Scheme]] = [
     ("conventional", Scheme.conventional()),
     ("deterministic", Scheme.deterministic()),

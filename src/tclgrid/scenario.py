@@ -17,14 +17,15 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .design import AllocationResult, allocate_thresholds
+from .design import AllocationResult, DesignSettings, allocate_thresholds
 from .grid_model import (
     GenDynamics,
+    GridModelError,
     StateSpace,
     build_combined_system,
     default_gen_dynamics,
 )
-from .hybrid_sim import DISTURBANCE_RULE, Scenario, valid_disturbance, valid_seed
+from .hybrid_sim import SCHEME_CASES, Scenario, SimulationError, check_run_settings, check_seed
 from .tcl import DEFAULT_RANGES, Population, PopulationSpec, Scheme, sample_population
 
 
@@ -33,17 +34,11 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class DesignSettings:
-    delta: float = 0.001
-    margin: float = 0.2
-    allocate: bool = False
-    threshold_range: tuple[float, float] = (0.01, 0.26)
-
-
-@dataclass(frozen=True)
 class ScenarioFile:
     """Parsed scenario document, prior to population sampling and threshold
-    allocation."""
+    allocation. The run settings take Scenario's defaults and rules, and the
+    grid is built here once, so a rule of Scenario or of the grid fails at
+    load, as a ScenarioError."""
 
     grid_m: float
     grid_d: float
@@ -53,19 +48,18 @@ class ScenarioFile:
     disturbance: list[tuple[float, float]]
     horizon: float
     seed: int
-    max_step: float = 0.01
-    offset_demand: bool = True
-    clamp_omega: bool = False
+    max_step: float = Scenario.max_step
+    offset_demand: bool = Scenario.offset_demand
+    clamp_omega: bool = Scenario.clamp_omega
     design: DesignSettings = DesignSettings()
 
     def __post_init__(self):
-        for name in ("horizon", "max_step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ScenarioError(f"{name} must be positive and finite, got {value}")
-        for name, value in (("seed", self.seed), ("population.seed", self.population.seed)):
-            if not valid_seed(value):
-                raise ScenarioError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+        try:
+            check_run_settings(self.horizon, self.max_step, self.seed, self.disturbance)
+            check_seed(self.population.seed, "population.seed")
+            self.build_grid()
+        except (SimulationError, GridModelError) as exc:
+            raise ScenarioError(str(exc)) from None
         n_loads = self.population.n_loads
         if not isinstance(n_loads, numbers.Integral) or isinstance(n_loads, bool):
             raise ScenarioError(f"population.n_loads must be an integer, got {n_loads!r}")
@@ -90,13 +84,12 @@ class ScenarioFile:
             value = np.asarray(value, dtype=float)
             if not np.all(np.isfinite(value)):
                 raise ScenarioError(f"{name} must hold finite numbers, got {value.tolist()}")
-        if not valid_disturbance(self.disturbance):
-            raise ScenarioError(f"{DISTURBANCE_RULE}, got {[list(p) for p in self.disturbance]}")
 
     def build_grid(self) -> StateSpace:
         return build_combined_system(self.gen, self.grid_m, self.grid_d)
 
     def build_population(self) -> tuple[Population, AllocationResult | None]:
+        # looked up at call time, so a wrapper set on grid_model.one_norm sees the call
         from .grid_model import one_norm
 
         pop = sample_population(self.population)
@@ -155,13 +148,10 @@ def _parse_gen(doc: dict) -> GenDynamics:
                 raise ScenarioError(f"grid.gen.{name} must be finite (t_g positive), got {value}")
         return default_gen_dynamics(**params)
     gen = _fields(doc["gen"], "grid.gen", ("a_hat", "b_hat", "c_hat", "d_hat"))
+    for key in ("a_hat", "b_hat", "c_hat"):
+        _require(gen, key, "grid.gen")
     try:
-        return GenDynamics(
-            a_hat=np.array(_require(gen, "a_hat", "grid.gen"), dtype=float),
-            b_hat=np.array(_require(gen, "b_hat", "grid.gen"), dtype=float),
-            c_hat=np.array(_require(gen, "c_hat", "grid.gen"), dtype=float),
-            d_hat=float(gen.get("d_hat", 0.0)),
-        )
+        return GenDynamics(**gen)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed matrix block in section 'grid.gen': {exc}") from exc
 
@@ -170,23 +160,13 @@ def parse_scheme(doc) -> Scheme:
     if isinstance(doc, str):
         doc = {"kind": doc}
     kind = _require(_fields(doc, "scheme", ("kind", "k_pi", "v_des")), "kind", "scheme")
-    # each kind names a constructor, whose k_pi and v_des are the defaults;
-    # given ones pass through for every kind, so Scheme rejects the ones a
-    # kind would ignore
-    aliases = {
-        "conventional": Scheme.conventional,
-        "deterministic": Scheme.deterministic,
-        "randomized": Scheme.randomized,
-        "randomized-high-gain": Scheme.randomized_high_gain,
-    }
-    if kind not in aliases:
+    # kind names one of the SCHEME_CASES, whose k_pi and v_des are the
+    # defaults; given ones pass through for every kind, so Scheme rejects the
+    # ones a kind would ignore
+    named = dict(SCHEME_CASES).get(kind)
+    if named is None:
         raise ScenarioError(f"unknown scheme kind {kind!r}")
-    named = aliases[kind]()
-    return replace(
-        named,
-        k_pi=float(doc.get("k_pi", named.k_pi)),
-        v_des=float(doc.get("v_des", named.v_des)),
-    )
+    return replace(named, **{key: float(doc[key]) for key in ("k_pi", "v_des") if key in doc})
 
 
 def _fields(value, section: str, known) -> dict:
@@ -209,10 +189,22 @@ def _pair(value, name: str) -> tuple[float, float]:
         raise ScenarioError(f"{name} must be a pair of numbers, got {value!r}") from exc
 
 
+def _number(value, name: str) -> float:
+    return float(value)
+
+
+# the optional fields of the root and of the design section, each with its
+# parser; a field the document leaves out keeps its dataclass default
+OPTIONAL_FIELDS = {"max_step": _number, "offset_demand": _flag, "clamp_omega": _flag}
+DESIGN_FIELDS = {"delta": _number, "margin": _number, "allocate": _flag, "threshold_range": _pair}
 ROOT_FIELDS = (
-    "grid", "population", "scheme", "disturbance", "horizon", "seed",
-    "max_step", "offset_demand", "clamp_omega", "design",
+    "grid", "population", "scheme", "disturbance", "horizon", "seed", "design", *OPTIONAL_FIELDS,
 )
+
+
+def _given(doc: dict, fields: dict, prefix: str = "") -> dict:
+    """Each key of fields that doc holds, mapped through its parser."""
+    return {key: parse(doc[key], prefix + key) for key, parse in fields.items() if key in doc}
 
 
 def from_dict(doc: dict) -> ScenarioFile:
@@ -229,10 +221,7 @@ def from_dict(doc: dict) -> ScenarioFile:
             k: _pair(v, f"population.ranges.{k}")
             for k, v in _fields(ranges, "population.ranges", DEFAULT_RANGES).items()
         }
-    design_doc = _fields(
-        doc.get("design", {}), "design", ("delta", "margin", "allocate", "threshold_range")
-    )
-    thr_range = _pair(design_doc.get("threshold_range", [0.01, 0.26]), "design.threshold_range")
+    design = _fields(doc.get("design", {}), "design", DESIGN_FIELDS)
     try:
         return ScenarioFile(
             grid_m=float(_require(grid, "m", "grid")),
@@ -250,15 +239,8 @@ def from_dict(doc: dict) -> ScenarioFile:
             ],
             horizon=float(_require(doc, "horizon", "<root>")),
             seed=_require(doc, "seed", "<root>"),
-            max_step=float(doc.get("max_step", 0.01)),
-            offset_demand=_flag(doc.get("offset_demand", True), "offset_demand"),
-            clamp_omega=_flag(doc.get("clamp_omega", False), "clamp_omega"),
-            design=DesignSettings(
-                delta=float(design_doc.get("delta", 0.001)),
-                margin=float(design_doc.get("margin", 0.2)),
-                allocate=_flag(design_doc.get("allocate", False), "design.allocate"),
-                threshold_range=thr_range,
-            ),
+            design=DesignSettings(**_given(design, DESIGN_FIELDS, "design.")),
+            **_given(doc, OPTIONAL_FIELDS),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):

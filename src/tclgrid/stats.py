@@ -60,10 +60,10 @@ class TimeSeries:
         widths[0] -= t0
         return self.values[lo - 1 : hi], widths
 
-    def integral(self, t0: float, t1: float, power: int = 1) -> float:
-        """Exact integral of values**power over [t0, t1]."""
+    def integral(self, t0: float, t1: float) -> float:
+        """Exact integral of the values over [t0, t1]."""
         vals, widths = self.pieces(t0, t1)
-        return float(np.sum(vals**power * widths))
+        return float(np.sum(vals * widths))
 
 
 def time_average(ts: TimeSeries, window: tuple[float, float]) -> float:
@@ -83,14 +83,12 @@ def time_variance(ts: TimeSeries, window: tuple[float, float]) -> float:
     return max(mean_sq - mean * mean, 0.0)  # one pass can cancel below 0
 
 
-def theoretical_variance(pop: Population, warn=None) -> float:
+def theoretical_variance(pop: Population) -> float:
     """Closed-form long-run variance sum alpha_j (1 - alpha_j) d_bar_j^2.
 
     Exact for equal-magnitude populations; for unequal magnitudes the same
-    per-load Bernoulli form is used and a warning is emitted via `warn`.
+    per-load Bernoulli form is used.
     """
-    if warn is not None and np.any(pop.d_bar != pop.d_bar[0]):
-        warn("population magnitudes are unequal; using per-load Bernoulli terms")
     return float(np.sum(pop.alpha * (1.0 - pop.alpha) * pop.d_bar**2))
 
 

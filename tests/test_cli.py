@@ -232,6 +232,26 @@ class TestErrors:
         assert main(argv) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("field", ["m", "d"])
+    @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
+    def test_non_positive_inertia_or_damping_is_config_error(
+        self, tmp_path, capsys, command, field, value
+    ):
+        # without allocation no command needs the grid before simulating, so
+        # the rule must hold at load
+        grid = dict(SMALL_DOC["grid"], **{field: value})
+        path = tmp_path / "grid.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_DOC, grid=grid, design={"allocate": False})))
+        argv = [command, "--scenario", str(path), "--horizon", "1"]
+        if command in ("run", "compare"):
+            argv += ["--out", str(tmp_path / "o")]
+        if command == "stats":
+            argv += ["--pairs", "0"]
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("configuration error:") and f"{field} must be positive" in line
+
     @pytest.mark.parametrize(
         "population, root",
         [

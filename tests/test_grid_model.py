@@ -291,10 +291,6 @@ class TestOneNorm:
         with pytest.raises(GridModelError):
             one_norm(ss)
 
-    def test_float_conversion(self):
-        result = one_norm(pure_damping(2.0, 1.0))
-        assert float(result) == result.value
-
 
 class TestTransition:
     def test_matches_eigendecomposition(self):

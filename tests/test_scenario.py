@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import yaml
 
+from tclgrid.design import DesignSettings
 from tclgrid.scenario import (
     ScenarioError,
+    ScenarioFile,
     from_dict,
     load_scenario_file,
     parse_scheme,
@@ -31,6 +33,22 @@ class TestParsing:
         assert sf.scheme.kind == "conventional"
         assert sf.max_step == 0.01
         assert sf.design.allocate is False
+
+    def test_absent_optional_fields_take_the_dataclass_defaults(self):
+        sf = from_dict(MINIMAL)
+        for field in dataclasses.fields(ScenarioFile):
+            if field.default is not dataclasses.MISSING:
+                assert getattr(sf, field.name) == field.default, field.name
+        assert (sf.max_step, sf.offset_demand, sf.clamp_omega) == (0.01, True, False)
+        assert sf.design == DesignSettings(0.001, 0.2, False, (0.01, 0.26))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("field, rule", [("m", "inertia m"), ("d", "damping d")])
+    def test_non_positive_inertia_or_damping_rejected_at_load(self, field, rule, value):
+        with pytest.raises(ScenarioError, match=f"{rule} must be positive, got {value}"):
+            from_dict(dict(MINIMAL, grid=dict(MINIMAL["grid"], **{field: value})))
+        with pytest.raises(ScenarioError, match=f"{rule} must be positive"):
+            dataclasses.replace(from_dict(MINIMAL), **{f"grid_{field}": value})
 
     def test_default_gen_preset_applied(self):
         sf = from_dict(MINIMAL)
@@ -220,6 +238,12 @@ class TestRoundTrip:
 
 
 class TestShippedScenario:
+    def test_hash_is_pinned(self, shipped_file):
+        # the manifest's scenario_sha256 of every shipped run
+        assert scenario_hash(shipped_file) == (
+            "c5109d7a02ea004dc84add88df76ed21f98d8e9cb9ab8b680f30eee817697db2"
+        )
+
     def test_loads_and_builds(self, shipped_file):
         assert shipped_file.population.n_loads == 500
         assert shipped_file.scheme.kind == "deterministic"

@@ -419,15 +419,6 @@ class TestVarianceTheory:
         # a sum of 10 terms in another order: a few ulps apart at most
         assert theoretical_variance(pop) == pytest.approx(expected, rel=1e-14)
 
-    def test_warns_on_unequal_magnitudes(self):
-        import dataclasses
-
-        pop = sample_population(PopulationSpec(2, 0.02, seed=2))
-        uneven = Population.of([pop[0], dataclasses.replace(pop[1], d_bar=pop[1].d_bar * 2)])
-        messages = []
-        theoretical_variance(uneven, warn=messages.append)
-        assert messages
-
 
 class TestCrossTerm:
     def test_converges_to_product_of_averages(self):
