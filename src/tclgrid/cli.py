@@ -26,6 +26,7 @@ from .hybrid_sim import (
 )
 from .scenario import ScenarioError, ScenarioFile, load_scenario_file, parse_scheme, scenario_hash
 from .stats import (
+    StatsError,
     aggregate_demand_series,
     cross_term_oracle,
     theoretical_variance,
@@ -107,17 +108,12 @@ def _load(path: str, args: argparse.Namespace) -> ScenarioFile:
 
 
 def design_report(
-    sf: ScenarioFile,
-    pop: Population,
-    allocation: AllocationResult | None,
-    l_hat: float | None = None,
+    sf: ScenarioFile, pop: Population, allocation: AllocationResult | None
 ) -> DesignReport:
     """The allocator's report if thresholds were allocated, else a fresh check."""
     if allocation is not None:
         return allocation.report
-    if l_hat is None:
-        l_hat = one_norm(sf.build_grid()).value
-    return verify_design_condition(pop, l_hat, sf.design.delta)
+    return verify_design_condition(pop, one_norm(sf.build_grid()).value, sf.design.delta)
 
 
 def cmd_run(args) -> int:
@@ -165,14 +161,12 @@ def cmd_compare(args) -> int:
 
 def cmd_certify(args) -> int:
     sf = _load(args.scenario, args)
-    grid = sf.build_grid()
-    if not is_hurwitz(grid):
+    if not is_hurwitz(sf.build_grid()):
         print("error: grid model is not Hurwitz; 1-norm undefined", file=sys.stderr)
         return EXIT_NUMERIC
-    l_hat = one_norm(grid).value
     pop, allocation = sf.build_population()
-    report = design_report(sf, pop, allocation, l_hat)
-    print(f"l_hat: {l_hat:.6g} Hz/pu")
+    report = design_report(sf, pop, allocation)
+    print(f"l_hat: {report.l_hat:.6g} Hz/pu")
     print(report.to_text())
     return EXIT_OK if report.satisfied else EXIT_CERTIFICATION
 
@@ -253,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, TclError, DesignError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SimulationError, GridModelError) as exc:
+    except (SimulationError, GridModelError, StatsError, MemoryError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tcl import Population, zeta  # zeta is part of this API
+from .tcl import DEFAULT_RANGES, Population, zeta  # zeta is part of this API
 
 
 class DesignError(ValueError):
@@ -23,6 +23,7 @@ class DesignError(ValueError):
 @dataclass(frozen=True)
 class DesignReport:
     satisfied: bool
+    l_hat: float  # the grid's 1-norm the condition was checked against
     delta: float
     margin_used: float
     worst_point: tuple[float, float, float] | None  # (omega_bar, lhs, rhs)
@@ -70,7 +71,7 @@ def verify_design_condition(pop: Population, l_hat: float, delta: float) -> Desi
         raise DesignError(f"delta must be positive, got {delta}")
     if not len(pop):
         return DesignReport(
-            satisfied=True, delta=delta, margin_used=0.0, worst_point=None,
+            satisfied=True, l_hat=l_hat, delta=delta, margin_used=0.0, worst_point=None,
             violations=[], note="empty population: trivially satisfied",
         )
     bps, lhs = _breakpoints(pop)
@@ -89,6 +90,7 @@ def verify_design_condition(pop: Population, l_hat: float, delta: float) -> Desi
         )
     return DesignReport(
         satisfied=not violations,
+        l_hat=l_hat,
         delta=delta,
         margin_used=0.0,
         worst_point=(float(bps[worst]), float(lhs[worst]), float(rhs[worst])),
@@ -104,7 +106,7 @@ class DesignSettings:
     delta: float = 0.001
     margin: float = 0.2
     allocate: bool = False
-    threshold_range: tuple[float, float] = (0.01, 0.26)
+    threshold_range: tuple[float, float] = DEFAULT_RANGES["omega1"]  # the drawn range
 
 
 @dataclass(frozen=True)

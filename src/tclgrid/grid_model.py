@@ -24,7 +24,9 @@ import numpy as np
 
 
 class GridModelError(ValueError):
-    pass
+    def __init__(self, message: str, field: str = ""):
+        super().__init__(message)
+        self.field = field  # the parameter a failed rule is about, if one
 
 
 # Largest cond(V) for which the modal forms are used; above it the rounding
@@ -136,9 +138,9 @@ def build_combined_system(gen: GenDynamics, m: float, d: float) -> StateSpace:
     b = [-1/m, 0...], c = [1, 0...].
     """
     if m <= 0:
-        raise GridModelError(f"inertia m must be positive, got {m}")
+        raise GridModelError(f"inertia m must be positive, got {m}", "m")
     if d <= 0:
-        raise GridModelError(f"damping d must be positive, got {d}")
+        raise GridModelError(f"damping d must be positive, got {d}", "d")
     n = gen.n
     a = np.zeros((n + 1, n + 1))
     a[0, 0] = (gen.d_hat - d) / m
@@ -183,9 +185,13 @@ def spectral_abscissa(ss: StateSpace) -> float:
     return float(np.max(np.linalg.eigvals(ss.a).real))
 
 
-def is_hurwitz(ss: StateSpace, tol: float = 1e-9) -> bool:
-    """True iff every eigenvalue of a has real part < -tol."""
-    return spectral_abscissa(ss) < -tol
+HURWITZ_ABSCISSA = -1e-9  # every eigenvalue of a Hurwitz grid has real part below it
+
+
+def is_hurwitz(ss: StateSpace) -> bool:
+    """True iff every eigenvalue of a has real part below HURWITZ_ABSCISSA:
+    the one stability test of one_norm, simulate and certify."""
+    return spectral_abscissa(ss) < HURWITZ_ABSCISSA
 
 
 class OneNormResult(NamedTuple):
@@ -217,11 +223,8 @@ def one_norm(ss: StateSpace, t_max: float | None = None, tol: float = 1e-8) -> O
         if value is not None and not (math.isfinite(value) and value > 0):
             raise GridModelError(f"{name} must be positive and finite, got {value}")
     alpha = spectral_abscissa(ss)
-    if alpha >= 0:
-        raise GridModelError(
-            f"system is not Hurwitz (spectral abscissa {alpha:.3e}); the 1-norm "
-            "integral may diverge"
-        )
+    if not is_hurwitz(ss):
+        raise GridModelError(f"system is not Hurwitz (spectral abscissa {alpha:.3e})")
     decay = -alpha
     modes = ss.modes
     if modes is None:

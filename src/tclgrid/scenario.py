@@ -26,7 +26,7 @@ from .grid_model import (
     default_gen_dynamics,
 )
 from .hybrid_sim import SCHEME_CASES, Scenario, SimulationError, check_run_settings, check_seed
-from .tcl import DEFAULT_RANGES, Population, PopulationSpec, Scheme, sample_population
+from .tcl import DEFAULT_RANGES, Population, PopulationSpec, Scheme, TclError, sample_population
 
 
 class ScenarioError(ValueError):
@@ -58,32 +58,16 @@ class ScenarioFile:
             check_run_settings(self.horizon, self.max_step, self.seed, self.disturbance)
             check_seed(self.population.seed, "population.seed")
             self.build_grid()
-        except (SimulationError, GridModelError) as exc:
+        except SimulationError as exc:
             raise ScenarioError(str(exc)) from None
+        except GridModelError as exc:  # the m or d rule: a built gen fits its grid
+            raise ScenarioError(f"grid.{exc.field}: {exc}") from None
         n_loads = self.population.n_loads
-        if not isinstance(n_loads, numbers.Integral) or isinstance(n_loads, bool):
-            raise ScenarioError(f"population.n_loads must be an integer, got {n_loads!r}")
-        gen, ranges = self.gen, self.population.param_ranges or {}
-        values = {
-            "grid.m": self.grid_m,
-            "grid.d": self.grid_d,
-            "grid.gen.a_hat": gen.a_hat,
-            "grid.gen.b_hat": gen.b_hat,
-            "grid.gen.c_hat": gen.c_hat,
-            "grid.gen.d_hat": gen.d_hat,
-            "population.gamma": self.population.gamma,
-            **{f"population.ranges.{name}": pair for name, pair in ranges.items()},
-            "scheme.k_pi": self.scheme.k_pi,
-            "scheme.v_des": self.scheme.v_des,
-            "disturbance": self.disturbance,
-            "design.delta": self.design.delta,
-            "design.margin": self.design.margin,
-            "design.threshold_range": self.design.threshold_range,
-        }
-        for name, value in values.items():
-            value = np.asarray(value, dtype=float)
-            if not np.all(np.isfinite(value)):
-                raise ScenarioError(f"{name} must hold finite numbers, got {value.tolist()}")
+        if type(n_loads) is bool or not isinstance(n_loads, numbers.Integral) or n_loads >= 2**63:
+            raise ScenarioError(f"population.n_loads must be an integer < 2**63, got {n_loads!r}")
+        for name, value in _float_leaves(to_dict(self)):
+            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ScenarioError(f"{name} must hold finite numbers, got {value}")
 
     def build_grid(self) -> StateSpace:
         return build_combined_system(self.gen, self.grid_m, self.grid_d)
@@ -122,6 +106,16 @@ class ScenarioFile:
         return sc, allocation
 
 
+def _float_leaves(doc: dict, prefix: str = ""):
+    """The dotted path and value of each float of a to_dict document, a list
+    taken whole; integers (n_loads, the seeds), flags and strings are not."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _float_leaves(value, f"{prefix}{key}.")
+        elif not isinstance(value, (str, numbers.Integral)):
+            yield prefix + key, value
+
+
 def _require(doc: dict, key: str, section: str):
     if key not in doc:
         raise ScenarioError(f"missing field {key!r} in section {section!r}")
@@ -142,7 +136,7 @@ def _parse_gen(doc: dict) -> GenDynamics:
         preset = given.get("preset", "governor-integral")
         if preset != "governor-integral":
             raise ScenarioError(f"unknown gen preset {preset!r}")
-        params = {name: float(given[name]) for name in ("t_g", "k_p", "k_i") if name in given}
+        params = {k: _number(v, f"grid.gen.{k}") for k, v in given.items() if k != "preset"}
         for name, value in params.items():
             if not (math.isfinite(value) and (name != "t_g" or value > 0)):
                 raise ScenarioError(f"grid.gen.{name} must be finite (t_g positive), got {value}")
@@ -152,7 +146,7 @@ def _parse_gen(doc: dict) -> GenDynamics:
         _require(gen, key, "grid.gen")
     try:
         return GenDynamics(**gen)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed matrix block in section 'grid.gen': {exc}") from exc
 
 
@@ -166,7 +160,11 @@ def parse_scheme(doc) -> Scheme:
     named = dict(SCHEME_CASES).get(kind)
     if named is None:
         raise ScenarioError(f"unknown scheme kind {kind!r}")
-    return replace(named, **{key: float(doc[key]) for key in ("k_pi", "v_des") if key in doc})
+    given = {key: _number(doc[key], f"scheme.{key}") for key in ("k_pi", "v_des") if key in doc}
+    try:
+        return replace(named, **given)
+    except TclError as exc:  # a rate rule of Scheme, its message led by the field
+        raise ScenarioError(f"scheme.{exc}") from None
 
 
 def _fields(value, section: str, known) -> dict:
@@ -182,15 +180,15 @@ def _fields(value, section: str, known) -> dict:
 
 def _pair(value, name: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ScenarioError(f"{name} must be a [low, high] pair, got {value!r}")
-    try:
-        return float(value[0]), float(value[1])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{name} must be a pair of numbers, got {value!r}") from exc
+        raise ScenarioError(f"{name} must be a pair of numbers, got {value!r}")
+    return _number(value[0], name), _number(value[1], name)
 
 
 def _number(value, name: str) -> float:
-    return float(value)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{name}: {exc}") from None
 
 
 # the optional fields of the root and of the design section, each with its
@@ -224,20 +222,18 @@ def from_dict(doc: dict) -> ScenarioFile:
     design = _fields(doc.get("design", {}), "design", DESIGN_FIELDS)
     try:
         return ScenarioFile(
-            grid_m=float(_require(grid, "m", "grid")),
-            grid_d=float(_require(grid, "d", "grid")),
+            grid_m=_number(_require(grid, "m", "grid"), "grid.m"),
+            grid_d=_number(_require(grid, "d", "grid"), "grid.d"),
             gen=_parse_gen(grid),
             population=PopulationSpec(
                 n_loads=_require(popdoc, "n_loads", "population"),
-                gamma=float(_require(popdoc, "gamma", "population")),
+                gamma=_number(_require(popdoc, "gamma", "population"), "population.gamma"),
                 seed=_require(popdoc, "seed", "population"),
                 param_ranges=ranges,
             ),
             scheme=parse_scheme(_require(doc, "scheme", "<root>")),
-            disturbance=[
-                (float(t), float(v)) for t, v in _require(doc, "disturbance", "<root>")
-            ],
-            horizon=float(_require(doc, "horizon", "<root>")),
+            disturbance=[_pair(p, "disturbance") for p in _require(doc, "disturbance", "<root>")],
+            horizon=_number(_require(doc, "horizon", "<root>"), "horizon"),
             seed=_require(doc, "seed", "<root>"),
             design=DesignSettings(**_given(design, DESIGN_FIELDS, "design.")),
             **_given(doc, OPTIONAL_FIELDS),
@@ -291,7 +287,7 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
     text = Path(path).read_text()
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer of over 4300 digits
         raise ScenarioError(f"cannot parse scenario file {path}: {exc}") from exc
     return from_dict(doc)
 

@@ -125,7 +125,10 @@ def _load_major_events(pop: Population, temperatures, sigmas, horizon: float):
     lead = next_thermostat_event(pop, temperatures, level)
     own = np.where(level == 1, pop.pi_on, pop.pi_off)
     other = np.where(level == 1, pop.pi_off, pop.pi_on)
-    n_cycles = np.maximum((horizon - lead) // period(pop), 0).astype(int) + 2
+    n_cycles = np.maximum((horizon - lead) // period(pop), 0)
+    if not np.all(n_cycles * len(pop) < 2**58):  # else (or NaN) no array holds the rows
+        raise StatsError(f"the switch series of horizon {horizon} s is too long to hold")
+    n_cycles = n_cycles.astype(int) + 2
     # a load's row: t = 0, lead, then the strokes of the other state and of
     # its own in turn, out to two cycles past the horizon
     loads = np.argsort(n_cycles, kind="stable")

@@ -147,6 +147,26 @@ class TestCertify:
         assert main(["certify", "--scenario", str(path), "--allocate"]) == 0
         assert "margin_used: 0.20000000000000001\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("allocate", [True, False])
+    def test_certify_computes_one_norm_once(self, tmp_path, capsys, monkeypatch, allocate):
+        # the allocator's report carries the l-hat certify prints
+        from tclgrid import cli, grid_model
+
+        calls = []
+        real = grid_model.one_norm
+
+        def counted(grid):
+            calls.append(grid)
+            return real(grid)
+
+        monkeypatch.setattr(grid_model, "one_norm", counted)
+        monkeypatch.setattr(cli, "one_norm", counted)
+        path = tmp_path / "small.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_DOC, design={"allocate": allocate})))
+        assert main(["certify", "--scenario", str(path)]) == 0
+        assert len(calls) == 1
+        assert f"l_hat: {real(calls[0]).value:.6g} Hz/pu\n" in capsys.readouterr().out
+
     def test_non_hurwitz_grid_is_numeric_error(self, tmp_path, capsys):
         gen = {"a_hat": [[1.0]], "b_hat": [0.0], "c_hat": [1.0], "d_hat": 0.0}
         path = tmp_path / "unstable.yaml"
@@ -251,6 +271,42 @@ class TestErrors:
         assert main(argv) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("configuration error:") and f"{field} must be positive" in line
+        assert line.startswith(f"configuration error: grid.{field}: ")
+
+    @pytest.mark.parametrize("command", ["run", "certify", "stats"])
+    def test_grid_inside_the_hurwitz_margin_is_numeric_error(self, tmp_path, capsys, command):
+        # abscissa -5e-10: one_norm refuses it as simulate and certify do, so
+        # no command allocates thresholds from an l-hat of 2e9
+        gen = {"a_hat": [[-1.0]], "b_hat": [0.0], "c_hat": [0.0], "d_hat": 0.0}
+        path = tmp_path / "marginal.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_DOC, grid={"m": 1.0, "d": 5e-10, "gen": gen})))
+        argv = [command, "--scenario", str(path), "--horizon", "1"]
+        argv += {"run": ["--out", str(tmp_path / "o")], "stats": ["--pairs", "0"]}.get(command, [])
+        assert main(argv) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert "not Hurwitz" in line
+
+    @pytest.mark.parametrize("field", ["horizon", "population.n_loads"])
+    def test_integer_beyond_double_range_is_config_error(self, tmp_path, capsys, field):
+        doc = yaml.safe_load(yaml.safe_dump(SMALL_DOC))
+        *sections, key = field.split(".")
+        section = doc[sections[0]] if sections else doc
+        section[key] = 10**400
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        for command in ("certify", "stats"):
+            assert main([command, "--scenario", str(path)]) == 2
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"configuration error: {field}")
+
+    @pytest.mark.parametrize("horizon", ["1e15", "1e300"])
+    def test_stats_series_too_long_to_hold_is_numeric_error(self, capsys, horizon):
+        # 1e15 s asks 31 PiB of the merge, which fails at once; 1e300 s has
+        # cycle counts past any integer an array holds
+        argv = ["stats", "--scenario", str(SHIPPED_SCENARIO), "--horizon", horizon, "--pairs", "0"]
+        assert main(argv) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("simulation error: ")
 
     @pytest.mark.parametrize(
         "population, root",

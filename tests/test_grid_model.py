@@ -127,6 +127,16 @@ class TestConstruction:
         assert is_hurwitz(default_grid())
         assert spectral_abscissa(default_grid()) < -0.01
 
+    def test_one_norm_takes_the_hurwitz_test(self):
+        # abscissa -5e-10, inside the margin: no 1-norm (it would be 2e9),
+        # as simulate and certify refuse the grid
+        gen = GenDynamics(a_hat=[[-1.0]], b_hat=[0.0], c_hat=[0.0])
+        marginal = build_combined_system(gen, m=1.0, d=5e-10)
+        assert spectral_abscissa(marginal) == pytest.approx(-5e-10)
+        assert not is_hurwitz(marginal)
+        with pytest.raises(GridModelError, match="not Hurwitz"):
+            one_norm(marginal)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(GridModelError):
             GenDynamics(a_hat=np.zeros((2, 2)), b_hat=np.zeros(3), c_hat=np.zeros(2))

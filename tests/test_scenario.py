@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -237,7 +239,37 @@ class TestRoundTrip:
         assert scenario_hash(from_dict(MINIMAL)) != scenario_hash(sf)
 
 
+def float_slots(doc: dict, keys=()):
+    """The keys and list index of each float of a to_dict document."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from float_slots(value, (*keys, key))
+        elif isinstance(value, list):
+            yield from (((*keys, key), index) for index in np.ndindex(np.shape(value)))
+        elif isinstance(value, float):
+            yield (*keys, key), ()
+
+
 class TestShippedScenario:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_float_must_be_finite_and_is_named(self, shipped_file, value):
+        base = to_dict(shipped_file)
+        base["population"]["ranges"] = {"eps": [0.002, 0.004]}
+        slots = list(float_slots(base))
+        # m, d, gen 4 + 2 + 2 + 1, gamma, a range pair, k_pi, v_des, the
+        # disturbance 4, horizon, max_step, delta, margin, threshold_range 2
+        assert len(slots) == 26
+        for keys, index in slots:
+            doc = copy.deepcopy(base)
+            *outer, last = (*keys, *index)
+            section = doc
+            for step in outer:
+                section = section[step]
+            section[last] = value
+            with pytest.raises(ScenarioError) as info:
+                from_dict(doc)
+            assert str(info.value).startswith(".".join(keys)), (index, str(info.value))
+
     def test_hash_is_pinned(self, shipped_file):
         # the manifest's scenario_sha256 of every shipped run
         assert scenario_hash(shipped_file) == (
