@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .design import AllocationResult, DesignError, DesignReport, verify_design_condition
-from .grid_model import GridModelError, is_hurwitz, one_norm
+from .grid_model import GridModelError, one_norm
 from .hybrid_sim import (
     SimulationError,
     Trace,
@@ -32,7 +32,7 @@ from .stats import (
     theoretical_variance,
     time_variance,
 )
-from .tcl import Population, TclError, duty_cycle, sample_initial_states
+from .tcl import Population, TclError, sample_initial_states
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -161,9 +161,6 @@ def cmd_compare(args) -> int:
 
 def cmd_certify(args) -> int:
     sf = _load(args.scenario, args)
-    if not is_hurwitz(sf.build_grid()):
-        print("error: grid model is not Hurwitz; 1-norm undefined", file=sys.stderr)
-        return EXIT_NUMERIC
     pop, allocation = sf.build_population()
     report = design_report(sf, pop, allocation)
     print(f"l_hat: {report.l_hat:.6g} Hz/pu")
@@ -196,7 +193,7 @@ def cmd_stats(args) -> int:
         i, j = rng.choice(len(pop), size=2, replace=False)
         p_i, p_j = pop[i], pop[j]
         measured_ct = cross_term_oracle(p_i, p_j, min(sf.horizon, 2e5))
-        closed = duty_cycle(p_i) * duty_cycle(p_j) * p_i.d_bar * p_j.d_bar
+        closed = p_i.alpha * p_j.alpha * p_i.d_bar * p_j.d_bar
         print(f"{i},{j},{measured_ct:.8g},{closed:.8g}")
     return EXIT_OK
 

@@ -39,11 +39,6 @@ curvature test, so it is committed there (meta["cadence_steps"]). The first
 step that may do either goes on to the event part; it runs about twice per
 event (meta["loop_iterations"]).
 
-A clamped frequency channel (Scenario.clamp_omega: the loads observe omega =
-0) is the same run as another scheme: the deterministic scheme without its
-frequency branches is the conventional one, and the randomized rates at
-omega = 0 are those at k_pi = 0. simulate runs that scheme.
-
 The randomized scheme is simulated by Lewis-Shedler thinning (ThinnedClocks)
 over segments of held input, with omega at each candidate evaluated exactly,
 so the simulated rate law holds at every instant and does not depend on
@@ -95,7 +90,6 @@ class Scenario:
     seed: int
     max_step: float = 0.01
     offset_demand: bool = True
-    clamp_omega: bool = False  # loads observe omega = 0 (open-loop channel)
     # (temperatures, switch states) at t = 0; None samples them from the seed
     initial_state: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -484,11 +478,6 @@ def simulate(sc: Scenario) -> Trace:
         raise SimulationError("grid model is not Hurwitz-certified")
 
     scheme = sc.scheme
-    if sc.clamp_omega:  # the scheme without its frequency channel
-        if scheme.kind == "deterministic":
-            scheme = Scheme.conventional()
-        else:
-            scheme = replace(scheme, k_pi=0.0)
     randomized = scheme.kind == "randomized"
     zeno_max = ZENO_PER_LOAD * n_loads
 

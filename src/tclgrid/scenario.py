@@ -50,7 +50,6 @@ class ScenarioFile:
     seed: int
     max_step: float = Scenario.max_step
     offset_demand: bool = Scenario.offset_demand
-    clamp_omega: bool = Scenario.clamp_omega
     design: DesignSettings = DesignSettings()
 
     def __post_init__(self):
@@ -101,7 +100,6 @@ class ScenarioFile:
             seed=self.seed,
             max_step=self.max_step,
             offset_demand=self.offset_demand,
-            clamp_omega=self.clamp_omega,
         )
         return sc, allocation
 
@@ -193,7 +191,7 @@ def _number(value, name: str) -> float:
 
 # the optional fields of the root and of the design section, each with its
 # parser; a field the document leaves out keeps its dataclass default
-OPTIONAL_FIELDS = {"max_step": _number, "offset_demand": _flag, "clamp_omega": _flag}
+OPTIONAL_FIELDS = {"max_step": _number, "offset_demand": _flag}
 DESIGN_FIELDS = {"delta": _number, "margin": _number, "allocate": _flag, "threshold_range": _pair}
 ROOT_FIELDS = (
     "grid", "population", "scheme", "disturbance", "horizon", "seed", "design", *OPTIONAL_FIELDS,
@@ -268,7 +266,6 @@ def to_dict(sf: ScenarioFile) -> dict:
         "seed": sf.seed,
         "max_step": sf.max_step,
         "offset_demand": sf.offset_demand,
-        "clamp_omega": sf.clamp_omega,
         "design": {
             "delta": sf.design.delta,
             "margin": sf.design.margin,

@@ -325,14 +325,22 @@ def test_cli_runs_byte_identical_across_thread_counts(tmp_path, scheme):
 
 # ---------------------------------------------------------------------------
 # the frequency-responsive scheme reduces to the thermostat scheme
-# when the frequency channel is clamped to zero
+# when no load's frequency threshold is ever reached
 
-def test_clamped_frequency_reduction(shipped_scenario):
-    clamped = dataclasses.replace(shipped_scenario, clamp_omega=True, horizon=120.0)
-    tr_det = simulate(clamped)
-    tr_conv = simulate(dataclasses.replace(clamped, scheme=Scheme.conventional()))
-    np.testing.assert_array_equal(tr_det.switch_times, tr_conv.switch_times)
+def test_unreachable_threshold_reduction(shipped_scenario):
+    pop = shipped_scenario.population
+    out_of_reach = dataclasses.replace(
+        shipped_scenario,
+        population=dataclasses.replace(pop, omega1=np.full(len(pop), 1e3)),
+        horizon=120.0,
+    )
+    tr_det = simulate(out_of_reach)
+    tr_conv = simulate(dataclasses.replace(out_of_reach, scheme=Scheme.conventional()))
+    assert np.max(np.abs(tr_det.omega)) < 1.0
+    assert tr_det.switch_times.size > 0
     np.testing.assert_array_equal(tr_det.switch_loads, tr_conv.switch_loads)
     np.testing.assert_array_equal(tr_det.switch_new_sigma, tr_conv.switch_new_sigma)
-    np.testing.assert_array_equal(tr_det.omega, tr_conv.omega)
-    assert tr_det.switch_times.size > 0
+    assert tr_det.switch_causes == tr_conv.switch_causes
+    np.testing.assert_allclose(tr_det.switch_times, tr_conv.switch_times, rtol=0, atol=1e-9)
+    # the deterministic run took its own path: passes that end at a branch opening
+    assert tr_det.meta["loop_iterations"] > tr_conv.meta["loop_iterations"]

@@ -168,11 +168,17 @@ class TestCertify:
         assert f"l_hat: {real(calls[0]).value:.6g} Hz/pu\n" in capsys.readouterr().out
 
     def test_non_hurwitz_grid_is_numeric_error(self, tmp_path, capsys):
+        # one_norm rejects the grid, whether the allocator or the report asks for it
         gen = {"a_hat": [[1.0]], "b_hat": [0.0], "c_hat": [1.0], "d_hat": 0.0}
+        grid = {"m": 10.0, "d": 1.0, "gen": gen}
         path = tmp_path / "unstable.yaml"
-        path.write_text(yaml.safe_dump(dict(SMALL_DOC, grid={"m": 10.0, "d": 1.0, "gen": gen})))
-        assert main(["certify", "--scenario", str(path)]) == 3
-        assert capsys.readouterr().err == "error: grid model is not Hurwitz; 1-norm undefined\n"
+        for allocate in (True, False):
+            doc = dict(SMALL_DOC, grid=grid, design={"allocate": allocate})
+            path.write_text(yaml.safe_dump(doc))
+            assert main(["certify", "--scenario", str(path)]) == 3
+            assert capsys.readouterr().err == (
+                "simulation error: system is not Hurwitz (spectral abscissa 1.000e+00)\n"
+            )
 
     def test_infeasible_design_is_config_error(self, small_scenario, capsys):
         code = main([
@@ -350,7 +356,7 @@ class TestErrors:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["false", "no", 1])
-    @pytest.mark.parametrize("field", ["offset_demand", "clamp_omega", "allocate"])
+    @pytest.mark.parametrize("field", ["offset_demand", "allocate"])
     @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
     def test_non_boolean_flag_is_config_error(self, tmp_path, capsys, command, field, value):
         doc = dict(SMALL_DOC, design=dict(SMALL_DOC["design"]))
@@ -385,14 +391,16 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
     def test_unknown_field_is_config_error(self, tmp_path, capsys, command):
+        # a misspelled field, and the retired clamp_omega
         path = tmp_path / "typo.yaml"
-        path.write_text(yaml.safe_dump(dict(SMALL_DOC, max_stepp=0.5)))
         argv = [command, "--scenario", str(path)]
         if command in ("run", "compare"):
             argv += ["--out", str(tmp_path / "o")]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err and "'max_stepp'" in err
+        for key in ("max_stepp", "clamp_omega"):
+            path.write_text(yaml.safe_dump({**SMALL_DOC, key: True}))
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"configuration error: unknown field '{key}' in section '<root>'\n"
 
     @pytest.mark.parametrize("field, value", [("k_pi", 7.0), ("v_des", 3.0)])
     def test_rate_field_of_deterministic_scheme_is_config_error(

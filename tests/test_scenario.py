@@ -41,7 +41,7 @@ class TestParsing:
         for field in dataclasses.fields(ScenarioFile):
             if field.default is not dataclasses.MISSING:
                 assert getattr(sf, field.name) == field.default, field.name
-        assert (sf.max_step, sf.offset_demand, sf.clamp_omega) == (0.01, True, False)
+        assert (sf.max_step, sf.offset_demand) == (0.01, True)
         assert sf.design == DesignSettings(0.001, 0.2, False, (0.01, 0.26))
 
     @pytest.mark.parametrize("value", [0.0, -1.0])
@@ -151,7 +151,7 @@ class TestParsing:
             from_dict(doc)
 
     @pytest.mark.parametrize("value", ["false", "no", 1])
-    @pytest.mark.parametrize("field", ["offset_demand", "clamp_omega", "design.allocate"])
+    @pytest.mark.parametrize("field", ["offset_demand", "design.allocate"])
     def test_non_boolean_flag_rejected(self, field, value):
         doc = dict(MINIMAL, design={})
         section = doc["design"] if field == "design.allocate" else doc
@@ -160,9 +160,8 @@ class TestParsing:
             from_dict(doc)
 
     def test_yaml_boolean_flags_parsed(self):
-        text = yaml.safe_dump(MINIMAL) + "clamp_omega: yes\noffset_demand: no\n"
+        text = yaml.safe_dump(MINIMAL) + "offset_demand: no\n"
         sf = from_dict(yaml.safe_load(text + "design: {allocate: false}\n"))
-        assert sf.clamp_omega is True
         assert sf.offset_demand is False
         assert sf.design.allocate is False
 
@@ -175,6 +174,7 @@ class TestParsing:
         [
             ([], "max_stepp"),
             ([], "event_tol"),
+            ([], "clamp_omega"),
             (["grid"], "inertia"),
             (["grid", "gen"], "t_gov"),
             (["population"], "n_load"),
@@ -183,7 +183,8 @@ class TestParsing:
             (["design"], "deltas"),
         ],
         ids=[
-            "root", "root-retired", "grid", "grid.gen", "population", "ranges", "scheme", "design",
+            "root", "root-retired", "root-retired-clamp", "grid", "grid.gen", "population",
+            "ranges", "scheme", "design",
         ],
     )
     def test_unknown_field_rejected(self, path, key):
@@ -273,7 +274,7 @@ class TestShippedScenario:
     def test_hash_is_pinned(self, shipped_file):
         # the manifest's scenario_sha256 of every shipped run
         assert scenario_hash(shipped_file) == (
-            "c5109d7a02ea004dc84add88df76ed21f98d8e9cb9ab8b680f30eee817697db2"
+            "b2974a8d41188976d973f5dc6103b3f807c40b82200e78f5016f6a5511743c45"
         )
 
     def test_loads_and_builds(self, shipped_file):
