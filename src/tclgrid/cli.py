@@ -70,7 +70,7 @@ def write_metrics_txt(tr: Trace, path: Path) -> None:
         "peak_abs_omega_hz: %.17g" % m.peak_abs_omega,
         "min_interswitch_gap_s: %.17g" % m.min_interswitch_gap,
         f"total_switches: {int(np.sum(m.switch_counts))}",
-        f"jump_instants: {tr.meta.get('jump_count', 0)}",
+        f"jump_instants: {tr.meta['jump_count']}",
     ]
     path.write_text("\n".join(lines) + "\n")
 

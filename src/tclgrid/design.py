@@ -26,7 +26,7 @@ class DesignReport:
     l_hat: float  # the grid's 1-norm the condition was checked against
     delta: float
     margin_used: float
-    worst_point: tuple[float, float, float] | None  # (omega_bar, lhs, rhs)
+    worst_point: tuple[float, float, float]  # (omega_bar, lhs, rhs)
     violations: list[tuple[float, float, float]]
     note: str = ""
 
@@ -35,10 +35,8 @@ class DesignReport:
             f"satisfied: {self.satisfied}",
             f"delta_hz: {self.delta:.17g}",
             f"margin_used: {self.margin_used:.17g}",
+            "worst_point: omega_bar=%.17g lhs=%.17g rhs=%.17g" % self.worst_point,
         ]
-        if self.worst_point is not None:
-            w, lhs, rhs = self.worst_point
-            lines.append(f"worst_point: omega_bar={w:.17g} lhs={lhs:.17g} rhs={rhs:.17g}")
         for w, lhs, rhs in self.violations[:8]:
             lines.append(f"violation: omega_bar={w:.17g} lhs={lhs:.17g} rhs={rhs:.17g}")
         if len(self.violations) > 8:
@@ -69,11 +67,6 @@ def verify_design_condition(pop: Population, l_hat: float, delta: float) -> Desi
         raise DesignError(f"l_hat must be positive, got {l_hat}")
     if not (delta > 0):
         raise DesignError(f"delta must be positive, got {delta}")
-    if not len(pop):
-        return DesignReport(
-            satisfied=True, l_hat=l_hat, delta=delta, margin_used=0.0, worst_point=None,
-            violations=[], note="empty population: trivially satisfied",
-        )
     bps, lhs = _breakpoints(pop)
     rhs = np.maximum((bps - delta) / l_hat, 0.0)
     gap = lhs - rhs
@@ -101,12 +94,13 @@ def verify_design_condition(pop: Population, l_hat: float, delta: float) -> Desi
 
 @dataclass(frozen=True)
 class DesignSettings:
-    """A scenario's design margin delta (Hz) and allocator settings."""
+    """A scenario's design margin delta (Hz) and allocator settings. The
+    allocator fills the range the thresholds are drawn from,
+    population.ranges.omega1."""
 
     delta: float = 0.001
     margin: float = 0.2
     allocate: bool = False
-    threshold_range: tuple[float, float] = DEFAULT_RANGES["omega1"]  # the drawn range
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,7 @@ def allocate_thresholds(
     l_hat: float,
     delta: float,
     margin: float = DesignSettings.margin,
-    threshold_range: tuple[float, float] = DesignSettings.threshold_range,
+    threshold_range: tuple[float, float] = DEFAULT_RANGES["omega1"],
 ) -> AllocationResult:
     """Greedy ascending threshold fill with a safety margin.
 

@@ -200,7 +200,10 @@ class OneNormResult(NamedTuple):
     t_max: float
 
 
-def one_norm(ss: StateSpace, t_max: float | None = None, tol: float = 1e-8) -> OneNormResult:
+ONE_NORM_TOL = 1e-8  # one_norm's error bound: the tail beyond t_max is at most half of it
+
+
+def one_norm(ss: StateSpace) -> OneNormResult:
     """Integral of |g(t)| = |c expm(a t) b| over [0, inf).
 
     With a modal form (ss.modes), g(t) = Re sum_k r_k exp(lam_k t) with
@@ -216,12 +219,10 @@ def one_norm(ss: StateSpace, t_max: float | None = None, tol: float = 1e-8) -> O
     Without a modal form, adaptive quadrature with the tail bound
     norm(c) * norm(expm(a t_max)) * norm(b) / |max Re eigenvalue|.
 
-    Either way t_max (default 10 / |max Re eigenvalue|) is doubled until the
-    tail bound is at most tol/2.
+    Either way t_max, from 10 / |max Re eigenvalue|, is doubled until the
+    tail bound is at most ONE_NORM_TOL / 2 (read at each call).
     """
-    for name, value in (("t_max", t_max), ("tol", tol)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise GridModelError(f"{name} must be positive and finite, got {value}")
+    tol = ONE_NORM_TOL
     alpha = spectral_abscissa(ss)
     if not is_hurwitz(ss):
         raise GridModelError(f"system is not Hurwitz (spectral abscissa {alpha:.3e})")
@@ -243,8 +244,7 @@ def one_norm(ss: StateSpace, t_max: float | None = None, tol: float = 1e-8) -> O
         def tail_at(t: float) -> float:
             return float(np.sum(weight * np.exp(lam.real * t)))
 
-    if t_max is None:
-        t_max = 10.0 / decay
+    t_max = 10.0 / decay
     for _ in range(80):
         tail = tail_at(t_max)
         if tail <= tol / 2:

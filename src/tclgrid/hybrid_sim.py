@@ -89,7 +89,6 @@ class Scenario:
     horizon: float
     seed: int
     max_step: float = 0.01
-    offset_demand: bool = True
     # (temperatures, switch states) at t = 0; None samples them from the seed
     initial_state: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -97,13 +96,6 @@ class Scenario:
         check_run_settings(self.horizon, self.max_step, self.seed, self.disturbance)
         if self.initial_state is not None:
             check_initial_state(self.initial_state, len(self.population))
-
-
-def check_positive(**values: float) -> None:
-    """Raise SimulationError unless every value is positive and finite."""
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
-            raise SimulationError(f"{name} must be positive and finite, got {value}")
 
 
 def check_initial_state(state, n_loads: int) -> None:
@@ -128,7 +120,9 @@ def check_run_settings(horizon: float, max_step: float, seed, disturbance) -> No
     """Raise SimulationError, naming the field, unless horizon and max_step
     are positive and finite, seed passes check_seed and the piecewise-constant
     (time, level) disturbance starts at t = 0 with strictly increasing times."""
-    check_positive(horizon=horizon, max_step=max_step)
+    for name, value in (("horizon", horizon), ("max_step", max_step)):
+        if not (math.isfinite(value) and value > 0):
+            raise SimulationError(f"{name} must be positive and finite, got {value}")
     check_seed(seed)
     times = [t for t, _ in disturbance]
     if not (times and times[0] == 0.0 and all(b > a for a, b in zip(times, times[1:]))):
@@ -472,8 +466,6 @@ class Trace:
 def simulate(sc: Scenario) -> Trace:
     pop = sc.population
     n_loads = len(pop)
-    if n_loads == 0:
-        raise SimulationError("population is empty")
     if not is_hurwitz(sc.grid):
         raise SimulationError("grid model is not Hurwitz-certified")
 
@@ -490,7 +482,8 @@ def simulate(sc: Scenario) -> Trace:
         temps, sigmas = sample_initial_states(pop, sc.seed)
     loads = LoadAnchors(pop, scheme, temps, sigmas)
 
-    d_star = float(np.sum(pop.alpha * pop.d_bar)) if sc.offset_demand else 0.0
+    # the grid sees the TCL demand as its deviation from d* = sum alpha d_bar
+    d_star = float(np.sum(pop.alpha * pop.d_bar))
     max_step = sc.max_step
     flow = grid_model.held_flow(sc.grid, max_step)
     clocks = ThinnedClocks(scheme, sc.seed) if randomized else None
@@ -608,7 +601,7 @@ def simulate(sc: Scenario) -> Trace:
         cadence_steps=cadence_steps,  # steps the quiet loop commits
         freq_bisections=walk.probes,  # omega probes of the crossing search
         clock_draws=clocks.draws if randomized else 0,
-        jump_count=jumps, scheme=sc.scheme.kind, k_pi=sc.scheme.k_pi,
+        jump_count=jumps,
     )
     return Trace(
         times=np.array(s_t),
@@ -672,24 +665,23 @@ def dwell_time_report(tr: Trace) -> FrequencyMetrics:
     )
 
 
-def ripple_envelope(
-    times: np.ndarray,
-    omega: np.ndarray,
-    window: float = 10.0,
-    cadence: float = 0.01,
-) -> float:
+RIPPLE_WINDOW = 10.0  # s, the span of each window of ripple_envelope
+RIPPLE_CADENCE = 0.01  # s, its resampling step
+
+
+def ripple_envelope(times: np.ndarray, omega: np.ndarray) -> float:
     """Robust amplitude of a quasi-stationary frequency ripple.
 
-    The signal is resampled onto a uniform grid, split into consecutive
-    windows, and the envelope is the median of the per-window maxima of
-    |omega| — insensitive to a few outlier excursions, unlike the global peak.
+    The signal is resampled every RIPPLE_CADENCE onto a uniform grid, split
+    into consecutive windows of RIPPLE_WINDOW, and the envelope is the median
+    of the per-window maxima of |omega| — insensitive to a few outlier
+    excursions, unlike the global peak.
     """
-    check_positive(window=window, cadence=cadence)
     if times.size < 2:
         raise SimulationError("ripple envelope needs at least two samples")
-    grid = np.arange(float(times[0]), float(times[-1]), cadence)
+    grid = np.arange(float(times[0]), float(times[-1]), RIPPLE_CADENCE)
     resampled = np.abs(np.interp(grid, times, omega))
-    per_window = max(1, int(round(window / cadence)))
+    per_window = round(RIPPLE_WINDOW / RIPPLE_CADENCE)
     n_blocks = resampled.size // per_window
     if n_blocks == 0:
         return float(np.max(resampled))

@@ -49,7 +49,6 @@ class ScenarioFile:
     horizon: float
     seed: int
     max_step: float = Scenario.max_step
-    offset_demand: bool = Scenario.offset_demand
     design: DesignSettings = DesignSettings()
 
     def __post_init__(self):
@@ -84,7 +83,7 @@ class ScenarioFile:
                 l_hat,
                 self.design.delta,
                 margin=self.design.margin,
-                threshold_range=self.design.threshold_range,
+                threshold_range=self.population.ranges()["omega1"],
             )
             pop = allocation.population
         return pop, allocation
@@ -99,7 +98,6 @@ class ScenarioFile:
             horizon=self.horizon,
             seed=self.seed,
             max_step=self.max_step,
-            offset_demand=self.offset_demand,
         )
         return sc, allocation
 
@@ -191,8 +189,8 @@ def _number(value, name: str) -> float:
 
 # the optional fields of the root and of the design section, each with its
 # parser; a field the document leaves out keeps its dataclass default
-OPTIONAL_FIELDS = {"max_step": _number, "offset_demand": _flag}
-DESIGN_FIELDS = {"delta": _number, "margin": _number, "allocate": _flag, "threshold_range": _pair}
+OPTIONAL_FIELDS = {"max_step": _number}
+DESIGN_FIELDS = {"delta": _number, "margin": _number, "allocate": _flag}
 ROOT_FIELDS = (
     "grid", "population", "scheme", "disturbance", "horizon", "seed", "design", *OPTIONAL_FIELDS,
 )
@@ -265,12 +263,10 @@ def to_dict(sf: ScenarioFile) -> dict:
         "horizon": sf.horizon,
         "seed": sf.seed,
         "max_step": sf.max_step,
-        "offset_demand": sf.offset_demand,
         "design": {
             "delta": sf.design.delta,
             "margin": sf.design.margin,
             "allocate": sf.design.allocate,
-            "threshold_range": list(sf.design.threshold_range),
         },
     }
     if sf.population.param_ranges:

@@ -169,11 +169,6 @@ def _load_major_events(pop: Population, temperatures, sigmas, horizon: float):
     return times, deltas
 
 
-def demand_series(p: Population, temperature: float, sigma: int, horizon: float) -> TimeSeries:
-    """Free-running demand of a one-load Population as an exact piecewise signal."""
-    return aggregate_demand_series(p, [temperature], [sigma], horizon)
-
-
 def time_order(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.argsort(times, kind="stable") of finite non-negative times, and the
     times in that order.
@@ -254,8 +249,8 @@ def cross_term_oracle(
         init_i = (p_i.t_hi, 1)
     if init_j is None:
         init_j = ((p_j.t_lo + p_j.t_hi) / 2, 0)
-    s_i = demand_series(p_i, *init_i, horizon)
-    s_j = demand_series(p_j, *init_j, horizon)
+    s_i = aggregate_demand_series(p_i, [init_i[0]], [init_i[1]], horizon)
+    s_j = aggregate_demand_series(p_j, [init_j[0]], [init_j[1]], horizon)
     times = np.sort(np.concatenate((s_i.times, s_j.times)))
     times = times[np.append(True, times[1:] != times[:-1])]  # np.union1d imports numpy.ma
     v_i = s_i.values[np.searchsorted(s_i.times, times, side="right") - 1]

@@ -91,8 +91,11 @@ LOAD_FIELDS = [f.name for f in fields(Population) if f.init]
 
 
 def check_loads(p: Population) -> None:
-    """Raise TclError unless every load is a cooling device with positive
-    parameters. Each rule states what must hold, so a NaN breaks it."""
+    """Raise TclError unless there is a load and every load is a cooling
+    device with positive parameters. Each rule states what must hold, so a
+    NaN breaks it."""
+    if not np.size(p.d_bar):
+        raise TclError("a population needs at least one load")
     with np.errstate(invalid="ignore", over="ignore"):
         half_band = (p.t_hi - p.t_lo) / 2
         rules = [

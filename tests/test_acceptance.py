@@ -82,7 +82,7 @@ def run_deterministic_4x(shipped_file, shipped_scenario):
         l_hat,
         shipped_file.design.delta,
         margin=shipped_file.design.margin,
-        threshold_range=shipped_file.design.threshold_range,
+        threshold_range=shipped_file.population.ranges()["omega1"],
     )
     assert allocation.report.satisfied
     sc = dataclasses.replace(shipped_scenario, population=allocation.population)

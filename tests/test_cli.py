@@ -356,12 +356,10 @@ class TestErrors:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["false", "no", 1])
-    @pytest.mark.parametrize("field", ["offset_demand", "allocate"])
+    @pytest.mark.parametrize("field", ["allocate"])
     @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
     def test_non_boolean_flag_is_config_error(self, tmp_path, capsys, command, field, value):
-        doc = dict(SMALL_DOC, design=dict(SMALL_DOC["design"]))
-        section = doc["design"] if field == "allocate" else doc
-        section[field] = value
+        doc = dict(SMALL_DOC, design=dict(SMALL_DOC["design"], **{field: value}))
         path = tmp_path / "flag.yaml"
         path.write_text(yaml.safe_dump(doc))
         argv = [command, "--scenario", str(path)]
@@ -391,16 +389,26 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
     def test_unknown_field_is_config_error(self, tmp_path, capsys, command):
-        # a misspelled field, and the retired clamp_omega
+        # a misspelled field, and the retired clamp_omega, offset_demand and
+        # design.threshold_range
         path = tmp_path / "typo.yaml"
         argv = [command, "--scenario", str(path)]
         if command in ("run", "compare"):
             argv += ["--out", str(tmp_path / "o")]
-        for key in ("max_stepp", "clamp_omega"):
-            path.write_text(yaml.safe_dump({**SMALL_DOC, key: True}))
+        cases = [
+            ({**SMALL_DOC, "max_stepp": True}, "max_stepp", "<root>"),
+            ({**SMALL_DOC, "clamp_omega": True}, "clamp_omega", "<root>"),
+            ({**SMALL_DOC, "offset_demand": False}, "offset_demand", "<root>"),
+            (
+                {**SMALL_DOC, "design": {**SMALL_DOC["design"], "threshold_range": [0.01, 0.26]}},
+                "threshold_range", "design",
+            ),
+        ]
+        for doc, key, section in cases:
+            path.write_text(yaml.safe_dump(doc))
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert err == f"configuration error: unknown field '{key}' in section '<root>'\n"
+            assert err == f"configuration error: unknown field '{key}' in section '{section}'\n"
 
     @pytest.mark.parametrize("field, value", [("k_pi", 7.0), ("v_des", 3.0)])
     def test_rate_field_of_deterministic_scheme_is_config_error(
@@ -436,7 +444,7 @@ class TestErrors:
             (["population"], [1, 2]),
             (["design"], [1]),
             (["population", "ranges"], {"t_amb": ["x", 3]}),
-            (["design", "threshold_range"], [0.01]),
+            (["population", "ranges", "omega1"], [0.01]),
         ],
         ids=["population-list", "design-list", "range-not-numeric", "threshold-range-short"],
     )
@@ -445,7 +453,7 @@ class TestErrors:
         *parents, key = path
         section = doc
         for name in parents:
-            section = section[name]
+            section = section.setdefault(name, {})
         section[key] = value
         scenario = tmp_path / "malformed.yaml"
         scenario.write_text(yaml.safe_dump(doc))

@@ -10,7 +10,7 @@ from tclgrid.design import (
     verify_design_condition,
     zeta,
 )
-from tclgrid.tcl import Population, PopulationSpec, duty_cycle, sample_population
+from tclgrid.tcl import PopulationSpec, duty_cycle, sample_population
 
 
 def dense_grid_verdict(pop, l_hat, delta, n_points=10_000):
@@ -50,11 +50,6 @@ class TestVerifier:
         report = verify_design_condition(pop, 0.5, delta=0.05)
         assert not report.satisfied
         assert "cannot hold" in report.note
-
-    def test_empty_population_trivially_satisfied(self):
-        report = verify_design_condition(Population.of([]), 0.5, 0.001)
-        assert report.satisfied
-        assert report.worst_point is None
 
     def test_invalid_inputs_rejected(self):
         pop = sample_population(PopulationSpec(2, 0.01, seed=3))

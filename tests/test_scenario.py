@@ -41,8 +41,8 @@ class TestParsing:
         for field in dataclasses.fields(ScenarioFile):
             if field.default is not dataclasses.MISSING:
                 assert getattr(sf, field.name) == field.default, field.name
-        assert (sf.max_step, sf.offset_demand) == (0.01, True)
-        assert sf.design == DesignSettings(0.001, 0.2, False, (0.01, 0.26))
+        assert sf.max_step == 0.01
+        assert sf.design == DesignSettings(0.001, 0.2, False)
 
     @pytest.mark.parametrize("value", [0.0, -1.0])
     @pytest.mark.parametrize("field, rule", [("m", "inertia m"), ("d", "damping d")])
@@ -151,19 +151,24 @@ class TestParsing:
             from_dict(doc)
 
     @pytest.mark.parametrize("value", ["false", "no", 1])
-    @pytest.mark.parametrize("field", ["offset_demand", "design.allocate"])
+    @pytest.mark.parametrize("field", ["design.allocate"])
     def test_non_boolean_flag_rejected(self, field, value):
-        doc = dict(MINIMAL, design={})
-        section = doc["design"] if field == "design.allocate" else doc
-        section[field.rsplit(".", 1)[-1]] = value
         with pytest.raises(ScenarioError, match=field):
-            from_dict(doc)
+            from_dict(dict(MINIMAL, design={"allocate": value}))
 
     def test_yaml_boolean_flags_parsed(self):
-        text = yaml.safe_dump(MINIMAL) + "offset_demand: no\n"
-        sf = from_dict(yaml.safe_load(text + "design: {allocate: false}\n"))
-        assert sf.offset_demand is False
-        assert sf.design.allocate is False
+        text = yaml.safe_dump(MINIMAL) + "design: {allocate: no}\n"
+        assert from_dict(yaml.safe_load(text)).design.allocate is False
+
+    def test_allocation_fills_the_drawn_range(self):
+        # one omega1 range: the allocator places every threshold inside the
+        # range the thresholds are drawn from, its bottom for the first load
+        population = dict(MINIMAL["population"], ranges={"omega1": [0.05, 0.2]})
+        sf = from_dict(dict(MINIMAL, population=population, design={"allocate": True}))
+        pop, allocation = sf.build_population()
+        assert allocation.report.satisfied
+        assert pop.omega1[0] == 0.05
+        assert np.all((pop.omega1 >= 0.05) & (pop.omega1 <= 0.2))
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ScenarioError):
@@ -175,16 +180,18 @@ class TestParsing:
             ([], "max_stepp"),
             ([], "event_tol"),
             ([], "clamp_omega"),
+            ([], "offset_demand"),
             (["grid"], "inertia"),
             (["grid", "gen"], "t_gov"),
             (["population"], "n_load"),
             (["population", "ranges"], "t_ambient"),
             (["scheme"], "kpi"),
             (["design"], "deltas"),
+            (["design"], "threshold_range"),
         ],
         ids=[
-            "root", "root-retired", "root-retired-clamp", "grid", "grid.gen", "population",
-            "ranges", "scheme", "design",
+            "root", "root-retired", "root-retired-clamp", "root-retired-offset", "grid",
+            "grid.gen", "population", "ranges", "scheme", "design", "design-retired-range",
         ],
     )
     def test_unknown_field_rejected(self, path, key):
@@ -258,8 +265,8 @@ class TestShippedScenario:
         base["population"]["ranges"] = {"eps": [0.002, 0.004]}
         slots = list(float_slots(base))
         # m, d, gen 4 + 2 + 2 + 1, gamma, a range pair, k_pi, v_des, the
-        # disturbance 4, horizon, max_step, delta, margin, threshold_range 2
-        assert len(slots) == 26
+        # disturbance 4, horizon, max_step, delta, margin
+        assert len(slots) == 24
         for keys, index in slots:
             doc = copy.deepcopy(base)
             *outer, last = (*keys, *index)
@@ -274,7 +281,7 @@ class TestShippedScenario:
     def test_hash_is_pinned(self, shipped_file):
         # the manifest's scenario_sha256 of every shipped run
         assert scenario_hash(shipped_file) == (
-            "b2974a8d41188976d973f5dc6103b3f807c40b82200e78f5016f6a5511743c45"
+            "78e378a782b3bb0626cbf3b247575f93ab38ead8610165bbc664c7e929f430ee"
         )
 
     def test_loads_and_builds(self, shipped_file):

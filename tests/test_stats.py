@@ -11,7 +11,6 @@ from tclgrid.stats import (
     TimeSeries,
     aggregate_demand_series,
     cross_term_oracle,
-    demand_series,
     free_run_events,
     phase_uniformity,
     star_discrepancy,
@@ -333,7 +332,7 @@ class TestFreeRun:
             want.values,
         )
         for p, temp, sig in zip(pop, temps, sigmas):
-            got = demand_series(p, float(temp), int(sig), horizon)
+            got = aggregate_demand_series(p, [float(temp)], [int(sig)], horizon)
             want = reference_demand_series(p, float(temp), int(sig), horizon)
             assert np.array_equal(got.times, want.times)
             assert np.array_equal(got.values, want.values)
@@ -381,19 +380,19 @@ class TestFreeRun:
         assert np.count_nonzero(switches > 0) == copies * (got.times.size - 1)
 
     def test_demand_series_level_alternates(self):
-        series = demand_series(REFERENCE, REFERENCE.t_hi, 1, horizon=3000.0)
+        series = aggregate_demand_series(REFERENCE, [REFERENCE.t_hi], [1], horizon=3000.0)
         assert series.values[0] == pytest.approx(REFERENCE.d_bar)
         assert series.values[1] == 0.0
         assert series.values[2] == pytest.approx(REFERENCE.d_bar)
 
     def test_demand_series_switch_at_time_zero(self):
         # starting OFF exactly at the upper threshold: switches ON immediately
-        series = demand_series(REFERENCE, REFERENCE.t_hi, 0, horizon=3000.0)
+        series = aggregate_demand_series(REFERENCE, [REFERENCE.t_hi], [0], horizon=3000.0)
         assert series.times[0] == 0.0
         assert series.values[0] == pytest.approx(REFERENCE.d_bar)
 
     def test_long_run_average_converges_to_duty_cycle(self):
-        series = demand_series(REFERENCE, 4.5, 0, horizon=2e6)
+        series = aggregate_demand_series(REFERENCE, [4.5], [0], horizon=2e6)
         avg = time_average(series, (0.0, 2e6))
         assert avg == pytest.approx(duty_cycle(REFERENCE) * REFERENCE.d_bar, rel=1e-3)
 
@@ -401,12 +400,14 @@ class TestFreeRun:
         pop = sample_population(PopulationSpec(5, 0.05, seed=21))
         temps, sigmas = sample_initial_states(pop, seed=4)
         agg = aggregate_demand_series(pop, temps, sigmas, horizon=1e4)
+        parts = [
+            aggregate_demand_series(p, [float(tp)], [int(sg)], 1e4)
+            for p, tp, sg in zip(pop, temps, sigmas)
+        ]
         for t_probe in (0.0, 123.4, 5432.1, 9999.0):
             total = sum(
-                demand_series(p, float(tp), int(sg), 1e4).values[
-                    np.searchsorted(demand_series(p, float(tp), int(sg), 1e4).times, t_probe, side="right") - 1
-                ]
-                for p, tp, sg in zip(pop, temps, sigmas)
+                part.values[np.searchsorted(part.times, t_probe, side="right") - 1]
+                for part in parts
             )
             idx = np.searchsorted(agg.times, t_probe, side="right") - 1
             assert agg.values[idx] == pytest.approx(total, abs=1e-12)
