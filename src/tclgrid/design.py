@@ -128,10 +128,11 @@ def allocate_thresholds(
         raise DesignError(f"margin must lie in [0, 1), got {margin}")
     lo, hi = threshold_range
     if not (0 < lo < hi):
-        raise DesignError(f"invalid threshold range ({lo}, {hi})")
+        raise DesignError(f"population.ranges.omega1: invalid threshold range ({lo}, {hi})")
     if not (delta < hi):
         raise DesignError(
-            f"delta={delta} leaves no feasible thresholds below the range top {hi}"
+            f"population.ranges.omega1: delta={delta} leaves no feasible thresholds below "
+            f"the range top {hi}"
         )
     if not (l_hat > 0):
         raise DesignError(f"l_hat must be positive, got {l_hat}")

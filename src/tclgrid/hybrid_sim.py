@@ -32,12 +32,12 @@ branch are touched, and d_s is a compensated running sum kept by jump.
 
 Between events the trace is sampled every max_step from the last event. Each
 pass of the step loop computes its stop, the next thermostat, guard,
-disturbance, candidate or horizon time, once, and one inner loop takes every
-step up to it: a cadence step that ends more than one max_step before the
-stop cannot snap a load, and it cannot enable a jump if it passes the
-curvature test, so it is committed there (meta["cadence_steps"]). The first
-step that may do either goes on to the event part; it runs about twice per
-event (meta["loop_iterations"]).
+disturbance, candidate or horizon time, once. If its start certifies it
+(crossing_free: under held input |omega| stays within ModalFlow.envelope),
+every step but the last is committed untested; otherwise a step that ends
+more than one max_step before the stop and passes the curvature test is. The
+first step that may snap a load or enable a jump goes on to the event part
+(meta["loop_iterations"]); committed ones count in meta["cadence_steps"].
 
 The randomized scheme is simulated by Lewis-Shedler thinning (ThinnedClocks)
 over segments of held input, with omega at each candidate evaluated exactly,
@@ -213,12 +213,16 @@ class LoadAnchors:
             self.rate_table = base.ravel(), level.ravel()
             self.base = np.empty(n)
             self.level = np.empty(n)
+        self.guard_min, self.on_min, self.off_max = math.inf, math.inf, -math.inf
         self.reanchor(np.arange(n), self.temp0, 0.0)
         self.refresh()
 
     def refresh(self) -> None:
-        self.theta_min, self.guard_min, self.on_min, neg_off_min = self.times.min(axis=1).tolist()
-        self.off_max = -neg_off_min
+        if self.freq_active:
+            self.theta_min, self.guard_min, self.on_min, neg_off_min = self.times.min(axis=1).tolist()
+            self.off_max = -neg_off_min
+        else:  # guard_min and on_min stay +inf, off_max -inf
+            self.theta_min = self.theta.min().item()
         # the mean of the 0/1 states, exactly
         self.on_fraction = self.n_on / self.n
 
@@ -428,20 +432,35 @@ class ThinnedClocks:
         # |level| is omega1: the rate law at omega = +-env toward faster switching
         with np.errstate(over="ignore"):  # an overflowing env gives the 1/s cap
             bound = rate_law(loads.base, loads.pop.omega1, self.k_pi, env)
-        cum = np.cumsum(bound)
-        total, last = cum.item(-1), cum.size - 1
-        rng, t = self.rng, start
+        cum = bound.cumsum()
+        total, last, pick, t = cum.item(-1), cum.size - 1, cum.searchsorted, start
+        rng, advance, omega_of = self.rng, flow.advance, flow.omega
         while True:
             t += rng.standard_exponential() / total
             self.draws += 1
             if t >= end:
                 return math.inf, -1
-            j = min(int(cum.searchsorted(rng.random() * total, side="right")), last)
-            omega = flow.omega(flow.advance(z, t - start)) if self.coupled else 0.0
+            j = min(int(pick(rng.random() * total, "right")), last)
+            omega = omega_of(advance(z, t - start)) if self.coupled else 0.0
             # in Python floats an overflowing omega gives the cap without a warning
             rate = rate_law(loads.base.item(j), loads.level.item(j), self.k_pi, omega)
             if rng.random() * bound.item(j) < rate and not loads.held(j, t):
                 return t, j
+
+
+def crossing_free(flow, z, on_min: float, off_max: float, slack: float, steps: float) -> bool:
+    """Whether each step of a held pass of at most steps steps from the grid
+    state z passes the quiet loop's test max(g_a, g_b) + slack < 0, g the
+    excess over the open levels on_min, off_max: if (envelope(z) + slack) (1 +
+    r) < min(on_min, -off_max), r = (2K + 6 steps + 16) u, K modes, u = 2**-53.
+    Each rounding is a factor within 1 + u, away from underflow: a step scales
+    |z_k| by at most (1 + u)^6 (3 roundings in exp(lam h), Re lam < 0, 3 in the
+    product), so omega (2 a term, K in the sum) is within envelope(z) (|w_k|,
+    hypot's 2, product, sum K) times (1 + u)^(2K + 6 steps + 6); the excess, the
+    test and the certificate round 6 more times, 4 cover second-order terms.
+    Inf or NaN (MatrixFlow, an overflowing z) never passes."""
+    level, bound = min(on_min, -off_max), flow.envelope(z) + slack
+    return bound < level and bound * (1.0 + (2 * len(z) + 6 * steps + 16) * 2.0**-53) < level
 
 
 @dataclass
@@ -493,7 +512,8 @@ def simulate(sc: Scenario) -> Trace:
     samples = []
     switch_log = []  # (time, load, new state, cause)
     # loop_iterations: passes of the event part of the loop
-    meta = {"rate_resamples": 0, "max_jump_instants": 0, "loop_iterations": 0}
+    meta = {"rate_resamples": 0, "max_jump_instants": 0, "loop_iterations": 0,
+            "certified_passes": 0, "certified_steps": 0}
 
     dist_levels = [v for _, v in sc.disturbance]
     dist_next = [t for t, _ in sc.disturbance[1:]] + [math.inf]  # the next change's time
@@ -526,7 +546,7 @@ def simulate(sc: Scenario) -> Trace:
     # corrective jump pass so z(0,0) starts consistent with the flow set
     apply_jumps(None)
 
-    tiny = 1e-12
+    tiny, reach = 1e-12, max_step * (1.0 + _SNAP_REL)  # reach: snap's, for a cadence step
     # the next accepted candidate, drawn for the segment of held input and
     # load states keyed by (jumps, dist_idx)
     t_fire, fire, segment = math.inf, -1, None
@@ -550,11 +570,21 @@ def simulate(sc: Scenario) -> Trace:
         # bounds the rest of the pass); excess is -inf with no open branch
         g_a = excess(omega(z))
         slack = flow.curvature(z) * max_step**2 / 8 if g_a > -math.inf else 0.0
-        # cadence steps that end more than one max_step before stop snap no
-        # load and enable no jump unless they fail that test, so they are
-        # committed here; the first step that may do either goes on to the
-        # event part
+        # steps that snap no load are committed here, untested up to the last
+        # before stop (<= theta_min, guard_min, t_fire; more than reach away)
+        # if the pass start certifies them, else if they pass that test; the
+        # first step that may snap a load or enable a jump goes on
         quiet_until = stop - 2 * max_step - tiny
+        steps = (stop - t) / max_step + 2
+        if t < quiet_until and crossing_free(flow, z, loads.on_min, loads.off_max, slack, steps):
+            end, committed = min(stop, dist_next[dist_idx] - tiny, sc.horizon - tiny), len(samples)
+            while stop - t > reach and t + max_step < end:
+                z = advance(z, max_step)
+                t += max_step
+                extend((t, jumps, z, u, d_s, on_fraction))
+            meta["certified_passes"] += 1
+            meta["certified_steps"] += (len(samples) - committed) // 6
+            g_a = excess(omega(z))
         while True:
             dt = min(stop - t, max_step)
             z_end = advance(z, dt)
@@ -598,7 +628,7 @@ def simulate(sc: Scenario) -> Trace:
     sw_t, sw_load, sw_sig, sw_cause = zip(*switch_log) if switch_log else ((),) * 4
     (s_t, s_j, _, _, s_ds, s_on), states = grid_states()
     meta.update(
-        cadence_steps=cadence_steps,  # steps the quiet loop commits
+        cadence_steps=cadence_steps + meta["certified_steps"],  # steps the quiet loop commits
         freq_bisections=walk.probes,  # omega probes of the crossing search
         clock_draws=clocks.draws if randomized else 0,
         jump_count=jumps,
@@ -647,15 +677,10 @@ class FrequencyMetrics:
 def dwell_time_report(tr: Trace) -> FrequencyMetrics:
     n_loads = tr.temp_min.shape[0]
     counts = np.bincount(tr.switch_loads, minlength=n_loads)
-    min_gap = math.inf
-    if tr.switch_times.size:
-        order = np.lexsort((tr.switch_times, tr.switch_loads))
-        loads = tr.switch_loads[order]
-        times = tr.switch_times[order]
-        same = loads[1:] == loads[:-1]
-        if np.any(same):
-            gaps = (times[1:] - times[:-1])[same]
-            min_gap = float(np.min(gaps))
+    order = np.lexsort((tr.switch_times, tr.switch_loads))
+    loads, times = tr.switch_loads[order], tr.switch_times[order]
+    # the gaps between consecutive switches of one load
+    min_gap = float(np.min(np.diff(times)[loads[1:] == loads[:-1]], initial=math.inf))
     return FrequencyMetrics(
         peak_abs_omega=float(np.max(np.abs(tr.omega))),
         min_interswitch_gap=min_gap,

@@ -181,6 +181,8 @@ def _pair(value, name: str) -> tuple[float, float]:
 
 
 def _number(value, name: str) -> float:
+    if isinstance(value, bool):  # not 1.0 or 0.0; a string (PyYAML loads 1e-3 as one) is read
+        raise ScenarioError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -495,6 +495,54 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "configuration error:" in err and field in err
 
+    @pytest.mark.parametrize(
+        "path, field", [(["horizon"], "horizon"), (["grid", "m"], "grid.m")], ids=["horizon", "m"]
+    )
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_yaml_boolean_in_number_field_is_config_error(
+        self, tmp_path, capsys, command, path, field
+    ):
+        # `horizon: true` would run a 1 s simulation and `grid.m: true` certify
+        # a grid of inertia 1 if true were read as 1.0
+        text = SHIPPED_SCENARIO.read_text()
+        *parents, key = path
+        indent = "  " * len(parents)
+        assert f"\n{indent}{key}: " in text
+        text = "\n".join(
+            f"{indent}{key}: true" if line.startswith(f"{indent}{key}: ") else line
+            for line in text.splitlines()
+        )
+        scenario = tmp_path / "flag_number.yaml"
+        scenario.write_text(text)
+        argv = [command, "--scenario", str(scenario)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {field} must be a number, got True\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "omega1, message",
+        [
+            ([0.1, 0.1], "invalid threshold range (0.1, 0.1)"),
+            ([0.0005, 0.0009], "delta=0.001 leaves no feasible thresholds below the range top 0.0009"),
+        ],
+        ids=["empty", "below-delta"],
+    )
+    def test_threshold_range_allocation_error_names_its_field(
+        self, tmp_path, capsys, omega1, message
+    ):
+        doc = yaml.safe_load(SHIPPED_SCENARIO.read_text())
+        doc["population"]["ranges"] = {"omega1": omega1}
+        scenario = tmp_path / "omega1.yaml"
+        scenario.write_text(yaml.safe_dump(doc))
+        assert main(["certify", "--scenario", str(scenario)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: population.ranges.omega1: {message}\n"
+        )
+
 
 def test_commands_build_no_per_load_list(tmp_path, monkeypatch):
     """`certify`, `stats` and `run` carry one Population from sampling to

@@ -1100,6 +1100,148 @@ def test_every_sample_is_a_cadence_step_or_a_pass(shipped_file, scheme):
     assert np.count_nonzero(np.isclose(np.diff(tr.times), sc.max_step, rtol=0, atol=1e-9)) >= cadence
 
 
+def test_quiet_passes_are_tested_per_pass_not_per_step(shipped_file, monkeypatch):
+    # over the shipped 600 s conventional run a certified pass is tested once
+    # at its start: excess and omega run a few times per pass of the event
+    # part, not once per cadence step, as a per-step test would
+    calls = {"excess": 0, "omega": 0}
+    excess, held_flow = LoadAnchors.excess, grid_model.held_flow
+
+    def counted_excess(self, omega):
+        calls["excess"] += 1
+        return excess(self, omega)
+
+    def counted_flow(ss, step):
+        flow = held_flow(ss, step)
+        omega = flow.omega
+
+        def counted_omega(z):
+            calls["omega"] += 1
+            return omega(z)
+
+        flow.omega = counted_omega
+        return flow
+
+    monkeypatch.setattr(LoadAnchors, "excess", counted_excess)
+    monkeypatch.setattr(grid_model, "held_flow", counted_flow)
+    sc, _ = dataclasses.replace(shipped_file, scheme=Scheme.conventional()).build_scenario()
+    tr = simulate(sc)
+    passes = tr.meta["loop_iterations"]
+    assert tr.meta["cadence_steps"] > 30 * passes
+    assert tr.meta["certified_passes"] > passes / 2
+    assert 0 < calls["excess"] <= 5 * passes
+    assert 0 < calls["omega"] <= 5 * passes
+
+
+def modal5_grid() -> StateSpace:
+    """A dim-5 modal grid: two conjugate pairs and one real mode beside the
+    swing mode."""
+    gen = GenDynamics(
+        a_hat=[[-0.2, 1.0, 0.0, 0.0], [-1.0, -0.2, 0.0, 0.0], [0.0, 0.0, -0.5, 0.0],
+               [0.0, 0.0, 0.0, -2.0]],
+        b_hat=[-1.0, 0.5, -2.0, -1.0], c_hat=[1.0, 0.0, 1.0, 0.5],
+    )
+    return build_combined_system(gen, m=10.0, d=1.0)
+
+
+QUIET_GRIDS = [default_grid(), modal5_grid()]
+
+
+def refused(*args) -> bool:
+    """crossing_free that certifies no pass: every step is tested."""
+    return False
+
+
+@st.composite
+def quiet_stretch_runs(draw):
+    """1-200 loads under any scheme on the shipped or the dim-5 grid, with a
+    disturbance pulse after a long quiet stretch."""
+    n = draw(st.integers(1, 200))
+    pop = sample_population(
+        PopulationSpec(n, draw(st.floats(0.05, 1.0)), seed=draw(st.integers(0, 2**32 - 1)))
+    )
+    quiet, width = draw(st.floats(5.0, 40.0)), draw(st.floats(0.1, 10.0))
+    level = draw(st.floats(-2.0, 2.0))
+    return Scenario(
+        grid=draw(st.sampled_from(QUIET_GRIDS)),
+        population=pop,
+        scheme=draw(st.sampled_from([s for _, s in hybrid_sim.SCHEME_CASES])),
+        disturbance=[(0.0, 0.0), (quiet, level), (quiet + width, 0.0)],
+        horizon=quiet + width + draw(st.floats(0.5, 15.0)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        max_step=draw(st.sampled_from([0.003, 0.01, 0.05, 0.2])),
+    )
+
+
+def trace_bytes(tr) -> list:
+    """Every array of a trace, as bytes, and its switch causes."""
+    arrays = [getattr(tr, f.name) for f in dataclasses.fields(tr) if f.name != "meta"]
+    return [a.tobytes() if isinstance(a, np.ndarray) else a for a in arrays]
+
+
+@settings(max_examples=30, deadline=None)
+@given(sc=quiet_stretch_runs())
+def test_certified_passes_change_no_bit(sc):
+    # with every pass refused the certificate, each step is tested: the trace,
+    # switch log and final state are the same bits, and one event-part pass
+    # per certified pass moves into the cadence steps
+    tr = simulate(sc)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hybrid_sim, "crossing_free", refused)
+        tested = simulate(sc)
+    assert trace_bytes(tr) == trace_bytes(tested)
+    split = ("cadence_steps", "loop_iterations", "certified_passes", "certified_steps")
+    assert {k: v for k, v in tr.meta.items() if k not in split} == {
+        k: v for k, v in tested.meta.items() if k not in split
+    }
+    assert tested.meta["certified_passes"] == tested.meta["certified_steps"] == 0
+    moved = tr.meta["cadence_steps"] - tested.meta["cadence_steps"]
+    assert moved == tested.meta["loop_iterations"] - tr.meta["loop_iterations"] >= 0
+
+
+@st.composite
+def near_certified_passes(draw):
+    """A held pass of a modal flow from a drawn state, its modes' terms of
+    omega lined up with the envelope's or not, and open levels (on_min,
+    off_max) a few doubles past the certificate's left side without margin,
+    or further."""
+    ss = draw(st.sampled_from(QUIET_GRIDS))
+    step = draw(st.floats(1e-3, 0.2))
+    flow = grid_model.held_flow(ss, step)
+    u = draw(st.floats(-3.0, 3.0))
+    z = flow.enter(np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=ss.dim,
+                                          max_size=ss.dim))), u)
+    if draw(st.booleans()):
+        # each term Re(w_k z_k) at +-|w_k| |z_k|, with the sign of omega_inf
+        sign = math.copysign(1.0, flow.omega_inf)
+        w = (ss.c @ flow.v).tolist()
+        z = tuple(sign * abs(zk) * (wk.conjugate() / abs(wk)) if wk else zk for zk, wk in zip(z, w))
+        z = tuple(zk.real if real else zk for zk, real in zip(z, flow.real))
+    slack = draw(st.sampled_from([0.0, flow.curvature(z) * step**2 / 8]))
+    edge = flow.envelope(z) + slack
+    for _ in range(draw(st.one_of(st.integers(1, 4), st.integers(1, 400)))):
+        edge = math.nextafter(edge, math.inf)
+    other = edge * draw(st.sampled_from([1.0, 1.5]))
+    on_min, off_max = draw(st.sampled_from([(edge, -other), (other, -edge)]))
+    return flow, z, on_min, off_max, slack, step, draw(st.integers(1, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=near_certified_passes())
+def test_certificate_implies_every_step_test(case):
+    # a certified pass passes the quiet loop's per-step test at every cadence
+    # step, with the slack from its start
+    flow, z, on_min, off_max, slack, step, steps = case
+    assume(hybrid_sim.crossing_free(flow, z, on_min, off_max, slack, steps))
+    levels = types.SimpleNamespace(on_min=on_min, off_max=off_max)
+    g_a = LoadAnchors.excess(levels, flow.omega(z))
+    for _ in range(steps):
+        z = flow.advance(z, step)
+        g_b = LoadAnchors.excess(levels, flow.omega(z))
+        assert max(g_a, g_b) + slack < 0
+        g_a = g_b
+
+
 class TestThinning:
     def test_switch_log_does_not_depend_on_max_step(self, shipped_file):
         # the rate law holds at every instant, not over a step: the shipped

@@ -156,6 +156,52 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=field):
             from_dict(dict(MINIMAL, design={"allocate": value}))
 
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (["horizon"], "horizon"),
+            (["max_step"], "max_step"),
+            (["grid", "m"], "grid.m"),
+            (["grid", "d"], "grid.d"),
+            (["grid", "gen", "k_p"], "grid.gen.k_p"),
+            (["population", "gamma"], "population.gamma"),
+            (["population", "ranges", "t_amb", 0], "population.ranges.t_amb"),
+            (["design", "delta"], "design.delta"),
+            (["design", "margin"], "design.margin"),
+            (["scheme", "k_pi"], "scheme.k_pi"),
+            (["scheme", "v_des"], "scheme.v_des"),
+            (["disturbance", 1, 1], "disturbance"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_yaml_boolean_in_number_field_rejected(self, path, field, value):
+        # a YAML true or false is not read as 1.0 or 0.0: the field is named
+        doc = dict(
+            MINIMAL,
+            grid={"m": 10.0, "d": 1.0, "gen": {"preset": "governor-integral", "k_p": 20.0}},
+            population=dict(MINIMAL["population"], ranges={"t_amb": [20.0, 30.0]}),
+            scheme={"kind": "randomized", "k_pi": 5.0, "v_des": 1.0},
+            disturbance=[[0.0, 0.0], [1.0, 0.5]],
+            design={"delta": 0.001, "margin": 0.2},
+            max_step=0.01,
+        )
+        doc = yaml.safe_load(yaml.safe_dump(doc))
+        from_dict(doc)
+        *parents, key = path
+        section = doc
+        for name in parents:
+            section = section[name]
+        section[key] = yaml.safe_load(value)
+        with pytest.raises(ScenarioError, match=rf"^{field} must be a number, got {value.title()}$"):
+            from_dict(doc)
+
+    def test_number_fields_read_strings(self):
+        # PyYAML loads 1e-3 (no dot) as a string, which float reads
+        text = yaml.safe_dump(MINIMAL) + "max_step: 1e-3\n"
+        doc = yaml.safe_load(text)
+        assert doc["max_step"] == "1e-3"
+        assert from_dict(doc).max_step == 0.001
+
     def test_yaml_boolean_flags_parsed(self):
         text = yaml.safe_dump(MINIMAL) + "design: {allocate: no}\n"
         assert from_dict(yaml.safe_load(text)).design.allocate is False
