@@ -66,7 +66,7 @@ def verify_design_condition(pop: Population, l_hat: float, delta: float) -> Desi
     if not (l_hat > 0):
         raise DesignError(f"l_hat must be positive, got {l_hat}")
     if not (delta > 0):
-        raise DesignError(f"delta must be positive, got {delta}")
+        raise DesignError(f"design.delta: delta must be positive, got {delta}")
     bps, lhs = _breakpoints(pop)
     rhs = np.maximum((bps - delta) / l_hat, 0.0)
     gap = lhs - rhs
@@ -125,7 +125,7 @@ def allocate_thresholds(
     are pinned to the range top and reported as feedback-inactive.
     """
     if not (0 <= margin < 1):
-        raise DesignError(f"margin must lie in [0, 1), got {margin}")
+        raise DesignError(f"design.margin: margin must lie in [0, 1), got {margin}")
     lo, hi = threshold_range
     if not (0 < lo < hi):
         raise DesignError(f"population.ranges.omega1: invalid threshold range ({lo}, {hi})")

@@ -392,9 +392,10 @@ class LoadAnchors:
             parts.append((row <= abs(omega)).nonzero()[0])
         if fired is not None:
             parts.append(np.array([fired]))
-        if len(parts) == 1:  # nonzero is ascending and unique already
-            return parts[0]
-        return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.intp)
+        if len(parts) <= 1:  # nonzero is ascending and unique already
+            return parts[0] if parts else np.empty(0, dtype=np.intp)
+        merged = np.sort(np.concatenate(parts))
+        return merged[np.append(True, merged[1:] != merged[:-1])]  # np.unique imports numpy.ma
 
 
 class ThinnedClocks:

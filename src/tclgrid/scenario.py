@@ -140,6 +140,9 @@ def _parse_gen(doc: dict) -> GenDynamics:
     gen = _fields(doc["gen"], "grid.gen", ("a_hat", "b_hat", "c_hat", "d_hat"))
     for key in ("a_hat", "b_hat", "c_hat"):
         _require(gen, key, "grid.gen")
+    for key, value in gen.items():  # float(True) is 1.0, so a bool is refused as in _number
+        if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).flat):
+            raise ScenarioError(f"grid.gen.{key} must hold numbers, got {value!r}")
     try:
         return GenDynamics(**gen)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -72,13 +72,19 @@ def time_average(ts: TimeSeries, window: tuple[float, float]) -> float:
 
 
 def time_variance(ts: TimeSeries, window: tuple[float, float]) -> float:
+    """Exact variance. The widths array of pieces is the one full-length
+    temporary: it takes v w in place, then v^2 w chunk by chunk, each chunk's
+    widths made again by pieces between two of the series' times."""
     t0, t1 = window
-    vals, widths = ts.pieces(t0, t1)
-    # both moments share one array of terms
-    terms = vals * widths
+    vals, terms = ts.pieces(t0, t1)
+    terms *= vals
     mean = float(np.sum(terms)) / (t1 - t0)
-    np.square(vals, out=terms)
-    terms *= widths
+    # vals[i] holds from inner[i - 1], as in pieces
+    inner = ts.times[np.searchsorted(ts.times, t0, side="right") :][: vals.size - 1]
+    edges = [t0, *inner[CHUNK - 1 :: CHUNK].tolist(), t1]
+    for start, a, b in zip(range(0, vals.size, CHUNK), edges, edges[1:]):
+        v, widths = ts.pieces(a, b)
+        np.multiply(np.square(v), widths, out=terms[start : start + v.size])
     mean_sq = float(np.sum(terms)) / (t1 - t0)
     return max(mean_sq - mean * mean, 0.0)  # one pass can cancel below 0
 
@@ -97,6 +103,8 @@ def theoretical_variance(pop: Population) -> float:
 # each of its loads needs, and their times are then written back in load
 # order, the order time_order breaks exact ties by.
 SWITCH_BLOCK = 256
+# Events per chunk of the merge's and time_variance's chunked passes.
+CHUNK = 1 << 16
 
 
 def free_run_events(
@@ -110,13 +118,15 @@ def free_run_events(
     later one adds the stroke of the state switched to, in a row-wise cumsum
     over blocks of SWITCH_BLOCK loads (see there).
     """
-    times, deltas = _load_major_events(pop, temperatures, sigmas, horizon)
-    return times[1:], deltas[1:]
+    _, times, make_deltas = _load_major_events(pop, temperatures, sigmas, horizon)
+    return times[1:], make_deltas()[1:]
 
 
 def _load_major_events(pop: Population, temperatures, sigmas, horizon: float):
     """free_run_events behind one leading (t = 0, step 0) slot, the start of
-    the series aggregate_demand_series merges."""
+    the series aggregate_demand_series merges: the padded buffer the times
+    were summed in (free for reuse), the times, and a function building the
+    steps, which need not be held while the times are sorted."""
     sigmas = np.asarray(sigmas)
     temperatures = np.asarray(temperatures, dtype=float)
     # a load at or past its active threshold switches at t = 0, which sets its
@@ -158,18 +168,20 @@ def _load_major_events(pop: Population, temperatures, sigmas, horizon: float):
         times[o : o + c] = sums[r : r + c]
     # a load's switches step by step, -step, step, ... from the first, at
     # offset o + 1: index i steps by (-1)**(o + 1) * step * (-1)**i, so each
-    # load's (-1)**(o + 1) * step is repeated and every odd index negated
+    # load's (-1)**(o + 1) * step is repeated behind the leading 0 and every
+    # odd index negated
     step = np.where(level == 1, -pop.d_bar, pop.d_bar)
-    deltas = np.empty(times.size)
-    deltas[0] = 0.0
-    deltas[1:] = np.repeat(np.where(offsets & 1, step, -step), counts)
-    np.negative(deltas[1::2], out=deltas[1::2])
-    opened = counts > 0  # every load, unless the horizon is negative
-    deltas[offsets[opened]] = (level * pop.d_bar)[opened]
-    return times, deltas
+
+    def make_deltas():
+        out = np.repeat(np.append(0.0, np.where(offsets & 1, step, -step)), np.append(1, counts))
+        np.negative(out[1::2], out=out[1::2])
+        out[offsets[counts > 0]] = (level * pop.d_bar)[counts > 0]  # all, unless horizon < 0
+        return out
+
+    return sums, times, make_deltas
 
 
-def time_order(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def time_order(times: np.ndarray, buffer=None) -> tuple[np.ndarray, np.ndarray]:
     """np.argsort(times, kind="stable") of finite non-negative times, and the
     times in that order.
 
@@ -181,23 +193,30 @@ def time_order(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inside a group. Only the groups that hold one are re-sorted, by one
     stable sort of their members taken together: every time of a group lies
     below every time of a later group, so the groups stay in place. Exact
-    ties stay in index order.
+    ties stay in index order. The keys, then the order, fill the head of
+    buffer (8 bytes a time) or a new array; the times are gathered anew.
     """
-    idx_bits = (times.size - 1).bit_length()
-    keys = times.view(np.int64) >> idx_bits
+    n = times.size
+    idx_bits = (n - 1).bit_length()
+    keys = np.empty(n, dtype=np.int64) if buffer is None else buffer[:n].view(np.int64)
+    np.right_shift(times.view(np.int64), idx_bits, out=keys)
     keys <<= idx_bits
-    keys |= np.arange(times.size)
+    for start in range(0, n, CHUNK):
+        keys[start : start + CHUNK] |= np.arange(start, min(start + CHUNK, n))
     keys.sort()
     # a set sign bit (a negative time or -0.0) gives a negative key
     if keys[0] < 0:
         raise StatsError("times must be non-negative, and not -0.0")
     keys &= (1 << idx_bits) - 1
-    near = times[keys]
+    # mode="raise" would gather into a temporary copy first
+    near = np.take(times, keys, out=np.empty(n), mode="clip")
     inverted = np.flatnonzero(near[1:] < near[:-1])
     if inverted.size:
-        # the high bits rise along near, so a bisection finds each group's ends
+        # the high bits rise along near, so a bisection finds each group's
+        # ends, and they ascend at the inversions (np.unique imports numpy.ma)
         bits = near.view(np.int64)
-        high = np.unique(bits[inverted] >> idx_bits)
+        high = bits[inverted] >> idx_bits
+        high = high[np.append(True, high[1:] != high[:-1])]
         lo = np.searchsorted(bits, high << idx_bits)
         sizes = np.searchsorted(bits, (high + 1) << idx_bits) - lo
         # the indices of each group in turn: lo, lo + 1, ..., lo + size - 1
@@ -217,10 +236,17 @@ def aggregate_demand_series(
     of like cycle count, written in load order), merged in time order by
     time_order (one packed-key integer sort, then a stable re-sort of only
     the groups of equal high bits that hold an inversion), with exact ties
-    in load order."""
-    times, deltas = _load_major_events(pop, temperatures, sigmas, horizon)
-    order, times = time_order(times)
-    levels = deltas[order]
+    in load order. Of its four full-length arrays three are live at most:
+    the padded sum buffer, then the keys, then the levels; the load-order
+    times, freed once sorted; the sorted times; the steps, made after that
+    free and gathered chunk by chunk into the levels."""
+    sums, times, make_deltas = _load_major_events(pop, temperatures, sigmas, horizon)
+    order, times = time_order(times, sums)
+    deltas = make_deltas()
+    levels = sums[: times.size]
+    for start in range(0, times.size, CHUNK):
+        levels[start : start + CHUNK] = deltas[order[start : start + CHUNK]]
+    del deltas
     np.cumsum(levels, out=levels)
     # merge coincident event times (measure-zero ties) into the last of each
     # run; when the only run is the leading one (every load's t = 0 level),

@@ -543,6 +543,28 @@ class TestErrors:
             f"configuration error: population.ranges.omega1: {message}\n"
         )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("margin", 1.5, "margin must lie in [0, 1), got 1.5"),
+            ("delta", 0.0, "delta must be positive, got 0.0"),
+            ("delta", -0.5, "delta must be positive, got -0.5"),
+        ],
+        ids=["margin", "delta-zero", "delta-negative"],
+    )
+    @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
+    def test_design_error_names_its_field(self, tmp_path, capsys, command, field, value, message):
+        # the shipped scenario allocates, so every command meets the rule
+        doc = yaml.safe_load(SHIPPED_SCENARIO.read_text())
+        doc["design"][field] = value
+        scenario = tmp_path / "design.yaml"
+        scenario.write_text(yaml.safe_dump(doc))
+        argv = [command, "--scenario", str(scenario), "--horizon", "1"]
+        if command in ("run", "compare"):
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"configuration error: design.{field}: {message}\n"
+
 
 def test_commands_build_no_per_load_list(tmp_path, monkeypatch):
     """`certify`, `stats` and `run` carry one Population from sampling to
@@ -697,3 +719,56 @@ def test_commands_import_no_scipy(tmp_path):
     dt, decay = 0.8, math.exp(-0.8)
     np.testing.assert_allclose(report["phi"], [[decay, dt * decay], [0.0, decay]], rtol=1e-13)
     np.testing.assert_allclose(report["psi"], [1.0 - decay * (1.0 + dt), 1.0 - decay], rtol=1e-13)
+
+
+# each part of test_merges_import_no_numpy_ma: a script that leaves its
+# result in `result`, and that result
+NUMPY_MA_PARTS = {
+    # eight times a few bit patterns apart share their high bits, and their
+    # inverted group is re-sorted
+    "time_order": ("""
+from tclgrid import stats
+bits = (np.array(1e3).view(np.int64) >> 16 << 16) + np.array([9, 2, 8, 1, 15, 0, 2, 12])
+result = stats.time_order(bits.view(float))[0].tolist()
+""", [5, 3, 1, 6, 2, 0, 7, 4]),
+    # load 4, OFF at its upper threshold, is thermostat-due at t = 0, and
+    # the clock of load 11 fired
+    "candidates": ("""
+from tclgrid.hybrid_sim import LoadAnchors
+from tclgrid.tcl import PopulationSpec, Scheme, sample_initial_states, sample_population
+pop = sample_population(PopulationSpec(20, 0.05, seed=3))
+temps, sigmas = sample_initial_states(pop, 3)
+temps[4], sigmas[4] = pop.t_hi[4], 0
+result = LoadAnchors(pop, Scheme.randomized(), temps, sigmas).candidates(0.0, 0.0, 11).tolist()
+""", [4, 11]),
+    "commands": ("""
+from tclgrid.cli import main
+result = [
+    main(["run", "--scenario", scenario, "--out", out, "--horizon", "5"]),
+    main(["stats", "--scenario", scenario, "--horizon", "2e4", "--pairs", "2"]),
+]
+""", [0, 0]),
+}
+
+
+@pytest.mark.parametrize("part", NUMPY_MA_PARTS)
+def test_merges_import_no_numpy_ma(tmp_path, part):
+    """The merges dedupe by sort and compare, never by np.unique, whose
+    first call imports numpy.ma (about 8 ms): `time_order` on its inversion
+    path, a `candidates` call joining a thermostat-due load and a fired
+    clock, and a shipped `run` and `stats`, each in a fresh process."""
+    script, expected = NUMPY_MA_PARTS[part]
+    script = (
+        "import json, sys\nimport numpy as np\nscenario, out = sys.argv[1:]\n" + script
+        + 'print(json.dumps([result, "numpy.ma" in sys.modules]))\n'
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(SHIPPED_SCENARIO), str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    result, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert result == expected
+    assert not imported

@@ -92,6 +92,20 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="grid.gen"):
             from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, flag, number",
+        [("a_hat", [[True]], [[1.0]]), ("b_hat", [True], [1.0]), ("c_hat", [False], [0.0]),
+         ("d_hat", True, 1.0)],
+    )
+    def test_matrix_block_refuses_bool(self, key, flag, number):
+        # float(True) is 1.0, so a bool would load as that number
+        gen = {"a_hat": [[-1.0]], "b_hat": [1.0], "c_hat": [1.0], "d_hat": 0.0}
+        grid = {"m": 1.0, "d": 1.0, "gen": {**gen, key: flag}}
+        with pytest.raises(ScenarioError, match=rf"^grid\.gen\.{key} must hold numbers, got "):
+            from_dict(dict(MINIMAL, grid=grid))
+        grid["gen"][key] = number
+        from_dict(dict(MINIMAL, grid=grid))
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ScenarioError):
             parse_scheme({"kind": "telepathic"})

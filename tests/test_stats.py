@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,6 +412,50 @@ class TestFreeRun:
             )
             idx = np.searchsorted(agg.times, t_probe, side="right") - 1
             assert agg.values[idx] == pytest.approx(total, abs=1e-12)
+
+
+class TestInPlace:
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunked_passes_bit_exact(self, chunk, monkeypatch):
+        """The merge's gather and time_variance's second pass give the same
+        bits whatever chunks split the events, windows ending on event times
+        and past the series included."""
+        pop = sample_population(PopulationSpec(40, 0.3, seed=5))
+        temps, sigmas = sample_initial_states(pop, seed=5)
+        horizon = 5e3
+        want = reference_aggregate(pop, temps, sigmas, horizon)
+        monkeypatch.setattr(stats, "CHUNK", chunk)
+        got = aggregate_demand_series(pop, temps, sigmas, horizon)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.values, want.values)
+        for t0, t1 in [(0.0, horizon), (want.times[10], want.times[-5]), (1.5, 2 * horizon)]:
+            vals, widths = want.pieces(t0, t1)
+            mean = float(np.sum(vals * widths)) / (t1 - t0)
+            mean_sq = float(np.sum(np.square(vals) * widths)) / (t1 - t0)
+            assert time_variance(got, (t0, t1)) == max(mean_sq - mean * mean, 0.0)
+
+    def test_merge_and_variance_peak_memory(self):
+        """aggregate_demand_series then time_variance hold at most the padded
+        buffer the times are summed in and two more full-length arrays at
+        once: the load-order and the sorted times while sorting, the sorted
+        times and the steps while gathering, the sorted times and the widths
+        while integrating. Half an array more covers the masks and chunks.
+        Counted in arrays of 8 bytes per event."""
+        pop = sample_population(PopulationSpec(2000, 0.7, seed=1))
+        temps, sigmas = sample_initial_states(pop, seed=1)
+        horizon = 1e5
+        sums, times, _ = stats._load_major_events(pop, temps, sigmas, horizon)
+        unit, padded = 8 * times.size, sums.size / times.size
+        del sums, times
+        tracemalloc.start()
+        try:
+            series = aggregate_demand_series(pop, temps, sigmas, horizon)
+            time_variance(series, (0.0, horizon))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert unit > 4e6 and 1 < padded < 1.5
+        assert peak / unit < padded + 2.5
 
 
 class TestVarianceTheory:
