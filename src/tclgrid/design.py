@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tcl import DEFAULT_RANGES, Population, zeta  # zeta is part of this API
+from .tcl import DEFAULT_RANGES, Population, run_index, zeta  # zeta is part of this API
 
 
 class DesignError(ValueError):
@@ -55,9 +55,8 @@ def _breakpoints(pop: Population) -> tuple[np.ndarray, np.ndarray]:
     thr_sorted = thresholds[order]
     cum = np.cumsum(weights[order])
     # the last load of each run of tied thresholds closes its breakpoint, so
-    # the cumulative there includes every tied load (np.unique would import
-    # numpy.ma, about 15 ms of start-up)
-    last = np.flatnonzero(np.append(thr_sorted[1:] != thr_sorted[:-1], True))
+    # the cumulative there includes every tied load
+    last = run_index(thr_sorted, last=True)
     return thr_sorted[last], cum[last]
 
 

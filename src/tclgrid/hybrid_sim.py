@@ -67,6 +67,7 @@ from .tcl import (
     frequency_branch,
     rate_coefficients,
     rate_law,
+    run_index,
     stroke_flow,
     stroke_time,
     thermostat_threshold,
@@ -395,7 +396,7 @@ class LoadAnchors:
         if len(parts) <= 1:  # nonzero is ascending and unique already
             return parts[0] if parts else np.empty(0, dtype=np.intp)
         merged = np.sort(np.concatenate(parts))
-        return merged[np.append(True, merged[1:] != merged[:-1])]  # np.unique imports numpy.ma
+        return merged[run_index(merged)]
 
 
 class ThinnedClocks:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tcl import Population, next_thermostat_event, period
+from .tcl import Population, next_thermostat_event, period, run_index
 
 
 class StatsError(ValueError):
@@ -213,10 +213,10 @@ def time_order(times: np.ndarray, buffer=None) -> tuple[np.ndarray, np.ndarray]:
     inverted = np.flatnonzero(near[1:] < near[:-1])
     if inverted.size:
         # the high bits rise along near, so a bisection finds each group's
-        # ends, and they ascend at the inversions (np.unique imports numpy.ma)
+        # ends, and they ascend at the inversions
         bits = near.view(np.int64)
         high = bits[inverted] >> idx_bits
-        high = high[np.append(True, high[1:] != high[:-1])]
+        high = high[run_index(high)]
         lo = np.searchsorted(bits, high << idx_bits)
         sizes = np.searchsorted(bits, (high + 1) << idx_bits) - lo
         # the indices of each group in turn: lo, lo + 1, ..., lo + size - 1
@@ -278,7 +278,7 @@ def cross_term_oracle(
     s_i = aggregate_demand_series(p_i, [init_i[0]], [init_i[1]], horizon)
     s_j = aggregate_demand_series(p_j, [init_j[0]], [init_j[1]], horizon)
     times = np.sort(np.concatenate((s_i.times, s_j.times)))
-    times = times[np.append(True, times[1:] != times[:-1])]  # np.union1d imports numpy.ma
+    times = times[run_index(times)]
     v_i = s_i.values[np.searchsorted(s_i.times, times, side="right") - 1]
     v_j = s_j.values[np.searchsorted(s_j.times, times, side="right") - 1]
     product = TimeSeries(times=times, values=v_i * v_j)

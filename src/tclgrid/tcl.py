@@ -213,6 +213,15 @@ def flow_target(p: Population, sigma):
     return p.t_amb - sigma * p.cop * p.d_bar
 
 
+def run_index(a: np.ndarray, last: bool = False) -> np.ndarray:
+    """Index of the first entry of each run of equal entries of a (of the
+    last with last=True); none for an empty a. On a sorted a it stands in
+    for np.unique, whose first call imports numpy.ma."""
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[:-1] if last else keep[1:])
+    return np.flatnonzero(keep)
+
+
 # the laws' clamps: numpy's elementwise on an ndarray, Python's max and min on
 # a float (no numpy dispatch); a NaN x stays NaN either way
 def _at_least(x, bound):

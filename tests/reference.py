@@ -1,10 +1,15 @@
 """Load forms of the stroke laws, each a composition of the laws tclgrid.tcl
-ships, for tests that state a law per load rather than per stroke; and the
+ships, for tests that state a law per load rather than per stroke; the
 switching rule stated pointwise (jump_target, trigger_levels), the oracle for
-the simulator's per-(state, load) tables."""
+the simulator's per-(state, load) tables; and the CSV writers row by row
+through % (write_rows, write_trace_csv, write_switch_log_csv), the oracle
+for tclgrid.cli's chunked writers."""
+
+from pathlib import Path
 
 import numpy as np
 
+from tclgrid.hybrid_sim import Trace
 from tclgrid.tcl import (
     Population,
     Scheme,
@@ -80,3 +85,27 @@ def jump_target(
     if fired is not None:
         target = np.where(fired & (target == sigma), 1 - sigma, target)
     return target.astype(np.int8)[()]
+
+
+def write_rows(path: Path, header: str, row: str, *columns) -> None:
+    """Write the header line, then one line per entry of the columns through
+    the % template row."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.write("".join(map(row.__mod__, zip(*columns))))
+
+
+def write_trace_csv(tr: Trace, path: Path) -> None:
+    n = tr.x_hat.shape[1]
+    x_hat = [f"x_hat_{i}" for i in range(n)]
+    header = ",".join(["t", "jumps", "omega", *x_hat, "d_s", "on_fraction"])
+    row = "%.17g,%d" + ",%.17g" * (n + 3) + "\n"
+    columns = [tr.times, tr.jumps, tr.omega, *tr.x_hat.T, tr.d_s, tr.on_fraction]
+    write_rows(path, header, row, *(c.tolist() for c in columns))
+
+
+def write_switch_log_csv(tr: Trace, path: Path) -> None:
+    write_rows(
+        path, "t,load,new_sigma,cause", "%.17g,%d,%d,%s\n", tr.switch_times.tolist(),
+        tr.switch_loads.tolist(), tr.switch_new_sigma.tolist(), tr.switch_causes,
+    )

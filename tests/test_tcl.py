@@ -18,6 +18,7 @@ from tclgrid.tcl import (
     on_off_durations,
     period,
     rate_law,
+    run_index,
     sample_initial_states,
     sample_population,
     stroke_flow,
@@ -572,3 +573,20 @@ class TestTimeToLevel:
         after = trigger_levels(p, temp_flow(p, temp, sigma, wait * (1 + 1e-9)), DETERMINISTIC)
         assert before[sigma] == closed
         assert after[sigma] == level
+
+
+class TestRunIndex:
+    @pytest.mark.parametrize("last", [False, True])
+    def test_empty_single_and_all_tied(self, last):
+        assert run_index(np.array([]), last).tolist() == []
+        assert run_index(np.array([2.5]), last).tolist() == [0]
+        assert run_index(np.full(5, 7), last).tolist() == [4 if last else 0]
+
+    @given(st.lists(st.integers(-3, 3), max_size=30), st.booleans())
+    def test_matches_unique_on_sorted_input(self, values, last):
+        a = np.sort(np.array(values, dtype=np.int64))
+        idx = run_index(a, last)
+        # np.unique gives the first index of each value; the last follows
+        # from the counts
+        _, first, counts = np.unique(a, return_index=True, return_counts=True)
+        assert idx.tolist() == (first + counts - 1 if last else first).tolist()
