@@ -7,6 +7,7 @@ here is computed by exact piecewise integration, never by grid sampling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,16 +44,18 @@ class TimeSeries:
         times.setflags(write=False)
         values.setflags(write=False)
 
-    def pieces(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
-        """The constant pieces covering [t0, t1]: their values and widths."""
-        if t1 <= t0:
-            raise StatsError(f"empty window [{t0}, {t1}]")
+    def _span(self, t0: float, t1: float) -> tuple[int, int]:
+        """Check the window [t0, t1]; times[lo:hi] are the times inside it."""
+        if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+            raise StatsError(f"window [{t0}, {t1}] is not finite and non-empty")
         if t0 < self.times[0]:
             raise StatsError(f"window start {t0} precedes series support {self.times[0]}")
-        # times[lo:hi] are the interior times; the piece starting at t0 takes
-        # the last value at or before it, values[lo - 1]
-        lo = np.searchsorted(self.times, t0, side="right")
-        hi = np.searchsorted(self.times, t1, side="left")
+        return int(np.searchsorted(self.times, t0, "right")), int(np.searchsorted(self.times, t1))
+
+    def pieces(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
+        """The constant pieces covering [t0, t1]: their values and widths."""
+        # the piece starting at t0 takes the last value at or before it
+        lo, hi = self._span(t0, t1)
         # the differences of t0, times[lo:hi], t1, taken in place in one array
         inner = self.times[lo:hi]
         widths = np.append(inner, t1)
@@ -60,10 +63,38 @@ class TimeSeries:
         widths[0] -= t0
         return self.values[lo - 1 : hi], widths
 
+    def _moment_sums(self, t0: float, t1: float, squares: bool) -> list[float]:
+        """np.sum(v * w), and if squares np.sum(np.square(v) * w), over the
+        pieces (v, w) of [t0, t1], bit for bit, from no full-length array.
+        numpy sums pairwise (blocks of 128; a longer run of m adds its halves
+        split at h = m // 2 - (m // 2) % 8), and the sum, like its error bound
+        (Higham 1993), is the tree's, so the tree is walked: a node of m >
+        max(CHUNK, 128) pieces splits at h and adds its halves as floats, a
+        leaf takes np.sum of its terms, its widths from pieces between its
+        edge times. A sum that is not finite raises StatsError."""
+        lo, hi = self._span(t0, t1)
+
+        def walk(start: int, stop: int, a: float, b: float) -> list[float]:
+            if stop - start > max(CHUNK, 128):
+                half = (stop - start) // 2 // 8 * 8
+                mid = float(self.times[lo + start + half - 1])  # piece start + half begins here
+                left, right = walk(start, start + half, a, mid), walk(start + half, stop, mid, b)
+                return [x + y for x, y in zip(left, right)]
+            v, w = self.pieces(a, b)
+            second = [float(np.sum(np.square(v) * w))] if squares else []
+            w *= v
+            return [float(np.sum(w)), *second]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = walk(0, hi - lo + 1, t0, t1)
+        if not all(map(math.isfinite, sums)):
+            raise StatsError(f"the moment sums over [{t0}, {t1}] overflow")
+        return sums
+
     def integral(self, t0: float, t1: float) -> float:
-        """Exact integral of the values over [t0, t1]."""
-        vals, widths = self.pieces(t0, t1)
-        return float(np.sum(vals * widths))
+        """Exact integral of the values over [t0, t1]: np.sum(v * w) over the
+        pieces, summed leaf by leaf down numpy's pairwise tree (_moment_sums)."""
+        return self._moment_sums(t0, t1, squares=False)[0]
 
 
 def time_average(ts: TimeSeries, window: tuple[float, float]) -> float:
@@ -72,21 +103,13 @@ def time_average(ts: TimeSeries, window: tuple[float, float]) -> float:
 
 
 def time_variance(ts: TimeSeries, window: tuple[float, float]) -> float:
-    """Exact variance. The widths array of pieces is the one full-length
-    temporary: it takes v w in place, then v^2 w chunk by chunk, each chunk's
-    widths made again by pieces between two of the series' times."""
+    """Exact variance from the one-pass moments, both summed in one walk of
+    numpy's pairwise tree (_moment_sums): the bits of np.sum over the
+    full-length terms, from no full-length array, CHUNK pieces at a time."""
     t0, t1 = window
-    vals, terms = ts.pieces(t0, t1)
-    terms *= vals
-    mean = float(np.sum(terms)) / (t1 - t0)
-    # vals[i] holds from inner[i - 1], as in pieces
-    inner = ts.times[np.searchsorted(ts.times, t0, side="right") :][: vals.size - 1]
-    edges = [t0, *inner[CHUNK - 1 :: CHUNK].tolist(), t1]
-    for start, a, b in zip(range(0, vals.size, CHUNK), edges, edges[1:]):
-        v, widths = ts.pieces(a, b)
-        np.multiply(np.square(v), widths, out=terms[start : start + v.size])
-    mean_sq = float(np.sum(terms)) / (t1 - t0)
-    return max(mean_sq - mean * mean, 0.0)  # one pass can cancel below 0
+    first, second = ts._moment_sums(t0, t1, squares=True)
+    mean = first / (t1 - t0)
+    return max(second / (t1 - t0) - mean * mean, 0.0)  # one pass can cancel below 0
 
 
 def theoretical_variance(pop: Population) -> float:
@@ -98,12 +121,12 @@ def theoretical_variance(pop: Population) -> float:
     return float(np.sum(pop.alpha * (1.0 - pop.alpha) * pop.d_bar**2))
 
 
-# Loads per row-wise cumsum in free_run_events; bounds the padded block. The
-# loads are blocked in order of cycle count, so a block is about as wide as
-# each of its loads needs, and their times are then written back in load
-# order, the order time_order breaks exact ties by.
+# Most loads per row-wise cumsum in free_run_events. The loads are blocked in
+# order of cycle count, and a block also ends before a row more than 1/16
+# wider than its first, so it pads each row by at most 1/16; their times are
+# then written back in load order, the order time_order breaks exact ties by.
 SWITCH_BLOCK = 256
-# Events per chunk of the merge's and time_variance's chunked passes.
+# Events per chunk of the merge's passes; most pieces per leaf of _moment_sums.
 CHUNK = 1 << 16
 
 
@@ -116,7 +139,7 @@ def free_run_events(
     past its active threshold switches at t = 0, which sets its level. The
     next switch is solved from the flow from the actual temperature, and each
     later one adds the stroke of the state switched to, in a row-wise cumsum
-    over blocks of SWITCH_BLOCK loads (see there).
+    over blocks of at most SWITCH_BLOCK loads (see there).
     """
     _, times, make_deltas = _load_major_events(pop, temperatures, sigmas, horizon)
     return times[1:], make_deltas()[1:]
@@ -142,15 +165,16 @@ def _load_major_events(pop: Population, temperatures, sigmas, horizon: float):
     # a load's row: t = 0, lead, then the strokes of the other state and of
     # its own in turn, out to two cycles past the horizon
     loads = np.argsort(n_cycles, kind="stable")
-    n = len(pop)
-    starts = range(0, n, SWITCH_BLOCK)
-    widths = [2 * int(n_cycles[loads[min(s + SWITCH_BLOCK, n) - 1]]) + 2 for s in starts]
-    sums = np.empty(sum(min(SWITCH_BLOCK, n - s) * w for s, w in zip(starts, widths)))
-    row_at = np.empty(n, dtype=int)
-    counts = np.empty(n, dtype=int)
+    row_widths = 2 * n_cycles[loads] + 2
+    ends = [0]
+    while ends[-1] < len(pop):
+        cap = int(row_widths[ends[-1]]) * 17 // 16
+        ends.append(min(ends[-1] + SWITCH_BLOCK, int(np.searchsorted(row_widths, cap, "right"))))
+    blocks = [(loads[s:e], int(row_widths[e - 1])) for s, e in zip(ends, ends[1:])]
+    sums = np.empty(sum(rows.size * width for rows, width in blocks))
+    row_at, counts = np.empty((2, len(pop)), dtype=int)
     pos = 0
-    for start, width in zip(starts, widths):
-        rows = loads[start : start + SWITCH_BLOCK]
+    for rows, width in blocks:
         block = sums[pos : pos + rows.size * width].reshape(rows.size, width)
         block[:, 0] = 0.0
         block[:, 1] = lead[rows]
@@ -233,13 +257,14 @@ def aggregate_demand_series(
 ) -> TimeSeries:
     """Aggregate free-running demand of the whole population: every load's
     analytic switch instants from free_run_events (summed in blocks of loads
-    of like cycle count, written in load order), merged in time order by
-    time_order (one packed-key integer sort, then a stable re-sort of only
-    the groups of equal high bits that hold an inversion), with exact ties
-    in load order. Of its four full-length arrays three are live at most:
-    the padded sum buffer, then the keys, then the levels; the load-order
-    times, freed once sorted; the sorted times; the steps, made after that
-    free and gathered chunk by chunk into the levels."""
+    of like cycle count, each row padded by at most 1/16 of its width,
+    written in load order), merged in time order by time_order (one
+    packed-key integer sort, then a stable re-sort of only the groups of
+    equal high bits that hold an inversion), with exact ties in load order.
+    Of its four full-length arrays three are live at most: the padded sum
+    buffer, then the keys, then the levels; the load-order times, freed once
+    sorted; the sorted times; the steps, made after that free and gathered
+    chunk by chunk into the levels. time_variance of the series makes none."""
     sums, times, make_deltas = _load_major_events(pop, temperatures, sigmas, horizon)
     order, times = time_order(times, sums)
     deltas = make_deltas()

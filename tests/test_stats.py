@@ -82,6 +82,21 @@ class TestTimeSeries:
             ts.integral(-1.0, 2.0)
 
     @pytest.mark.parametrize(
+        "window", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (0.5, 1e308)]
+    )
+    def test_window_rule(self, window):
+        """A window end that is not finite, and a moment sum that overflows,
+        raise StatsError, not nan, a numpy error or an overflow warning."""
+        ts = TimeSeries(times=np.array([0.0, 1.0, 2.0]), values=np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(StatsError):
+            time_variance(ts, window)
+        with pytest.raises(StatsError):
+            time_average(ts, window)
+        if not all(map(math.isfinite, window)):
+            with pytest.raises(StatsError):
+                ts.pieces(*window)
+
+    @pytest.mark.parametrize(
         "times, values",
         [
             ([0.0, math.nan, 2.0], [1.0, 2.0, 3.0]),
@@ -434,6 +449,16 @@ class TestInPlace:
             mean_sq = float(np.sum(np.square(vals) * widths)) / (t1 - t0)
             assert time_variance(got, (t0, t1)) == max(mean_sq - mean * mean, 0.0)
 
+    @pytest.mark.parametrize("horizon", [2e4, 2e5])
+    def test_padded_buffer_bound(self, horizon):
+        """Blocks cut by cycle count pad each row by at most 1/16 of its
+        width, so the buffer the times are summed in stays within 1.1 cells
+        per event on 2,000 loads of mixed cycle counts."""
+        pop = sample_population(PopulationSpec(2000, 0.7, seed=1))
+        temps, sigmas = sample_initial_states(pop, seed=1)
+        sums, times, _ = stats._load_major_events(pop, temps, sigmas, horizon)
+        assert 1 < sums.size / times.size <= 1.1
+
     def test_merge_and_variance_peak_memory(self):
         """aggregate_demand_series then time_variance hold at most the padded
         buffer the times are summed in and two more full-length arrays at
@@ -456,6 +481,63 @@ class TestInPlace:
             tracemalloc.stop()
         assert unit > 4e6 and 1 < padded < 1.5
         assert peak / unit < padded + 2.5
+
+
+@st.composite
+def windowed_series(draw):
+    """A random series of several leaves at the drawn CHUNK (None keeps the
+    default), and a window inside one piece, ending on an event time or
+    reaching past the last event, as edge index and fraction of its gap."""
+    chunk = draw(st.sampled_from([1, 128, 200, 1000, None]))
+    leaf = max(chunk or stats.CHUNK, 128)
+    n = max(draw(st.integers(0, 5)) * leaf + draw(st.integers(-64, 64)), 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = draw(st.floats(0.0, 1e4)) + np.cumsum(np.append(0.0, 10.0 ** rng.uniform(-3, 3, n - 1)))
+    values = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+    ends = sorted(
+        (draw(st.integers(0, n - 1)), draw(st.sampled_from([0.0, 0.25, draw(st.floats(0, 1))])))
+        for _ in range(2)
+    )
+    return chunk, TimeSeries(times=times, values=values), ends
+
+
+class TestMomentSums:
+    @settings(max_examples=150, deadline=None)
+    @given(case=windowed_series())
+    def test_equal_full_length_sums(self, case):
+        """time_variance and integral give the bits of np.sum over the
+        full-length terms of pieces, whatever CHUNK splits the leaves: numpy's
+        pairwise sum (blocks of 128, halves rounded down to a multiple of 8)
+        is the tree _moment_sums walks."""
+        chunk, ts, ((i0, f0), (i1, f1)) = case
+        gaps = np.append(np.diff(ts.times), 10.0)
+        t0, t1 = (float(ts.times[i] + f * gaps[i]) for i, f in ((i0, f0), (i1, f1)))
+        if not t0 < t1:
+            t1 = float(ts.times[-1]) + 20.0  # past every edge above
+        vals, widths = ts.pieces(t0, t1)
+        first = float(np.sum(vals * widths))
+        mean, mean_sq = first / (t1 - t0), float(np.sum(np.square(vals) * widths)) / (t1 - t0)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(stats, "CHUNK", chunk)
+            assert ts.integral(t0, t1).hex() == first.hex()
+            assert time_variance(ts, (t0, t1)).hex() == max(mean_sq - mean * mean, 0.0).hex()
+
+    def test_variance_allocates_no_full_length_array(self):
+        """On 16 CHUNKs of events, time_variance and integral hold a few
+        CHUNK-sized buffers at most: a leaf's widths and its terms."""
+        n = 16 * stats.CHUNK + 123
+        rng = np.random.default_rng(3)
+        ts = TimeSeries(times=np.cumsum(rng.uniform(0.1, 1.0, n)), values=rng.normal(size=n))
+        window = (float(ts.times[0]), float(ts.times[-1]) + 1.0)
+        tracemalloc.start()
+        try:
+            time_variance(ts, window)
+            ts.integral(*window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * stats.CHUNK
 
 
 class TestVarianceTheory:
