@@ -274,23 +274,17 @@ def write_manifest(sf: ScenarioFile, out_dir: Path, extra: dict) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-# each override option, and whether it sets a design setting rather than a
-# field of the scenario file
-OVERRIDES = {
-    "seed": False, "horizon": False, "scheme": False,
-    "delta": True, "margin": True, "allocate": True,
-}
+# the run settings a command line may override; the design is set by the
+# document alone, so certify and run of one document see one design
+OVERRIDES = ("seed", "horizon", "scheme")
 
 
 def _load(path: str, args: argparse.Namespace) -> ScenarioFile:
     sf = load_scenario_file(path)
     given = {name: getattr(args, name, None) for name in OVERRIDES}
-    changes = {name: v for name, v in given.items() if v is not None and not OVERRIDES[name]}
-    design = {name: v for name, v in given.items() if v is not None and OVERRIDES[name]}
+    changes = {name: v for name, v in given.items() if v is not None}
     if "scheme" in changes:
         changes["scheme"] = parse_scheme(changes["scheme"])
-    if design:
-        changes["design"] = dataclasses.replace(sf.design, **design)
     return dataclasses.replace(sf, **changes) if changes else sf
 
 
@@ -398,9 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="override the simulation seed")
         p.add_argument("--horizon", type=float, help="override the horizon (s)")
-        p.add_argument("--delta", type=float, help="override the design margin delta (Hz)")
-        p.add_argument("--margin", type=float, help="override the allocation margin")
-        p.add_argument("--allocate", action="store_true", default=None, help="allocate thresholds")
 
     p_run = sub.add_parser("run", help="simulate and export trace/metrics")
     common(p_run)

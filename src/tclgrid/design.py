@@ -60,12 +60,17 @@ def _breakpoints(pop: Population) -> tuple[np.ndarray, np.ndarray]:
     return thr_sorted[last], cum[last]
 
 
-def verify_design_condition(pop: Population, l_hat: float, delta: float) -> DesignReport:
-    """Check the threshold-design inequality at every breakpoint."""
+def _check_inputs(l_hat: float, delta: float) -> None:
+    """The rules on the inputs of the design condition; a NaN fails each."""
     if not (l_hat > 0):
         raise DesignError(f"l_hat must be positive, got {l_hat}")
     if not (delta > 0):
         raise DesignError(f"design.delta: delta must be positive, got {delta}")
+
+
+def verify_design_condition(pop: Population, l_hat: float, delta: float) -> DesignReport:
+    """Check the threshold-design inequality at every breakpoint."""
+    _check_inputs(l_hat, delta)
     bps, lhs = _breakpoints(pop)
     rhs = np.maximum((bps - delta) / l_hat, 0.0)
     gap = lhs - rhs
@@ -133,8 +138,7 @@ def allocate_thresholds(
             f"population.ranges.omega1: delta={delta} leaves no feasible thresholds below "
             f"the range top {hi}"
         )
-    if not (l_hat > 0):
-        raise DesignError(f"l_hat must be positive, got {l_hat}")
+    _check_inputs(l_hat, delta)  # before the fill, which a NaN l_hat would poison
     needed = delta + np.cumsum(pop.zeta * pop.d_bar) * (l_hat / (1.0 - margin))
     inactive = np.flatnonzero(needed > hi).tolist()
     out = replace(pop, omega1=np.where(needed > hi, hi, np.maximum(lo, needed)))

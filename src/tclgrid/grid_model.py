@@ -171,14 +171,9 @@ def default_gen_dynamics(
     return GenDynamics(a_hat=a_hat, b_hat=b_hat, c_hat=c_hat, d_hat=0.0)
 
 
-def default_grid(
-    m: float = 10.0,
-    d: float = 1.0,
-    t_g: float = 5.0,
-    k_p: float = 20.0,
-    k_i: float = 1.0,
-) -> StateSpace:
-    return build_combined_system(default_gen_dynamics(t_g, k_p, k_i), m, d)
+def default_grid(m: float = 10.0, d: float = 1.0, **gen) -> StateSpace:
+    """The combined system of default_gen_dynamics, given its keywords."""
+    return build_combined_system(default_gen_dynamics(**gen), m, d)
 
 
 def spectral_abscissa(ss: StateSpace) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,8 @@ class ScenarioFile:
     """Parsed scenario document, prior to population sampling and threshold
     allocation. The run settings take Scenario's defaults and rules, and the
     grid is built here once, so a rule of Scenario or of the grid fails at
-    load, as a ScenarioError."""
+    load, as a ScenarioError, and every command uses that one grid and its
+    one modal decomposition."""
 
     grid_m: float
     grid_d: float
@@ -50,12 +51,14 @@ class ScenarioFile:
     seed: int
     max_step: float = Scenario.max_step
     design: DesignSettings = DesignSettings()
+    _grid: StateSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
             check_run_settings(self.horizon, self.max_step, self.seed, self.disturbance)
             check_seed(self.population.seed, "population.seed")
-            self.build_grid()
+            grid = build_combined_system(self.gen, self.grid_m, self.grid_d)
+            object.__setattr__(self, "_grid", grid)
         except SimulationError as exc:
             raise ScenarioError(str(exc)) from None
         except GridModelError as exc:  # the m or d rule: a built gen fits its grid
@@ -68,7 +71,7 @@ class ScenarioFile:
                 raise ScenarioError(f"{name} must hold finite numbers, got {value}")
 
     def build_grid(self) -> StateSpace:
-        return build_combined_system(self.gen, self.grid_m, self.grid_d)
+        return self._grid
 
     def build_population(self) -> tuple[Population, AllocationResult | None]:
         # looked up at call time, so a wrapper set on grid_model.one_norm sees the call

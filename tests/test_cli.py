@@ -140,11 +140,13 @@ class TestCertify:
         assert "satisfied: False" in capsys.readouterr().out
 
     def test_allocate_option_allocates(self, tmp_path, capsys):
-        path = tmp_path / "unallocated.yaml"
+        # the document's design.allocate decides whether certify allocates
+        path = tmp_path / "design.yaml"
         path.write_text(yaml.safe_dump(dict(SMALL_DOC, design={"allocate": False})))
         assert main(["certify", "--scenario", str(path)]) == 0
         assert "margin_used: 0\n" in capsys.readouterr().out
-        assert main(["certify", "--scenario", str(path), "--allocate"]) == 0
+        path.write_text(yaml.safe_dump(dict(SMALL_DOC, design={"allocate": True})))
+        assert main(["certify", "--scenario", str(path)]) == 0
         assert "margin_used: 0.20000000000000001\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("allocate", [True, False])
@@ -180,11 +182,10 @@ class TestCertify:
                 "simulation error: system is not Hurwitz (spectral abscissa 1.000e+00)\n"
             )
 
-    def test_infeasible_design_is_config_error(self, small_scenario, capsys):
-        code = main([
-            "certify", "--scenario", str(small_scenario), "--delta", "0.4",
-        ])
-        assert code == 2
+    def test_infeasible_design_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "infeasible.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_DOC, design={"allocate": True, "delta": 0.4})))
+        assert main(["certify", "--scenario", str(path)]) == 2
 
 
 class TestStats:
@@ -249,6 +250,22 @@ class TestErrors:
             argv += ["--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert "horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
+    @pytest.mark.parametrize(
+        "flag", [["--delta", "0.002"], ["--margin", "0.1"], ["--allocate"]],
+        ids=["delta", "margin", "allocate"],
+    )
+    def test_design_flag_is_usage_error(self, small_scenario, tmp_path, capsys, command, flag):
+        # the document alone sets the design, so certify and run see one design
+        argv = [command, "--scenario", str(small_scenario), *flag]
+        if command in ("run", "compare"):
+            argv += ["--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
     def test_negative_seed_is_config_error(self, small_scenario, tmp_path, capsys, command):
@@ -461,34 +478,30 @@ class TestErrors:
         assert "configuration error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "path, value, options, field",
+        "path, value, field",
         [
-            (["design", "delta"], math.nan, [], "design.delta"),
-            (["population", "gamma"], math.nan, [], "population.gamma"),
-            (["grid", "m"], math.nan, [], "grid.m"),
-            (["grid", "gen", "t_g"], math.nan, [], "grid.gen.t_g"),
-            (["grid", "gen", "t_g"], math.inf, [], "grid.gen.t_g"),
-            (["scheme"], {"kind": "randomized", "k_pi": math.nan}, [], "k_pi"),
-            (["disturbance"], [[0.0, 0.0], [1.0, math.inf]], [], "disturbance"),
-            ([], None, ["--delta", "nan"], "design.delta"),
-            ([], None, ["--margin", "nan"], "design.margin"),
+            (["design", "delta"], math.nan, "design.delta"),
+            (["design", "margin"], math.nan, "design.margin"),
+            (["population", "gamma"], math.nan, "population.gamma"),
+            (["grid", "m"], math.nan, "grid.m"),
+            (["grid", "gen", "t_g"], math.nan, "grid.gen.t_g"),
+            (["grid", "gen", "t_g"], math.inf, "grid.gen.t_g"),
+            (["scheme"], {"kind": "randomized", "k_pi": math.nan}, "k_pi"),
+            (["disturbance"], [[0.0, 0.0], [1.0, math.inf]], "disturbance"),
         ],
-        ids=["delta", "gamma", "m", "t_g", "t_g-inf", "k_pi", "disturbance", "delta-option", "margin-option"],
+        ids=["delta", "margin", "gamma", "m", "t_g", "t_g-inf", "k_pi", "disturbance"],
     )
     @pytest.mark.parametrize("command", ["run", "certify", "stats"])
-    def test_non_finite_number_is_config_error(
-        self, tmp_path, capsys, command, path, value, options, field
-    ):
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, command, path, value, field):
         doc = yaml.safe_load(SHIPPED_SCENARIO.read_text())
-        if path:
-            *parents, key = path
-            section = doc
-            for name in parents:
-                section = section[name]
-            section[key] = value
+        *parents, key = path
+        section = doc
+        for name in parents:
+            section = section[name]
+        section[key] = value
         scenario = tmp_path / "non_finite.yaml"
         scenario.write_text(yaml.safe_dump(doc))
-        argv = [command, "--scenario", str(scenario), "--horizon", "2", *options]
+        argv = [command, "--scenario", str(scenario), "--horizon", "2"]
         if command == "run":
             argv += ["--out", str(tmp_path / "o")]
         assert main(argv) == 2

@@ -432,9 +432,10 @@ class TestFreeRun:
 class TestInPlace:
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_chunked_passes_bit_exact(self, chunk, monkeypatch):
-        """The merge's gather and time_variance's second pass give the same
-        bits whatever chunks split the events, windows ending on event times
-        and past the series included."""
+        """The merge's gather and time_variance's walk of numpy's pairwise
+        tree, whose leaves CHUNK also sizes, give the same bits whatever
+        chunks split the events, windows ending on event times and past the
+        series included."""
         pop = sample_population(PopulationSpec(40, 0.3, seed=5))
         temps, sigmas = sample_initial_states(pop, seed=5)
         horizon = 5e3
@@ -463,9 +464,10 @@ class TestInPlace:
         """aggregate_demand_series then time_variance hold at most the padded
         buffer the times are summed in and two more full-length arrays at
         once: the load-order and the sorted times while sorting, the sorted
-        times and the steps while gathering, the sorted times and the widths
-        while integrating. Half an array more covers the masks and chunks.
-        Counted in arrays of 8 bytes per event."""
+        times and the steps while gathering. time_variance adds no
+        full-length array, only its leaves of at most max(CHUNK, 128) pieces.
+        Half an array more covers the masks and chunks. Counted in arrays of
+        8 bytes per event."""
         pop = sample_population(PopulationSpec(2000, 0.7, seed=1))
         temps, sigmas = sample_initial_states(pop, seed=1)
         horizon = 1e5
