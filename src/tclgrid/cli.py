@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 numeric/simulation error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -25,7 +24,7 @@ from .hybrid_sim import (
     dwell_time_report,
     simulate,
 )
-from .scenario import ScenarioError, ScenarioFile, load_scenario_file, parse_scheme, scenario_hash
+from .scenario import ScenarioError, ScenarioFile, load_scenario_file, scenario_hash
 from .stats import (
     StatsError,
     aggregate_demand_series,
@@ -274,20 +273,6 @@ def write_manifest(sf: ScenarioFile, out_dir: Path, extra: dict) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-# the run settings a command line may override; the design is set by the
-# document alone, so certify and run of one document see one design
-OVERRIDES = ("seed", "horizon", "scheme")
-
-
-def _load(path: str, args: argparse.Namespace) -> ScenarioFile:
-    sf = load_scenario_file(path)
-    given = {name: getattr(args, name, None) for name in OVERRIDES}
-    changes = {name: v for name, v in given.items() if v is not None}
-    if "scheme" in changes:
-        changes["scheme"] = parse_scheme(changes["scheme"])
-    return dataclasses.replace(sf, **changes) if changes else sf
-
-
 def design_report(
     sf: ScenarioFile, pop: Population, allocation: AllocationResult | None
 ) -> DesignReport:
@@ -298,7 +283,9 @@ def design_report(
 
 
 def cmd_run(args) -> int:
-    sf = _load(args.scenario, args)
+    sf = load_scenario_file(
+        args.scenario, seed=args.seed, horizon=args.horizon, scheme=args.scheme
+    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sc, allocation = sf.build_scenario()
@@ -320,18 +307,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    sf = _load(args.scenario, args)
+    sf = load_scenario_file(args.scenario, seed=args.seed, horizon=args.horizon)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sc, _ = sf.build_scenario()
     runs = compare_schemes(sc)
     for name, run in runs.items():
         write_trace_csv(run.trace, out_dir / f"trace_{name}.csv")
-        # plot-ready (t, on_fraction) pairs
-        write_rows(
-            out_dir / f"on_fraction_{name}.csv", "t,on_fraction", "%.17g,%.17g\n",
-            run.trace.times, run.trace.on_fraction,
-        )
     peaks = [run.metrics.peak_abs_omega for run in runs.values()]
     write_rows(out_dir / "comparison.csv", "scheme,peak_abs_omega_hz", "%s,%.17g\n", list(runs), peaks)
     write_manifest(sf, out_dir, {"command": "compare"})
@@ -341,7 +323,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    sf = _load(args.scenario, args)
+    sf = load_scenario_file(args.scenario)
     pop, allocation = sf.build_population()
     report = design_report(sf, pop, allocation)
     print(f"l_hat: {report.l_hat:.6g} Hz/pu")
@@ -350,7 +332,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    sf = _load(args.scenario, args)
+    sf = load_scenario_file(args.scenario, seed=args.seed, horizon=args.horizon)
     n_pairs = args.pairs
     if n_pairs < 0 or (n_pairs > 0 and sf.population.n_loads < 2):
         raise ScenarioError(
@@ -402,8 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
+    # the document alone sets the design, and certify reads nothing else
     p_cert = sub.add_parser("certify", help="check the threshold design condition")
-    common(p_cert, out=False)
+    p_cert.add_argument("--scenario", required=True, help="scenario YAML file")
     p_cert.set_defaults(func=cmd_certify)
 
     p_stats = sub.add_parser("stats", help="free-running variance and cross terms")

@@ -4,11 +4,12 @@ State convention: x = (omega, x_hat) with omega the frequency deviation in Hz
 and x_hat the generation states. Power quantities are per-unit on the
 scenario-declared base; M and D carry matching units (pu*s/Hz and pu/Hz).
 
-Over a pass of held input the state flows exactly (ModalFlow, or MatrixFlow
-without a modal form). CrossingWalk finds where a function of the output
-changes sign along that flow, in time order and certified between probes: it
-is the simulator's search for frequency-level crossings, and one_norm's for
-the zeros of the impulse response.
+Over a pass of held input the state flows exactly in the real modal form
+(ModalFlow); a grid whose a has no well-conditioned modal form is refused.
+CrossingWalk finds where a function of the output changes sign along that
+flow, in time order and certified between probes: it is the simulator's
+search for frequency-level crossings, and one_norm's for the zeros of the
+impulse response.
 """
 
 from __future__ import annotations
@@ -130,6 +131,19 @@ class Modes(NamedTuple):
     v_inv_b: np.ndarray  # input vector b in modal coordinates
 
 
+NO_MODAL_FORM = (
+    "the grid has no well-conditioned modal form: its combined a is defective, has a zero "
+    f"eigenvalue or eigenvectors of condition number {_MODAL_COND_MAX:g} or more"
+)
+
+
+def require_modes(ss: StateSpace) -> Modes:
+    """ss.modes, which ModalFlow and one_norm need; GridModelError without."""
+    if ss.modes is None:
+        raise GridModelError(NO_MODAL_FORM)
+    return ss.modes
+
+
 def build_combined_system(gen: GenDynamics, m: float, d: float) -> StateSpace:
     """Assemble the combined (omega, x_hat) system from generation dynamics
     and the swing equation parameters.
@@ -201,7 +215,7 @@ ONE_NORM_TOL = 1e-8  # one_norm's error bound: the tail beyond t_max is at most 
 def one_norm(ss: StateSpace) -> OneNormResult:
     """Integral of |g(t)| = |c expm(a t) b| over [0, inf).
 
-    With a modal form (ss.modes), g(t) = Re sum_k r_k exp(lam_k t) with
+    In the modal form (ss.modes), g(t) = Re sum_k r_k exp(lam_k t) with
     r = (c V) * (V^-1 b), so g integrates exactly: over [s, s + w],
     Re sum_k r_k exp(lam_k s) expm1(lam_k w) / lam_k. The value on
     [0, t_max] is the sum of the absolute integrals between consecutive sign
@@ -209,70 +223,45 @@ def one_norm(ss: StateSpace) -> OneNormResult:
     input at 0 (ModalFlow), so CrossingWalk finds the sign changes with the
     certificate of the event search, negating its excess at each one. The
     tail beyond t_max is bounded by sum_k |r_k| exp(Re lam_k t_max) /
-    |Re lam_k|.
-
-    Without a modal form, adaptive quadrature with the tail bound
-    norm(c) * norm(expm(a t_max)) * norm(b) / |max Re eigenvalue|.
-
-    Either way t_max, from 10 / |max Re eigenvalue|, is doubled until the
-    tail bound is at most ONE_NORM_TOL / 2 (read at each call).
+    |Re lam_k|; t_max, from 10 / |max Re eigenvalue|, is doubled until that
+    bound is at most ONE_NORM_TOL / 2 (read at each call).
     """
     tol = ONE_NORM_TOL
     alpha = spectral_abscissa(ss)
     if not is_hurwitz(ss):
         raise GridModelError(f"system is not Hurwitz (spectral abscissa {alpha:.3e})")
-    decay = -alpha
-    modes = ss.modes
-    if modes is None:
-        from scipy.integrate import quad
-        from scipy.linalg import expm
-
-        scale = float(np.linalg.norm(ss.c)) * float(np.linalg.norm(ss.b)) / decay
-
-        def tail_at(t: float) -> float:
-            return scale * float(np.linalg.norm(expm(ss.a * t), 2))
-    else:
-        lam = modes.lam
-        r = (ss.c @ modes.v) * modes.v_inv_b
-        weight = np.abs(r) / -lam.real  # 1-norm of mode k from 0 on
-
-        def tail_at(t: float) -> float:
-            return float(np.sum(weight * np.exp(lam.real * t)))
-
-    t_max = 10.0 / decay
+    modes = require_modes(ss)
+    lam = modes.lam
+    r = (ss.c @ modes.v) * modes.v_inv_b
+    weight = np.abs(r) / -lam.real  # 1-norm of mode k from 0 on
+    t_max = 10.0 / -alpha
     for _ in range(80):
-        tail = tail_at(t_max)
+        tail = float(np.sum(weight * np.exp(lam.real * t_max)))
         if tail <= tol / 2:
             break
         t_max *= 2.0
     else:
         raise GridModelError("tail bound did not reach tol/2; system too weakly damped")
-    if modes is None:
-        value, _ = quad(
-            lambda t: abs(float(ss.c @ expm(ss.a * t) @ ss.b)),
-            0.0, t_max, epsabs=tol / 2, limit=2000,
-        )
-    else:
-        flow = ModalFlow(ss, t_max)
-        z = flow.enter(ss.b, 0.0)
-        z_end = flow.advance(z, t_max)
-        # excess -|g| at 0, so the walk starts disabled
-        sign = -1.0 if flow.omega(z) > 0 else 1.0
-        walk = CrossingWalk(flow, lambda g: sign * g)
-        e_start, e_end = walk.excess(flow.omega(z)), walk.excess(flow.omega(z_end))
-        zeros = [tau for tau, _ in walk.crossings(z, e_start, t_max, e_end, z_end)]
-        edges = np.concatenate(([0.0], zeros, [t_max]))
-        pieces = np.exp(np.outer(edges[:-1], lam)) * np.expm1(np.outer(np.diff(edges), lam))
-        value = float(np.sum(np.abs((pieces @ (r / lam)).real)))
-    return OneNormResult(value=float(value), tail_bound=float(tail), t_max=float(t_max))
+    flow = ModalFlow(ss, t_max)
+    z = flow.enter(ss.b, 0.0)
+    z_end = flow.advance(z, t_max)
+    # excess -|g| at 0, so the walk starts disabled
+    sign = -1.0 if flow.omega(z) > 0 else 1.0
+    walk = CrossingWalk(flow, lambda g: sign * g)
+    e_start, e_end = walk.excess(flow.omega(z)), walk.excess(flow.omega(z_end))
+    zeros = [tau for tau, _ in walk.crossings(z, e_start, t_max, e_end, z_end)]
+    edges = np.concatenate(([0.0], zeros, [t_max]))
+    pieces = np.exp(np.outer(edges[:-1], lam)) * np.expm1(np.outer(np.diff(edges), lam))
+    value = float(np.sum(np.abs((pieces @ (r / lam)).real)))
+    return OneNormResult(value=value, tail_bound=tail, t_max=t_max)
 
 
 def transition(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact discretization x(t+dt) = phi @ x(t) + psi * u for constant u:
     phi = expm(a dt) and psi = (integral of expm(a s) ds over [0, dt]) @ b are
     blocks of the augmented-matrix exponential expm([[a, b], [0, 0]] dt), which
-    needs no modal form and no invertible a. MatrixFlow steps by it; it shares
-    nothing with ModalFlow's eigendecomposition, so it is a reference for it."""
+    needs no modal form and no invertible a. It shares nothing with
+    ModalFlow's eigendecomposition, so it is the reference for it."""
     if dt < 0:
         raise GridModelError(f"dt must be nonnegative, got {dt}")
     from scipy.linalg import expm
@@ -285,9 +274,10 @@ def transition(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TransitionCache:
-    """MatrixFlow's propagator: the cadence step's (phi, psi), computed
-    once, and every other step length's computed fresh. Off-cadence lengths
-    (events, guards, crossings) almost never repeat, so they are not kept."""
+    """transition at a cadence step: the cadence step's (phi, psi), computed
+    once, and every other step length's computed fresh. No command reaches
+    it: it stays while the benchmark's traced runs wrap TransitionCache.get,
+    and goes when they drop that wrap."""
 
     def __init__(self, ss: StateSpace, step: float):
         self.ss = ss
@@ -344,7 +334,7 @@ class ModalFlow:
     """
 
     def __init__(self, ss: StateSpace, step: float):
-        modes = ss.modes
+        modes = require_modes(ss)
         keep = modes.lam.imag >= 0
         self.real = (modes.lam.imag[keep] == 0).tolist()
         self.v = modes.v[:, keep] * np.where(self.real, 1.0, 2.0)
@@ -383,59 +373,13 @@ class ModalFlow:
             return np.multiply.outer(us, self.x_unit) + (z @ self.v.T).real
 
 
-class MatrixFlow:
-    """ModalFlow's interface for a grid without a modal form: z is the state
-    x itself, a step is phi @ x + psi * u from TransitionCache, and there is
-    no bound on omega or its curvature (envelope inf, curvature 0, so
-    CrossingWalk tests only a step's ends)."""
-
-    def __init__(self, ss: StateSpace, step: float):
-        self.cache = TransitionCache(ss, step)
-        self.ss = ss
-        self.u = 0.0
-
-    def enter(self, x: np.ndarray, u: float) -> np.ndarray:
-        self.u = u
-        return np.array(x, dtype=float)
-
-    def hold(self, z: np.ndarray, u: float) -> np.ndarray:
-        self.u = u
-        return z
-
-    def advance(self, z: np.ndarray, dt: float) -> np.ndarray:
-        phi, psi = self.cache.get(dt)
-        return phi @ z + psi * self.u
-
-    def omega(self, z: np.ndarray) -> float:
-        return float(self.ss.c @ z)
-
-    def slope(self, z: np.ndarray) -> float:
-        return float(self.ss.c @ (self.ss.a @ z + self.ss.b * self.u))
-
-    def envelope(self, z: np.ndarray) -> float:
-        return math.inf
-
-    def curvature(self, z: np.ndarray) -> float:
-        return 0.0
-
-    def states(self, zs: list, us: list) -> np.ndarray:
-        return np.array(zs)
-
-
-def held_flow(ss: StateSpace, step: float) -> ModalFlow | MatrixFlow:
-    """The event loop's grid propagator, with cadence step length step:
-    ModalFlow where ss has a modal form, MatrixFlow otherwise."""
-    return MatrixFlow(ss, step) if ss.modes is None else ModalFlow(ss, step)
-
-
 # Hz: an enabled probe this close to its frequency level, the rounding level of
 # omega, ends the event search
 _OVERSHOOT = 1e-15
 
 
 def locate_crossing(
-    flow, z: tuple | np.ndarray, excess, lo: float, g_lo: float, hi: float, g_hi: float,
-    z_hi: tuple | np.ndarray,
+    flow, z: tuple, excess, lo: float, g_lo: float, hi: float, g_hi: float, z_hi: tuple
 ):
     """(tau, state at tau, probes) for the held-input flow from the grid state
     z of flow, given a bracket [lo, hi] of tau: excess is g_lo < 0 at lo and
@@ -447,7 +391,7 @@ def locate_crossing(
     window: the Illinois method (Dowell & Jarratt, BIT 11, 168, 1971) with
     the Anderson-Bjorck scaling of the kept end (BIT 13, 253, 1973). Each
     probe is the exact flow flow.advance(z, tau), a few float operations per
-    mode in modal form, and its omega is the one the state it returns has.
+    mode, and its omega is the one the state it returns has.
     """
     if g_hi <= _OVERSHOOT:
         return hi, z_hi, 0
@@ -497,11 +441,10 @@ class CrossingWalk:
       double.
     The first interval that holds a sign change is cut by locate_crossing.
 
-    A grid without a modal form has curvature 0, so only the ends of the
-    interval are tested. The first sign change is the event search's; after
-    one, the walk goes on from the end of its interval with excess negated,
-    which for an excess of one branch (the 1-norm's impulse response) yields
-    every later sign change in turn.
+    The first sign change is the event search's; after one, the walk goes on
+    from the end of its interval with excess negated, which for an excess of
+    one branch (the 1-norm's impulse response) yields every later sign change
+    in turn.
     """
 
     def __init__(self, flow, excess):
@@ -509,10 +452,7 @@ class CrossingWalk:
         self.excess = excess
         self.probes = 0
 
-    def crossings(
-        self, z: tuple | np.ndarray, e_start: float, end: float, e_end: float,
-        z_end: tuple | np.ndarray,
-    ):
+    def crossings(self, z: tuple, e_start: float, end: float, e_end: float, z_end: tuple):
         """Yield (tau, state at tau) at each sign change over (0, end] of the
         flow from the grid state z, whose excess is e_start < 0; the excess
         at end is e_end and the state z_end."""

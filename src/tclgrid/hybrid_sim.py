@@ -3,27 +3,25 @@
 Between events the linear grid state advances exactly. Over a pass of held
 input it is z, the coordinates of x - x_inf (x_inf the held input's
 equilibrium) in the real modal form, a tuple of Python numbers
-(grid_model.ModalFlow): a step, a probe or omega costs a few float operations
-per mode, and the samples' states are built in one product at the end of the
-run. A grid without a modal form steps by (phi, psi) from TransitionCache
-instead (grid_model.MatrixFlow). Each load's temperature is the closed-form
-held flow from its anchor, the temperature and time of its last switch or
-branch opening (LoadAnchors), so its absolute thermostat time and the time
-its frequency branch opens stay fixed until then. What a load's state decides
-(flow target, thermostat threshold, guard, open level, rate coefficients) is
+(grid_model.ModalFlow): a step, a probe or omega costs a few float
+operations per mode, and the samples' states are built in one product at the
+end of the run. Each load's temperature is the closed-form held flow from
+its anchor, the temperature and time of its last switch or branch opening
+(LoadAnchors), so its absolute thermostat time and the time its frequency
+branch opens stay fixed until then. What a load's state decides (flow
+target, thermostat threshold, guard, open level, rate coefficients) is
 tabulated once per state and load from the tcl laws. Steps end at the
 earliest thermostat time, branch opening (guard), the sample cadence, a
-disturbance change or an accepted randomized candidate, so the open frequency
-levels are constant over a step.
+disturbance change or an accepted randomized candidate, so the open
+frequency levels are constant over a step.
 
 A step holds no crossing of an open level if its ends are disabled and
 max(excess at the ends) + M2 h^2 / 8 < 0, with M2 a bound on |omega''| over
 the pass (ModalFlow.curvature); a step that fails this test goes to
 grid_model.CrossingWalk, which finds the first crossing inside it, a
-near-tangent one too (a grid without a modal form has no such bound, and only
-the ends of its steps are tested). At an event every enabled load switches
-within a single jump instant, continuous state unchanged: the candidates of
-the tables (LoadAnchors.candidates), thermostat-due, past an open frequency
+near-tangent one too. At an event every enabled load switches within a
+single jump instant, continuous state unchanged: the candidates of the
+tables (LoadAnchors.candidates), thermostat-due, past an open frequency
 level, or the load whose clock fired. The tables are the switching rule, and
 the part that enables a load names its switch's cause. An instant is settled
 load by load in Python scalars through the same tcl laws, to the bits of the
@@ -414,8 +412,7 @@ class ThinnedClocks:
     segment's grid state. A new segment draws afresh, which is valid because
     exponential waits are memoryless. One Philox stream keyed by the seed
     supplies every draw. With k_pi = 0 the rates do not depend on omega, so
-    env is 0; without a modal form env is inf, which caps every bound at the
-    rate law's 1/s.
+    env is 0.
     """
 
     def __init__(self, scheme: Scheme, seed: int):
@@ -425,7 +422,7 @@ class ThinnedClocks:
         self.draws = 0  # candidate times drawn
 
     def first_accepted(
-        self, loads: LoadAnchors, flow, z: tuple | np.ndarray, start: float, end: float
+        self, loads: LoadAnchors, flow, z: tuple, start: float, end: float
     ) -> tuple[float, int]:
         """(time, load) of the first accepted candidate in [start, end) from
         the grid state z of flow (its input held) at start, or (inf, -1) if
@@ -460,7 +457,7 @@ def crossing_free(flow, z, on_min: float, off_max: float, slack: float, steps: f
     product), so omega (2 a term, K in the sum) is within envelope(z) (|w_k|,
     hypot's 2, product, sum K) times (1 + u)^(2K + 6 steps + 6); the excess, the
     test and the certificate round 6 more times, 4 cover second-order terms.
-    Inf or NaN (MatrixFlow, an overflowing z) never passes."""
+    Inf or NaN (an overflowing z) never passes."""
     level, bound = min(on_min, -off_max), flow.envelope(z) + slack
     return bound < level and bound * (1.0 + (2 * len(z) + 6 * steps + 16) * 2.0**-53) < level
 
@@ -506,7 +503,7 @@ def simulate(sc: Scenario) -> Trace:
     # the grid sees the TCL demand as its deviation from d* = sum alpha d_bar
     d_star = float(np.sum(pop.alpha * pop.d_bar))
     max_step = sc.max_step
-    flow = grid_model.held_flow(sc.grid, max_step)
+    flow = grid_model.ModalFlow(sc.grid, max_step)
     clocks = ThinnedClocks(scheme, sc.seed) if randomized else None
     walk = grid_model.CrossingWalk(flow, loads.excess)
 

@@ -19,11 +19,13 @@ import yaml
 
 from .design import AllocationResult, DesignSettings, allocate_thresholds
 from .grid_model import (
+    NO_MODAL_FORM,
     GenDynamics,
     GridModelError,
     StateSpace,
     build_combined_system,
     default_gen_dynamics,
+    is_hurwitz,
 )
 from .hybrid_sim import SCHEME_CASES, Scenario, SimulationError, check_run_settings, check_seed
 from .tcl import DEFAULT_RANGES, Population, PopulationSpec, Scheme, TclError, sample_population
@@ -39,7 +41,9 @@ class ScenarioFile:
     allocation. The run settings take Scenario's defaults and rules, and the
     grid is built here once, so a rule of Scenario or of the grid fails at
     load, as a ScenarioError, and every command uses that one grid and its
-    one modal decomposition."""
+    one modal decomposition. A Hurwitz grid without a modal form is refused
+    here; a grid that is not Hurwitz fails the Hurwitz test of the command
+    that needs it, a numeric error."""
 
     grid_m: float
     grid_d: float
@@ -69,6 +73,9 @@ class ScenarioFile:
         for name, value in _float_leaves(to_dict(self)):
             if not np.all(np.isfinite(np.asarray(value, dtype=float))):
                 raise ScenarioError(f"{name} must hold finite numbers, got {value}")
+        # after the finite-number rule, since a NaN grid has no modes either
+        if self._grid.modes is None and is_hurwitz(self._grid):
+            raise ScenarioError(f"grid: {NO_MODAL_FORM}")
 
     def build_grid(self) -> StateSpace:
         return self._grid
@@ -284,12 +291,17 @@ def to_dict(sf: ScenarioFile) -> dict:
     return doc
 
 
-def load_scenario_file(path: str | Path) -> ScenarioFile:
+def load_scenario_file(path: str | Path, **settings) -> ScenarioFile:
+    """The scenario of the file, with the given root settings (a command
+    line's seed, horizon or scheme) in place of the document's; a setting of
+    None is not given."""
     text = Path(path).read_text()
     try:
         doc = yaml.safe_load(text)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer of over 4300 digits
         raise ScenarioError(f"cannot parse scenario file {path}: {exc}") from exc
+    if isinstance(doc, dict):
+        doc.update((key, value) for key, value in settings.items() if value is not None)
     return from_dict(doc)
 
 

@@ -58,6 +58,34 @@ class TestRun:
         last = (out / "trace.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize(
+        "argv", [["run", "--horizon", "1", "--scheme", "conventional"], ["stats", "--horizon", "100"]],
+        ids=["run", "stats"],
+    )
+    def test_overrides_build_one_grid(self, small_scenario, tmp_path, monkeypatch, argv):
+        # the command line's settings go into the document before it is
+        # parsed, so a command builds one grid and decomposes it once
+        from tclgrid.grid_model import StateSpace
+
+        calls = {"grid": 0, "eig": 0}
+        post_init, eig = StateSpace.__post_init__, np.linalg.eig
+
+        def counted_grid(self):
+            calls["grid"] += 1
+            post_init(self)
+
+        def counted_eig(a):
+            calls["eig"] += 1
+            return eig(a)
+
+        monkeypatch.setattr(StateSpace, "__post_init__", counted_grid)
+        monkeypatch.setattr(np.linalg, "eig", counted_eig)
+        argv = [*argv, "--scenario", str(small_scenario)]
+        if argv[0] == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert calls == {"grid": 1, "eig": 1}
+
     def test_repeat_runs_byte_identical(self, small_scenario, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--scenario", str(small_scenario), "--out", str(out1)]) == 0
@@ -119,7 +147,6 @@ class TestCompare:
         for name in ("conventional", "deterministic", "randomized", "randomized-high-gain"):
             assert name in body
             assert (out / f"trace_{name}.csv").exists()
-            assert (out / f"on_fraction_{name}.csv").exists()
 
 
 class TestCertify:
@@ -242,7 +269,7 @@ class TestErrors:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
+    @pytest.mark.parametrize("command", ["run", "compare", "stats"])
     @pytest.mark.parametrize("horizon", ["nan", "0", "-5"])
     def test_bad_horizon_is_config_error(self, small_scenario, tmp_path, capsys, command, horizon):
         argv = [command, "--scenario", str(small_scenario), "--horizon", horizon]
@@ -251,13 +278,26 @@ class TestErrors:
         assert main(argv) == 2
         assert "horizon" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
     @pytest.mark.parametrize(
-        "flag", [["--delta", "0.002"], ["--margin", "0.1"], ["--allocate"]],
-        ids=["delta", "margin", "allocate"],
+        "command, flag",
+        [
+            pytest.param(command, flag, id=f"{name}-{command}")
+            for name, flag in [
+                ("delta", ["--delta", "0.002"]), ("margin", ["--margin", "0.1"]),
+                ("allocate", ["--allocate"]),
+            ]
+            for command in ("run", "compare", "certify", "stats")
+        ] + [
+            pytest.param("certify", flag, id=f"{name}-certify")
+            for name, flag in [
+                ("horizon-nan", ["--horizon", "nan"]), ("horizon-0", ["--horizon", "0"]),
+                ("horizon--5", ["--horizon", "-5"]), ("seed", ["--seed=-1"]),
+            ]
+        ],
     )
     def test_design_flag_is_usage_error(self, small_scenario, tmp_path, capsys, command, flag):
-        # the document alone sets the design, so certify and run see one design
+        # the document alone sets the design, so certify and run see one
+        # design; certify reads nothing else of it, so it takes no run setting
         argv = [command, "--scenario", str(small_scenario), *flag]
         if command in ("run", "compare"):
             argv += ["--out", str(tmp_path / "o")]
@@ -267,7 +307,7 @@ class TestErrors:
         assert f"error: unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
+    @pytest.mark.parametrize("command", ["run", "compare", "stats"])
     def test_negative_seed_is_config_error(self, small_scenario, tmp_path, capsys, command):
         argv = [command, "--scenario", str(small_scenario), "--seed=-1"]
         if command in ("run", "compare"):
@@ -286,11 +326,11 @@ class TestErrors:
         grid = dict(SMALL_DOC["grid"], **{field: value})
         path = tmp_path / "grid.yaml"
         path.write_text(yaml.safe_dump(dict(SMALL_DOC, grid=grid, design={"allocate": False})))
-        argv = [command, "--scenario", str(path), "--horizon", "1"]
+        argv = [command, "--scenario", str(path)]
         if command in ("run", "compare"):
-            argv += ["--out", str(tmp_path / "o")]
+            argv += ["--horizon", "1", "--out", str(tmp_path / "o")]
         if command == "stats":
-            argv += ["--pairs", "0"]
+            argv += ["--horizon", "1", "--pairs", "0"]
         assert main(argv) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("configuration error:") and f"{field} must be positive" in line
@@ -303,11 +343,36 @@ class TestErrors:
         gen = {"a_hat": [[-1.0]], "b_hat": [0.0], "c_hat": [0.0], "d_hat": 0.0}
         path = tmp_path / "marginal.yaml"
         path.write_text(yaml.safe_dump(dict(SMALL_DOC, grid={"m": 1.0, "d": 5e-10, "gen": gen})))
-        argv = [command, "--scenario", str(path), "--horizon", "1"]
-        argv += {"run": ["--out", str(tmp_path / "o")], "stats": ["--pairs", "0"]}.get(command, [])
+        argv = [command, "--scenario", str(path)]
+        argv += {
+            "run": ["--horizon", "1", "--out", str(tmp_path / "o")],
+            "stats": ["--horizon", "1", "--pairs", "0"],
+        }.get(command, [])
         assert main(argv) == 3
         [line] = capsys.readouterr().err.splitlines()
         assert "not Hurwitz" in line
+
+    @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
+    def test_jordan_block_grid_is_config_error(self, tmp_path, capsys, command):
+        # a Hurwitz grid whose combined a is a Jordan block has no modal form,
+        # which the simulator and the 1-norm need: every command refuses it at
+        # load and writes nothing, while an unstable one keeps its numeric error
+        argv = [command, "--scenario", str(tmp_path / "jordan.yaml")]
+        argv += {"run": ["--horizon", "1", "--out", str(tmp_path / "o")],
+                 "compare": ["--horizon", "1", "--out", str(tmp_path / "o")],
+                 "stats": ["--horizon", "1", "--pairs", "0"]}.get(command, [])
+        for d_hat, code in ((0.0, 2), (2.0, 3)):
+            gen = {"a_hat": [[-1.0 + d_hat]], "b_hat": [0.0], "c_hat": [1.0], "d_hat": d_hat}
+            doc = dict(SMALL_DOC, grid={"m": 1.0, "d": 1.0, "gen": gen})
+            (tmp_path / "jordan.yaml").write_text(yaml.safe_dump(doc))
+            assert main(argv) == code
+            [line] = capsys.readouterr().err.splitlines()
+            if code == 2:
+                assert line.startswith("configuration error: grid: ")
+                assert "no well-conditioned modal form" in line
+                assert not (tmp_path / "o").exists()
+            else:
+                assert line.startswith("simulation error: ") and "not Hurwitz" in line
 
     @pytest.mark.parametrize("field", ["horizon", "population.n_loads"])
     def test_integer_beyond_double_range_is_config_error(self, tmp_path, capsys, field):
@@ -501,9 +566,9 @@ class TestErrors:
         section[key] = value
         scenario = tmp_path / "non_finite.yaml"
         scenario.write_text(yaml.safe_dump(doc))
-        argv = [command, "--scenario", str(scenario), "--horizon", "2"]
-        if command == "run":
-            argv += ["--out", str(tmp_path / "o")]
+        argv = [command, "--scenario", str(scenario)]
+        argv += {"run": ["--horizon", "2", "--out", str(tmp_path / "o")],
+                 "stats": ["--horizon", "2"]}.get(command, [])
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "configuration error:" in err and field in err
@@ -572,7 +637,9 @@ class TestErrors:
         doc["design"][field] = value
         scenario = tmp_path / "design.yaml"
         scenario.write_text(yaml.safe_dump(doc))
-        argv = [command, "--scenario", str(scenario), "--horizon", "1"]
+        argv = [command, "--scenario", str(scenario)]
+        if command != "certify":
+            argv += ["--horizon", "1"]
         if command in ("run", "compare"):
             argv += ["--out", str(tmp_path / "o")]
         assert main(argv) == 2
@@ -609,9 +676,10 @@ def test_commands_build_no_per_load_list(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["certify", "stats"])
 def test_shipped_scenario_output_is_pinned(capsys, command):
     """`certify` and `stats` print exactly the recorded output of the shipped
-    scenario at a 2e4 s horizon with the default pair count."""
+    scenario, `stats` at a 2e4 s horizon with the default pair count."""
     expected = (DATA / f"{command}_desk_h2e4.txt").read_text()
-    assert main([command, "--scenario", str(SHIPPED_SCENARIO), "--horizon", "2e4"]) == 0
+    argv = [command, "--scenario", str(SHIPPED_SCENARIO)]
+    assert main(argv + (["--horizon", "2e4"] if command == "stats" else [])) == 0
     assert capsys.readouterr().out == expected
 
 
@@ -684,7 +752,7 @@ SCIPY_FREE_SCRIPT = """
 import json, sys
 import numpy as np
 from tclgrid import cli
-from tclgrid.grid_model import StateSpace, one_norm, transition
+from tclgrid.grid_model import GridModelError, StateSpace, one_norm, transition
 
 scenario, out = sys.argv[1:]
 codes = [
@@ -697,14 +765,19 @@ jordan = StateSpace(
     a=np.array([[-1.0, 1.0], [0.0, -1.0]]), b=np.array([0.0, 1.0]),
     c=np.array([1.0, 0.0]),
 )
-result = one_norm(jordan)
+try:
+    one_norm(jordan)
+    refused = ""
+except GridModelError as exc:
+    refused = str(exc)
+scipy_after_refusal = "scipy" in sys.modules
 phi, psi = transition(jordan, 0.8)
 print(json.dumps({
     "codes": codes,
     "scipy_after_commands": loaded,
-    "scipy_after_fallback": "scipy" in sys.modules,
-    "jordan_modes": jordan.modes is not None,
-    "one_norm": [result.value, result.tail_bound],
+    "refused": refused,
+    "scipy_after_refusal": scipy_after_refusal,
+    "scipy_after_transition": "scipy" in sys.modules,
     "phi": phi.tolist(),
     "psi": psi.tolist(),
 }))
@@ -713,8 +786,8 @@ print(json.dumps({
 
 def test_commands_import_no_scipy(tmp_path):
     """`run`, `certify` and `stats` on a modal grid never import scipy; a
-    defective grid still gets `one_norm` and `transition` from the lazily
-    imported scipy fallback."""
+    defective grid has no 1-norm, and gets `transition` alone from the
+    lazily imported scipy."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SHIPPED_SCENARIO.parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
     ))
@@ -725,10 +798,8 @@ def test_commands_import_no_scipy(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0, 0]
     assert report["scipy_after_commands"] == []
-    assert report["scipy_after_fallback"] and not report["jordan_modes"]
-    # g(t) = t e^-t integrates to 1
-    value, tail = report["one_norm"]
-    assert value == pytest.approx(1.0, abs=1e-12) and tail <= 0.5e-8
+    assert "no well-conditioned modal form" in report["refused"]
+    assert not report["scipy_after_refusal"] and report["scipy_after_transition"]
     dt, decay = 0.8, math.exp(-0.8)
     np.testing.assert_allclose(report["phi"], [[decay, dt * decay], [0.0, decay]], rtol=1e-13)
     np.testing.assert_allclose(report["psi"], [1.0 - decay * (1.0 + dt), 1.0 - decay], rtol=1e-13)

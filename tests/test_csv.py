@@ -158,10 +158,6 @@ class TestFiles:
         want.mkdir()
         for name, run in runs.items():
             reference.write_trace_csv(run.trace, want / f"trace_{name}.csv")
-            reference.write_rows(
-                want / f"on_fraction_{name}.csv", "t,on_fraction", "%.17g,%.17g\n",
-                run.trace.times.tolist(), run.trace.on_fraction.tolist(),
-            )
         peaks = [run.metrics.peak_abs_omega for run in runs.values()]
         reference.write_rows(want / "comparison.csv", "scheme,peak_abs_omega_hz", "%s,%.17g\n", runs, peaks)
         names = sorted(path.name for path in want.iterdir())

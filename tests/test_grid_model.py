@@ -18,7 +18,6 @@ from tclgrid.grid_model import (
     build_combined_system,
     default_gen_dynamics,
     default_grid,
-    held_flow,
     is_hurwitz,
     one_norm,
     spectral_abscissa,
@@ -316,8 +315,7 @@ class TestTransition:
         # the columns of phi, and from rest with the input at 1 gives psi;
         # transition is the augmented-matrix exponential
         ss = default_grid()
-        flow = held_flow(ss, 0.01)
-        assert isinstance(flow, ModalFlow)
+        flow = ModalFlow(ss, 0.01)
         dim = ss.dim
         starts = [(x, 0.0) for x in np.eye(dim)] + [(np.zeros(dim), 1.0)]
         zs = [flow.advance(flow.enter(x, u), dt) for x, u in starts]
@@ -330,24 +328,22 @@ class TestTransition:
         assert np.max(np.abs(psi - psi_ref)) <= 1e-13
 
     def test_defective_a_falls_back_to_expm(self):
-        # Jordan block: a has one eigenvector, so there is no modal form
+        # Jordan block: a has one eigenvector, so there is no modal form;
+        # transition, the augmented-matrix exponential, still gives its
+        # closed form, and the modal propagator and 1-norm refuse it
         ss = StateSpace(
             a=np.array([[-1.0, 1.0], [0.0, -1.0]]), b=np.array([0.0, 1.0]),
             c=np.array([1.0, 0.0]),
         )
-        assert ss.modes is None
+        assert ss.modes is None and is_hurwitz(ss)
         dt = 0.8
         phi, psi = transition(ss, dt)
         decay = math.exp(-dt)
         np.testing.assert_allclose(phi, decay * np.array([[1.0, dt], [0.0, 1.0]]), rtol=1e-13)
         np.testing.assert_allclose(psi, [1.0 - decay * (1.0 + dt), 1.0 - decay], rtol=1e-13)
-        # the event loop steps such a grid by transition, with no bound on
-        # omega or its curvature
-        flow = held_flow(ss, dt)
-        x = np.array([0.5, -1.0])
-        z = flow.hold(flow.enter(x, 0.0), 2.0)
-        np.testing.assert_array_equal(flow.advance(z, dt), phi @ x + psi * 2.0)
-        assert flow.envelope(z) == math.inf and flow.curvature(z) == 0.0
+        for refused in (lambda: ModalFlow(ss, dt), lambda: one_norm(ss)):
+            with pytest.raises(GridModelError, match="no well-conditioned modal form"):
+                refused()
 
     def test_one_decomposition_per_state_space(self, monkeypatch):
         calls = 0
@@ -406,8 +402,7 @@ class TestTransition:
         # over held inputs; over any sequence of inputs and steps (the
         # cadence step 0.01 among them) its states and omega are transition's
         x = np.array([0.3, -0.2, 0.5])
-        flow = held_flow(ss, 0.01)
-        assert isinstance(flow, ModalFlow)
+        flow = ModalFlow(ss, 0.01)
         z = flow.enter(x, 0.0)
         zs, us, xs = [z], [0.0], [x]
         for dt, u in steps:
@@ -468,8 +463,7 @@ class TestModalFlow:
         # carry the state over any sequence of held inputs and steps (the
         # cadence step 0.01 among them) as transition does
         x = np.array(x[: ss.dim])
-        flow = held_flow(ss, 0.01)
-        assert isinstance(flow, ModalFlow)
+        flow = ModalFlow(ss, 0.01)
         z = flow.enter(x, 0.0)
         lam = ss.modes.lam
         assert len(z) == np.count_nonzero(lam.imag >= 0)
@@ -501,7 +495,7 @@ class TestModalFlow:
         # sampled densely over a held pass, |omega| stays within the envelope
         # and |omega''| within the curvature bound taken at its start; omega''
         # = c a (a x + b u) comes from the state, not from the modal weights
-        flow = held_flow(ss, 0.01)
+        flow = ModalFlow(ss, 0.01)
         z = flow.enter(np.array(x[: ss.dim]), u)
         envelope, curvature = flow.envelope(z), flow.curvature(z)
         decay = -np.max(ss.modes.lam.real)
@@ -516,7 +510,7 @@ class TestModalFlow:
     def test_bounds_of_an_overflowing_state_are_inf(self):
         # abs() of a finite complex beyond the largest double raises
         # OverflowError; the bounds on such a state are inf instead
-        flow = held_flow(default_grid(), 0.01)
+        flow = ModalFlow(default_grid(), 0.01)
         z = tuple(1.0 if real else complex(1.7e308, 1.7e308) for real in flow.real)
         with pytest.raises(OverflowError):
             abs(complex(1.7e308, 1.7e308))

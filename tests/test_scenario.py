@@ -52,6 +52,24 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=f"{rule} must be positive"):
             dataclasses.replace(from_dict(MINIMAL), **{f"grid_{field}": value})
 
+    @pytest.mark.parametrize(
+        "grid, refused",
+        [({"a_hat": [[-1.0]], "b_hat": [0.0], "c_hat": [1.0]}, True),  # a stable Jordan block
+         ({"a_hat": [[1.0]], "b_hat": [0.0], "c_hat": [1.0], "d_hat": 2.0}, False),  # unstable
+         ({"a_hat": [[0.0]], "b_hat": [0.0], "c_hat": [0.0]}, False)],  # a zero eigenvalue
+        ids=["jordan", "unstable", "singular"],
+    )
+    def test_hurwitz_grid_without_modes_rejected_at_load(self, grid, refused):
+        # the simulator and the 1-norm need the modal form; a grid that is
+        # not Hurwitz (an unstable Jordan block, or a zero eigenvalue) loads,
+        # and fails the Hurwitz test of its command
+        doc = dict(MINIMAL, grid={"m": 1.0, "d": 1.0, "gen": grid})
+        if refused:
+            with pytest.raises(ScenarioError, match="^grid: the grid has no well-conditioned modal"):
+                from_dict(doc)
+        else:
+            from_dict(doc)
+
     def test_default_gen_preset_applied(self):
         sf = from_dict(MINIMAL)
         grid = sf.build_grid()
@@ -98,8 +116,10 @@ class TestParsing:
          ("d_hat", True, 1.0)],
     )
     def test_matrix_block_refuses_bool(self, key, flag, number):
-        # float(True) is 1.0, so a bool would load as that number
-        gen = {"a_hat": [[-1.0]], "b_hat": [1.0], "c_hat": [1.0], "d_hat": 0.0}
+        # float(True) is 1.0, so a bool would load as that number; each grid
+        # the numbers build has a modal form (a_hat -1 with c_hat 0 is a
+        # Jordan block, which is refused)
+        gen = {"a_hat": [[-2.0]], "b_hat": [1.0], "c_hat": [1.0], "d_hat": 0.0}
         grid = {"m": 1.0, "d": 1.0, "gen": {**gen, key: flag}}
         with pytest.raises(ScenarioError, match=rf"^grid\.gen\.{key} must hold numbers, got "):
             from_dict(dict(MINIMAL, grid=grid))
