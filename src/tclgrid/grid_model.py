@@ -153,6 +153,8 @@ def build_combined_system(gen: GenDynamics, m: float, d: float) -> StateSpace:
     """
     if m <= 0:
         raise GridModelError(f"inertia m must be positive, got {m}", "m")
+    if 1.0 / float(m) == math.inf:
+        raise GridModelError(f"inertia m is so small that 1/m overflows, got {m}", "m")
     if d <= 0:
         raise GridModelError(f"damping d must be positive, got {d}", "d")
     n = gen.n

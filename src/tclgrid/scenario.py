@@ -35,6 +35,26 @@ class ScenarioError(ValueError):
     pass
 
 
+def yaml_pair(libyaml: bool = yaml.__with_libyaml__):
+    """Scenario documents' loader and dumper: libyaml's when PyYAML has it, else the
+    Python ones. Both use PyYAML's Python resolver, constructor and representer, so
+    they give the same documents and bytes. The loader refuses a key given twice."""
+    base, dumper = (yaml.CSafeLoader, yaml.CSafeDumper) if libyaml else (yaml.SafeLoader, yaml.SafeDumper)
+
+    class Loader(base):
+        def construct_mapping(self, node, deep=False):
+            own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+            mapping, first = super().construct_mapping(node, deep), {}
+            for key in own:  # each constructed, and cached, by the super call
+                if first.setdefault(self.construct_object(key), key) is not key:
+                    raise ScenarioError(f"duplicate key {key.value!r} at line {key.start_mark.line + 1}")
+            return mapping
+    return Loader, dumper
+
+
+LOADER, DUMPER = yaml_pair()
+
+
 @dataclass(frozen=True)
 class ScenarioFile:
     """Parsed scenario document, prior to population sampling and threshold
@@ -84,7 +104,10 @@ class ScenarioFile:
         # looked up at call time, so a wrapper set on grid_model.one_norm sees the call
         from .grid_model import one_norm
 
-        pop = sample_population(self.population)
+        try:
+            pop = sample_population(self.population)
+        except TclError as exc:  # a rule of the range box leads with its section, as a field's does
+            raise TclError(f"population.ranges: {exc}") if str(exc).startswith("range") else exc
         allocation = None
         if self.design.allocate:
             l_hat = one_norm(self.build_grid()).value
@@ -297,7 +320,7 @@ def load_scenario_file(path: str | Path, **settings) -> ScenarioFile:
     None is not given."""
     text = Path(path).read_text()
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer of over 4300 digits
         raise ScenarioError(f"cannot parse scenario file {path}: {exc}") from exc
     if isinstance(doc, dict):
@@ -307,5 +330,5 @@ def load_scenario_file(path: str | Path, **settings) -> ScenarioFile:
 
 def scenario_hash(sf: ScenarioFile) -> str:
     """Content hash of the canonical serialized form, for manifest pinning."""
-    canonical = yaml.safe_dump(to_dict(sf), sort_keys=True)
+    canonical = yaml.dump(to_dict(sf), Dumper=DUMPER, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()

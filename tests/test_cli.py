@@ -86,6 +86,19 @@ class TestRun:
         assert main(argv) == 0
         assert calls == {"grid": 1, "eig": 1}
 
+    def test_python_yaml_pair_writes_the_same_manifest(self, small_scenario, tmp_path, monkeypatch):
+        # the scenario hash of libyaml's emitter, where PyYAML has it, is the
+        # one of the pure-Python emitter, with the document read by either
+        from tclgrid import scenario
+
+        argv = ["run", "--scenario", str(small_scenario), "--horizon", "2", "--out"]
+        assert main([*argv, str(tmp_path / "chosen")]) == 0
+        monkeypatch.setattr(scenario, "LOADER", scenario.yaml_pair(libyaml=False)[0])
+        monkeypatch.setattr(scenario, "DUMPER", scenario.yaml_pair(libyaml=False)[1])
+        assert main([*argv, str(tmp_path / "python")]) == 0
+        manifest = (tmp_path / "chosen" / "manifest.json").read_bytes()
+        assert manifest == (tmp_path / "python" / "manifest.json").read_bytes()
+
     def test_repeat_runs_byte_identical(self, small_scenario, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--scenario", str(small_scenario), "--out", str(out1)]) == 0
@@ -336,6 +349,53 @@ class TestErrors:
         assert line.startswith("configuration error:") and f"{field} must be positive" in line
         assert line.startswith(f"configuration error: grid.{field}: ")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
+    def test_inertia_whose_inverse_overflows_is_config_error(self, tmp_path, capsys, command):
+        # 1/m is inf: the rule on m names grid.m before any division by it
+        # warns, and no command reaches the grid's infinite a
+        doc = yaml.safe_load(SHIPPED_SCENARIO.read_text())
+        doc["grid"]["m"] = 1e-320
+        path = tmp_path / "tiny-m.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        argv = [command, "--scenario", str(path)]
+        if command in ("run", "compare"):
+            argv += ["--horizon", "1", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: grid.m: inertia m is so small that 1/m overflows, got 1e-320\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, key, line",
+        [
+            ("horizon: 600.0\n", "horizon: 600.0\nhorizon: 5.0\n", "horizon", 23),
+            ("  gamma: 0.7\n", "  gamma: 0.7\n  gamma: 0.5\n", "gamma", 16),
+            ("    k_p: 20.0\n", "    k_p: 20.0\n    k_p: 2.0\n", "k_p", 12),
+            ("  seed: 101\n", "  seed: 101\n  ranges: {eps: [0.001, 0.002], eps: [0.001, 0.003]}\n",
+             "eps", 17),
+        ],
+        ids=["root", "section", "gen", "flow-mapping"],
+    )
+    @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
+    def test_duplicate_key_is_config_error(self, tmp_path, capsys, command, old, new, key, line):
+        # PyYAML keeps the last of two equal keys, so the first would be
+        # ignored without a word: the document is refused instead
+        path = tmp_path / "duplicate.yaml"
+        text = SHIPPED_SCENARIO.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        argv = [command, "--scenario", str(path)]
+        if command in ("run", "compare"):
+            argv += ["--horizon", "1", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot parse scenario file {path}: "
+            f"duplicate key {key!r} at line {line}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["run", "certify", "stats"])
     def test_grid_inside_the_hurwitz_margin_is_numeric_error(self, tmp_path, capsys, command):
         # abscissa -5e-10: one_norm refuses it as simulate and certify do, so
@@ -467,7 +527,8 @@ class TestErrors:
         monkeypatch.setattr("tclgrid.cli.simulate", simulate)
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "configuration error: range box" in err and "eps must move the guards" in err
+        assert "configuration error: population.ranges: range box" in err
+        assert "eps must move the guards" in err
 
     @pytest.mark.parametrize("command", ["run", "compare", "certify", "stats"])
     def test_unknown_field_is_config_error(self, tmp_path, capsys, command):
@@ -604,22 +665,29 @@ class TestErrors:
     @pytest.mark.parametrize(
         "omega1, message",
         [
-            ([0.1, 0.1], "invalid threshold range (0.1, 0.1)"),
-            ([0.0005, 0.0009], "delta=0.001 leaves no feasible thresholds below the range top 0.0009"),
+            ([0.1, 0.1], ".omega1: invalid threshold range (0.1, 0.1)"),
+            (
+                [0.0005, 0.0009],
+                ".omega1: delta=0.001 leaves no feasible thresholds below the range top 0.0009",
+            ),
+            (
+                [-0.1, 0.1],
+                ": range box corner 0: omega1 must be positive (d_bar=0.0014, t_lo=2.0, "
+                "t_hi=5.0, k=0.0002, cop=17857.14285714286, t_amb=15.0, omega1=-0.1, eps=0.001)",
+            ),
         ],
-        ids=["empty", "below-delta"],
+        ids=["empty", "below-delta", "range-box-corner"],
     )
     def test_threshold_range_allocation_error_names_its_field(
         self, tmp_path, capsys, omega1, message
     ):
+        # the allocation's rules lead with the field, the range box's with its section
         doc = yaml.safe_load(SHIPPED_SCENARIO.read_text())
         doc["population"]["ranges"] = {"omega1": omega1}
         scenario = tmp_path / "omega1.yaml"
         scenario.write_text(yaml.safe_dump(doc))
         assert main(["certify", "--scenario", str(scenario)]) == 2
-        assert capsys.readouterr().err == (
-            f"configuration error: population.ranges.omega1: {message}\n"
-        )
+        assert capsys.readouterr().err == f"configuration error: population.ranges{message}\n"
 
     @pytest.mark.parametrize(
         "field, value, message",

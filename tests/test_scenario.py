@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tclgrid import scenario
 from tclgrid.design import DesignSettings
 from tclgrid.scenario import (
     ScenarioError,
@@ -15,6 +18,7 @@ from tclgrid.scenario import (
     parse_scheme,
     scenario_hash,
     to_dict,
+    yaml_pair,
 )
 from tclgrid.tcl import Scheme, TclError
 
@@ -380,3 +384,76 @@ class TestShippedScenario:
         path.write_text("grid: [unclosed")
         with pytest.raises(ScenarioError):
             load_scenario_file(path)
+
+
+# the two YAML pairs: libyaml's scanner, parser and emitter, which PyYAML
+# may be built without, and the pure-Python ones
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+PAIRS = [pytest.param(True, id="libyaml", marks=needs_libyaml), pytest.param(False, id="python")]
+
+# documents shaped as to_dict's: identifier keys; floats at the ends of the
+# double range, subnormal, signed zero and infinite; integers at and past
+# 2**63; booleans; and strings, among them ones that read as a bool, null,
+# number, date or mapping unless quoted
+KEYS = st.from_regex(r"[a-z_][a-z0-9_]{0,15}", fullmatch=True)
+FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [5e-324, -5e-324, -0.0, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-7, 0.1]
+)
+INTS = st.integers() | st.sampled_from([2**63 - 1, 2**63, -(2**63), 2**64])
+STRINGS = st.sampled_from(
+    ["yes", "No", "on", "off", "true", "False", "null", "~", "", " lead", "tail ", "a: b",
+     ":", "- x", "#x", "1e-3", "0x1f", "0o17", "1_000", ".inf", "-.nan", "2001-12-14"]
+) | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=100)
+CANONICAL = st.dictionaries(
+    KEYS,
+    st.recursive(
+        FLOATS | INTS | st.booleans() | STRINGS,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=5),
+        max_leaves=25,
+    ),
+    max_size=8,
+)
+
+
+class TestYamlPairs:
+    @needs_libyaml
+    @settings(max_examples=300, deadline=None)
+    @given(CANONICAL)
+    def test_the_pairs_dump_the_same_bytes_and_load_the_same_documents(self, doc):
+        (c_loader, c_dumper), (py_loader, py_dumper) = yaml_pair(True), yaml_pair(False)
+        text = yaml.dump(doc, Dumper=c_dumper, sort_keys=True)
+        assert text == yaml.dump(doc, Dumper=py_dumper, sort_keys=True)
+        loaded = yaml.load(text, Loader=c_loader)
+        assert repr(loaded) == repr(yaml.load(text, Loader=py_loader))  # -0.0 too
+        assert loaded == doc
+
+    @pytest.mark.parametrize("libyaml", PAIRS)
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("horizon: 30.0\nseed: 2\nhorizon: 5.0\n", "horizon", 3),
+            ("grid:\n  m: 10.0\n  d: 1.0\n  m: 5.0\n", "m", 4),
+            ("grid:\n  gen: {t_g: 5.0, k_p: 20.0,\n    t_g: 2.0}\n", "t_g", 3),
+            ("disturbance:\n  - {a: 1}\n  - {b: 1, b: 2}\n", "b", 3),
+            # 1 == 1.0, so a dict holds one of them
+            ("population:\n  1: x\n  1.0: y\n", "1.0", 3),
+        ],
+        ids=["root", "section", "flow", "in-list", "equal-numbers"],
+    )
+    def test_duplicate_key_rejected(self, tmp_path, monkeypatch, libyaml, text, key, line):
+        # PyYAML keeps the last of two equal keys; both pairs refuse the document
+        monkeypatch.setattr(scenario, "LOADER", yaml_pair(libyaml)[0])
+        path = tmp_path / "duplicate.yaml"
+        path.write_text(text)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario_file(path)
+        assert str(info.value) == (
+            f"cannot parse scenario file {path}: duplicate key {key!r} at line {line}"
+        )
+
+    @pytest.mark.parametrize("libyaml", PAIRS)
+    def test_merged_key_given_again_is_no_duplicate(self, libyaml):
+        # a key of a mapping overrides the one a merge key brings in
+        text = "base: &base {m: 1.0, d: 1.0}\ngrid:\n  <<: *base\n  m: 10.0\n"
+        doc = yaml.load(text, Loader=yaml_pair(libyaml)[0])
+        assert doc["grid"] == {"m": 10.0, "d": 1.0}
