@@ -345,12 +345,16 @@ class ModalFlow:
         self.omega_unit = float(ss.c @ self.x_unit)
         self.u = self.omega_inf = 0.0
         namespace = dict(flow=self, step=step, omega_unit=self.omega_unit, hypot=math.hypot)
-        kept = (modes.lam[keep], ss.c @ self.v, self.v_inv @ self.x_unit)
-        for k, (real, lam, w, n) in enumerate(zip(self.real, *map(self.scalars, kept))):
+        kept = (modes.lam[keep], ss.c @ self.v, self.v_inv @ self.x_unit,
+                ss.c @ ss.a @ ss.a @ self.v)
+        for k, (real, lam, w, n, q) in enumerate(zip(self.real, *map(self.scalars, kept))):
             exp = math.exp if real else cmath.exp
-            # |omega''| <= sum_k m_k |z_k| with m = |w| |lam|^2, since Re lam < 0
+            # |omega''| <= sum_k m_k |z_k|, since Re lam < 0, with m the larger
+            # of |w| |lam|^2 (the modal omega's) and |c a^2 v| (the state's,
+            # omega'' = c a^2 (x - x_inf)): they differ by rounding, but where
+            # eig drops a tiny entry of a, w is 0 and c a^2 v is not
             row = dict(l=lam, exp=exp, e=exp(lam * step), n=n, w=w, s=w * lam, a=abs(w),
-                       m=abs(w) * abs(lam) ** 2)
+                       m=max(abs(w) * abs(lam) ** 2, abs(q)))
             namespace.update((f"{name}{k}", value) for name, value in row.items())
         fields = {name: sep.join(term.format(k=k) for k in range(len(self.real)))
                   for name, (term, sep) in _MODAL_TERMS.items()}

@@ -491,6 +491,13 @@ class TestModalFlow:
         x=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
         u=st.floats(-3.0, 3.0),
     )
+    @example(
+        # eig drops the 5.9e-39 entry: omega's modal weights are 0, its
+        # second derivative from the state is 1.8e-38
+        ss=StateSpace(a=np.array([[-1.0, -0.5], [5.877471754111438e-39, -2.0]]),
+                      b=np.array([0.0, 0.0]), c=np.array([0.0, 1.0])),
+        x=[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], u=0.0,
+    )
     def test_bounds_hold_over_a_pass(self, ss, x, u):
         # sampled densely over a held pass, |omega| stays within the envelope
         # and |omega''| within the curvature bound taken at its start; omega''
