@@ -157,10 +157,15 @@ def build_combined_system(gen: GenDynamics, m: float, d: float) -> StateSpace:
         raise GridModelError(f"inertia m is so small that 1/m overflows, got {m}", "m")
     if d <= 0:
         raise GridModelError(f"damping d must be positive, got {d}", "d")
+    if math.isinf(gen.d_hat - d):
+        raise GridModelError(f"d_hat - d overflows, got d={d} and d_hat={gen.d_hat}", "d")
     n = gen.n
     a = np.zeros((n + 1, n + 1))
-    a[0, 0] = (gen.d_hat - d) / m
-    a[0, 1:] = gen.c_hat / m
+    with np.errstate(over="ignore"):
+        a[0, 0] = (gen.d_hat - d) / m
+        a[0, 1:] = gen.c_hat / m
+    if not np.isfinite(a[0]).all():
+        raise GridModelError(f"inertia m is so small that c_hat/m or (d_hat-d)/m overflows, got {m}", "m")
     a[1:, 0] = gen.b_hat
     a[1:, 1:] = gen.a_hat
     b = np.zeros(n + 1)

@@ -81,19 +81,19 @@ class ScenarioFile:
         try:
             check_run_settings(self.horizon, self.max_step, self.seed, self.disturbance)
             check_seed(self.population.seed, "population.seed")
-            grid = build_combined_system(self.gen, self.grid_m, self.grid_d)
-            object.__setattr__(self, "_grid", grid)
         except SimulationError as exc:
             raise ScenarioError(str(exc)) from None
-        except GridModelError as exc:  # the m or d rule: a built gen fits its grid
-            raise ScenarioError(f"grid.{exc.field}: {exc}") from None
         n_loads = self.population.n_loads
         if type(n_loads) is bool or not isinstance(n_loads, numbers.Integral) or n_loads >= 2**63:
             raise ScenarioError(f"population.n_loads must be an integer < 2**63, got {n_loads!r}")
         for name, value in _float_leaves(to_dict(self)):
             if not np.all(np.isfinite(np.asarray(value, dtype=float))):
                 raise ScenarioError(f"{name} must hold finite numbers, got {value}")
-        # after the finite-number rule, since a NaN grid has no modes either
+        # after the finite-number rule, so a grid is built from finite numbers only
+        try:
+            object.__setattr__(self, "_grid", build_combined_system(self.gen, self.grid_m, self.grid_d))
+        except GridModelError as exc:  # the m or d rule: a built gen fits its grid
+            raise ScenarioError(f"grid.{exc.field}: {exc}") from None
         if self._grid.modes is None and is_hurwitz(self._grid):
             raise ScenarioError(f"grid: {NO_MODAL_FORM}")
 

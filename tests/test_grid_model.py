@@ -149,6 +149,20 @@ class TestConstruction:
         with pytest.raises(GridModelError):
             build_combined_system(gen, m=1.0, d=-1.0)
 
+    def test_overflowing_swing_row_names_its_field(self):
+        # with finite parameters, the row ((d_hat - d)/m, c_hat/m) of a
+        # overflows through d_hat - d, which names d, or through the division,
+        # which names m
+        gen = GenDynamics(a_hat=[[-1.0]], b_hat=[-1.0], c_hat=[1.0], d_hat=-1.5e308)
+        with pytest.raises(GridModelError, match="^d_hat - d overflows") as info:
+            build_combined_system(gen, m=1.0, d=1.5e308)
+        assert info.value.field == "d"
+        gen = GenDynamics(a_hat=[[-1.0]], b_hat=[-1.0], c_hat=[1e10])
+        with np.errstate(all="raise"):
+            with pytest.raises(GridModelError, match="^inertia m is so small") as info:
+                build_combined_system(gen, m=1e-300, d=1.0)
+        assert info.value.field == "m"
+
     def test_matrices_are_read_only(self):
         ss = default_grid()
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tclgrid import scenario
 from tclgrid.design import DesignSettings
+from tclgrid.hybrid_sim import Scenario
 from tclgrid.scenario import (
     ScenarioError,
     ScenarioFile,
@@ -378,6 +379,19 @@ class TestShippedScenario:
         assert allocation is not None
         assert allocation.report.satisfied
         assert len(pop) == 500
+
+    def test_document_fills_every_scenario_field(self, shipped_file, monkeypatch):
+        # a run is fixed by its document and seed: build_scenario gives each
+        # of Scenario's fields from the document, and Scenario has no other
+        given = {}
+
+        def recorded(**fields):
+            given.update(fields)
+            return Scenario(**fields)
+
+        monkeypatch.setattr(scenario, "Scenario", recorded)
+        shipped_file.build_scenario()
+        assert set(given) == {f.name for f in dataclasses.fields(Scenario)}
 
     def test_invalid_yaml_rejected(self, tmp_path):
         path = tmp_path / "broken.yaml"
