@@ -68,6 +68,15 @@ def _check_inputs(l_hat: float, delta: float) -> None:
         raise DesignError(f"design.delta: delta must be positive, got {delta}")
 
 
+def check_threshold_range(lo: float, hi: float) -> None:
+    """The rule of a scenario's threshold range, population.ranges.omega1,
+    whether its thresholds are drawn from it or allocated in it, so that a
+    range gets one verdict either way: 0 < lo < hi. A NaN fails it.
+    sample_population draws from a point range as from any other."""
+    if not (0 < lo < hi):
+        raise DesignError(f"population.ranges.omega1: invalid threshold range ({lo}, {hi})")
+
+
 def verify_design_condition(pop: Population, l_hat: float, delta: float) -> DesignReport:
     """Check the threshold-design inequality at every breakpoint."""
     _check_inputs(l_hat, delta)
@@ -131,8 +140,7 @@ def allocate_thresholds(
     if not (0 <= margin < 1):
         raise DesignError(f"design.margin: margin must lie in [0, 1), got {margin}")
     lo, hi = threshold_range
-    if not (0 < lo < hi):
-        raise DesignError(f"population.ranges.omega1: invalid threshold range ({lo}, {hi})")
+    check_threshold_range(lo, hi)
     if not (delta < hi):
         raise DesignError(
             f"population.ranges.omega1: delta={delta} leaves no feasible thresholds below "

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .design import AllocationResult, DesignSettings, allocate_thresholds
+from .design import AllocationResult, DesignSettings, allocate_thresholds, check_threshold_range
 from .grid_model import (
     NO_MODAL_FORM,
     GenDynamics,
@@ -108,6 +108,9 @@ class ScenarioFile:
             pop = sample_population(self.population)
         except TclError as exc:  # a rule of the range box leads with its section, as a field's does
             raise TclError(f"population.ranges: {exc}") if str(exc).startswith("range") else exc
+        # the range the thresholds are drawn from is the one they are allocated in
+        threshold_range = self.population.ranges()["omega1"]
+        check_threshold_range(*threshold_range)
         allocation = None
         if self.design.allocate:
             l_hat = one_norm(self.build_grid()).value
@@ -116,7 +119,7 @@ class ScenarioFile:
                 l_hat,
                 self.design.delta,
                 margin=self.design.margin,
-                threshold_range=self.population.ranges()["omega1"],
+                threshold_range=threshold_range,
             )
             pop = allocation.population
         return pop, allocation

@@ -121,12 +121,13 @@ def theoretical_variance(pop: Population) -> float:
     return float(np.sum(pop.alpha * (1.0 - pop.alpha) * pop.d_bar**2))
 
 
-# Most loads per row-wise cumsum in free_run_events. The loads are blocked in
-# order of cycle count, and a block also ends before a row more than 1/16
-# wider than its first, so it pads each row by at most 1/16; their times are
-# then written back in load order, the order time_order breaks exact ties by.
+# Most loads per row-wise cumsum in _load_major_events. The loads are blocked
+# by their level at t = 0, then in order of cycle count, and a block also
+# ends before a row more than 1/16 wider than its first, so it pads each row
+# by at most 1/16. The merge sorts the cells where they were summed and puts
+# exact ties back in load order.
 SWITCH_BLOCK = 256
-# Events per chunk of the merge's passes; most pieces per leaf of _moment_sums.
+# Most pieces per leaf of _moment_sums.
 CHUNK = 1 << 16
 
 
@@ -135,21 +136,33 @@ def free_run_events(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Demand events of isolated loads on [0, horizon]: for load 0, then load
     1 and so on, its level at t = 0, then its switch instants with steps
-    +-d_bar, the conventional simulate's switches bit for bit. A load at or
-    past its active threshold switches at t = 0, which sets its level. The
-    next switch is solved from the flow from the actual temperature, and each
-    later one adds the stroke of the state switched to, in a row-wise cumsum
-    over blocks of at most SWITCH_BLOCK loads (see there).
-    """
-    _, times, make_deltas = _load_major_events(pop, temperatures, sigmas, horizon)
-    return times[1:], make_deltas()[1:]
+    +-d_bar, the conventional simulate's switches bit for bit. The rows of
+    _load_major_events, each load's kept cells gathered in load order."""
+    sums, _, row_at, counts, fill_steps = _load_major_events(pop, temperatures, sigmas, horizon)
+    cells = np.repeat(row_at - (np.cumsum(counts) - counts), counts)
+    cells += np.arange(cells.size)
+    times = sums[cells]
+    fill_steps()
+    return times, sums[cells]
 
 
 def _load_major_events(pop: Population, temperatures, sigmas, horizon: float):
-    """free_run_events behind one leading (t = 0, step 0) slot, the start of
-    the series aggregate_demand_series merges: the padded buffer the times
-    were summed in (free for reuse), the times, and a function building the
-    steps, which need not be held while the times are sorted."""
+    """Every load's demand events on [0, horizon], one row of a padded buffer
+    per load: 0.0, then its switch instants. A load at or past its active
+    threshold switches at t = 0, which sets its level there. The next switch
+    is solved from the flow from the actual temperature, and each later one
+    adds the stroke of the state switched to, in a row-wise cumsum over
+    blocks of at most SWITCH_BLOCK loads (see there). Times rise along a row,
+    so its kept cells (times <= horizon) are a prefix; the cells past them
+    lie past the horizon.
+
+    Returns the buffer; the blocks as (loads, 2-D view of the buffer), in
+    buffer order; each load's first cell and kept count; and a function that
+    refills the buffer with each cell's step: the load's level at t = 0
+    (0 or d_bar) in column 0, then -+d_bar from the first switch on.
+    """
+    if not horizon >= 0:
+        raise StatsError(f"horizon must be non-negative, got {horizon}")
     sigmas = np.asarray(sigmas)
     temperatures = np.asarray(temperatures, dtype=float)
     # a load at or past its active threshold switches at t = 0, which sets its
@@ -163,77 +176,74 @@ def _load_major_events(pop: Population, temperatures, sigmas, horizon: float):
         raise StatsError(f"the switch series of horizon {horizon} s is too long to hold")
     n_cycles = n_cycles.astype(int) + 2
     # a load's row: t = 0, lead, then the strokes of the other state and of
-    # its own in turn, out to two cycles past the horizon
-    loads = np.argsort(n_cycles, kind="stable")
+    # its own in turn, out to two cycles past the horizon. The loads OFF at
+    # t = 0 come first, and the loads ON at t = 0 start at odd cells behind
+    # one spare cell: rows are of even width, so a switch at an odd cell
+    # turns its load ON, and a row starts at an odd cell if its load is ON
+    loads = np.lexsort((n_cycles, level))
     row_widths = 2 * n_cycles[loads] + 2
     ends = [0]
-    while ends[-1] < len(pop):
-        cap = int(row_widths[ends[-1]]) * 17 // 16
-        ends.append(min(ends[-1] + SWITCH_BLOCK, int(np.searchsorted(row_widths, cap, "right"))))
-    blocks = [(loads[s:e], int(row_widths[e - 1])) for s, e in zip(ends, ends[1:])]
-    sums = np.empty(sum(rows.size * width for rows, width in blocks))
+    for stop in (int(np.count_nonzero(level == 0)), len(pop)):
+        while ends[-1] < stop:
+            s = ends[-1]
+            cap = int(row_widths[s]) * 17 // 16
+            ends.append(s + min(SWITCH_BLOCK, int(np.searchsorted(row_widths[s:stop], cap, "right"))))
+    widths = [int(row_widths[e - 1]) for e in ends[1:]]
+    sums = np.empty(1 + sum((e - s) * w for s, e, w in zip(ends, ends[1:], widths)))
     row_at, counts = np.empty((2, len(pop)), dtype=int)
-    pos = 0
-    for rows, width in blocks:
+    blocks, pos = [], 0
+    for s, e, width in zip(ends, ends[1:], widths):
+        rows = loads[s:e]
+        pos |= int(level[rows[0]])
         block = sums[pos : pos + rows.size * width].reshape(rows.size, width)
         block[:, 0] = 0.0
         block[:, 1] = lead[rows]
         block[:, 2::2] = other[rows, None]
         block[:, 3::2] = own[rows, None]
         np.cumsum(block, axis=1, out=block)
-        # times rise along a row, so the kept ones are a prefix
         counts[rows] = np.count_nonzero(block <= horizon, axis=1)
         row_at[rows] = pos + width * np.arange(rows.size)
+        blocks.append((rows, block))
         pos += block.size
-    offsets = np.cumsum(counts) - counts + 1
-    times = np.empty(1 + int(counts.sum()))
-    times[0] = 0.0
-    for o, r, c in zip(offsets.tolist(), row_at.tolist(), counts.tolist()):
-        times[o : o + c] = sums[r : r + c]
-    # a load's switches step by step, -step, step, ... from the first, at
-    # offset o + 1: index i steps by (-1)**(o + 1) * step * (-1)**i, so each
-    # load's (-1)**(o + 1) * step is repeated behind the leading 0 and every
-    # odd index negated
+    first = level * pop.d_bar
     step = np.where(level == 1, -pop.d_bar, pop.d_bar)
 
-    def make_deltas():
-        out = np.repeat(np.append(0.0, np.where(offsets & 1, step, -step)), np.append(1, counts))
-        np.negative(out[1::2], out=out[1::2])
-        out[offsets[counts > 0]] = (level * pop.d_bar)[counts > 0]  # all, unless horizon < 0
-        return out
+    def fill_steps():
+        for rows, block in blocks:
+            block[:, 0] = first[rows]
+            block[:, 1::2] = step[rows, None]
+            block[:, 2::2] = -step[rows, None]
 
-    return sums, times, make_deltas
+    return sums, blocks, row_at, counts, fill_steps
 
 
-def time_order(times: np.ndarray, buffer=None) -> tuple[np.ndarray, np.ndarray]:
+def time_order(times: np.ndarray, keys=None) -> tuple[np.ndarray, np.ndarray]:
     """np.argsort(times, kind="stable") of finite non-negative times, and the
-    times in that order.
+    times in that order; given keys packed for some cells of times (below),
+    the same of those cells alone: their indices in time order, exact ties
+    by index, and their times.
 
     A non-negative double orders as its int64 bit pattern. Each time's high
     bits are packed with its index into one int64 key, (bits >> b) << b |
-    index with b = (n - 1).bit_length(), and the keys get one unstable
-    (SIMD) integer sort. That orders the times by their high bits, and each
-    group of equal high bits in index order, so an inversion can only lie
-    inside a group. Only the groups that hold one are re-sorted, by one
-    stable sort of their members taken together: every time of a group lies
-    below every time of a later group, so the groups stay in place. Exact
-    ties stay in index order. The keys, then the order, fill the head of
-    buffer (8 bytes a time) or a new array; the times are gathered anew.
+    index with b = (times.size - 1).bit_length(), and the keys get one
+    unstable (SIMD) integer sort, in place. That orders the times by their
+    high bits, and each group of equal high bits in index order, so an
+    inversion can only lie inside a group. Only the groups that hold one are
+    re-sorted, by one stable sort of their members taken together: every
+    time of a group lies below every time of a later group, so the groups
+    stay in place. The keys become the order; the times are gathered anew.
     """
-    n = times.size
-    idx_bits = (n - 1).bit_length()
-    keys = np.empty(n, dtype=np.int64) if buffer is None else buffer[:n].view(np.int64)
-    np.right_shift(times.view(np.int64), idx_bits, out=keys)
-    keys <<= idx_bits
-    for start in range(0, n, CHUNK):
-        keys[start : start + CHUNK] |= np.arange(start, min(start + CHUNK, n))
+    idx_bits = (times.size - 1).bit_length()
+    if keys is None:
+        keys = np.bitwise_and(times.view(np.int64), -1 << idx_bits)
+        keys |= np.arange(keys.size)
     keys.sort()
     # a set sign bit (a negative time or -0.0) gives a negative key
     if keys[0] < 0:
         raise StatsError("times must be non-negative, and not -0.0")
     keys &= (1 << idx_bits) - 1
     # mode="raise" would gather into a temporary copy first
-    near = np.take(times, keys, out=np.empty(n), mode="clip")
+    near = np.take(times, keys, out=np.empty(keys.size), mode="clip")
     inverted = np.flatnonzero(near[1:] < near[:-1])
     if inverted.size:
         # the high bits rise along near, so a bisection finds each group's
@@ -256,32 +266,89 @@ def aggregate_demand_series(
     pop: Population, temperatures, sigmas, horizon: float
 ) -> TimeSeries:
     """Aggregate free-running demand of the whole population: every load's
-    analytic switch instants from free_run_events (summed in blocks of loads
-    of like cycle count, each row padded by at most 1/16 of its width,
-    written in load order), merged in time order by time_order (one
-    packed-key integer sort, then a stable re-sort of only the groups of
-    equal high bits that hold an inversion), with exact ties in load order.
-    Of its four full-length arrays three are live at most: the padded sum
-    buffer, then the keys, then the levels; the load-order times, freed once
-    sorted; the sorted times; the steps, made after that free and gathered
-    chunk by chunk into the levels. time_variance of the series makes none."""
-    sums, times, make_deltas = _load_major_events(pop, temperatures, sigmas, horizon)
-    order, times = time_order(times, sums)
-    deltas = make_deltas()
-    levels = sums[: times.size]
-    for start in range(0, times.size, CHUNK):
-        levels[start : start + CHUNK] = deltas[order[start : start + CHUNK]]
-    del deltas
+    events merged in time order (_time_sorted_events), the running sum of
+    their steps, and coincident times merged into the last of each run.
+    The merge holds three full-length arrays at most: the padded buffer, the
+    keys and the sorted times; the series keeps the last two. time_variance
+    of the series makes none."""
+    times, levels, ties = _time_sorted_events(pop, temperatures, sigmas, horizon)
     np.cumsum(levels, out=levels)
     # merge coincident event times (measure-zero ties) into the last of each
     # run; when the only run is the leading one (every load's t = 0 level),
     # the merge is a slice
-    ties = np.flatnonzero(times[1:] == times[:-1])
     if ties.size == 0 or ties[-1] == ties.size - 1:
         return TimeSeries(times=times[ties.size :], values=levels[ties.size :])
     keep = np.ones(times.size, dtype=bool)
     keep[ties] = False
     return TimeSeries(times=times[keep], values=levels[keep])
+
+
+def _time_sorted_events(pop: Population, temperatures, sigmas, horizon: float):
+    """The events of free_run_events in the order of a stable sort of their
+    times (exact ties in load order), sorted where _load_major_events summed
+    them: their times, their steps, and the indices i of the exact ties,
+    times[i] == times[i + 1].
+
+    Keys are packed, block by block, for the kept cells only and sorted by
+    time_order (one packed-key integer sort, then a stable re-sort of only
+    the groups of equal high bits that hold an inversion), which leaves
+    exact ties in buffer order. The N entries at t = 0 then take their row
+    starts in load order, and each later run of exact ties (none on sampled
+    loads) is re-sorted by the loads whose rows hold its cells. The steps
+    go into the keys: where every load has one magnitude d, as in every
+    sampled population, each cell's parity gives its step (0 or d at t = 0,
+    then -d or +d); otherwise the buffer is refilled with the steps and they
+    are gathered. Python loops run over the blocks, none over the loads."""
+    sums, blocks, row_at, counts, fill_steps = _load_major_events(
+        pop, temperatures, sigmas, horizon
+    )
+    idx_bits = (sums.size - 1).bit_length()
+    high = -1 << idx_bits
+    keys = np.empty(int(counts.sum()), dtype=np.int64)
+    start = 0
+    for rows, block in blocks:
+        # the columns every row keeps, as one rectangle: each cell's high
+        # bits plus its position (row start plus column, below 2**idx_bits)
+        lo, hi = int(counts[rows].min()), int(counts[rows].max())
+        rect = keys[start : start + rows.size * lo].reshape(rows.size, lo)
+        np.bitwise_and(block[:, :lo].view(np.int64), high, out=rect)
+        rect += row_at[rows, None]
+        rect += np.arange(lo)
+        start += rect.size
+        # then the cells only some rows keep, taken by a mask
+        r, c = np.nonzero(block[:, lo:hi] <= horizon)
+        cells = row_at[rows[r]] + c + lo
+        keys[start : start + cells.size] = sums.view(np.int64)[cells] & high | cells
+        start += cells.size
+    order, times = time_order(sums, keys)
+    # every load has one cell at t = 0, its row start, and no other cell
+    # lies there
+    n = row_at.size
+    order[:n] = row_at
+    ties = np.flatnonzero(times[1:] == times[:-1])
+    later = ties[n - 1 :]
+    if later.size:
+        # the cells of each later run of ties, ordered by time, then by the
+        # load whose row holds the cell
+        members = np.sort(np.append(later, later + 1))
+        members = members[run_index(members)]
+        by_start = np.argsort(row_at)
+        owners = by_start[np.searchsorted(row_at[by_start], order[members], "right") - 1]
+        order[members] = order[members[np.lexsort((owners, times[members]))]]
+    # each step overwrites the cell index it is taken by
+    steps = order.view(float)
+    d_bar = np.ravel(pop.d_bar)
+    if np.all(d_bar == d_bar[0]):
+        # one magnitude d: a cell's parity gives its step (_load_major_events),
+        # the level d or 0 at t = 0, then +d for a switch ON, -d for one OFF
+        d = d_bar[0]
+        order &= 1
+        np.take(np.array([0.0, d]), order[:n], out=steps[:n], mode="clip")
+        np.take(np.array([-d, d]), order[n:], out=steps[n:], mode="clip")
+    else:
+        fill_steps()
+        np.take(sums, order, out=steps, mode="clip")
+    return times, steps, ties
 
 
 def cross_term_oracle(

@@ -698,6 +698,32 @@ class TestErrors:
         assert capsys.readouterr().err == f"configuration error: population.ranges{message}\n"
 
     @pytest.mark.parametrize(
+        "omega1, message",
+        [
+            ([0.05, 0.05], "population.ranges.omega1: invalid threshold range (0.05, 0.05)"),
+            ([0.05, 0.04], "population.ranges: range for omega1 is inverted: (0.05, 0.04)"),
+            ([0.0, 0.1], "population.ranges: range box corner 0: omega1 must be positive ("),
+        ],
+        ids=["point", "inverted", "zero-low"],
+    )
+    def test_threshold_range_has_one_rule_whether_allocated(
+        self, tmp_path, capsys, omega1, message
+    ):
+        # the range the thresholds are drawn from is the range they are
+        # allocated in: one rule, so one exit code and one line either way
+        errors = []
+        for allocate in (False, True):
+            doc = yaml.safe_load(SHIPPED_SCENARIO.read_text())
+            doc["population"]["ranges"] = {"omega1": omega1}
+            doc["design"]["allocate"] = allocate
+            scenario = tmp_path / f"omega1-{allocate}.yaml"
+            scenario.write_text(yaml.safe_dump(doc))
+            assert main(["certify", "--scenario", str(scenario)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"configuration error: {message}")
+
+    @pytest.mark.parametrize(
         "field, value, message",
         [
             ("margin", 1.5, "margin must lie in [0, 1), got 1.5"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tclgrid import stats
+from tclgrid import stats, tcl
 from tclgrid.stats import (
     StatsError,
     TimeSeries,
@@ -215,12 +215,13 @@ def multi_block_cases(draw):
     """20-300 sampled loads with the RANGE_CORNERS among them, each starting
     on a threshold, mid-band, anywhere in its band or anywhere within 1 C of
     it (so it may switch at t = 0), and a horizon from zero, where no load
-    switches after t = 0, to 2e4 s, thousands of switches."""
+    switches after t = 0, to 2e4 s, thousands of switches. The corners have
+    the sampled loads' magnitude, or three times it."""
     n = draw(st.integers(20, 300))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     loads = list(sample_population(PopulationSpec(n - 2, 0.05, seed=seed)))
-    d_bar = loads[0].d_bar
+    d_bar = loads[0].d_bar * draw(st.sampled_from([1, 3]))
     for t_lo, t_hi, k, cop_scale, t_amb in RANGE_CORNERS:
         load = Population(
             d_bar=d_bar, t_lo=t_lo, t_hi=t_hi, k=k, cop=cop_scale / d_bar, t_amb=t_amb,
@@ -395,6 +396,40 @@ class TestFreeRun:
         switches, _ = free_run_events(pop, temps, sigmas, horizon)
         assert np.count_nonzero(switches > 0) == copies * (got.times.size - 1)
 
+    @pytest.mark.parametrize("block", [1, 256])
+    def test_series_ties_against_block_order(self, block, monkeypatch):
+        """Loads whose rows run against their index order (a slower load's
+        row comes first) take their steps in load order at t = 0 and at each
+        exact switch instant they share after it, so each merged level is the
+        per-load loop's bit for bit: 0.1 + 0.2 + 0.3 at t = 0, where buffer
+        order sums 0.2 + 0.3 + 0.1. The leads and strokes are exact binary
+        fractions, patched into the kernel and the reference alike: the lead
+        is the temperature, and both strokes last 1 / k."""
+
+        def lead(p, temperature, sigma):
+            return np.asarray(temperature, dtype=float) + 0.0 * np.asarray(sigma)
+
+        def strokes(p):
+            return 1.0 / p.k, 1.0 / p.k
+
+        monkeypatch.setattr(stats, "SWITCH_BLOCK", block)
+        monkeypatch.setattr(stats, "next_thermostat_event", lead)
+        monkeypatch.setitem(globals(), "next_thermostat_event", lead)
+        monkeypatch.setitem(globals(), "on_off_durations", strokes)
+        monkeypatch.setattr(tcl, "on_off_durations", strokes)
+        # loads 0, 1 and 2 switch every 1, 8 and 2 s from t = 1, 2 and 2, so
+        # rows run 1, 2, 0 in the buffer, and ties fall at every even second
+        pop = Population.of([
+            Population(d_bar=d_bar, t_lo=3.0, t_hi=6.0, k=k, cop=1e3, t_amb=20.0, omega1=0.1, eps=0.005)
+            for d_bar, k in [(0.1, 1.0), (0.2, 0.125), (0.3, 0.5)]
+        ])
+        temps, sigmas = np.array([1.0, 2.0, 2.0]), np.ones(3, dtype=np.int8)
+        got = aggregate_demand_series(pop, temps, sigmas, 100.0)
+        want = reference_aggregate(pop, temps, sigmas, 100.0)
+        assert want.times[:4].tolist() == [0.0, 1.0, 2.0, 3.0] and want.values[0] == 0.1 + 0.2 + 0.3
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.values, want.values)
+
     def test_demand_series_level_alternates(self):
         series = aggregate_demand_series(REFERENCE, [REFERENCE.t_hi], [1], horizon=3000.0)
         assert series.values[0] == pytest.approx(REFERENCE.d_bar)
@@ -432,10 +467,10 @@ class TestFreeRun:
 class TestInPlace:
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_chunked_passes_bit_exact(self, chunk, monkeypatch):
-        """The merge's gather and time_variance's walk of numpy's pairwise
-        tree, whose leaves CHUNK also sizes, give the same bits whatever
-        chunks split the events, windows ending on event times and past the
-        series included."""
+        """time_variance's walk of numpy's pairwise tree, whose leaves CHUNK
+        sizes, gives the same bits whatever chunks split the events, windows
+        ending on event times and past the series included; the merge under
+        it is the reference series."""
         pop = sample_population(PopulationSpec(40, 0.3, seed=5))
         temps, sigmas = sample_initial_states(pop, seed=5)
         horizon = 5e3
@@ -457,23 +492,23 @@ class TestInPlace:
         per event on 2,000 loads of mixed cycle counts."""
         pop = sample_population(PopulationSpec(2000, 0.7, seed=1))
         temps, sigmas = sample_initial_states(pop, seed=1)
-        sums, times, _ = stats._load_major_events(pop, temps, sigmas, horizon)
-        assert 1 < sums.size / times.size <= 1.1
+        sums, _, _, counts, _ = stats._load_major_events(pop, temps, sigmas, horizon)
+        assert 1 < sums.size / counts.sum() <= 1.1
 
     def test_merge_and_variance_peak_memory(self):
         """aggregate_demand_series then time_variance hold at most the padded
         buffer the times are summed in and two more full-length arrays at
-        once: the load-order and the sorted times while sorting, the sorted
-        times and the steps while gathering. time_variance adds no
-        full-length array, only its leaves of at most max(CHUNK, 128) pieces.
-        Half an array more covers the masks and chunks. Counted in arrays of
-        8 bytes per event."""
+        once: the sort keys, which become the order and then the steps, and
+        the sorted times. time_variance adds no full-length array, only its
+        leaves of at most max(CHUNK, 128) pieces. Half an array more covers
+        the masks and the blocks' key cells. Counted in arrays of 8 bytes per
+        event."""
         pop = sample_population(PopulationSpec(2000, 0.7, seed=1))
         temps, sigmas = sample_initial_states(pop, seed=1)
         horizon = 1e5
-        sums, times, _ = stats._load_major_events(pop, temps, sigmas, horizon)
-        unit, padded = 8 * times.size, sums.size / times.size
-        del sums, times
+        sums, _, _, counts, _ = stats._load_major_events(pop, temps, sigmas, horizon)
+        unit, padded = 8 * counts.sum(), sums.size / counts.sum()
+        del sums, _
         tracemalloc.start()
         try:
             series = aggregate_demand_series(pop, temps, sigmas, horizon)
