@@ -127,7 +127,8 @@ def theoretical_variance(pop: Population) -> float:
 # by at most 1/16. The merge sorts the cells where they were summed and puts
 # exact ties back in load order.
 SWITCH_BLOCK = 256
-# Most pieces per leaf of _moment_sums.
+# Most pieces per leaf of _moment_sums, and most events per pass of
+# _bit_sorted_events' step reads.
 CHUNK = 1 << 16
 
 
@@ -169,6 +170,10 @@ def _load_major_events(pop: Population, temperatures, sigmas, horizon: float):
     # level; every load then flows from its actual temperature in its level
     level = np.where(next_thermostat_event(pop, temperatures, sigmas) == 0.0, 1 - sigmas, sigmas)
     lead = next_thermostat_event(pop, temperatures, level)
+    # a row is its lead plus positive strokes, so its times share the lead's
+    # sign, which the merge's keys do not hold
+    if np.any(np.signbit(lead)):
+        raise StatsError("times must be non-negative, and not -0.0")
     own = np.where(level == 1, pop.pi_on, pop.pi_off)
     other = np.where(level == 1, pop.pi_off, pop.pi_on)
     n_cycles = np.maximum((horizon - lead) // period(pop), 0)
@@ -232,6 +237,8 @@ def time_order(times: np.ndarray, keys=None) -> tuple[np.ndarray, np.ndarray]:
     re-sorted, by one stable sort of their members taken together: every
     time of a group lies below every time of a later group, so the groups
     stay in place. The keys become the order; the times are gathered anew.
+    The merge sorts by it only the inputs whose time bits alone cannot order
+    them (_index_sorted_events): mixed magnitudes, and exact ties after t = 0.
     """
     idx_bits = (times.size - 1).bit_length()
     if keys is None:
@@ -268,9 +275,11 @@ def aggregate_demand_series(
     """Aggregate free-running demand of the whole population: every load's
     events merged in time order (_time_sorted_events), the running sum of
     their steps, and coincident times merged into the last of each run.
-    The merge holds three full-length arrays at most: the padded buffer, the
-    keys and the sorted times; the series keeps the last two. time_variance
-    of the series makes none."""
+    Where every load has one magnitude and no two switches after t = 0 tie,
+    as on every sampled population, the merge holds the padded buffer and
+    one full-length array at most, then two: the sorted times and the
+    steps, which the series keeps; otherwise three, the padded buffer, the
+    keys and the sorted times. time_variance of the series makes none."""
     times, levels, ties = _time_sorted_events(pop, temperatures, sigmas, horizon)
     np.cumsum(levels, out=levels)
     # merge coincident event times (measure-zero ties) into the last of each
@@ -285,20 +294,94 @@ def aggregate_demand_series(
 
 def _time_sorted_events(pop: Population, temperatures, sigmas, horizon: float):
     """The events of free_run_events in the order of a stable sort of their
-    times (exact ties in load order), sorted where _load_major_events summed
-    them: their times, their steps, and the indices i of the exact ties,
-    times[i] == times[i + 1].
+    times (exact ties in load order): their times, their steps, and the
+    indices i of the exact ties, times[i] == times[i + 1].
+
+    Where every load has one magnitude d, as in every sampled population,
+    the events are sorted by their exact time bits (_bit_sorted_events); an
+    input with an exact tie after t = 0 is handed back from there. Those
+    inputs and those of mixed magnitudes are sorted by cell index
+    (_index_sorted_events)."""
+    d_bar = np.ravel(pop.d_bar)
+    if np.all(d_bar == d_bar[0]):
+        events = _bit_sorted_events(pop, temperatures, sigmas, horizon, d_bar[0])
+        if events is not None:
+            return events
+    return _index_sorted_events(pop, temperatures, sigmas, horizon)
+
+
+def _bit_sorted_events(pop: Population, temperatures, sigmas, horizon: float, d: float):
+    """_time_sorted_events where every load has the magnitude d, or None
+    where two switches after t = 0 tie exactly.
+
+    Each kept cell's key is its time bits shifted left by one (the sign bit
+    of a non-negative time is clear) with the cell's parity, which gives its
+    step (_load_major_events), in the freed low bit. The keys carry the
+    whole time, so one integer sort in place orders them exactly, and no
+    time is gathered. The padded buffer is freed before the steps array is
+    made; then, CHUNK events at a time, each step is read from a key's low
+    bit and the key shifted back into its time. A later exact tie would
+    sum its steps in key order (OFF before ON), not in load order, so it
+    hands the input back."""
+    keys = _time_bit_keys(pop, temperatures, sigmas, horizon)
+    keys.sort()
+    # the N cells at t = 0 come first, OFF loads (key 0) before ON loads
+    # (key 1): their levels 0 and d add to the sum of load order, since
+    # adding 0 changes no sum
+    n = len(pop)
+    steps = np.empty(keys.size)
+    np.multiply(keys[:n], d, out=steps[:n])
+    keys[:n] = 0
+    # then a switch ON (odd cell) steps +d, one OFF -d
+    switch = np.array([-d, d])
+    for start in range(n, keys.size, CHUNK):
+        chunk = keys[start : start + CHUNK]
+        np.take(switch, (chunk & 1).view(np.int64), out=steps[start : start + CHUNK], mode="clip")
+        chunk >>= 1
+        if np.any(chunk == keys[start - 1 : start - 1 + chunk.size]):
+            return None
+    return keys.view(float), steps, np.arange(n - 1)
+
+
+def _time_bit_keys(pop: Population, temperatures, sigmas, horizon: float) -> np.ndarray:
+    """Each kept cell's time bits shifted left by one, its parity in the low
+    bit, packed block by block as _index_sorted_events packs its keys. Only
+    the keys are returned, so the padded buffer is freed on return."""
+    sums, blocks, row_at, counts, _ = _load_major_events(pop, temperatures, sigmas, horizon)
+    bits = sums.view(np.uint64)
+    keys = np.empty(int(counts.sum()), dtype=np.uint64)
+    start = 0
+    for rows, block in blocks:
+        # the columns every row keeps, as one rectangle; the rows of a block
+        # start at cells of one parity, so its odd cells fill every other
+        # column
+        lo, hi = int(counts[rows].min()), int(counts[rows].max())
+        rect = keys[start : start + rows.size * lo].reshape(rows.size, lo)
+        np.left_shift(block[:, :lo].view(np.uint64), 1, out=rect)
+        rect[:, 1 - row_at[rows[0]] % 2 :: 2] |= 1
+        start += rect.size
+        if hi > lo:
+            # then the cells only some rows keep, taken by a mask
+            r, c = np.nonzero(block[:, lo:hi] <= horizon)
+            cells = row_at[rows[r]] + c + lo
+            packed = keys[start : start + cells.size]
+            np.left_shift(bits[cells], 1, out=packed)
+            packed |= cells.view(np.uint64) & 1
+            start += cells.size
+    return keys
+
+
+def _index_sorted_events(pop: Population, temperatures, sigmas, horizon: float):
+    """_time_sorted_events by cell index, for every input.
 
     Keys are packed, block by block, for the kept cells only and sorted by
     time_order (one packed-key integer sort, then a stable re-sort of only
     the groups of equal high bits that hold an inversion), which leaves
     exact ties in buffer order. The N entries at t = 0 then take their row
-    starts in load order, and each later run of exact ties (none on sampled
-    loads) is re-sorted by the loads whose rows hold its cells. The steps
-    go into the keys: where every load has one magnitude d, as in every
-    sampled population, each cell's parity gives its step (0 or d at t = 0,
-    then -d or +d); otherwise the buffer is refilled with the steps and they
-    are gathered. Python loops run over the blocks, none over the loads."""
+    starts in load order, and each later run of exact ties is re-sorted by
+    the loads whose rows hold its cells. The buffer is then refilled with
+    the steps, and they are gathered into the keys. Python loops run over
+    the blocks, none over the loads."""
     sums, blocks, row_at, counts, fill_steps = _load_major_events(
         pop, temperatures, sigmas, horizon
     )
@@ -335,19 +418,10 @@ def _time_sorted_events(pop: Population, temperatures, sigmas, horizon: float):
         by_start = np.argsort(row_at)
         owners = by_start[np.searchsorted(row_at[by_start], order[members], "right") - 1]
         order[members] = order[members[np.lexsort((owners, times[members]))]]
+    fill_steps()
     # each step overwrites the cell index it is taken by
     steps = order.view(float)
-    d_bar = np.ravel(pop.d_bar)
-    if np.all(d_bar == d_bar[0]):
-        # one magnitude d: a cell's parity gives its step (_load_major_events),
-        # the level d or 0 at t = 0, then +d for a switch ON, -d for one OFF
-        d = d_bar[0]
-        order &= 1
-        np.take(np.array([0.0, d]), order[:n], out=steps[:n], mode="clip")
-        np.take(np.array([-d, d]), order[n:], out=steps[n:], mode="clip")
-    else:
-        fill_steps()
-        np.take(sums, order, out=steps, mode="clip")
+    np.take(sums, order, out=steps, mode="clip")
     return times, steps, ties
 
 
