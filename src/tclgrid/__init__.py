@@ -27,7 +27,6 @@ from .stats import (
     TimeSeries,
     aggregate_demand_series,
     cross_term_oracle,
-    phase_uniformity,
     theoretical_variance,
     time_average,
     time_variance,

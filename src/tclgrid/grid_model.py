@@ -352,6 +352,9 @@ class ModalFlow:
         namespace = dict(flow=self, step=step, omega_unit=self.omega_unit, hypot=math.hypot)
         kept = (modes.lam[keep], ss.c @ self.v, self.v_inv @ self.x_unit,
                 ss.c @ ss.a @ ss.a @ self.v)
+        # sum_k |w_k|: the envelope's weights, which scale crossing_free's
+        # underflow floor
+        self.weight = float(np.sum(np.abs(kept[1])))
         for k, (real, lam, w, n, q) in enumerate(zip(self.real, *map(self.scalars, kept))):
             exp = math.exp if real else cmath.exp
             # |omega''| <= sum_k m_k |z_k|, since Re lam < 0, with m the larger

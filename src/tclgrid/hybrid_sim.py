@@ -429,15 +429,32 @@ def crossing_free(flow, z, on_min: float, off_max: float, slack: float, steps: f
     """Whether each step of a held pass of at most steps steps from the grid
     state z passes the quiet loop's test max(g_a, g_b) + slack < 0, g the
     excess over the open levels on_min, off_max: if (envelope(z) + slack) (1 +
-    r) < min(on_min, -off_max), r = (2K + 6 steps + 16) u, K modes, u = 2**-53.
-    Each rounding is a factor within 1 + u, away from underflow: a step scales
-    |z_k| by at most (1 + u)^6 (3 roundings in exp(lam h), Re lam < 0, 3 in the
-    product), so omega (2 a term, K in the sum) is within envelope(z) (|w_k|,
-    hypot's 2, product, sum K) times (1 + u)^(2K + 6 steps + 6); the excess, the
-    test and the certificate round 6 more times, 4 cover second-order terms.
-    Inf or NaN (an overflowing z) never passes."""
+    r) < level = min(on_min, -off_max), r = (2K + 6 steps + 16) u, K modes, u
+    = 2**-53, and level >= (3 steps + 4K + 1) (1 + W) 2**-1021, W =
+    flow.weight.
+
+    Rounding model (Higham 2002, §2.2): fl(x op y) = (x op y)(1 + d) + e,
+    |d| <= u, and |e| <= 2**-1074 only where the result underflows. The
+    factors: a step scales |z_k| by at most (1 + u)^6 (3 roundings in exp(lam
+    h), Re lam < 0, 3 in the product), so omega (2 a term, K in the sum) is
+    within envelope(z) (|w_k|, hypot's 2, product, sum K) times (1 +
+    u)^(2K + 6 steps + 6); the excess, the test and the certificate round 6
+    more times, and 4 cover second-order terms while 2K + 6 steps < 2**26. So
+    a certified pass keeps a margin of 3u times the bound to spare, at least
+    u level (or most of level, where the bound is below level / 3). The
+    terms e: a step adds at most 3e to each z_k and, as |exp(lam h)| <= 1,
+    never grows an earlier one; omega and the envelope add 2e a mode and e
+    for omega_inf. Weighted by |w_k| <= W they move the test by at most (3
+    steps + 4K + 1) (1 + W) 2**-1074, which the floor on level keeps within
+    u level. Below it, where subnormal states round by absolute steps, the
+    certificate refuses and each step is tested. Inf or NaN (an overflowing
+    z) never passes."""
     level, bound = min(on_min, -off_max), flow.envelope(z) + slack
-    return bound < level and bound * (1.0 + (2 * len(z) + 6 * steps + 16) * 2.0**-53) < level
+    return (
+        bound < level
+        and bound * (1.0 + (2 * len(z) + 6 * steps + 16) * 2.0**-53) < level
+        and (3 * steps + 4 * len(z) + 1) * (1.0 + flow.weight) * 2.0**-1021 <= level
+    )
 
 
 @dataclass

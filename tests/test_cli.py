@@ -928,13 +928,17 @@ def test_commands_import_no_scipy(tmp_path):
 # each part of test_merges_import_no_numpy_ma: a script that leaves its
 # result in `result`, and that result
 NUMPY_MA_PARTS = {
-    # eight times a few bit patterns apart share their high bits, and their
-    # inverted group is re-sorted
+    # the merge's time order over exact ties: each load twice, so every
+    # switch after t = 0 ties with its copy's, and the counts step by 2
     "time_order": ("""
 from tclgrid import stats
-bits = (np.array(1e3).view(np.int64) >> 16 << 16) + np.array([9, 2, 8, 1, 15, 0, 2, 12])
-result = stats.time_order(bits.view(float))[0].tolist()
-""", [5, 3, 1, 6, 2, 0, 7, 4]),
+from tclgrid.tcl import Population, PopulationSpec, sample_initial_states, sample_population
+pop = sample_population(PopulationSpec(3, 0.05, seed=13))
+temps, sigmas = sample_initial_states(pop, 13)
+pop = Population.of([p for p in pop for _ in range(2)])
+series = stats.aggregate_demand_series(pop, np.repeat(temps, 2), np.repeat(sigmas, 2), 2e3)
+result = series.values[:6].tolist()
+""", [4, 6, 4, 2, 4, 6]),
     # load 4, OFF at its upper threshold, is thermostat-due at t = 0, and
     # the clock of load 11 fired
     "candidates": ("""
@@ -958,9 +962,10 @@ result = [
 @pytest.mark.parametrize("part", NUMPY_MA_PARTS)
 def test_merges_import_no_numpy_ma(tmp_path, part):
     """The merges dedupe by sort and compare, never by np.unique, whose
-    first call imports numpy.ma (about 8 ms): `time_order` on its inversion
-    path, a `candidates` call joining a thermostat-due load and a fired
-    clock, and a shipped `run` and `stats`, each in a fresh process."""
+    first call imports numpy.ma (about 8 ms): the count merge compacting
+    runs of exact ties, a `candidates` call joining a thermostat-due load
+    and a fired clock, and a shipped `run` and `stats`, each in a fresh
+    process."""
     script, expected = NUMPY_MA_PARTS[part]
     script = (
         "import json, sys\nimport numpy as np\nscenario, out = sys.argv[1:]\n" + script

@@ -4,7 +4,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -1220,14 +1220,17 @@ def test_certified_passes_change_no_bit(sc):
 def near_certified_passes(draw):
     """A held pass of a modal flow from a drawn state, its modes' terms of
     omega lined up with the envelope's or not, and open levels (on_min,
-    off_max) a few doubles past the certificate's left side without margin,
-    or further."""
+    off_max) a few doubles past the certificate's left side, without its
+    margin or with it, or further. The state and the input, and so the
+    levels and the slack, are scaled by 2**e: from subnormal magnitudes,
+    where rounding is absolute, to 2**960, short of overflowing the flow."""
     ss = draw(st.sampled_from(QUIET_GRIDS))
     step = draw(st.floats(1e-3, 0.2))
     flow = grid_model.ModalFlow(ss, step)
-    u = draw(st.floats(-3.0, 3.0))
+    scale = 2.0 ** draw(st.one_of(st.just(0), st.integers(-1074, -1000), st.integers(-1074, 960)))
+    u = draw(st.floats(-3.0, 3.0)) * scale
     z = flow.enter(np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=ss.dim,
-                                          max_size=ss.dim))), u)
+                                          max_size=ss.dim))) * scale, u)
     if draw(st.booleans()):
         # each term Re(w_k z_k) at +-|w_k| |z_k|, with the sign of omega_inf
         sign = math.copysign(1.0, flow.omega_inf)
@@ -1235,16 +1238,25 @@ def near_certified_passes(draw):
         z = tuple(sign * abs(zk) * (wk.conjugate() / abs(wk)) if wk else zk for zk, wk in zip(z, w))
         z = tuple(zk.real if real else zk for zk, real in zip(z, flow.real))
     slack = draw(st.sampled_from([0.0, flow.curvature(z) * step**2 / 8]))
-    edge = flow.envelope(z) + slack
+    steps = draw(st.integers(1, 60))
+    margin = draw(st.sampled_from([0.0, (2 * len(z) + 6 * steps + 16) * 2.0**-53]))
+    edge = (flow.envelope(z) + slack) * (1.0 + margin)
     for _ in range(draw(st.one_of(st.integers(1, 4), st.integers(1, 400)))):
         edge = math.nextafter(edge, math.inf)
     other = edge * draw(st.sampled_from([1.0, 1.5]))
     on_min, off_max = draw(st.sampled_from([(edge, -other), (other, -edge)]))
-    return flow, z, on_min, off_max, slack, step, draw(st.integers(1, 60))
+    return flow, z, on_min, off_max, slack, step, steps
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=near_certified_passes())
+# a subnormal state of default_grid's modal form (one pair, one real mode)
+# whose omega rounds one subnormal step above its envelope, onto the level
+@example(case=(
+    grid_model.ModalFlow(QUIET_GRIDS[0], 0.125),
+    (complex(-3.0134899017e-312, 7.406756351322e-311), 8.456014972597e-312),
+    2.3099282800757e-311, -2.3099282800757e-311, 0.0, 0.125, 1,
+))
 def test_certificate_implies_every_step_test(case):
     # a certified pass passes the quiet loop's per-step test at every cadence
     # step, with the slack from its start
