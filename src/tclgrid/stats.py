@@ -24,8 +24,8 @@ class TimeSeries:
     """Right-continuous piecewise-constant signal scale * values: values[i]
     holds on [times[i], times[i+1]); the last value extends indefinitely.
     values are floats, or integers: a one-magnitude population's demand is
-    the int32 count k of its loads ON with scale d (aggregate_demand_series),
-    so each level d * k is exact and its moments are centered exactly."""
+    the count k of its N loads ON, of the narrowest signed type holding N,
+    with scale d (aggregate_demand_series), so each level d * k is exact."""
 
     times: np.ndarray
     values: np.ndarray
@@ -140,13 +140,16 @@ def time_variance(ts: TimeSeries, window: tuple[float, float]) -> float:
     k0 (exact: k0 is 0, or integers below 2**53), m = sum(c w) / T and M2 =
     sum(c**2 w) / T, exactly, and u = 2**-53. Away from underflow (every
     width, term and moment a normal double or 0) a rounding is a factor
-    within 1 + u. Each width and T round once, a term c w twice and (c w) c
-    three times, and numpy's pairwise sum passes a term through at most h =
-    24 + max(0, ceil(log2(n / 128))) additions (Higham 2002, §4.2). By
-    Cauchy-Schwarz sum(|c| w) <= T sqrt(M2), so with g = (h + 6) u / (1 -
-    (h + 6) u) the computed M2 is within g M2 of M2 and m within g sqrt(M2)
-    of m; m**2, the difference, scale**2 and the product round once each.
-    The result is then within
+    within 1 + u. A window of subnormal width T raises StatsError; the bound
+    still excludes subnormal piece widths (pieces from below 2**-970 s), and
+    terms, sums or scale**2 below 2**-1022 (values or scale below 1e-154).
+    Each width and T round once, a term c w twice and (c w) c three times,
+    and numpy's pairwise sum passes a term through at most h = 24 + max(0,
+    ceil(log2(n / 128))) additions (Higham 2002, §4.2). By Cauchy-Schwarz
+    sum(|c| w) <= T sqrt(M2), so with g = (h + 6) u / (1 - (h + 6) u) the
+    computed M2 is within g M2 of M2 and m within g sqrt(M2) of m; m**2,
+    the difference, scale**2 and the product round once each. The result
+    is then within
         scale**2 ((g + 7 u) M2 + 2 g |m| sqrt(M2))
     of the variance of the exact signal. A count series is centered near its
     mean, where M2 is about the variance and m about 0: on the analysis-8000
@@ -154,6 +157,8 @@ def time_variance(ts: TimeSeries, window: tuple[float, float]) -> float:
     the bound is 5.8e-15 of the variance. Float values are taken about 0,
     as the one-pass moments, whose M2 can far exceed the variance."""
     t0, t1 = window
+    if 0.0 < t1 - t0 < np.finfo(float).smallest_normal:
+        raise StatsError(f"window [{t0}, {t1}] is narrower than the normal range")
     first, second = ts._moment_sums(t0, t1, squares=True)
     mean = first / (t1 - t0)
     return max(second / (t1 - t0) - mean * mean, 0.0) * (ts.scale * ts.scale)
@@ -276,10 +281,10 @@ def aggregate_demand_series(
     run of exact ties merged into its last event.
 
     Where every load has one magnitude d, as in every sampled population,
-    the series holds int32 counts k of the loads ON, with scale d, so its
-    levels are d * k exactly and the order of tied events cannot move them
-    (_count_series). The merge holds the padded buffer and, from the sort
-    on, half a full-length array more: the counts. Mixed magnitudes, reached
+    the series holds counts k of the loads ON, of the narrowest signed type
+    holding N, with scale d, so its levels are d * k exactly and tie order
+    cannot move them (_count_series). The merge holds the padded buffer
+    and, from the sort on, the counts. Mixed magnitudes, reached
     by no command, take the definition: a stable sort of free_run_events'
     events, the running sum of their float steps, and the tie merge.
     time_variance of the series makes no full-length array."""
@@ -297,38 +302,43 @@ def _count_series(pop: Population, temperatures, sigmas, horizon: float, d: floa
     """aggregate_demand_series where every load has the magnitude d.
 
     The keys of the kept cells (_time_bit_keys) get one integer sort in
-    place; they carry the whole time, so the order is exact. Then, CHUNK
-    events at a time, each key's parity gives its step, +1 (a switch ON, or
-    a load's cell at t = 0 if it is ON there) or -1, whose running sum from
-    the number of loads OFF at t = 0 is the count k after the event (an OFF
-    load's cell at t = 0 counts -1 against that start). Each key is shifted
-    back into its time, and the last event of each run of equal times is
-    moved forward in place, with its count, into the front of the keys and
-    of the counts: the N cells at t = 0 leave one event, with the ON count
-    there. The series' times are a view of the padded buffer."""
+    place; they carry the whole time, so the order is exact. A key's parity
+    gives its step, +1 or -1, from the number of loads OFF at t = 0. The
+    t = 0 run, every key below 2, leaves its last cell with the ON count
+    there, where the series starts. Then, CHUNK events at a time, each
+    key's step is written straight into the counts, of the narrowest signed
+    type holding N, and summed there, and the key is shifted back into its
+    time in place. A chunk with no exact tie, as in practice every chunk
+    after the t = 0 run, moves nothing; in one with ties, the last event of
+    each run of equal times moves forward in place with its count. The
+    series' times are a view of the padded buffer."""
     keys, carry = _time_bit_keys(pop, temperatures, sigmas, horizon)
     keys.sort()
-    counts = np.empty(keys.size - len(pop) + 1, dtype=np.int32)
-    kept = 0
-    for start in range(0, keys.size, CHUNK):
+    base = int(keys.searchsorted(np.uint64(2))) - 1  # the t = 0 run ends there
+    counts = np.empty(keys.size - base, np.min_scalar_type(-len(pop) - 1))
+    counts[0] = carry = carry - base - 1 + 2 * np.count_nonzero(keys[: base + 1])
+    keys[base] = 0
+    kept = 1  # the series so far: keys[base : base + kept], counts[:kept]
+    for start in range(base + 1, keys.size, CHUNK):
         chunk = keys[start : start + CHUNK]
         stop = start + chunk.size
-        step = np.empty(chunk.size, np.int32)
+        step = counts[kept : kept + chunk.size]
         np.bitwise_and(chunk, 1, out=step, casting="unsafe")
         step <<= 1
         step -= 1
         step[0] += carry
         np.cumsum(step, out=step)
-        carry = int(step[-1])
+        carry = step[-1]
         chunk >>= 1
         last = np.empty(chunk.size, dtype=bool)
         np.not_equal(chunk[1:], chunk[:-1], out=last[:-1])
         last[-1] = stop == keys.size or keys[stop] >> 1 != chunk[-1]
-        moved = chunk[last]
-        counts[kept : kept + moved.size] = step[last]
-        keys[kept : kept + moved.size] = moved
-        kept += moved.size
-    return TimeSeries(times=keys[:kept].view(float), values=counts[:kept], scale=d)
+        if not last.all():
+            chunk = chunk[last]
+            step[: chunk.size] = step[last]
+        keys[base + kept : base + kept + chunk.size] = chunk
+        kept += chunk.size
+    return TimeSeries(times=keys[base : base + kept].view(float), values=counts[:kept], scale=d)
 
 
 def _time_bit_keys(pop: Population, temperatures, sigmas, horizon: float):

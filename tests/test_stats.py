@@ -97,6 +97,16 @@ class TestTimeSeries:
             with pytest.raises(StatsError):
                 ts.pieces(*window)
 
+    def test_subnormal_window_rejected(self):
+        """A window narrower than the normal range raises StatsError naming
+        it: its width and moments would round by absolute steps, outside
+        time_variance's bound (a constant read 2.71 here, not 0). A window
+        of the smallest normal width still gives the variance 0."""
+        ts = TimeSeries(times=np.array([0.0]), values=np.array([174.31551625]))
+        with pytest.raises(StatsError, match=r"window \[0\.0, 5e-323\]"):
+            time_variance(ts, (0.0, 5e-323))
+        assert time_variance(ts, (0.0, np.finfo(float).smallest_normal)) == 0.0
+
     @pytest.mark.parametrize(
         "times, values",
         [
@@ -171,6 +181,11 @@ def recount(pop, temperatures, sigmas, horizon, times):
         series = reference_demand_series(p, float(temp), int(sig), horizon)
         k += series.values[np.searchsorted(series.times, times, side="right") - 1]
     return k
+
+
+def narrowest_count_type(n):
+    """The narrowest signed integer type whose range holds n."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= n)
 
 
 def assert_same_series(got, want):
@@ -455,11 +470,35 @@ class TestFreeRun:
             return
         d = float(pop.d_bar[0])
         k = recount(pop, temps, sigmas, horizon, series.times)
-        assert series.values.dtype == np.int32 and series.scale == d
+        assert series.values.dtype == narrowest_count_type(len(pop)) and series.scale == d
         assert np.array_equal(series.scale * series.values, d * k)
         # and its times are the loads' event times, each once
         times = np.sort(free_run_events(pop, temps, sigmas, horizon)[0])
         assert np.array_equal(series.times, times[run_index(times)])
+
+    @pytest.mark.parametrize(
+        "n, dtype", [(127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)]
+    )
+    def test_count_type_is_narrowest_holding_n(self, n, dtype):
+        """The counts are of the narrowest signed type holding N, and d * k
+        is exact at both edges of int8 and of int16, over a few cycles of the
+        fastest loads: k recounted load by load, each load's steps added at
+        its own event times, which are series times."""
+        pop = sample_population(PopulationSpec(n, 0.05, seed=n))
+        temps, sigmas = sample_initial_states(pop, seed=n)
+        horizon = 2e3
+        series = aggregate_demand_series(pop, temps, sigmas, horizon)
+        assert series.values.dtype == dtype
+        k = np.zeros(series.times.size, dtype=np.int64)
+        for p, temp, sig in zip(pop, temps, sigmas):
+            own = reference_demand_series(p, float(temp), int(sig), horizon)
+            at = np.searchsorted(series.times, own.times)
+            assert np.array_equal(series.times[at], own.times)
+            k[at] += np.diff(own.values, prepend=0)
+        np.cumsum(k, out=k)
+        assert 0 <= k.min() and k.max() <= n
+        d = float(pop.d_bar[0])
+        assert series.scale == d and np.array_equal(series.scale * series.values, d * k)
 
     def test_long_run_average_converges_to_duty_cycle(self):
         series = aggregate_demand_series(REFERENCE, [4.5], [0], horizon=2e6)
@@ -548,6 +587,30 @@ class TestInPlace:
         for t0, t1 in [(0.0, horizon), (want.times[10], want.times[-5]), (1.5, 2 * horizon)]:
             assert time_variance(got, (t0, t1)) == full_length_variance(want, t0, t1)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_ties_across_chunks(self, chunk, monkeypatch):
+        """Loads 0 and 1 of 40 tripled, so their copies tie at every switch
+        after t = 0. With CHUNK events per pass, a tie run straddles a chunk
+        edge, and a chunk with no tie, counted where it lies, follows a chunk
+        whose ties moved events forward: the series is still the
+        definition's."""
+        pop = sample_population(PopulationSpec(40, 0.3, seed=5))
+        temps, sigmas = sample_initial_states(pop, seed=5)
+        copies = np.where(np.arange(40) < 2, 3, 1)
+        pop = Population.of([p for p, c in zip(pop, copies) for _ in range(c)])
+        temps, sigmas = np.repeat(temps, copies), np.repeat(sigmas, copies)
+        horizon = 2e4
+        # the events after the t = 0 run, in the merge's chunks; an event
+        # ties with the next one, maybe across an edge
+        times = np.sort(free_run_events(pop, temps, sigmas, horizon)[0])[len(pop) :]
+        tied = times[1:] == times[:-1]
+        assert tied[chunk - 1 :: chunk].any()
+        has_tie = np.logical_or.reduceat(tied, np.arange(0, tied.size, chunk))
+        assert not has_tie[np.argmax(has_tie) :].all()
+        monkeypatch.setattr(stats, "CHUNK", chunk)
+        got = aggregate_demand_series(pop, temps, sigmas, horizon)
+        assert_same_series(got, reference_aggregate(pop, temps, sigmas, horizon))
+
     @pytest.mark.parametrize("horizon", [2e4, 2e5])
     def test_padded_buffer_bound(self, horizon):
         """Blocks cut by cycle count pad each row by at most 1/16 of its
@@ -560,15 +623,17 @@ class TestInPlace:
 
     def test_merge_and_variance_peak_memory(self):
         """aggregate_demand_series then time_variance hold at most the padded
-        buffer the times are summed in, half an array more and the chunks of
-        the count reads. The keys are packed into the front of the buffer and
-        sorted there, and become the series' times; the int32 counts are half
-        an array of 8 bytes per event. A chunk of CHUNK events holds its
-        int32 steps and their running sum (numpy copies the steps it sums in
-        place, 8 bytes per event), the one-byte tie mask, and the moved times
-        and counts (12 bytes): 21 CHUNK bytes; 64 KiB more covers the
-        per-load and per-block arrays. time_variance adds no full-length
-        array, only its leaves of at most max(CHUNK, 128) pieces. Counted in
+        buffer the times are summed in, a quarter array more and chunk-sized
+        buffers. The keys are packed into the front of the buffer and sorted
+        there, and become the series' times; at 2,000 loads the counts are
+        int16, a quarter of an array of 8 bytes per event, and each chunk's
+        steps are written and summed in them. A chunk of CHUNK events then
+        holds its one-byte tie mask and, only if it holds a tie, its moved
+        keys and steps (10 bytes): 11 CHUNK bytes. time_variance adds no
+        full-length array, only a leaf's widths and centred values (16
+        bytes per piece, at most max(CHUNK, 128) pieces), so 16 CHUNK bytes
+        bound either phase; 64 KiB more covers numpy's cast buffer of the
+        parity reads and the per-load and per-block arrays. Counted in
         arrays of 8 bytes per event."""
         pop = sample_population(PopulationSpec(2000, 0.7, seed=1))
         temps, sigmas = sample_initial_states(pop, seed=1)
@@ -583,8 +648,8 @@ class TestInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert unit > 4e6 and 1 < padded < 1.5
-        assert peak / unit < padded + 0.5 + (21 * stats.CHUNK + 2**16) / unit
+        assert unit > 4e6 and 1 < padded < 1.5 and series.values.dtype == np.int16
+        assert peak / unit < padded + 0.25 + (16 * stats.CHUNK + 2**16) / unit
 
 
 @st.composite
